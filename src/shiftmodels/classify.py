@@ -20,12 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import NotConcave, UnsupportedRegime
+from .errors import NonFinite, NotConcave, UnsupportedRegime
 from .numkit import (
     ComplexMatrix,
+    _rank_of,
     hermitian_max_eig,
-    hermitian_min_eig,
     null_space_basis,
+    rank,
     singular_values,
     two_norm,
 )
@@ -112,59 +113,65 @@ def _report_from_defect_range(
     )
 
 
+def _defect_range(stack: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of T*T*TT - 2 T*T + Id over a stack of T.
+
+    ``stack`` has shape (..., n, n); one eigvalsh call covers every matrix.
+    Overflow is refused as NonFinite instead of surfacing as numpy warnings.
+    """
+    n = stack.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        adj = stack.conj().swapaxes(-1, -2)
+        sq = stack @ stack
+        defect = sq.conj().swapaxes(-1, -2) @ sq - 2.0 * (adj @ stack) + np.eye(n)
+        herm = (defect + defect.conj().swapaxes(-1, -2)) / 2.0
+    if not np.all(np.isfinite(herm)):
+        raise NonFinite("defect form contains NaN or infinite entries")
+    eigs = np.linalg.eigvalsh(herm)
+    return float(eigs[..., 0].min()), float(eigs[..., -1].max())
+
+
+def _wandering_span_dim(arr: np.ndarray, tol: ToleranceConfig) -> int:
+    """Dimension spanned by the defect space ker T* and its first n - 1 iterates."""
+    current = null_space_basis(arr.conj().T, tol)
+    if current.shape[1] == 0:
+        return 0
+    blocks = [current]
+    for _ in range(arr.shape[0] - 1):
+        current = arr @ current
+        col_norms = np.linalg.norm(current, axis=0)
+        col_norms[col_norms == 0.0] = 1.0
+        current = current / col_norms
+        blocks.append(current)
+    return rank(np.hstack(blocks), tol)
+
+
 def _classify_dense(T: Dense, tol: ToleranceConfig) -> ClassificationReport:
     arr = T.matrix.array
     n = arr.shape[0]
-    gram = arr.conj().T @ arr
-    sq = arr @ arr
-    defect = sq.conj().T @ sq - 2.0 * gram + np.eye(n, dtype=np.complex128)
-    d_sup = hermitian_max_eig(defect, tol)
-    d_inf = hermitian_min_eig(defect, tol)
-
+    d_inf, d_sup = _defect_range(arr)
     s = singular_values(arr)
-    sigma_min = float(s[-1]) if s.size else 0.0
-    bounded_below = bool(s.size and s[0] > 0.0 and s[-1] > tol.rank_tol * s[0])
 
     # purity = nilpotency: the normalized n-th power must vanish
-    norm = two_norm(arr)
-    if norm == 0.0:
-        pure = True
+    if s[0] == 0.0:
         pure_residual = 0.0
     else:
-        power = np.linalg.matrix_power(arr / norm, n)
-        pure_residual = two_norm(power)
-        pure = pure_residual <= tol.rank_tol
+        pure_residual = two_norm(np.linalg.matrix_power(arr / s[0], n))
     pure_method = f"nilpotency residual of normalized {n}-th power = {pure_residual:.3e}"
 
     # wandering subspace: iterates of the defect space must fill the ambient
-    defect_basis = null_space_basis(arr.conj().T, tol)
-    if defect_basis.shape[1] == 0:
-        wandering = n == 0
-        span_dim = 0
-    else:
-        blocks = [defect_basis]
-        current = defect_basis
-        for _ in range(n - 1):
-            current = arr @ current
-            col_norms = np.linalg.norm(current, axis=0)
-            col_norms[col_norms == 0.0] = 1.0
-            current = current / col_norms
-            blocks.append(current)
-        stacked = np.hstack(blocks)
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        span_dim = int(np.count_nonzero(sv > tol.rank_tol * sv[0])) if sv.size and sv[0] > 0 else 0
-        wandering = span_dim == n
+    span_dim = _wandering_span_dim(arr, tol)
     wandering_method = f"defect iterates span {span_dim} of {n} dimensions"
 
     return _report_from_defect_range(
         "dense",
         d_inf,
         d_sup,
-        bounded_below,
-        sigma_min,
-        pure,
+        _rank_of(s, tol) == n,
+        float(s[-1]),
+        pure_residual <= tol.rank_tol,
         pure_method,
-        wandering,
+        span_dim == n,
         wandering_method,
         tol,
     )
@@ -224,7 +231,7 @@ def generator_concavity_criterion(
     arr = A.array
     sq = arr @ arr
     form = (sq + sq.conj().T) / 2.0 + arr.conj().T @ arr
-    margin = hermitian_max_eig(form, tol)
+    margin = hermitian_max_eig(form)
     return GeneratorConcavity(satisfied=margin <= tol.psd_tol, margin=margin)
 
 

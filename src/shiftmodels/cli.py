@@ -46,7 +46,7 @@ from .hardy import (
     model_space_basis,
     verify_ladder_decomposition,
 )
-from .numkit import ComplexMatrix, eigenvalues, two_norm
+from .numkit import ComplexMatrix, spectral_radius, two_norm
 from .operators import Dense, FiniteSupportVector, operator_from_json, vector_from_json
 from .semigroup import (
     SemigroupSpec,
@@ -247,7 +247,7 @@ def _cmd_semigroup(args: argparse.Namespace, run: _Run) -> None:
                 {
                     "t": t,
                     "norm": two_norm(Et),
-                    "spectral_radius": float(np.max(np.abs(eigenvalues(Et)))),
+                    "spectral_radius": spectral_radius(Et),
                 }
             )
         run.results["evolution"] = evolution

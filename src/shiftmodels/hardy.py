@@ -42,12 +42,10 @@ from .numkit import ComplexMatrix, null_space_basis, rank
 from .series import (
     PowerSeries,
     series_add,
-    series_eval,
     series_exp,
     series_inv,
     series_mul,
     series_scale,
-    series_shift_up,
 )
 
 __all__ = [
@@ -69,14 +67,6 @@ __all__ = [
     "composition_operator_trunc",
     "differentiation_generator_trunc",
     "generator_kernel_scan",
-    "PowerSeries",
-    "series_add",
-    "series_eval",
-    "series_exp",
-    "series_inv",
-    "series_mul",
-    "series_scale",
-    "series_shift_up",
 ]
 
 _CHECK_RADII = (0.9, 0.99)

@@ -53,9 +53,19 @@ _PADE13_B = (
 _EXPM_SCALE_TARGET = 0.5
 
 
+def _checked(arr: np.ndarray, square: bool = True) -> np.ndarray:
+    if arr.ndim != 2 or (square and arr.shape[0] != arr.shape[1]):
+        raise ValueError(f"matrix must be {'square' if square else '2-d'}, got shape {arr.shape}")
+    if square and arr.shape[0] == 0:
+        raise ValueError(f"matrix must be at least 1x1, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        raise NonFinite("matrix contains NaN or infinite entries")
+    return arr
+
+
 @dataclass(frozen=True)
 class ComplexMatrix:
-    """Immutable square complex matrix with finite entries.
+    """Immutable square complex matrix, at least 1x1, with finite entries.
 
     The wire format is ``{"rows": n, "cols": n, "data": [[re, im], ...]}``
     with ``data`` in row-major order.
@@ -64,12 +74,7 @@ class ComplexMatrix:
     array: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.array, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise NonFinite("matrix contains NaN or infinite entries")
-        arr = arr.copy()
+        arr = _checked(np.asarray(self.array, dtype=np.complex128)).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
 
@@ -118,15 +123,10 @@ class ComplexMatrix:
 def _as_array(M, square: bool = True) -> np.ndarray:
     if isinstance(M, ComplexMatrix):
         return M.array
-    arr = np.asarray(M, dtype=np.complex128)
-    if arr.ndim != 2 or (square and arr.shape[0] != arr.shape[1]):
-        raise ValueError(f"matrix must be {'square' if square else '2-d'}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise NonFinite("matrix contains NaN or infinite entries")
-    return arr
+    return _checked(np.asarray(M, dtype=np.complex128), square)
 
 
-def hermitian_max_eig(M, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def hermitian_max_eig(M) -> float:
     """Largest eigenvalue of the Hermitian part (M + M*)/2.
 
     Callers promise M is Hermitian up to residual_tol; symmetrizing first
@@ -137,7 +137,7 @@ def hermitian_max_eig(M, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     return float(np.linalg.eigvalsh(herm)[-1])
 
 
-def hermitian_min_eig(M, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def hermitian_min_eig(M) -> float:
     """Smallest eigenvalue of the Hermitian part (M + M*)/2."""
     arr = _as_array(M)
     herm = (arr + arr.conj().T) / 2.0
@@ -146,36 +146,38 @@ def hermitian_min_eig(M, tol: ToleranceConfig = DEFAULT_TOL) -> float:
 
 def _expm_array(arr: np.ndarray) -> np.ndarray:
     n = arr.shape[0]
-    if n == 0:
-        return arr.copy()
-    norm = float(np.linalg.norm(arr, 1))
-    if norm == 0.0:
-        return np.eye(n, dtype=np.complex128)
-    squarings = max(0, int(np.ceil(np.log2(norm / _EXPM_SCALE_TARGET))))
-    A = arr / (2.0**squarings)
+    # overflow shows up as non-finite entries, refused by the caller's checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(arr, 1))
+        if norm == 0.0:
+            return np.eye(n, dtype=np.complex128)
+        if not np.isfinite(norm):
+            raise NonFinite("matrix 1-norm overflows")
+        squarings = max(0, int(np.ceil(np.log2(norm / _EXPM_SCALE_TARGET))))
+        A = arr / (2.0**squarings)
 
-    ident = np.eye(n, dtype=np.complex128)
-    b = _PADE13_B
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    U = A @ (
-        A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-        + b[7] * A6
-        + b[5] * A4
-        + b[3] * A2
-        + b[1] * ident
-    )
-    V = (
-        A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-        + b[6] * A6
-        + b[4] * A4
-        + b[2] * A2
-        + b[0] * ident
-    )
-    R = np.linalg.solve(V - U, V + U)
-    for _ in range(squarings):
-        R = R @ R
+        ident = np.eye(n, dtype=np.complex128)
+        b = _PADE13_B
+        A2 = A @ A
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        U = A @ (
+            A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+            + b[7] * A6
+            + b[5] * A4
+            + b[3] * A2
+            + b[1] * ident
+        )
+        V = (
+            A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+            + b[6] * A6
+            + b[4] * A4
+            + b[2] * A2
+            + b[0] * ident
+        )
+        R = np.linalg.solve(V - U, V + U)
+        for _ in range(squarings):
+            R = R @ R
     return R
 
 
@@ -188,6 +190,18 @@ def singular_values(M) -> np.ndarray:
     return np.linalg.svd(_as_array(M, square=False), compute_uv=False)
 
 
+def _rank_of(s: np.ndarray, tol: ToleranceConfig) -> int:
+    """Count of the descending singular values s above rank_tol relative to s[0]."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol.rank_tol * s[0]))
+
+
+def rank(M, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+    """Numerical rank: singular values above rank_tol relative to the largest."""
+    return _rank_of(singular_values(M), tol)
+
+
 def solve(M, rhs, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Solve M y = rhs, raising Singular below the relative rank cutoff."""
     arr = _as_array(M)
@@ -195,9 +209,7 @@ def solve(M, rhs, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     if b.shape[0] != arr.shape[0]:
         raise ValueError(f"rhs length {b.shape[0]} does not match matrix size {arr.shape[0]}")
     s = singular_values(arr)
-    if s.size == 0:
-        return np.zeros_like(b)
-    if s[-1] <= tol.rank_tol * s[0] or s[0] == 0.0:
+    if _rank_of(s, tol) < arr.shape[0]:
         raise Singular(
             f"matrix singular at rank_tol={tol.rank_tol:g}: "
             f"sigma_min/sigma_max = {0.0 if s[0] == 0.0 else s[-1] / s[0]:.3e}"
@@ -205,33 +217,16 @@ def solve(M, rhs, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return np.linalg.solve(arr, b)
 
 
-def rank(M, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Numerical rank: singular values above rank_tol relative to the largest."""
-    s = singular_values(M)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_tol * s[0]))
-
-
 def orthonormal_range_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Columns form an orthonormal basis of the numerical column space."""
-    arr = _as_array(M, square=False)
-    u, s, _ = np.linalg.svd(arr)
-    if s.size == 0 or s[0] == 0.0:
-        return u[:, :0]
-    r = int(np.count_nonzero(s > tol.rank_tol * s[0]))
-    return u[:, :r]
+    u, s, _ = np.linalg.svd(_as_array(M, square=False))
+    return u[:, : _rank_of(s, tol)]
 
 
 def null_space_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Columns form an orthonormal basis of the numerical kernel."""
-    arr = _as_array(M, square=False)
-    u, s, vh = np.linalg.svd(arr)
-    if s.size == 0 or s[0] == 0.0:
-        r = 0
-    else:
-        r = int(np.count_nonzero(s > tol.rank_tol * s[0]))
-    return vh[r:].conj().T
+    _, s, vh = np.linalg.svd(_as_array(M, square=False))
+    return vh[_rank_of(s, tol) :].conj().T
 
 
 def eigenvalues(M) -> np.ndarray:
@@ -244,31 +239,6 @@ def two_norm(M) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def spectral_radius(M, max_iter: int = 200, rel_tol: float = 1e-12) -> float:
-    """Spectral radius: power iteration, Schur fallback when it stalls.
-
-    A power-iteration estimate is accepted only when the iterate is an
-    eigenvector to working precision (residual test); equal-modulus pairs
-    and defective dominant blocks never satisfy it and fall through to the
-    eigenvalue path.
-    """
-    arr = _as_array(M)
-    n = arr.shape[0]
-    if n == 0:
-        return 0.0
-    rng = np.random.default_rng(20240809)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    scale = float(np.linalg.norm(arr, 1))
-    if scale == 0.0:
-        return 0.0
-    for _ in range(max_iter):
-        w = arr @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        rayleigh = np.vdot(v, w)
-        if np.linalg.norm(w - rayleigh * v) <= rel_tol * scale:
-            return float(abs(rayleigh))
-        v = w / norm_w
-    return float(np.max(np.abs(eigenvalues(arr))))
+def spectral_radius(M) -> float:
+    """Spectral radius: the largest eigenvalue modulus."""
+    return float(np.max(np.abs(eigenvalues(M))))

@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import AmbientMismatch, NonFinite, NotBoundedBelow, UnsupportedRegime
-from .numkit import ComplexMatrix, singular_values, solve, spectral_radius
+from .numkit import ComplexMatrix, rank, solve, spectral_radius
 
 __all__ = [
     "FiniteSupportVector",
@@ -319,8 +319,7 @@ class Dense:
         self, x: FiniteSupportVector, tol: ToleranceConfig = DEFAULT_TOL
     ) -> FiniteSupportVector:
         arr = self.matrix.array
-        s = singular_values(arr)
-        if s.size and (s[-1] <= tol.rank_tol * s[0] or s[0] == 0.0):
+        if rank(arr, tol) < self.matrix.n:
             raise NotBoundedBelow(
                 f"operator not bounded below at rank_tol={tol.rank_tol:g}"
             )

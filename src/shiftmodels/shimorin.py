@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import classify_operator
+from .classify import _wandering_span_dim, classify_operator
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (
     NoWanderingSubspace,
@@ -33,7 +33,7 @@ from .errors import (
     ToolkitError,
     UnsupportedRegime,
 )
-from .numkit import ComplexMatrix, null_space_basis, orthonormal_range_basis, two_norm
+from .numkit import ComplexMatrix, orthonormal_range_basis, rank, two_norm
 from .operators import (
     Dense,
     DirectSum,
@@ -164,8 +164,7 @@ def cauchy_dual(
     if isinstance(T, Dense):
         arr = T.matrix.array
         gram = arr.conj().T @ arr
-        s = np.linalg.svd(arr, compute_uv=False)
-        if s.size == 0 or s[0] == 0.0 or s[-1] <= tol.rank_tol * s[0]:
+        if rank(arr, tol) < T.matrix.n:
             raise NotBoundedBelow(
                 f"Cauchy dual needs a bounded-below operator (rank_tol={tol.rank_tol:g})"
             )
@@ -574,8 +573,7 @@ def wold_decompose(
             steps_used += 1
             break
         power = power / norm
-        sv = np.linalg.svd(power, compute_uv=False)
-        current_rank = int(np.count_nonzero(sv > tol.rank_tol * sv[0]))
+        current_rank = rank(power, tol)
         steps_used += 1
         if current_rank == previous_rank:
             break
@@ -590,21 +588,7 @@ def wold_decompose(
     else:
         unitary_residual = 0.0
 
-    defect = null_space_basis(arr.conj().T, tol)
-    if defect.shape[1] == 0:
-        span_dim = 0
-    else:
-        blocks = [defect]
-        current = defect
-        for _ in range(n - 1):
-            current = arr @ current
-            norms = np.linalg.norm(current, axis=0)
-            norms[norms == 0.0] = 1.0
-            current = current / norms
-            blocks.append(current)
-        stacked = np.hstack(blocks)
-        sv = np.linalg.svd(stacked, compute_uv=False)
-        span_dim = int(np.count_nonzero(sv > tol.rank_tol * sv[0])) if sv.size and sv[0] > 0 else 0
+    span_dim = _wandering_span_dim(arr, tol)
 
     return WoldReport(
         dim_unitary=dim_unitary,

@@ -40,6 +40,15 @@ def test_strict_contraction_is_not_concave():
     assert rep.concavity_defect == pytest.approx(0.5625, abs=1e-12)
 
 
+def test_dense_diagonal_defect_range_closed_form():
+    # diag(a) has defect diag((|a_k|^2 - 1)^2)
+    entries = [0.5, 1.0j, -1.5, 0.9 + 0.3j]
+    closed = [(abs(a) ** 2 - 1.0) ** 2 for a in entries]
+    rep = classify_operator(Dense(ComplexMatrix.diagonal(entries)))
+    assert rep.concavity_defect == pytest.approx(max(closed), abs=1e-12)
+    assert rep.contraction_margin == pytest.approx(min(closed), abs=1e-12)
+
+
 def test_dirichlet_shift_is_exact_two_isometry():
     # w_k^2 w_{k+1}^2 - 2 w_k^2 + 1 = ((k+3) - 2(k+2) + (k+1))/(k+1) = 0
     rep = classify_operator(dirichlet_shift())

@@ -1,11 +1,16 @@
 """Command-line interface tests: subcommands, exit codes, deterministic reports."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shiftmodels
 from shiftmodels.cli import main
 
 FIXTURES = files("shiftmodels") / "fixtures"
@@ -232,6 +237,66 @@ def test_exit_three_on_numeric_errors(capsys, tmp_path):
     symbol.write_text(json.dumps([[1.0, 0.0]] * 21))
     assert main(["hardy", "--symbol-file", str(symbol), "--inner-check"]) == 3
     capsys.readouterr()
+
+
+def _dense_file(tmp_path, name: str, rows: int, data: list) -> str:
+    path = tmp_path / name
+    matrix = {"rows": rows, "cols": rows, "data": data}
+    path.write_text(json.dumps({"kind": "dense", "matrix": matrix}))
+    return str(path)
+
+
+def _run_subprocess(argv):
+    # a separate interpreter shows the real stderr: tracebacks and numpy warnings
+    env = dict(os.environ, PYTHONPATH=str(Path(shiftmodels.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "shiftmodels.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+
+
+def _assert_single_error_line(proc, code: int) -> None:
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--operator"],
+        ["semigroup", "--equivalence-suite", "--generator"],
+        ["semigroup", "--growth-bound", "--generator"],
+    ],
+)
+def test_empty_dense_matrix_is_a_usage_error(tmp_path, argv):
+    proc = _run_subprocess([*argv, _dense_file(tmp_path, "empty.json", 0, [])])
+    _assert_single_error_line(proc, 2)
+    assert "(0, 0)" in proc.stderr
+
+
+_HUGE = [[1e300, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+# both entries of the first column are finite, their 1-norm sum is not
+_NORM_OVERFLOW = [[1e308, 0.0], [0.0, 0.0], [1e308, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "data, argv",
+    [
+        (_HUGE, ["classify", "--operator"]),
+        (_HUGE, ["semigroup", "--equivalence-suite", "--generator"]),
+        (_HUGE, ["semigroup", "--growth-bound", "--generator"]),
+        (_HUGE, ["semigroup", "--t", "1.0", "--generator"]),
+        (_HUGE, ["semigroup", "--t", "1e10", "--generator"]),
+        (_NORM_OVERFLOW, ["semigroup", "--t", "1.0", "--generator"]),
+    ],
+)
+def test_overflowing_input_is_refused_without_warnings(tmp_path, data, argv):
+    proc = _run_subprocess([*argv, _dense_file(tmp_path, "huge.json", 2, data)])
+    _assert_single_error_line(proc, 3)
 
 
 def test_verify_all_reports_twelve_criteria(capsys):

@@ -181,9 +181,22 @@ def test_null_space_basis_matches_rank():
 def test_spectral_data_sanity():
     M = ComplexMatrix.diagonal([3.0, -5.0])
     assert spectral_radius(M) == pytest.approx(5.0, abs=1e-8)
+    # equal-modulus pair and a defective block: no dominant eigenvector to iterate on
+    assert spectral_radius(ComplexMatrix.diagonal([1.0, -1.0])) == pytest.approx(1.0, abs=1e-12)
+    jordan = ComplexMatrix.from_rows([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]])
+    assert spectral_radius(jordan) == pytest.approx(0.5, abs=1e-12)
     assert two_norm(M) == pytest.approx(5.0, abs=1e-12)
     eigs = sorted(eigenvalues(M).real)
     assert eigs == pytest.approx([-5.0, 3.0], abs=1e-12)
+
+
+def test_empty_matrix_is_refused():
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        ComplexMatrix.zeros(0)
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        ComplexMatrix.from_json({"rows": 0, "cols": 0, "data": []})
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        hermitian_max_eig(np.zeros((0, 0)))
 
 
 def test_matrix_json_round_trip():

@@ -140,6 +140,37 @@ def test_equivalence_suite_expanding_generator_all_false():
     assert suite.agree
     assert suite.verdict is False
     assert suite.generator_margin == pytest.approx(8.0, abs=1e-12)
+    # defect of e^{2t} I is (e^{4t} - 1)^2, largest at the grid end t = 2
+    assert suite.semigroup_max_defect == pytest.approx(math.expm1(8.0) ** 2, rel=1e-12)
+    # defect of the cogenerator 3I is 81 - 18 + 1
+    assert suite.cogenerator_defect == pytest.approx(64.0, abs=1e-12)
+
+
+def _oracle_max_defect(matrices) -> float:
+    worst = -math.inf
+    for E in matrices:
+        EE = E @ E
+        form = EE.conj().T @ EE - 2.0 * (E.conj().T @ E) + np.eye(E.shape[0])
+        worst = max(worst, float(np.linalg.eigvalsh((form + form.conj().T) / 2.0)[-1]))
+    return worst
+
+
+def test_equivalence_suite_defects_match_independent_oracle():
+    # the three generator families of acceptance criterion 2: skew, dissipative, raw
+    expm_oracle = pytest.importorskip("scipy.linalg").expm
+    rng = np.random.default_rng(202)
+    n = 6
+    for i in range(9):
+        B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        A = ((B - B.conj().T) / 2.0, -(B.conj().T @ B + np.eye(n)), B)[i % 3]
+        suite = concavity_equivalence_suite(SemigroupSpec(ComplexMatrix(A)), grid_slack=1e-8)
+        semigroup = _oracle_max_defect([expm_oracle(t * A) for t in suite.t_grid])
+        cayley = (A + np.eye(n)) @ np.linalg.inv(A - np.eye(n))
+        for value, oracle in (
+            (suite.semigroup_max_defect, semigroup),
+            (suite.cogenerator_defect, _oracle_max_defect([cayley])),
+        ):
+            assert abs(value - oracle) <= 1e-10 * max(1.0, abs(oracle))
 
 
 def test_equivalence_suite_rejects_one_in_generator_spectrum():
