@@ -47,10 +47,7 @@ from .operators import (
     FiniteSupportVector,
     Shift,
     StructuredOperator,
-    adjoint_apply,
-    apply,
     dirichlet_shift,
-    gram_apply_inverse,
     isometric_shift,
     operator_from_json,
     operator_to_json,

@@ -35,7 +35,6 @@ from .operators import (
     Dense,
     DirectSum,
     FiniteSupportVector,
-    apply,
     dirichlet_shift,
     isometric_shift,
 )
@@ -177,7 +176,7 @@ def criterion_3_model_projection() -> CriterionResult:
         probes = [FiniteSupportVector.basis(k, None) for k in range(8)]
         probes += [_random_vector(rng, 10, 20) for _ in range(4)]
         for x in probes:
-            tx = apply(T, x)
+            tx = T.apply(x)
             worst = max(worst, left_inverse_apply(model, tx).sub(x).norm())
             worst = max(worst, defect_projection(model, tx).norm())
             px = defect_projection(model, x)

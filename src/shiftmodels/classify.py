@@ -36,7 +36,6 @@ from .operators import (
     FiniteSupportVector,
     Shift,
     StructuredOperator,
-    apply,
 )
 
 __all__ = [
@@ -253,12 +252,12 @@ def concave_power_growth_check(
             f"power growth bound needs a concave operator (defect {report.concavity_defect:.3e})"
         )
     base = x.norm() ** 2
-    current = apply(T, x)
+    current = T.apply(x)
     first = current.norm() ** 2
     slope = first - base
     for n in range(1, N + 1):
         if n > 1:
-            current = apply(T, current)
+            current = T.apply(current)
         value = current.norm() ** 2
         if value > base + n * slope + tol.residual_tol:
             return False

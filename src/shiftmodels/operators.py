@@ -17,7 +17,7 @@ Index layout for direct sums: when every summand is finite the parts occupy
 consecutive index blocks; when any summand is infinite, global index
 ``q * p + r`` holds local index ``q`` of part ``r`` (round robin), the only
 flat layout that accommodates several infinite blocks.  ``embed`` and
-``project`` hide the arithmetic.
+``decompose`` hide the arithmetic.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import AmbientMismatch, NonFinite, NotBoundedBelow, UnsupportedRegime
-from .numkit import ComplexMatrix, rank, solve, spectral_radius
+from .errors import AmbientMismatch, NonFinite, UnsupportedRegime
+from .numkit import ComplexMatrix, spectral_radius
 
 __all__ = [
     "FiniteSupportVector",
@@ -42,9 +41,6 @@ __all__ = [
     "StructuredOperator",
     "isometric_shift",
     "dirichlet_shift",
-    "apply",
-    "adjoint_apply",
-    "gram_apply_inverse",
     "spectral_radius_estimate",
     "to_dense_matrix",
     "operator_to_json",
@@ -292,12 +288,6 @@ class Shift:
             tuple((k - 1, self.weights.weight(k - 1) * v) for k, v in x.entries if k >= 1), None
         )
 
-    def gram_apply_inverse(self, x: FiniteSupportVector) -> FiniteSupportVector:
-        _require_infinite(x)
-        return FiniteSupportVector(
-            tuple((k, v / self.weights.weight_sq(k)) for k, v in x.entries), None
-        )
-
 
 @dataclass(frozen=True)
 class Dense:
@@ -314,18 +304,6 @@ class Dense:
 
     def adjoint_apply(self, x: FiniteSupportVector) -> FiniteSupportVector:
         return self._matvec(self.matrix.array.conj().T, x)
-
-    def gram_apply_inverse(
-        self, x: FiniteSupportVector, tol: ToleranceConfig = DEFAULT_TOL
-    ) -> FiniteSupportVector:
-        arr = self.matrix.array
-        if rank(arr, tol) < self.matrix.n:
-            raise NotBoundedBelow(
-                f"operator not bounded below at rank_tol={tol.rank_tol:g}"
-            )
-        gram = arr.conj().T @ arr
-        y = solve(gram, x.dense(self.matrix.n), tol)
-        return FiniteSupportVector.from_dense(y, self.matrix.n)
 
     def _matvec(self, arr: np.ndarray, x: FiniteSupportVector) -> FiniteSupportVector:
         if x.ambient != self.matrix.n:
@@ -419,18 +397,6 @@ class DirectSum:
             [p.adjoint_apply(v) for p, v in zip(self.parts, self.decompose(x))]
         )
 
-    def gram_apply_inverse(
-        self, x: FiniteSupportVector, tol: ToleranceConfig = DEFAULT_TOL
-    ) -> FiniteSupportVector:
-        locals_ = self.decompose(x)
-        images = []
-        for p, v in zip(self.parts, locals_):
-            if isinstance(p, Dense):
-                images.append(p.gram_apply_inverse(v, tol))
-            else:
-                images.append(p.gram_apply_inverse(v))
-        return self.recombine(images)
-
 
 StructuredOperator = Union[Shift, Dense, DirectSum]
 
@@ -449,30 +415,11 @@ def dirichlet_shift(dual: bool = False) -> Shift:
 
 
 # ---------------------------------------------------------------------------
-# operation entry points
-
-
-def apply(T: StructuredOperator, x: FiniteSupportVector) -> FiniteSupportVector:
-    return T.apply(x)
-
-
-def adjoint_apply(T: StructuredOperator, x: FiniteSupportVector) -> FiniteSupportVector:
-    return T.adjoint_apply(x)
-
-
-def gram_apply_inverse(
-    T: StructuredOperator, x: FiniteSupportVector, tol: ToleranceConfig = DEFAULT_TOL
-) -> FiniteSupportVector:
-    """Solve (T*T) y = x within the operator's structure."""
-    if isinstance(T, Dense):
-        return T.gram_apply_inverse(x, tol)
-    if isinstance(T, DirectSum):
-        return T.gram_apply_inverse(x, tol)
-    return T.gram_apply_inverse(x)
+# whole-operator data
 
 
 def spectral_radius_estimate(T: StructuredOperator) -> float:
-    """Spectral radius: exact weight limit for shifts, Schur-backed for dense."""
+    """Spectral radius: exact weight limit for shifts, max |eigenvalue| for dense."""
     if isinstance(T, Shift):
         return T.weights.limit()
     if isinstance(T, Dense):

@@ -25,6 +25,8 @@ import numpy as np
 from .classify import _wandering_span_dim, classify_operator
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (
+    AmbientMismatch,
+    NonFinite,
     NoWanderingSubspace,
     NotBoundedBelow,
     NotPure,
@@ -40,8 +42,7 @@ from .operators import (
     FiniteSupportVector,
     Shift,
     StructuredOperator,
-    adjoint_apply,
-    apply,
+    WeightRule,
     spectral_radius_estimate,
     to_dense_matrix,
 )
@@ -177,15 +178,13 @@ def _shift_parts(T: StructuredOperator) -> tuple[Shift, ...]:
     if isinstance(T, Shift):
         return (T,)
     if isinstance(T, DirectSum):
-        parts = []
         for p in T.parts:
             if not isinstance(p, Shift):
                 raise UnsupportedRegime(
                     "analytic models require a shift or a direct sum of shifts; "
                     f"found a {type(p).__name__} part"
                 )
-            parts.append(p)
-        return tuple(parts)
+        return T.parts
     if isinstance(T, Dense):
         raise UnsupportedRegime(
             "finite-dimensional operators cannot be simultaneously bounded below and pure"
@@ -211,12 +210,8 @@ def build_model(T: StructuredOperator, tol: ToleranceConfig = DEFAULT_TOL) -> An
     dual = cauchy_dual(T, tol)
     left_inverse_norm = max(p.weights.reciprocal().sup() for p in parts)
     radius = 1.0 / left_inverse_norm
-    if isinstance(T, DirectSum):
-        defect_basis = tuple(
-            T.embed(r, FiniteSupportVector.basis(0, None)) for r in range(len(parts))
-        )
-    else:
-        defect_basis = (FiniteSupportVector.basis(0, None),)
+    # local index 0 of part r is global index r of the interleaved layout
+    defect_basis = tuple(FiniteSupportVector.basis(r, None) for r in range(len(parts)))
 
     model = AnalyticModel(
         source=T,
@@ -235,7 +230,7 @@ def _construction_self_check(model: AnalyticModel, tol: ToleranceConfig) -> None
     probes = [FiniteSupportVector.basis(k, None) for k in range(min(8, 2 + 3 * model.dim_defect))]
     bound = 10.0 * tol.residual_tol
     for x in probes:
-        tx = apply(model.source, x)
+        tx = model.source.apply(x)
         if left_inverse_apply(model, tx).sub(x).norm() > bound:
             raise ToolkitError("model self-check failed: L T != Id on probe vectors")
         if defect_projection(model, tx).norm() > bound:
@@ -252,45 +247,111 @@ def _construction_self_check(model: AnalyticModel, tol: ToleranceConfig) -> None
 
 # ---------------------------------------------------------------------------
 # the model map
+#
+# Inside, a vector is one complex array per shift part in local indices
+# (global index q * p + r is local index q of part r); L = (T')* lowers
+# local index q + 1 to q with weight w'_q = 1/w_q and never mixes parts.
+# FiniteSupportVector is only the type vectors enter and leave in.
+
+
+def _split(model: AnalyticModel, x: FiniteSupportVector) -> list[np.ndarray]:
+    """Per-part local arrays of a vector on the model's interleaved layout."""
+    if x.ambient is not None:
+        raise AmbientMismatch("shift models act on infinite ambient (ambient=None)")
+    flat = x.dense()
+    return [flat[r :: model.dim_defect] for r in range(model.dim_defect)]
+
+
+def _stack(chunks: list[np.ndarray]) -> np.ndarray:
+    """Row q, column r holds local index q of part r (zero past a part's end)."""
+    out = np.zeros((max(a.size for a in chunks), len(chunks)), dtype=np.complex128)
+    for r, a in enumerate(chunks):
+        out[: a.size, r] = a
+    return out
+
+
+def _join(chunks: list[np.ndarray]) -> FiniteSupportVector:
+    """The vector whose part r holds ``chunks[r]``; inverse of ``_split``."""
+    flat = _stack(chunks).ravel()
+    support = np.flatnonzero(flat)
+    return FiniteSupportVector(tuple(zip(support.tolist(), flat[support].tolist())), None)
+
+
+def _weights(rule: WeightRule, n: int) -> np.ndarray:
+    """w_0 .. w_{n-1} of a weight rule, complex so that products need no cast."""
+    return np.array([rule.weight(k) for k in range(n)], dtype=np.complex128)
+
+
+def _dual_weights(model: AnalyticModel, n: int) -> list[np.ndarray]:
+    """Cauchy-dual weights w'_k = 1/w_k, k < n, of every part."""
+    return [_weights(part.weights.reciprocal(), n) for part in model.shift_parts]
+
+
+def _lower(a: np.ndarray, dual: np.ndarray) -> np.ndarray:
+    """L on one part: local index q + 1 moves to q with weight w'_q."""
+    rest = a[1:]
+    return rest * dual[: rest.size]
+
+
+def _power_heads(a: np.ndarray, dual: np.ndarray) -> np.ndarray:
+    """(L^n a)_0 for n < a.size on one part; L^n a vanishes from n = a.size on."""
+    heads = np.empty(a.size, dtype=np.complex128)
+    for n in range(a.size):
+        heads[n] = a[0]
+        a = _lower(a, dual)
+    return heads
 
 
 def left_inverse_apply(model: AnalyticModel, x: FiniteSupportVector) -> FiniteSupportVector:
     """L x with L = (T')*, the distinguished left inverse of the source."""
-    return adjoint_apply(model.dual, x)
+    chunks = _split(model, x)
+    duals = _dual_weights(model, max(a.size for a in chunks))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _join([_lower(a, dual) for a, dual in zip(chunks, duals)])
 
 
 def defect_projection(model: AnalyticModel, x: FiniteSupportVector) -> FiniteSupportVector:
     """P x = x - T L x, the orthogonal projection onto the defect space."""
-    return x.sub(apply(model.source, left_inverse_apply(model, x)))
+    chunks = _split(model, x)
+    duals = _dual_weights(model, max(a.size for a in chunks))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, part, dual in zip(chunks, model.shift_parts, duals):
+            a[1:] -= _lower(a, dual) * _weights(part.weights, a.size - 1)
+        return _join(chunks)
 
 
 def defect_coordinates(model: AnalyticModel, x: FiniteSupportVector) -> np.ndarray:
     """Coordinates of P x in the defect basis (P is implicit: <Px,e> = <x,e>)."""
-    return np.array([x.inner(e) for e in model.defect_basis], dtype=np.complex128)
+    heads = [a[0] if a.size else 0.0 for a in _split(model, x)]
+    # adding 0.0 clears negative zeros, as pairing with the basis vectors does
+    return np.array(heads, dtype=np.complex128) + 0.0
 
 
 def coefficients(model: AnalyticModel, x: FiniteSupportVector, N: int) -> ModelCoefficients:
     """First N+1 model coefficients of x; exact for finitely supported input.
 
-    L lowers every block's local index, so iterates vanish past the largest
-    local support index and the reported tail bound is a finite sum,
-    evaluated at the model's disc radius.
+    Coefficient n of part r is (L^n x_r)_0.  L lowers every block's local
+    index, so iterates vanish past the largest local support index and the
+    reported tail bound is a finite sum, evaluated at the model's disc radius.
     """
     if N < 0:
         raise ValueError("coefficient order must be nonnegative")
+    chunks = _split(model, x)
+    duals = _dual_weights(model, max(a.size for a in chunks))
     out = np.zeros((N + 1, model.dim_defect), dtype=np.complex128)
-    current = x
-    for n in range(N + 1):
-        if not current.entries:
-            break
-        out[n] = defect_coordinates(model, current)
-        current = left_inverse_apply(model, current)
     tail = 0.0
-    n = N + 1
-    while current.entries:
-        tail += float(np.linalg.norm(defect_coordinates(model, current))) * model.radius**n
-        current = left_inverse_apply(model, current)
-        n += 1
+    radius = np.float64(model.radius)  # an overflowing power is inf, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # adding 0.0 clears negative zeros, as pairing with the basis vectors does
+        heads = _stack([_power_heads(a, dual) for a, dual in zip(chunks, duals)]) + 0.0
+        rows = min(N + 1, heads.shape[0])
+        out[:rows] = heads[:rows]
+        for n in range(N + 1, heads.shape[0]):
+            size = np.linalg.norm(heads[n])
+            if size:  # a vanished row adds nothing, even where radius**n overflows
+                tail += float(size * radius**n)
+    if not (np.isfinite(out).all() and math.isfinite(tail)):
+        raise NonFinite("model coefficients overflow: a coefficient or the tail bound is not finite")
     return ModelCoefficients(coeffs=out, N=N, tail_bound=tail)
 
 
@@ -303,17 +364,6 @@ def model_norm_sq(model: AnalyticModel, coeffs: ModelCoefficients) -> float:
     return total
 
 
-def _neumann_terms(q: float, budget: float) -> int:
-    """Smallest N with q^{N+1}/(1-q) <= budget (q < 1)."""
-    if q <= 0.0:
-        return 0
-    target = budget * (1.0 - q)
-    if target >= q:
-        return 0
-    n = int(math.ceil(math.log(target) / math.log(q))) - 1
-    return max(0, n)
-
-
 def _check_inside(model: AnalyticModel, value: complex, name: str) -> None:
     if abs(value) >= model.radius:
         raise OutsideDisc(
@@ -321,22 +371,32 @@ def _check_inside(model: AnalyticModel, value: complex, name: str) -> None:
         )
 
 
-def _dual_neumann(model: AnalyticModel, lam: complex, e: FiniteSupportVector, budget: float) -> tuple[FiniteSupportVector, int]:
-    """Truncated (Id - conj(lam) L*)^{-1} e = sum_n conj(lam)^n T'^n e."""
+def _dual_terms(model: AnalyticModel, lam: complex, budget: float) -> int:
+    """Smallest N with q^{N+1}/(1-q) <= budget, q = |lam| ||L|| < 1; capped."""
     q = abs(lam) * model.left_inverse_norm
-    terms = _neumann_terms(q, budget)
+    target = budget * (1.0 - q)
+    terms = 0
+    if 0.0 < q and target < q:
+        terms = max(0, int(math.ceil(math.log(target) / math.log(q))) - 1)
     if terms > _TERM_CAP:
         raise TailNotConvergent(
             f"kernel tail needs {terms} terms (cap {_TERM_CAP}) at |point| = {abs(lam):.6g}"
         )
-    acc = e
-    current = e
+    return terms
+
+
+def _dual_neumann(dual: np.ndarray, lam: complex, c: complex) -> np.ndarray:
+    """Sum_n conj(lam)^n T'^n (c e_0) on one part, n <= dual.size, as a local array.
+
+    T'^n e_0 is the running product of the dual weights at local index n.
+    """
+    amplitudes = np.multiply.accumulate(np.concatenate(([c], dual))).tolist()
+    out = [c]
     factor = 1.0 + 0.0j
-    for _ in range(terms):
-        current = apply(model.dual, current)
+    for amplitude in amplitudes[1:]:
         factor *= lam.conjugate()
-        acc = acc.add(current.scale(factor))
-    return acc, terms
+        out.append(factor * amplitude)
+    return np.array(out, dtype=np.complex128)
 
 
 def kernel_eval(
@@ -344,31 +404,30 @@ def kernel_eval(
 ) -> np.ndarray:
     """Reproducing kernel k(lam, z) compressed to the defect space.
 
-    Computed as two Neumann sums: u = (Id - conj(lam) L*)^{-1} e column by
-    column, then sum_m z^m L^m u, which terminates exactly because L is
-    locally nilpotent on finite supports; entries are accurate to tail_tol.
+    Computed as two Neumann sums per part: u = (Id - conj(lam) L*)^{-1} e_r,
+    then the e_r coordinate of sum_m z^m L^m u, which terminates exactly
+    because L is locally nilpotent on finite supports; entries are accurate
+    to tail_tol.  L keeps the parts apart, so the matrix is diagonal.
     """
     lam = complex(lam)
     z = complex(z)
     _check_inside(model, lam, "lam")
     _check_inside(model, z, "z")
-    dim = model.dim_defect
     # target half the budget per stage so conjugate-symmetric calls agree to tail_tol
     amplification = 1.0 / (1.0 - abs(z) * model.left_inverse_norm)
-    budget = 0.5 * tol.tail_tol / amplification
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for s, e in enumerate(model.defect_basis):
-        u, _ = _dual_neumann(model, lam, e, budget)
-        acc = u
-        current = u
-        factor = 1.0 + 0.0j
-        while True:
-            current = left_inverse_apply(model, current)
-            if not current.entries:
-                break
-            factor *= z
-            acc = acc.add(current.scale(factor))
-        out[:, s] = defect_coordinates(model, acc)
+    terms = _dual_terms(model, lam, 0.5 * tol.tail_tol / amplification)
+    out = np.zeros((model.dim_defect, model.dim_defect), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r, dual in enumerate(_dual_weights(model, terms)):
+            heads = _power_heads(_dual_neumann(dual, lam, 1.0 + 0.0j), dual).tolist()
+            value, factor = heads[0], 1.0 + 0.0j
+            for head in heads[1:]:
+                factor *= z
+                if head:  # a vanished head adds nothing, even to an overflowed factor
+                    value += factor * head
+            out[r, r] = value
+    if not np.isfinite(out).all():
+        raise NonFinite("kernel value is not finite: the Neumann terms overflow")
     return out
 
 
@@ -380,7 +439,7 @@ def verify_intertwining(
 ) -> IntertwiningReport:
     """Check that applying T shifts model coefficients by one degree."""
     cx = coefficients(model, x, N).coeffs
-    ctx = coefficients(model, apply(model.source, x), N).coeffs
+    ctx = coefficients(model, model.source.apply(x), N).coeffs
     residual = float(np.max(np.abs(ctx[0])))
     if N >= 1:
         residual = max(residual, float(np.max(np.abs(ctx[1:] - cx[:-1]))))
@@ -412,14 +471,12 @@ def verify_reproducing(
         lhs += power * complex(cx[n] @ e_coords.conj())
         power *= lam
 
-    # right side: pair x against the kernel section at lam
-    e_vec = FiniteSupportVector.zero(None)
-    for r, c in enumerate(e_coords):
-        if c != 0:
-            e_vec = e_vec.add(model.defect_basis[r].scale(c))
-    budget = tol.tail_tol / max(1.0, x.norm())
-    section, terms = _dual_neumann(model, lam, e_vec, budget)
-    rhs = x.inner(section)
+    # right side: pair x against the kernel section at lam, part by part
+    terms = _dual_terms(model, lam, tol.tail_tol / max(1.0, x.norm()))
+    duals = _dual_weights(model, terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        section = [_dual_neumann(d, lam, complex(c)) if c else d[:0] for d, c in zip(duals, e_coords)]
+        rhs = x.inner(_join(section))
     residual = abs(lhs - rhs)
     return ReproducingReport(
         lhs=lhs, rhs=rhs, residual=residual, passed=residual <= threshold, terms_used=terms
@@ -534,15 +591,7 @@ def wold_decompose(
     """
     wandering_infinite = False
     if isinstance(V, Shift):
-        return WoldReport(
-            dim_unitary=0,
-            dim_wandering_dense=0,
-            wandering_infinite=True,
-            unitary_residual=0.0,
-            wandering_span_dim=0,
-            wandering_span_ok=True,
-            steps_used=0,
-        )
+        V = DirectSum((V,))  # a lone shift is a sum without dense parts
     if isinstance(V, DirectSum):
         dense_parts = []
         for p in V.parts:
@@ -582,8 +631,10 @@ def wold_decompose(
     dim_unitary = previous_rank
     if dim_unitary > 0:
         basis = orthonormal_range_basis(power, tol)
-        restricted = basis.conj().T @ arr @ basis
-        gram = restricted.conj().T @ restricted - np.eye(dim_unitary)
+        # overflow here is refused by the finiteness check of two_norm
+        with np.errstate(over="ignore", invalid="ignore"):
+            restricted = basis.conj().T @ arr @ basis
+            gram = restricted.conj().T @ restricted - np.eye(dim_unitary)
         unitary_residual = two_norm(gram)
     else:
         unitary_residual = 0.0

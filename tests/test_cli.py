@@ -292,10 +292,29 @@ _NORM_OVERFLOW = [[1e308, 0.0], [0.0, 0.0], [1e308, 0.0], [0.0, 0.0]]
         (_HUGE, ["semigroup", "--t", "1.0", "--generator"]),
         (_HUGE, ["semigroup", "--t", "1e10", "--generator"]),
         (_NORM_OVERFLOW, ["semigroup", "--t", "1.0", "--generator"]),
+        (_HUGE, ["model", "--wold", "--operator"]),
     ],
 )
 def test_overflowing_input_is_refused_without_warnings(tmp_path, data, argv):
     proc = _run_subprocess([*argv, _dense_file(tmp_path, "huge.json", 2, data)])
+    _assert_single_error_line(proc, 3)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # L multiplies by 1/w = 1e3 per step: L^n e_110 overflows before reaching e_0
+        ["--coeffs", "e110.json", "--N", "120"],
+        # |lam| ||L|| = 0.9 needs hundreds of dual Neumann terms; T'^n e_0 = 1e3^n e_n
+        ["--kernel", "0.0009,0.0001"],
+    ],
+)
+def test_overflowing_shift_model_is_refused_without_warnings(tmp_path, argv):
+    shift = {"kind": "shift", "head_weights": [1e-3] * 120, "tail_weight": 1.0}
+    (tmp_path / "tiny.json").write_text(json.dumps(shift))
+    (tmp_path / "e110.json").write_text(json.dumps({"ambient": None, "entries": [[110, 1.0, 0.0]]}))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    proc = _run_subprocess(["model", "--operator", str(tmp_path / "tiny.json"), *argv])
     _assert_single_error_line(proc, 3)
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from shiftmodels.errors import AmbientMismatch, NotBoundedBelow
+from shiftmodels.errors import AmbientMismatch
 from shiftmodels.numkit import ComplexMatrix
 from shiftmodels.operators import (
     Dense,
@@ -13,10 +13,7 @@ from shiftmodels.operators import (
     EventuallyConstantWeights,
     FiniteSupportVector,
     Shift,
-    adjoint_apply,
-    apply,
     dirichlet_shift,
-    gram_apply_inverse,
     isometric_shift,
     operator_from_json,
     operator_to_json,
@@ -43,44 +40,25 @@ def _random_vector(
 
 def test_apply_pinned_values():
     e0 = FiniteSupportVector.basis(0)
-    assert apply(isometric_shift(), e0).as_dict() == {1: 1.0 + 0.0j}
+    assert isometric_shift().apply(e0).as_dict() == {1: 1.0 + 0.0j}
 
     v = FiniteSupportVector.from_dict({0: 2.0, 1: -1.0j}, ambient=2)
     eye = Dense(ComplexMatrix.identity(2))
-    assert apply(eye, v).as_dict() == v.as_dict()
+    assert eye.apply(v).as_dict() == v.as_dict()
 
-    image = apply(dirichlet_shift(), e0)
+    image = dirichlet_shift().apply(e0)
     assert set(image.as_dict()) == {1}
     assert image.amplitude(1) == pytest.approx(SQRT2, abs=1e-15)
 
 
 def test_adjoint_apply_pinned_values():
     S = isometric_shift()
-    assert adjoint_apply(S, FiniteSupportVector.basis(0)).as_dict() == {}
-    assert adjoint_apply(S, FiniteSupportVector.basis(1)).as_dict() == {0: 1.0 + 0.0j}
+    assert S.adjoint_apply(FiniteSupportVector.basis(0)).as_dict() == {}
+    assert S.adjoint_apply(FiniteSupportVector.basis(1)).as_dict() == {0: 1.0 + 0.0j}
 
-    back = adjoint_apply(dirichlet_shift(), FiniteSupportVector.basis(1))
+    back = dirichlet_shift().adjoint_apply(FiniteSupportVector.basis(1))
     assert set(back.as_dict()) == {0}
     assert back.amplitude(0) == pytest.approx(SQRT2, abs=1e-15)
-
-
-def test_gram_apply_inverse_pinned_values():
-    x = FiniteSupportVector.from_dict({0: 1.0, 3: 2.0j})
-    assert gram_apply_inverse(isometric_shift(), x).as_dict() == x.as_dict()
-
-    half = gram_apply_inverse(dirichlet_shift(), FiniteSupportVector.basis(0))
-    assert half.amplitude(0) == pytest.approx(0.5, abs=1e-15)
-
-    quarter = gram_apply_inverse(
-        Dense(ComplexMatrix.diagonal([2.0])), FiniteSupportVector.basis(0, ambient=1)
-    )
-    assert quarter.amplitude(0) == pytest.approx(0.25, abs=1e-14)
-
-
-def test_gram_apply_inverse_rejects_singular_dense():
-    T = Dense(ComplexMatrix.from_rows([[1.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(NotBoundedBelow):
-        gram_apply_inverse(T, FiniteSupportVector.basis(0, ambient=2))
 
 
 def test_spectral_radius_estimates():
@@ -98,16 +76,16 @@ def test_adjoint_pairing():
     for _ in range(25):
         x = _random_vector(rng)
         y = _random_vector(rng)
-        lhs = apply(shift, x).inner(y)
-        rhs = x.inner(adjoint_apply(shift, y))
+        lhs = shift.apply(x).inner(y)
+        rhs = x.inner(shift.adjoint_apply(y))
         assert lhs == pytest.approx(rhs, abs=1e-14)
 
     dense = Dense(ComplexMatrix(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))))
     for _ in range(25):
         x = _random_vector(rng, max_index=4, ambient=5)
         y = _random_vector(rng, max_index=4, ambient=5)
-        lhs = apply(dense, x).inner(y)
-        rhs = x.inner(adjoint_apply(dense, y))
+        lhs = dense.apply(x).inner(y)
+        rhs = x.inner(dense.adjoint_apply(y))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -117,7 +95,7 @@ def test_cauchy_dual_left_inverse_identity():
     for T in (isometric_shift(), dirichlet_shift(), Shift(EventuallyConstantWeights((2.0,), 1.0))):
         for _ in range(10):
             x = _random_vector(rng)
-            back = adjoint_apply(cauchy_dual(T), apply(T, x))
+            back = cauchy_dual(T).adjoint_apply(T.apply(x))
             diff = back.sub(x)
             assert diff.norm() <= 1e-14 * max(1.0, x.norm())
 
@@ -127,7 +105,7 @@ def test_direct_sum_acts_blockwise():
     V = DirectSum((dense, Dense(ComplexMatrix.diagonal([1.0j]))))
     # contiguous layout: block 0 owns indices 0..1, block 1 owns index 2
     x = FiniteSupportVector.from_dict({1: 1.0, 2: 2.0}, ambient=3)
-    image = apply(V, x)
+    image = V.apply(x)
     assert image.amplitude(0) == pytest.approx(1.0)
     assert image.amplitude(1) == pytest.approx(0.0)
     assert image.amplitude(2) == pytest.approx(2.0j)
@@ -136,16 +114,16 @@ def test_direct_sum_acts_blockwise():
 def test_direct_sum_round_robin_for_infinite_parts():
     V = DirectSum((isometric_shift(), isometric_shift()))
     # round-robin layout: part r, local index q sit at flat index 2q + r
-    image = apply(V, FiniteSupportVector.basis(0))
+    image = V.apply(FiniteSupportVector.basis(0))
     assert image.as_dict() == {2: 1.0 + 0.0j}
-    image = apply(V, FiniteSupportVector.basis(1))
+    image = V.apply(FiniteSupportVector.basis(1))
     assert image.as_dict() == {3: 1.0 + 0.0j}
 
 
 def test_ambient_mismatch_raised():
     eye = Dense(ComplexMatrix.identity(2))
     with pytest.raises(AmbientMismatch):
-        apply(eye, FiniteSupportVector.basis(5))
+        eye.apply(FiniteSupportVector.basis(5))
 
 
 def test_vector_algebra_and_inner_convention():
@@ -173,7 +151,7 @@ def test_operator_json_round_trip():
         for _ in range(5):
             max_index = ambient - 1 if ambient is not None else 2
             x = _random_vector(rng, max_index=max_index, ambient=ambient)
-            assert apply(again, x).sub(apply(T, x)).norm() <= 1e-15
+            assert again.apply(x).sub(T.apply(x)).norm() <= 1e-15
 
 
 def test_vector_json_round_trip():

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from shiftmodels.config import DEFAULT_TOL
-from shiftmodels.errors import OutsideDisc, UnsupportedRegime
+from shiftmodels.errors import (
+    AmbientMismatch,
+    NotBoundedBelow,
+    OutsideDisc,
+    TailNotConvergent,
+    UnsupportedRegime,
+)
 from shiftmodels.numkit import ComplexMatrix
 from shiftmodels.operators import (
     Dense,
@@ -15,8 +21,6 @@ from shiftmodels.operators import (
     EventuallyConstantWeights,
     FiniteSupportVector,
     Shift,
-    adjoint_apply,
-    apply,
     dirichlet_shift,
     isometric_shift,
 )
@@ -56,6 +60,11 @@ def test_cauchy_dual_pinned_values():
     assert dense_dual.matrix.array[0, 0] == pytest.approx(0.5, abs=1e-14)
 
 
+def test_cauchy_dual_rejects_singular_dense():
+    with pytest.raises(NotBoundedBelow):
+        cauchy_dual(Dense(ComplexMatrix.from_rows([[1.0, 0.0], [0.0, 0.0]])))
+
+
 def test_build_model_pinned_structure():
     model = build_model(isometric_shift())
     assert model.dim_defect == 1
@@ -84,9 +93,9 @@ def test_model_projection_identities():
         for _ in range(10):
             x = _random_vector(rng)
             # L T = Id
-            assert left_inverse_apply(model, apply(T, x)).sub(x).norm() <= 1e-13
+            assert left_inverse_apply(model, T.apply(x)).sub(x).norm() <= 1e-13
             # P annihilates the range of T
-            assert defect_projection(model, apply(T, x)).norm() <= 1e-13
+            assert defect_projection(model, T.apply(x)).norm() <= 1e-13
             # P idempotent
             p = defect_projection(model, x)
             assert defect_projection(model, p).sub(p).norm() <= 1e-13
@@ -138,12 +147,12 @@ def test_partial_expansion_telescopes_with_remainder():
             for k in range(n):
                 term = defect_projection(model, y)
                 for _ in range(k):
-                    term = apply(T, term)
+                    term = T.apply(term)
                 total = total.add(term)
                 y = left_inverse_apply(model, y)
             remainder = y  # equals L^n x
             for _ in range(n):
-                remainder = apply(T, remainder)
+                remainder = T.apply(remainder)
             assert total.add(remainder).sub(x).norm() <= 1e-12 * max(1.0, x.norm())
 
 
@@ -176,6 +185,41 @@ def test_kernel_rejects_outside_disc():
     model = build_model(isometric_shift())
     with pytest.raises(OutsideDisc):
         kernel_eval(model, 0.5, 1.0)
+
+
+def _szego_dirichlet(lam: complex, z: complex) -> tuple[complex, complex]:
+    """Closed forms 1/(1 - q) and -log(1 - q)/q at q = conj(lam) z."""
+    q = np.conj(lam) * z
+    return 1.0 / (1.0 - q), -np.log(1.0 - q) / q
+
+
+def test_kernel_of_iso_dirichlet_sum_near_the_boundary():
+    model = build_model(DirectSum((isometric_shift(), dirichlet_shift())))
+    lam, z = 0.97 * np.exp(0.7j), 0.97 * np.exp(-2.1j)
+    k = kernel_eval(model, lam, z)
+    np.testing.assert_allclose(k, np.diag(_szego_dirichlet(lam, z)), rtol=0.0, atol=1e-9)
+    assert np.max(np.abs(kernel_eval(model, z, lam) - k.conj().T)) <= 1e-9
+
+
+def test_kernel_at_099_radius_and_term_cap():
+    for r, T in enumerate((isometric_shift(), dirichlet_shift())):
+        model = build_model(T)
+        lam, z = 0.99 * model.radius * np.exp(0.4j), 0.99 * model.radius * np.exp(1.9j)
+        expected = _szego_dirichlet(lam, z)[r]
+        assert abs(kernel_eval(model, lam, z)[0, 0] - expected) <= 1e-9
+        # 0.999 radius needs more Neumann terms than _TERM_CAP allows
+        with pytest.raises(TailNotConvergent):
+            kernel_eval(model, 0.999 * model.radius, 0.5)
+
+
+def test_model_maps_refuse_finite_ambient():
+    model = build_model(DirectSum((isometric_shift(), dirichlet_shift())))
+    x = FiniteSupportVector.basis(1, ambient=4)
+    for fn in (left_inverse_apply, defect_projection):
+        with pytest.raises(AmbientMismatch):
+            fn(model, x)
+    with pytest.raises(AmbientMismatch):
+        coefficients(model, x, 3)
 
 
 def test_intertwining_examples():
