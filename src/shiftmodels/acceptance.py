@@ -126,7 +126,6 @@ def criterion_1_cayley_round_trip() -> CriterionResult:
 
 def criterion_2_concavity_equivalence() -> CriterionResult:
     """All four concavity formulations agree on 100 mixed 6x6 generators."""
-    grid_slack = 1e-8
     rng = np.random.default_rng(202)
     n = 6
     disagreements = 0
@@ -142,9 +141,7 @@ def criterion_2_concavity_equivalence() -> CriterionResult:
         else:
             A = B
             expected = False
-        suite = concavity_equivalence_suite(
-            SemigroupSpec(ComplexMatrix(A)), samples=3, grid_slack=grid_slack
-        )
+        suite = concavity_equivalence_suite(SemigroupSpec(ComplexMatrix(A)))
         if not suite.agree:
             disagreements += 1
         elif suite.verdict is not expected:
@@ -156,7 +153,7 @@ def criterion_2_concavity_equivalence() -> CriterionResult:
         passed=passed,
         detail=(
             f"{disagreements} disagreements, {wrong_verdicts} wrong verdicts over "
-            f"100 generators (grid slack {grid_slack:.0e}, psd_tol 1e-10)"
+            f"100 generators (grid slack {suite.grid_slack:.0e}, psd_tol 1e-10)"
         ),
     )
 
@@ -206,7 +203,7 @@ def criterion_4_model_intertwining() -> CriterionResult:
         model = build_model(T)
         for _ in range(20):
             x = _random_vector(rng, 40, 60)
-            report = verify_intertwining(model, x, N=200, threshold=tolerance)
+            report = verify_intertwining(model, x, N=200)
             worst = max(worst, report.max_residual)
             if not report.passed:
                 break
@@ -240,7 +237,7 @@ def criterion_5_reproducing_property() -> CriterionResult:
         for lam in lams:
             for _ in range(4):
                 x = _random_vector(rng, 12, 20)
-                report = verify_reproducing(model, x, lam, e_coords, threshold=tolerance)
+                report = verify_reproducing(model, x, lam, e_coords)
                 worst = max(worst, report.residual)
         for k in range(10):
             z = 0.07 * (k + 1) * np.exp(2j * np.pi * k / 10.0)
@@ -329,8 +326,7 @@ def criterion_7_multiplier_semigroup() -> CriterionResult:
         symbol_route = inner_semigroup_symbol(coordinate, t, N)
         worst_route = max(worst_route, float(np.max(np.abs(symbol_route.coeffs - et.coeffs))))
 
-    model = build_model(isometric_shift())
-    report = verify_semigroup_model(model, t=0.7, N=64)
+    report = verify_semigroup_model(t=0.7, N=64)
     passed = (
         worst_cocycle <= cocycle_tolerance
         and worst_constant <= constant_tolerance

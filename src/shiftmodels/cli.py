@@ -26,6 +26,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import re
 import sys
 
 import numpy as np
@@ -59,6 +60,10 @@ from .semigroup import (
 )
 from .series import PowerSeries
 from .shimorin import (
+    _CONSTANT_TOL,
+    _GENERATOR_TOL,
+    _INTERTWINE_TOL,
+    _REPRODUCE_TOL,
     MULTIPLIER_SIGN_NOTE,
     RADIUS_CONVENTION_NOTE,
     build_model,
@@ -71,10 +76,6 @@ from .shimorin import (
 )
 
 _CONSISTENCY_TOL = 1e-8
-_INTERTWINE_TOL = 1e-12
-_REPRODUCE_TOL = 1e-8
-_GENERATOR_TOL = 1e-6
-_CONSTANT_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +317,7 @@ def _cmd_model(args: argparse.Namespace, run: _Run) -> None:
         if what == "intertwine":
             if x is None:
                 raise ValueError("--verify intertwine needs --coeffs <vector file>")
-            rep = verify_intertwining(model, x, N=args.N, threshold=_INTERTWINE_TOL)
+            rep = verify_intertwining(model, x, N=args.N)
             run.truncations["N"] = args.N
             run.check("intertwine", rep.passed, rep.max_residual, _INTERTWINE_TOL)
         elif what == "reproduce":
@@ -325,14 +326,10 @@ def _cmd_model(args: argparse.Namespace, run: _Run) -> None:
             lam = _parse_complex(args.lam)
             e_coords = np.zeros(model.dim_defect, dtype=np.complex128)
             e_coords[0] = 1.0
-            rep = verify_reproducing(
-                model, x, lam, e_coords, run.tol, threshold=_REPRODUCE_TOL
-            )
+            rep = verify_reproducing(model, x, lam, e_coords, run.tol)
             run.check("reproduce", rep.passed, rep.residual, _REPRODUCE_TOL)
         elif what == "semigroup":
-            rep = verify_semigroup_model(
-                model, float(args.semigroup_t), N=args.N, tol=run.tol
-            )
+            rep = verify_semigroup_model(float(args.semigroup_t), N=args.N, tol=run.tol)
             run.warn(MULTIPLIER_SIGN_NOTE)
             run.truncations["N"] = args.N
             run.check(
@@ -564,9 +561,24 @@ def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
     )
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Join ``--opt -0.3,0.2`` into ``--opt=-0.3,0.2``.
+
+    argparse takes only plain negative numbers as values; no option here
+    starts with ``-`` followed by a digit or ``.``.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and re.match(r"-[0-9.]", arg) and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         tol = _tolerances(args)
         run = _Run(args.command, tol)

@@ -33,6 +33,7 @@ import numpy as np
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (
     InvalidAutomorphism,
+    NonFinite,
     SymbolSingularAtOrigin,
     TailNotConvergent,
     TruncationTooSmall,
@@ -70,6 +71,8 @@ __all__ = [
 ]
 
 _CHECK_RADII = (0.9, 0.99)
+_INNER_GRID = 256
+_BOUNDARY_FLOOR = 0.95
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +97,7 @@ class BlaschkeSpec:
         object.__setattr__(self, "zeros", zeros)
         for a in zeros:
             if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-                raise ZeroOnBoundary("Blaschke zero must be a finite complex number")
+                raise NonFinite("Blaschke zero must be a finite complex number")
             if abs(a) >= 1.0:
                 raise ZeroOnBoundary(
                     f"Blaschke zero {a} has modulus {abs(a):.6g} >= 1; "
@@ -119,9 +122,13 @@ class BlaschkeSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "BlaschkeSpec":
-        zeros = tuple(complex(re, im) for re, im in data["zeros"])
-        cre, cim = data.get("constant", [1.0, 0.0])
-        return cls(zeros=zeros, constant=complex(cre, cim))
+        try:
+            zeros = tuple(complex(re, im) for re, im in data["zeros"])
+            cre, cim = data.get("constant", [1.0, 0.0])
+            constant = complex(cre, cim)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed Blaschke specification: {exc}") from exc
+        return cls(zeros=zeros, constant=constant)
 
 
 def _factor_series(a: complex, N: int) -> PowerSeries:
@@ -260,23 +267,16 @@ def _tail_estimate(magnitudes: np.ndarray, rho: float, tail_tol: float) -> float
     return anchor * rho**order * x / (1.0 - x)
 
 
-def inner_check(
-    f: PowerSeries,
-    grid: int = 256,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    boundary_floor: float = 0.95,
-) -> InnerCheckReport:
+def inner_check(f: PowerSeries, tol: ToleranceConfig = DEFAULT_TOL) -> InnerCheckReport:
     """Check that a series behaves like an inner function near the boundary.
 
-    Evaluates ``|f|`` at ``grid`` equispaced points on the circles of radius
+    Evaluates ``|f|`` at 256 equispaced points on the circles of radius
     0.9 and 0.99 and passes iff the maximum modulus stays below ``1 + tol``,
     the radial means do not decrease from 0.9 to 0.99, and the modulus
-    actually approaches the unit circle (max at 0.99 above
-    ``boundary_floor``).  Raises ``TailNotConvergent`` when the declared
-    truncation shows unresolved coefficient mass at these radii.
+    actually approaches the unit circle (max at 0.99 at least 0.95).
+    Raises ``TailNotConvergent`` when the declared truncation shows
+    unresolved coefficient mass at these radii.
     """
-    if grid < 8:
-        raise ValueError("grid must have at least 8 boundary samples")
     coeffs = np.asarray(f.coeffs, dtype=np.complex128)
     magnitudes = np.abs(coeffs)
     maxima: list[float] = []
@@ -291,22 +291,22 @@ def inner_check(
                 f"tolerance {tol.tail_tol:.1e}; increase the truncation order"
             )
         tails.append(estimate)
-        angles = 2.0 * np.pi * np.arange(grid) / grid
+        angles = 2.0 * np.pi * np.arange(_INNER_GRID) / _INNER_GRID
         zs = rho * np.exp(1j * angles)
         values = np.polynomial.polynomial.polyval(zs, coeffs)
         moduli = np.abs(values)
         maxima.append(float(moduli.max()))
         means.append(float(moduli.mean()))
     bounded = all(m <= 1.0 + tol.residual_tol for m in maxima)
-    approaching = maxima[-1] >= boundary_floor
+    approaching = maxima[-1] >= _BOUNDARY_FLOOR
     nondecreasing = means[-1] >= means[0] - tol.residual_tol
     return InnerCheckReport(
         radii=_CHECK_RADII,
-        grid=grid,
+        grid=_INNER_GRID,
         max_modulus=tuple(maxima),
         mean_modulus=tuple(means),
         tail_estimates=tuple(tails),
-        boundary_floor=boundary_floor,
+        boundary_floor=_BOUNDARY_FLOOR,
         passed=bool(bounded and approaching and nondecreasing),
     )
 

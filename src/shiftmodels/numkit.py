@@ -116,7 +116,10 @@ class ComplexMatrix:
             raise ValueError(f"matrix must be square, got {rows}x{cols}")
         if len(data) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-        flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+        try:
+            flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed matrix entries: {exc}") from exc
         return cls(flat.reshape(rows, rows))
 
 

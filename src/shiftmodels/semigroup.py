@@ -11,8 +11,8 @@ formulations of semigroup concavity that agree exactly in theory:
   (iv)  the cogenerator V is concave.
 
 Grid conditions (i) and (ii) carry discretization error, so they are judged
-with a separate slack (default 10 * residual_tol) while (iii) and (iv) use
-psd_tol directly.
+with a separate slack (10 * residual_tol) while (iii) and (iv) use psd_tol
+directly.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 
 from .classify import _defect_range, generator_concavity_criterion
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import OneInSpectrum
-from .numkit import ComplexMatrix, eigenvalues, expm, rank, spectral_radius
+from .errors import NonFinite, OneInSpectrum
+from .numkit import ComplexMatrix, _expm_array, eigenvalues, expm, rank, spectral_radius
 
 __all__ = [
     "SemigroupSpec",
@@ -39,7 +39,11 @@ __all__ = [
     "concavity_equivalence_suite",
 ]
 
-_DEFAULT_GRID = tuple(k / 10.0 for k in range(1, 21))
+_GRID = tuple(k / 10.0 for k in range(1, 21))
+_STEP = 0.05  # half the grid spacing, so t_k - h = t_{k-1} + h
+_SAMPLES = 3
+_SEED = 7
+_CONSISTENCY_TIMES = (0.5, 1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ class EquivalenceSuiteReport:
     cogenerator_defect: float
     agree: bool
     verdict: bool | None
-    t_grid: tuple[float, ...] = field(repr=False, default=_DEFAULT_GRID)
+    t_grid: tuple[float, ...] = field(repr=False, default=_GRID)
     grid_slack: float = 0.0
 
 
@@ -112,14 +116,14 @@ def growth_bound(S: SemigroupSpec) -> GrowthBound:
     omega = float(np.max(eigenvalues(S.generator).real))
     return GrowthBound(omega=omega, method="max real part of generator spectrum")
 
-def growth_bound_consistency(
-    S: SemigroupSpec, t_values: tuple[float, ...] = (0.5, 1.0, 2.0)
-) -> float:
+def growth_bound_consistency(S: SemigroupSpec) -> float:
     """Max over t of |(1/t) log r(e^{tA}) - omega|; small by spectral mapping."""
     omega = growth_bound(S).omega
     worst = 0.0
-    for t in t_values:
+    for t in _CONSISTENCY_TIMES:
         radius = spectral_radius(evolve(S, t))
+        if radius == 0.0:  # e^{tA} is invertible, so only underflow gives r = 0
+            raise NonFinite(f"spectral radius of e^{{tA}} underflows to 0 at t = {t:g}")
         worst = max(worst, abs(np.log(radius) / t - omega))
     return worst
 
@@ -133,42 +137,36 @@ def quasicontractive_rescale(S: SemigroupSpec, lam: float) -> SemigroupSpec:
 
 
 def concavity_equivalence_suite(
-    S: SemigroupSpec,
-    samples: int = 3,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    t_grid: tuple[float, ...] = _DEFAULT_GRID,
-    h: float = 0.05,
-    grid_slack: float | None = None,
-    seed: int = 7,
+    S: SemigroupSpec, tol: ToleranceConfig = DEFAULT_TOL
 ) -> EquivalenceSuiteReport:
     """Evaluate the four equivalent concavity conditions and compare verdicts."""
-    slack = 10.0 * tol.residual_tol if grid_slack is None else grid_slack
+    slack = 10.0 * tol.residual_tol
     A = S.generator
     n = A.n
 
     # (i) concavity of each evolved operator on the grid
-    evolved = {}
-
-    def _evolved(t: float) -> np.ndarray:
-        if t not in evolved:
-            evolved[t] = evolve(S, t).array
-        return evolved[t]
-
-    _, max_defect = _defect_range(np.stack([_evolved(t) for t in t_grid]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = [t * A.array for t in (*_GRID, _STEP)]  # overflow is refused as NonFinite
+    exponentials = np.stack([_expm_array(M) for M in scaled])
+    if not np.isfinite(exponentials).all():
+        raise NonFinite("matrix contains NaN or infinite entries")
+    evolved, half = exponentials[:-1], exponentials[-1]
+    _, max_defect = _defect_range(evolved)
     semigroup_concave = max_defect <= slack
 
-    # (ii) second differences of t -> ||e^{tA} x||^2 on the grid
-    rng = np.random.default_rng(seed)
-    xs = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
+    # (ii) second differences of t -> ||e^{tA} x||^2 at t_k - h, t_k, t_k + h: with
+    # y = e^{hA} x the outer points are e^{t_{k-1} A} y and e^{t_k A} y (e^{0A} = Id)
+    rng = np.random.default_rng(_SEED)
+    xs = rng.standard_normal((_SAMPLES, n)) + 1j * rng.standard_normal((_SAMPLES, n))
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-    max_second = float("-inf")
-    for t in t_grid:
-        left, mid, right = _evolved(t - h), _evolved(t), _evolved(t + h)
-        for x in xs:
-            phi_left = float(np.linalg.norm(left @ x) ** 2)
-            phi_mid = float(np.linalg.norm(mid @ x) ** 2)
-            phi_right = float(np.linalg.norm(right @ x) ** 2)
-            max_second = max(max_second, phi_right - 2.0 * phi_mid + phi_left)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys = half @ xs.T
+        mid = np.linalg.norm(evolved @ xs.T, axis=1) ** 2
+        outer = np.linalg.norm(np.concatenate((ys[None], evolved @ ys)), axis=1) ** 2
+        second = outer[1:] - 2.0 * mid + outer[:-1]
+    if not np.isfinite(second).all():
+        raise NonFinite("norm path ||e^{tA} x||^2 overflows on the grid")
+    max_second = float(second.max())
     norm_path_concave = max_second <= slack
 
     # (iii) the generator-side Hermitian form
@@ -196,6 +194,6 @@ def concavity_equivalence_suite(
         cogenerator_defect=cog_defect,
         agree=agree,
         verdict=values[0] if agree else None,
-        t_grid=tuple(t_grid),
+        t_grid=_GRID,
         grid_slack=slack,
     )

@@ -74,6 +74,12 @@ __all__ = [
 
 _TERM_CAP = 10_000
 
+_INTERTWINE_TOL = 1e-12
+_REPRODUCE_TOL = 1e-8
+_GENERATOR_TOL = 1e-6
+_CONSTANT_TOL = 1e-12
+_FD_STEP = 1e-5
+
 # Convention notes carried on every semigroup-model report.
 MULTIPLIER_SIGN_NOTE = (
     "multiplier exponent convention: e_t = exp(t (z+1)/(z-1)), the branch with "
@@ -294,12 +300,10 @@ def _lower(a: np.ndarray, dual: np.ndarray) -> np.ndarray:
 
 
 def _power_heads(a: np.ndarray, dual: np.ndarray) -> np.ndarray:
-    """(L^n a)_0 for n < a.size on one part; L^n a vanishes from n = a.size on."""
-    heads = np.empty(a.size, dtype=np.complex128)
-    for n in range(a.size):
-        heads[n] = a[0]
-        a = _lower(a, dual)
-    return heads
+    """(L^n a)_0 = a_n w'_0 ... w'_{n-1} for n < a.size; L^n a vanishes from n = a.size on."""
+    scale = np.multiply.accumulate(np.concatenate(([1.0 + 0.0j], dual[: a.size - 1])))
+    # a vanished entry stays 0 even where the running product has overflowed
+    return np.where(a != 0, a * scale, 0.0)
 
 
 def left_inverse_apply(model: AnalyticModel, x: FiniteSupportVector) -> FiniteSupportVector:
@@ -435,7 +439,6 @@ def verify_intertwining(
     model: AnalyticModel,
     x: FiniteSupportVector,
     N: int,
-    threshold: float = 1e-12,
 ) -> IntertwiningReport:
     """Check that applying T shifts model coefficients by one degree."""
     cx = coefficients(model, x, N).coeffs
@@ -443,7 +446,7 @@ def verify_intertwining(
     residual = float(np.max(np.abs(ctx[0])))
     if N >= 1:
         residual = max(residual, float(np.max(np.abs(ctx[1:] - cx[:-1]))))
-    return IntertwiningReport(max_residual=residual, passed=residual <= threshold, N=N)
+    return IntertwiningReport(max_residual=residual, passed=residual <= _INTERTWINE_TOL, N=N)
 
 
 def verify_reproducing(
@@ -452,7 +455,6 @@ def verify_reproducing(
     lam: complex,
     e_coords,
     tol: ToleranceConfig = DEFAULT_TOL,
-    threshold: float = 1e-8,
 ) -> ReproducingReport:
     """Check <(Ux)(lam), e> = <x, k_lam e> for a defect coordinate vector e."""
     lam = complex(lam)
@@ -479,7 +481,7 @@ def verify_reproducing(
         rhs = x.inner(_join(section))
     residual = abs(lhs - rhs)
     return ReproducingReport(
-        lhs=lhs, rhs=rhs, residual=residual, passed=residual <= threshold, terms_used=terms
+        lhs=lhs, rhs=rhs, residual=residual, passed=residual <= _REPRODUCE_TOL, terms_used=terms
     )
 
 
@@ -513,39 +515,25 @@ def semigroup_multiplier(t: float, N: int) -> PowerSeries:
 
 
 def verify_semigroup_model(
-    model: AnalyticModel,
-    t: float,
-    x: FiniteSupportVector | None = None,
-    N: int = 64,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    generator_threshold: float = 1e-6,
-    fd_step: float = 1e-5,
+    t: float, N: int = 64, tol: ToleranceConfig = DEFAULT_TOL
 ) -> SemigroupModelReport:
     """Check the multiplier semigroup against its generator and the shift.
 
     The derivative at t = 0 of multiplication by e_t must be multiplication
-    by (z+1)/(z-1); a central finite difference at ``fd_step`` is compared
-    coefficient-wise (through degree min(N, 64): the difference's truncation
-    error grows like step^2 n^2, which stays below 1e-6 there).  Multiplying
-    by e_t must commute with the coordinate shift exactly in floating point.
+    by (z+1)/(z-1); a central finite difference at step 1e-5 is compared
+    coefficient-wise on the constant series 1 (through degree min(N, 64):
+    the difference's truncation error grows like step^2 n^2, which stays
+    below 1e-6 there).  Multiplying by e_t must commute with the coordinate
+    shift exactly in floating point.
     """
-    if x is None:
-        f = np.zeros(N + 1, dtype=np.complex128)
-        f[0] = 1.0
-    else:
-        parts = len(model.shift_parts)
-        depth = 0 if not x.entries else x.max_index // parts + 1
-        if model.dim_defect != 1:
-            raise UnsupportedRegime(
-                "series-valued check only supports one-dimensional defect spaces"
-            )
-        f = coefficients(model, x, max(N, depth)).coeffs[: N + 1, 0]
+    f = np.zeros(N + 1, dtype=np.complex128)
+    f[0] = 1.0
 
     # generator check by central difference
     degree = min(N, 64)
-    plus = np.convolve(_multiplier_coeffs(fd_step, N), f)[: N + 1]
-    minus = np.convolve(_multiplier_coeffs(-fd_step, N), f)[: N + 1]
-    derivative = (plus - minus) / (2.0 * fd_step)
+    plus = np.convolve(_multiplier_coeffs(_FD_STEP, N), f)[: N + 1]
+    minus = np.convolve(_multiplier_coeffs(-_FD_STEP, N), f)[: N + 1]
+    derivative = (plus - minus) / (2.0 * _FD_STEP)
     symbol = np.full(N + 1, -2.0 + 0.0j)
     symbol[0] = -1.0
     target = np.convolve(symbol, f)[: N + 1]
@@ -561,9 +549,9 @@ def verify_semigroup_model(
     constant_residual = abs(et[0] - math.exp(-float(t)))
 
     passed = (
-        generator_residual <= generator_threshold
+        generator_residual <= _GENERATOR_TOL
         and commutation_residual <= tol.residual_tol
-        and constant_residual <= 1e-12
+        and constant_residual <= _CONSTANT_TOL
     )
     return SemigroupModelReport(
         generator_residual=generator_residual,
@@ -578,11 +566,7 @@ def verify_semigroup_model(
 # the splitting into unitary and wandering parts
 
 
-def wold_decompose(
-    V: StructuredOperator,
-    steps: int | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> WoldReport:
+def wold_decompose(V: StructuredOperator, tol: ToleranceConfig = DEFAULT_TOL) -> WoldReport:
     """Split off the largest invariant part on which V acts unitarily.
 
     The unitary part is the stabilized range of powers; the rest is checked
@@ -610,11 +594,10 @@ def wold_decompose(
         raise UnsupportedRegime(f"cannot decompose operator type {type(V).__name__}")
 
     n = arr.shape[0]
-    max_steps = n + 1 if steps is None else max(1, steps)
     power = np.eye(n, dtype=np.complex128)
     previous_rank = n
     steps_used = 0
-    for _ in range(max_steps):
+    for _ in range(n + 1):
         power = arr @ power
         norm = two_norm(power)
         if norm == 0.0:

@@ -278,9 +278,27 @@ def test_empty_dense_matrix_is_a_usage_error(tmp_path, argv):
     assert "(0, 0)" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "content, argv",
+    [
+        (
+            {"kind": "dense", "matrix": {"rows": 2, "cols": 2, "data": [1, 2, 3, 4]}},
+            ["classify", "--operator"],
+        ),
+        ({"zeros": 5}, ["hardy", "--inner-check", "--blaschke-file"]),
+    ],
+)
+def test_malformed_json_is_a_usage_error(tmp_path, content, argv):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(content))
+    proc = _run_subprocess([*argv, str(path)])
+    _assert_single_error_line(proc, 2)
+
+
 _HUGE = [[1e300, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
 # both entries of the first column are finite, their 1-norm sum is not
 _NORM_OVERFLOW = [[1e308, 0.0], [0.0, 0.0], [1e308, 0.0], [0.0, 0.0]]
+_UNDERFLOW = [[-1000.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1000.0, 0.0]]
 
 
 @pytest.mark.parametrize(
@@ -293,6 +311,8 @@ _NORM_OVERFLOW = [[1e308, 0.0], [0.0, 0.0], [1e308, 0.0], [0.0, 0.0]]
         (_HUGE, ["semigroup", "--t", "1e10", "--generator"]),
         (_NORM_OVERFLOW, ["semigroup", "--t", "1.0", "--generator"]),
         (_HUGE, ["model", "--wold", "--operator"]),
+        # r(e^{tA}) = e^{-1000 t} underflows to 0 from t = 1 on
+        (_UNDERFLOW, ["semigroup", "--growth-bound", "--generator"]),
     ],
 )
 def test_overflowing_input_is_refused_without_warnings(tmp_path, data, argv):
@@ -316,6 +336,38 @@ def test_overflowing_shift_model_is_refused_without_warnings(tmp_path, argv):
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     proc = _run_subprocess(["model", "--operator", str(tmp_path / "tiny.json"), *argv])
     _assert_single_error_line(proc, 3)
+
+
+@pytest.mark.parametrize(
+    "argv, field, key, value",
+    [
+        (
+            ["model", "--operator", "isometric.json", "--kernel", "-0.3,0.2"],
+            "kernel",
+            "lam",
+            [-0.3, 0.0],
+        ),
+        (["hardy", "--blaschke", "-0.5,0.3"], "symbol", "degree", 2),
+        (
+            ["model", "--operator", "isometric.json", "--coeffs", "x.json",
+             "--verify", "reproduce", "--lam", "-0.3+0.1j"],
+            "coefficients",
+            "N",
+            64,
+        ),
+    ],
+)
+def test_option_values_may_start_with_a_minus_sign(capsys, tmp_path, argv, field, key, value):
+    (tmp_path / "x.json").write_text(json.dumps({"entries": [[0, 1.0, 0.0], [2, -0.5, 0.25]]}))
+    argv = [
+        _fixture(a) if a == "isometric.json" else str(tmp_path / a) if a.endswith(".json") else a
+        for a in argv
+    ]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    report = json.loads(out)
+    assert all(c["passed"] for c in report["checks"])
+    assert report["results"][field][key] == value
 
 
 def test_verify_all_reports_twelve_criteria(capsys):

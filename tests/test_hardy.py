@@ -9,6 +9,7 @@ import pytest
 from shiftmodels.config import DEFAULT_TOL, ToleranceConfig
 from shiftmodels.errors import (
     InvalidAutomorphism,
+    NonFinite,
     SymbolSingularAtOrigin,
     TailNotConvergent,
     TruncationTooSmall,
@@ -67,6 +68,8 @@ def test_blaschke_series_matches_rational_evaluation():
 def test_blaschke_spec_validation_and_json():
     with pytest.raises(ZeroOnBoundary):
         BlaschkeSpec((1.0,))
+    with pytest.raises(NonFinite):
+        BlaschkeSpec((complex("nan"),))
     with pytest.raises(ValueError):
         BlaschkeSpec((0.5,), constant=2.0)
     spec = BlaschkeSpec((0.5, -0.2j), constant=1.0j)

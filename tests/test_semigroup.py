@@ -132,6 +132,8 @@ def test_equivalence_suite_skew_generator_all_true():
     assert suite.verdict is True
     assert suite.semigroup_concave and suite.norm_path_concave
     assert suite.generator_form and suite.cogenerator_concave
+    # unitary e^{tA}: ||e^{tA} x||^2 is constant, so every second difference vanishes
+    assert abs(suite.norm_path_max_second_difference) <= 1e-12
 
 
 def test_equivalence_suite_expanding_generator_all_false():
@@ -142,6 +144,10 @@ def test_equivalence_suite_expanding_generator_all_false():
     assert suite.generator_margin == pytest.approx(8.0, abs=1e-12)
     # defect of e^{2t} I is (e^{4t} - 1)^2, largest at the grid end t = 2
     assert suite.semigroup_max_defect == pytest.approx(math.expm1(8.0) ** 2, rel=1e-12)
+    # unit x: e^{4t} (e^{4h} - 2 + e^{-4h}) = 4 e^{4t} sinh^2(2h), h = 0.05, largest at t = 2
+    assert suite.norm_path_max_second_difference == pytest.approx(
+        math.exp(8.0) * 4.0 * math.sinh(0.1) ** 2, rel=1e-12
+    )
     # defect of the cogenerator 3I is 81 - 18 + 1
     assert suite.cogenerator_defect == pytest.approx(64.0, abs=1e-12)
 
@@ -163,7 +169,7 @@ def test_equivalence_suite_defects_match_independent_oracle():
     for i in range(9):
         B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         A = ((B - B.conj().T) / 2.0, -(B.conj().T @ B + np.eye(n)), B)[i % 3]
-        suite = concavity_equivalence_suite(SemigroupSpec(ComplexMatrix(A)), grid_slack=1e-8)
+        suite = concavity_equivalence_suite(SemigroupSpec(ComplexMatrix(A)))
         semigroup = _oracle_max_defect([expm_oracle(t * A) for t in suite.t_grid])
         cayley = (A + np.eye(n)) @ np.linalg.inv(A - np.eye(n))
         for value, oracle in (

@@ -115,6 +115,24 @@ def test_coefficients_pinned_values():
         1.0 / math.sqrt(3.0), abs=1e-13
     )
 
+    # (L^n e_n)_0 is the product of the n dual weights sqrt((k+1)/(k+2)), k < n
+    c = coefficients(dirichlet, FiniteSupportVector.basis(20000), 20000).coeffs
+    assert c[20000][0] == pytest.approx(1.0 / math.sqrt(20001.0), rel=1e-12)
+    assert not np.any(c[:20000])
+
+
+def test_coefficients_skip_overflowing_dual_products_of_zero_entries():
+    # part 0 has w'_0 ... w'_{n-1} = 1e3^n, which overflows from n = 103 on; its
+    # entries there are zero, so its coefficients are exactly those of e_0
+    tiny = Shift(EventuallyConstantWeights((1e-3,) * 120, 1.0))
+    model = build_model(DirectSum((tiny, isometric_shift())))
+    x = FiniteSupportVector(((0, 1.0), (401, 0.5)), None)
+    c = coefficients(model, x, 250)
+    expected = np.zeros((251, 2), dtype=np.complex128)
+    expected[0, 0], expected[200, 1] = 1.0, 0.5
+    np.testing.assert_array_equal(c.coeffs, expected)
+    assert c.tail_bound == 0.0
+
 
 def test_coefficients_of_defect_vector():
     model = build_model(dirichlet_shift())
@@ -286,8 +304,7 @@ def test_multiplier_derivative_is_symbol_multiplication():
 
 
 def test_verify_semigroup_model_report():
-    model = build_model(isometric_shift())
-    rep = verify_semigroup_model(model, 0.7, N=64)
+    rep = verify_semigroup_model(0.7, N=64)
     assert rep.passed
     assert rep.generator_residual <= 1e-6
     assert rep.commutation_residual <= 1e-12
