@@ -24,7 +24,7 @@ import numpy as np
 from .classify import _defect_range, generator_concavity_criterion
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NonFinite, OneInSpectrum
-from .numkit import ComplexMatrix, _expm_array, eigenvalues, expm, rank, spectral_radius
+from .numkit import ComplexMatrix, eigenvalues, expm, rank, spectral_radius
 
 __all__ = [
     "SemigroupSpec",
@@ -145,11 +145,7 @@ def concavity_equivalence_suite(
     n = A.n
 
     # (i) concavity of each evolved operator on the grid
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = [t * A.array for t in (*_GRID, _STEP)]  # overflow is refused as NonFinite
-    exponentials = np.stack([_expm_array(M) for M in scaled])
-    if not np.isfinite(exponentials).all():
-        raise NonFinite("matrix contains NaN or infinite entries")
+    exponentials = np.stack([evolve(S, t).array for t in (*_GRID, _STEP)])
     evolved, half = exponentials[:-1], exponentials[-1]
     _, max_defect = _defect_range(evolved)
     semigroup_concave = max_defect <= slack

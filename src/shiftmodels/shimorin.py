@@ -73,6 +73,7 @@ __all__ = [
 ]
 
 _TERM_CAP = 10_000
+_NORMAL_MIN = np.finfo(np.float64).tiny
 
 _INTERTWINE_TOL = 1e-12
 _REPRODUCE_TOL = 1e-8
@@ -300,10 +301,16 @@ def _lower(a: np.ndarray, dual: np.ndarray) -> np.ndarray:
 
 
 def _power_heads(a: np.ndarray, dual: np.ndarray) -> np.ndarray:
-    """(L^n a)_0 = a_n w'_0 ... w'_{n-1} for n < a.size; L^n a vanishes from n = a.size on."""
+    """(L^n a)_0 = a_n w'_{n-1} ... w'_0 for n < a.size; L^n a vanishes from n = a.size on."""
     scale = np.multiply.accumulate(np.concatenate(([1.0 + 0.0j], dual[: a.size - 1])))
     # a vanished entry stays 0 even where the running product has overflowed
-    return np.where(a != 0, a * scale, 0.0)
+    heads = np.where(a != 0, a * scale, 0.0)
+    # where the product alone leaves the normal range, apply the weights to a_n one
+    # at a time, as L does, so a representable head is not lost to the product
+    stray = (a != 0) & ~(np.isfinite(scale) & (np.abs(scale) >= _NORMAL_MIN))
+    for n in np.flatnonzero(stray):
+        heads[n] = np.multiply.accumulate(np.concatenate((a[n : n + 1], dual[n - 1 :: -1])))[-1]
+    return heads
 
 
 def left_inverse_apply(model: AnalyticModel, x: FiniteSupportVector) -> FiniteSupportVector:

@@ -134,6 +134,20 @@ def test_coefficients_skip_overflowing_dual_products_of_zero_entries():
     assert c.tail_bound == 0.0
 
 
+@pytest.mark.parametrize("weight, entry, head", [(1e-3, 1e-100, 1e230), (1e3, 1e100, 1e-230)])
+def test_coefficients_keep_representable_heads_past_an_out_of_range_dual_product(
+    weight, entry, head
+):
+    # w'_0 ... w'_109 = weight**-110 leaves the float range alone, yet the head
+    # entry * weight**-110 is representable
+    model = build_model(Shift(EventuallyConstantWeights((weight,) * 120, 1.0)))
+    x = FiniteSupportVector(((110, entry),), None)
+    c = coefficients(model, x, 120)
+    assert c.coeffs[110, 0] == pytest.approx(head, rel=1e-12)
+    assert np.count_nonzero(c.coeffs) == 1
+    assert c.tail_bound == 0.0
+
+
 def test_coefficients_of_defect_vector():
     model = build_model(dirichlet_shift())
     e = model.defect_basis[0]
