@@ -25,8 +25,6 @@ from .errors import (
     NonFinite,
     NotBoundedBelow,
     NotConcave,
-    NotPure,
-    NoWanderingSubspace,
     OneInSpectrum,
     OutsideDisc,
     Singular,
@@ -97,7 +95,6 @@ from .shimorin import (
     build_model,
     cauchy_dual,
     coefficients,
-    defect_coordinates,
     defect_projection,
     kernel_eval,
     left_inverse_apply,

@@ -228,8 +228,10 @@ def generator_concavity_criterion(
     holds exactly when its largest eigenvalue is nonpositive (at psd_tol).
     """
     arr = A.array
-    sq = arr @ arr
-    form = (sq + sq.conj().T) / 2.0 + arr.conj().T @ arr
+    # overflow here is refused by the finiteness check of hermitian_max_eig
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = arr @ arr
+        form = (sq + sq.conj().T) / 2.0 + arr.conj().T @ arr
     margin = hermitian_max_eig(form)
     return GeneratorConcavity(satisfied=margin <= tol.psd_tol, margin=margin)
 

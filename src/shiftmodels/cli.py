@@ -34,7 +34,7 @@ import numpy as np
 from .acceptance import run_all
 from .classify import classify_operator
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import ToolkitError
+from .errors import NonFinite, ToolkitError
 from .hardy import (
     BlaschkeSpec,
     analytic_toeplitz_trunc,
@@ -188,10 +188,13 @@ class _Run:
 
 
 def _emit(run: _Run, args: argparse.Namespace) -> None:
+    """Write the report; one holding NaN or infinity is refused as NonFinite."""
     report = _jsonable(run.report())
-    if args.format == "json":
+    try:
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    else:
+    except ValueError as exc:
+        raise NonFinite(f"report holds a non-finite number ({exc})") from exc
+    if args.format == "text":
         lines = [f"command: {run.command}"]
         for c in run.checks:
             status = "PASS" if c["passed"] else "FAIL"
@@ -583,13 +586,13 @@ def main(argv: list[str] | None = None) -> int:
         tol = _tolerances(args)
         run = _Run(args.command, tol)
         _DISPATCH[args.command](args, run)
+        _emit(run, args)
     except ToolkitError as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)
         return 2
-    _emit(run, args)
     return 0 if run.all_passed else 1
 
 

@@ -29,14 +29,6 @@ class NotConcave(ToolkitError):
     """Operation requires a concave operator."""
 
 
-class NotPure(ToolkitError):
-    """Operation requires a pure operator (no residual invariant part)."""
-
-
-class NoWanderingSubspace(ToolkitError):
-    """Defect iterates do not span the space."""
-
-
 class UnsupportedRegime(ToolkitError):
     """Operator representation not supported by this operation."""
 

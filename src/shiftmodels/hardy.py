@@ -192,6 +192,8 @@ def inner_semigroup_symbol(phi: PowerSeries, t: float, N: int) -> PowerSeries:
     ``phi + 1``, scale by ``t``, exponentiate.  No coefficient recurrence
     specific to the coordinate symbol is used here.
     """
+    if not math.isfinite(t):
+        raise NonFinite(f"time parameter must be finite, got {t}")
     if t < 0:
         raise ValueError("time parameter must be nonnegative")
     if N < 0:
@@ -318,22 +320,19 @@ def inner_check(f: PowerSeries, tol: ToleranceConfig = DEFAULT_TOL) -> InnerChec
 
 @dataclass(frozen=True)
 class ToeplitzTrunc:
-    """An n x n Toeplitz truncation with entry (i, j) = c_{i-j}.
+    """The n x n truncation of multiplication by an analytic symbol.
 
-    ``coefficients`` stores ``(c_{-K}, ..., c_0, ..., c_K)``; diagonals with
-    ``|i - j| > K`` are zero.  Analytic symbols (no negative coefficients)
-    give lower-triangular truncations.
+    ``coefficients`` stores ``(c_0, ..., c_{n-1})``; entry (i, j) is
+    ``c_{i-j}`` for ``i >= j`` and zero above the diagonal, so the matrix
+    is lower triangular.
     """
 
     coefficients: tuple[complex, ...]
-    offset: int
     dimension: int
 
     def __post_init__(self) -> None:
         coeffs = tuple(complex(c) for c in self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
-        if len(coeffs) != 2 * self.offset + 1:
-            raise ValueError("coefficient count must equal 2 * offset + 1")
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
 
@@ -341,25 +340,19 @@ class ToeplitzTrunc:
     def from_analytic(cls, phi: PowerSeries, n: int) -> "ToeplitzTrunc":
         taps = list(phi.coeffs[:n])
         taps += [0.0 + 0.0j] * (n - len(taps))
-        K = n - 1
-        coeffs = [0.0 + 0.0j] * K + taps
-        return cls(coefficients=tuple(coeffs), offset=K, dimension=n)
+        return cls(coefficients=tuple(taps), dimension=n)
 
     def matrix(self) -> ComplexMatrix:
         n = self.dimension
         arr = np.zeros((n, n), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                d = i - j
-                if -self.offset <= d <= self.offset:
-                    arr[i, j] = self.coefficients[self.offset + d]
+        flat = arr.reshape(-1)  # a view: entry (i, i - d) sits at i * (n + 1) - d
+        for d, c in enumerate(self.coefficients):
+            flat[d * n :: n + 1] = c
         return ComplexMatrix(arr)
 
 
 def analytic_toeplitz_trunc(phi: PowerSeries, n: int) -> ComplexMatrix:
     """The lower-triangular n x n truncation of multiplication by ``phi``."""
-    if n < 1:
-        raise ValueError("dimension must be positive")
     return ToeplitzTrunc.from_analytic(phi, n).matrix()
 
 
@@ -637,12 +630,11 @@ def composition_operator_trunc(r: float, n: int) -> ComplexMatrix:
         raise ValueError("need dimension at least 2")
     taps = np.zeros(n, dtype=np.complex128)
     taps[0] = r
-    if n >= 2:
-        scale = 1.0 - r * r
-        power = 1.0
-        for k in range(1, n):
-            taps[k] = power * scale
-            power *= -r
+    scale = 1.0 - r * r
+    power = 1.0
+    for k in range(1, n):
+        taps[k] = power * scale
+        power *= -r
     symbol = PowerSeries(tuple(taps))
     arr = np.zeros((n, n), dtype=np.complex128)
     current = PowerSeries.constant(1.0)

@@ -17,6 +17,7 @@ directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +52,6 @@ class SemigroupSpec:
     """A semigroup presented by its (matrix) generator."""
 
     generator: ComplexMatrix
-    label: str | None = None
 
 
 @dataclass(frozen=True)
@@ -130,10 +130,11 @@ def growth_bound_consistency(S: SemigroupSpec) -> float:
 
 def quasicontractive_rescale(S: SemigroupSpec, lam: float) -> SemigroupSpec:
     """Shift the generator to A - lam Id, rescaling the semigroup by e^{-lam t}."""
+    if not math.isfinite(lam):
+        raise NonFinite(f"rescaling parameter must be finite, got {lam}")
     n = S.generator.n
     shifted = S.generator.array - lam * np.eye(n, dtype=np.complex128)
-    label = f"{S.label} - {lam:g} Id" if S.label else None
-    return SemigroupSpec(ComplexMatrix(shifted), label)
+    return SemigroupSpec(ComplexMatrix(shifted))
 
 
 def concavity_equivalence_suite(

@@ -9,7 +9,6 @@ so truncation order is the only approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -46,10 +45,6 @@ class PowerSeries:
     @property
     def order(self) -> int:
         return self.coeffs.size - 1
-
-    @classmethod
-    def from_coefficients(cls, values: Sequence[complex]) -> "PowerSeries":
-        return cls(np.array(list(values), dtype=np.complex128))
 
     @classmethod
     def constant(cls, value: complex, N: int = 0) -> "PowerSeries":

@@ -17,19 +17,18 @@ computed through its own exponential recurrence (constant term e^{-t}).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import _wandering_span_dim, classify_operator
+from .classify import _wandering_span_dim
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (
     AmbientMismatch,
     NonFinite,
-    NoWanderingSubspace,
     NotBoundedBelow,
-    NotPure,
     OutsideDisc,
     TailNotConvergent,
     ToolkitError,
@@ -59,7 +58,6 @@ __all__ = [
     "build_model",
     "left_inverse_apply",
     "defect_projection",
-    "defect_coordinates",
     "coefficients",
     "model_norm_sq",
     "kernel_eval",
@@ -202,20 +200,15 @@ def _shift_parts(T: StructuredOperator) -> tuple[Shift, ...]:
 def build_model(T: StructuredOperator, tol: ToleranceConfig = DEFAULT_TOL) -> AnalyticModel:
     """Construct the analytic model of a shift-regime operator.
 
-    Verifies the left-inverse facts at construction: L T = Id, P = Id - T L
-    projects orthogonally onto the defect space, and L annihilates it.
+    A shift with positive weights is bounded below, pure and has the
+    wandering-subspace property by its structure, so only the Cauchy dual is
+    built.  Verifies the left-inverse facts at construction: L T = Id,
+    P = Id - T L projects orthogonally onto the defect space, and L
+    annihilates it.
     """
     parts = _shift_parts(T)
-    report = classify_operator(T, tol)
-    if not report.bounded_below:
-        raise NotBoundedBelow(f"lower bound {report.lower_bound:.3e} too small")
-    if not report.pure:
-        raise NotPure(report.pure_method)
-    if not report.wandering:
-        raise NoWanderingSubspace(report.wandering_method)
-
     dual = cauchy_dual(T, tol)
-    left_inverse_norm = max(p.weights.reciprocal().sup() for p in parts)
+    left_inverse_norm = max(p.weights.sup() for p in _shift_parts(dual))
     radius = 1.0 / left_inverse_norm
     # local index 0 of part r is global index r of the interleaved layout
     defect_basis = tuple(FiniteSupportVector.basis(r, None) for r in range(len(parts)))
@@ -291,7 +284,7 @@ def _weights(rule: WeightRule, n: int) -> np.ndarray:
 
 def _dual_weights(model: AnalyticModel, n: int) -> list[np.ndarray]:
     """Cauchy-dual weights w'_k = 1/w_k, k < n, of every part."""
-    return [_weights(part.weights.reciprocal(), n) for part in model.shift_parts]
+    return [_weights(part.weights, n) for part in _shift_parts(model.dual)]
 
 
 def _lower(a: np.ndarray, dual: np.ndarray) -> np.ndarray:
@@ -331,13 +324,6 @@ def defect_projection(model: AnalyticModel, x: FiniteSupportVector) -> FiniteSup
         return _join(chunks)
 
 
-def defect_coordinates(model: AnalyticModel, x: FiniteSupportVector) -> np.ndarray:
-    """Coordinates of P x in the defect basis (P is implicit: <Px,e> = <x,e>)."""
-    heads = [a[0] if a.size else 0.0 for a in _split(model, x)]
-    # adding 0.0 clears negative zeros, as pairing with the basis vectors does
-    return np.array(heads, dtype=np.complex128) + 0.0
-
-
 def coefficients(model: AnalyticModel, x: FiniteSupportVector, N: int) -> ModelCoefficients:
     """First N+1 model coefficients of x; exact for finitely supported input.
 
@@ -357,10 +343,13 @@ def coefficients(model: AnalyticModel, x: FiniteSupportVector, N: int) -> ModelC
         heads = _stack([_power_heads(a, dual) for a, dual in zip(chunks, duals)]) + 0.0
         rows = min(N + 1, heads.shape[0])
         out[:rows] = heads[:rows]
-        for n in range(N + 1, heads.shape[0]):
-            size = np.linalg.norm(heads[n])
-            if size:  # a vanished row adds nothing, even where radius**n overflows
-                tail += float(size * radius**n)
+        # visit only the nonzero rows past N, in order; the test skips the numpy
+        # calls in the common case of an x that ends by degree N
+        if heads.shape[0] > N + 1:
+            for n in np.flatnonzero(heads[N + 1 :].any(axis=1)) + (N + 1):
+                size = np.linalg.norm(heads[n])
+                if size:  # a vanished row adds nothing, even where radius**n overflows
+                    tail += float(size * radius**n)
     if not (np.isfinite(out).all() and math.isfinite(tail)):
         raise NonFinite("model coefficients overflow: a coefficient or the tail bound is not finite")
     return ModelCoefficients(coeffs=out, N=N, tail_bound=tail)
@@ -376,6 +365,8 @@ def model_norm_sq(model: AnalyticModel, coeffs: ModelCoefficients) -> float:
 
 
 def _check_inside(model: AnalyticModel, value: complex, name: str) -> None:
+    if not cmath.isfinite(value):
+        raise NonFinite(f"{name} = {value} is not a finite complex number")
     if abs(value) >= model.radius:
         raise OutsideDisc(
             f"|{name}| = {abs(value):.6g} is not inside the model disc of radius {model.radius:.6g}"
@@ -514,11 +505,16 @@ def _multiplier_coeffs(t: float, N: int) -> np.ndarray:
 
 def semigroup_multiplier(t: float, N: int) -> PowerSeries:
     """Multiplier series e_t = exp(t (z+1)/(z-1)) through degree N (t >= 0)."""
+    if not math.isfinite(t):
+        raise NonFinite(f"semigroup parameter must be finite, got {t}")
     if t < 0.0:
         raise ValueError(f"semigroup parameter must be nonnegative, got {t}")
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
-    return PowerSeries(_multiplier_coeffs(float(t), N))
+    # for large t the recurrence overflows; PowerSeries refuses that as NonFinite
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _multiplier_coeffs(float(t), N)
+    return PowerSeries(coeffs)
 
 
 def verify_semigroup_model(
@@ -531,26 +527,24 @@ def verify_semigroup_model(
     coefficient-wise on the constant series 1 (through degree min(N, 64):
     the difference's truncation error grows like step^2 n^2, which stays
     below 1e-6 there).  Multiplying by e_t must commute with the coordinate
-    shift exactly in floating point.
+    shift exactly in floating point.  The time t is validated as by
+    ``semigroup_multiplier``.
     """
-    f = np.zeros(N + 1, dtype=np.complex128)
-    f[0] = 1.0
+    et = semigroup_multiplier(t, N).coeffs
 
-    # generator check by central difference
+    # generator check by central difference; on the constant series 1 the
+    # products are the multiplier coefficients themselves
     degree = min(N, 64)
-    plus = np.convolve(_multiplier_coeffs(_FD_STEP, N), f)[: N + 1]
-    minus = np.convolve(_multiplier_coeffs(-_FD_STEP, N), f)[: N + 1]
+    plus = _multiplier_coeffs(_FD_STEP, N)
+    minus = _multiplier_coeffs(-_FD_STEP, N)
     derivative = (plus - minus) / (2.0 * _FD_STEP)
     symbol = np.full(N + 1, -2.0 + 0.0j)
     symbol[0] = -1.0
-    target = np.convolve(symbol, f)[: N + 1]
-    generator_residual = float(np.max(np.abs(derivative[: degree + 1] - target[: degree + 1])))
+    generator_residual = float(np.max(np.abs(derivative[: degree + 1] - symbol[: degree + 1])))
 
     # commutation with the coordinate shift, exact through degree N
-    et = _multiplier_coeffs(float(t), N)
-    zf = np.concatenate(([0.0 + 0.0j], f))
-    left = np.convolve(et, zf)[: N + 1]
-    right = np.concatenate(([0.0 + 0.0j], np.convolve(et, f)))[: N + 1]
+    left = np.convolve(et, [0.0, 1.0])[: N + 1]
+    right = np.concatenate(([0.0 + 0.0j], et))[: N + 1]
     commutation_residual = float(np.max(np.abs(left - right)))
 
     constant_residual = abs(et[0] - math.exp(-float(t)))

@@ -1,6 +1,7 @@
 """Command-line interface tests: subcommands, exit codes, deterministic reports."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -208,6 +209,13 @@ def test_exit_two_on_parse_errors(capsys, tmp_path):
     assert code == 2
     capsys.readouterr()
 
+    # a negative truncation order for the multiplier semigroup
+    code = main(
+        ["model", "--operator", _fixture("isometric.json"), "--verify", "semigroup", "--N", "-1"]
+    )
+    assert code == 2
+    capsys.readouterr()
+
     # tolerances must be positive
     code = main(
         ["classify", "--operator", _fixture("dirichlet.json"), "--tol-residual", "-1"]
@@ -299,6 +307,9 @@ _HUGE = [[1e300, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
 # both entries of the first column are finite, their 1-norm sum is not
 _NORM_OVERFLOW = [[1e308, 0.0], [0.0, 0.0], [1e308, 0.0], [0.0, 0.0]]
 _UNDERFLOW = [[-1000.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1000.0, 0.0]]
+# e^A = 1e308 [[1, 1.5], [0, 1]] is finite, its 2-norm is not
+_NORM_INF = [[math.log(1e308), 0.0], [1.5, 0.0], [0.0, 0.0], [math.log(1e308), 0.0]]
+_NEG_HUGE = [[-1e300, 0.0], [0.0, 0.0], [0.0, 0.0], [-1e300, 0.0]]
 
 
 @pytest.mark.parametrize(
@@ -313,6 +324,11 @@ _UNDERFLOW = [[-1000.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1000.0, 0.0]]
         (_HUGE, ["model", "--wold", "--operator"]),
         # r(e^{tA}) = e^{-1000 t} underflows to 0 from t = 1 on
         (_UNDERFLOW, ["semigroup", "--growth-bound", "--generator"]),
+        # a report holding inf is refused, in either format
+        (_NORM_INF, ["semigroup", "--t", "1", "--generator"]),
+        (_NORM_INF, ["semigroup", "--t", "1", "--format", "text", "--generator"]),
+        # e^{tA} underflows to 0, so the suite reaches the overflowing generator form
+        (_NEG_HUGE, ["semigroup", "--equivalence-suite", "--generator"]),
     ],
 )
 def test_overflowing_input_is_refused_without_warnings(tmp_path, data, argv):
@@ -327,6 +343,8 @@ def test_overflowing_input_is_refused_without_warnings(tmp_path, data, argv):
         ["--coeffs", "e110.json", "--N", "120"],
         # |lam| ||L|| = 0.9 needs hundreds of dual Neumann terms; T'^n e_0 = 1e3^n e_n
         ["--kernel", "0.0009,0.0001"],
+        # h_n ~ (2t)^n / n! overflows while e^{-t} underflows to 0: the product is NaN
+        ["--verify", "semigroup", "--semigroup-t", "1e6"],
     ],
 )
 def test_overflowing_shift_model_is_refused_without_warnings(tmp_path, argv):
@@ -336,6 +354,37 @@ def test_overflowing_shift_model_is_refused_without_warnings(tmp_path, argv):
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     proc = _run_subprocess(["model", "--operator", str(tmp_path / "tiny.json"), *argv])
     _assert_single_error_line(proc, 3)
+
+
+def _with_vector_file(tmp_path, argv):
+    """Write x.json to tmp_path; resolve fixture names to fixtures, x.json to that file."""
+    (tmp_path / "x.json").write_text(json.dumps({"entries": [[0, 1.0, 0.0], [2, -0.5, 0.25]]}))
+    return [
+        _fixture(a) if (FIXTURES / a).is_file() else str(tmp_path / a) if a.endswith(".json") else a
+        for a in argv
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["model", "--operator", "isometric.json", "--kernel", "nan,0"], 3),
+        (
+            ["model", "--operator", "isometric.json", "--coeffs", "x.json",
+             "--verify", "reproduce", "--lam", "nan"],
+            3,
+        ),
+        (["model", "--operator", "isometric.json", "--verify", "semigroup", "--semigroup-t", "nan"], 3),
+        (["model", "--operator", "isometric.json", "--verify", "semigroup", "--semigroup-t", "inf"], 3),
+        (["model", "--operator", "isometric.json", "--verify", "semigroup", "--semigroup-t", "-1"], 2),
+        (["hardy", "--blaschke", "0", "--semigroup-t", "inf", "--N", "8"], 3),
+        (["semigroup", "--generator", "skew4.json", "--rescale", "inf"], 3),
+    ],
+)
+def test_non_finite_points_and_times_are_refused(tmp_path, argv, code):
+    proc = _run_subprocess(_with_vector_file(tmp_path, argv))
+    _assert_single_error_line(proc, code)
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize(
@@ -358,12 +407,7 @@ def test_overflowing_shift_model_is_refused_without_warnings(tmp_path, argv):
     ],
 )
 def test_option_values_may_start_with_a_minus_sign(capsys, tmp_path, argv, field, key, value):
-    (tmp_path / "x.json").write_text(json.dumps({"entries": [[0, 1.0, 0.0], [2, -0.5, 0.25]]}))
-    argv = [
-        _fixture(a) if a == "isometric.json" else str(tmp_path / a) if a.endswith(".json") else a
-        for a in argv
-    ]
-    code, out = _run(capsys, argv)
+    code, out = _run(capsys, _with_vector_file(tmp_path, argv))
     assert code == 0
     report = json.loads(out)
     assert all(c["passed"] for c in report["checks"])

@@ -111,6 +111,12 @@ def test_inner_semigroup_symbol_rejects_singular_origin():
         inner_semigroup_symbol(PowerSeries([1.0, 0.5]), 1.0, 8)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_inner_semigroup_symbol_refuses_non_finite_time(t):
+    with pytest.raises(NonFinite):
+        inner_semigroup_symbol(PowerSeries([0.0, 1.0]), t, 8)
+
+
 def test_inner_check_coordinate_passes():
     report = inner_check(PowerSeries([0.0, 1.0]))
     assert report.passed
@@ -223,6 +229,15 @@ def test_toeplitz_truncation_multiplies_exactly():
 
     tri = analytic_toeplitz_trunc(PowerSeries([1.0, 2.0, 3.0]), 6).array
     assert np.max(np.abs(np.triu(tri, k=1))) == 0.0
+
+
+@pytest.mark.parametrize("order, n", [(0, 1), (2, 6), (9, 4), (5, 6)])
+def test_toeplitz_truncation_pinned_diagonals(order, n):
+    # diagonal d below the main one holds c_d; taps past the symbol's order are 0
+    rng = np.random.default_rng(order + 10 * n)
+    c = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
+    expected = sum(c[d] * np.eye(n, k=-d) for d in range(min(order + 1, n)))
+    np.testing.assert_array_equal(analytic_toeplitz_trunc(PowerSeries(c), n).array, expected)
 
 
 def test_caradus_backward_shift_certified():

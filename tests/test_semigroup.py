@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shiftmodels.config import DEFAULT_TOL
-from shiftmodels.errors import OneInSpectrum
+from shiftmodels.errors import NonFinite, OneInSpectrum
 from shiftmodels.numkit import ComplexMatrix, two_norm
 from shiftmodels.classify import generator_concavity_criterion
 from shiftmodels.semigroup import (
@@ -112,6 +112,11 @@ def test_quasicontractive_rescale():
     S2 = quasicontractive_rescale(SemigroupSpec(ComplexMatrix.diagonal([2.0, -1.0])), 3.0)
     for t in (0.5, 1.0, 2.0):
         assert two_norm(evolve(S2, t)) <= math.exp(-t) + 1e-12
+
+    # inf * 0 off the diagonal would be NaN (with a warning); refused up front
+    for lam in (math.inf, math.nan):
+        with pytest.raises(NonFinite):
+            quasicontractive_rescale(S, lam)
 
 
 def test_rescale_matches_scalar_factor():

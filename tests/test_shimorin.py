@@ -9,6 +9,7 @@ import pytest
 from shiftmodels.config import DEFAULT_TOL
 from shiftmodels.errors import (
     AmbientMismatch,
+    NonFinite,
     NotBoundedBelow,
     OutsideDisc,
     TailNotConvergent,
@@ -120,6 +121,13 @@ def test_coefficients_pinned_values():
     assert c[20000][0] == pytest.approx(1.0 / math.sqrt(20001.0), rel=1e-12)
     assert not np.any(c[:20000])
 
+    # past N only row 200000 is nonzero, and the disc radius is 1, so the
+    # tail bound is that one head
+    c = coefficients(dirichlet, FiniteSupportVector.basis(200000), 64)
+    assert dirichlet.radius == 1.0
+    assert not np.any(c.coeffs)
+    assert c.tail_bound == pytest.approx(1.0 / math.sqrt(200001.0), rel=1e-12)
+
 
 def test_coefficients_skip_overflowing_dual_products_of_zero_entries():
     # part 0 has w'_0 ... w'_{n-1} = 1e3^n, which overflows from n = 103 on; its
@@ -146,6 +154,23 @@ def test_coefficients_keep_representable_heads_past_an_out_of_range_dual_product
     assert c.coeffs[110, 0] == pytest.approx(head, rel=1e-12)
     assert np.count_nonzero(c.coeffs) == 1
     assert c.tail_bound == 0.0
+
+
+def test_coefficients_tail_bound_closed_form():
+    # constant weight 2: the head of row n is x_n 2^-n and the radius is 2, so each
+    # row past N adds the Euclidean norm of its entries, exactly in binary
+    double = Shift(EventuallyConstantWeights((), 2.0))
+    model = build_model(double)
+    x = FiniteSupportVector.from_dict({3: 1.0, 10: 2.0j, 11: -0.5, 40: 3.0})
+    c = coefficients(model, x, 5)
+    assert c.coeffs[3, 0] == 0.125
+    assert c.tail_bound == 5.5
+
+    # two parts: local index 10 of both is global 20 and 21, one row of norm 5
+    pair = build_model(DirectSum((double, double)))
+    c = coefficients(pair, FiniteSupportVector.from_dict({20: 3.0, 21: 4.0j}), 5)
+    assert not np.any(c.coeffs)
+    assert c.tail_bound == 5.0
 
 
 def test_coefficients_of_defect_vector():
@@ -217,6 +242,22 @@ def test_kernel_rejects_outside_disc():
     model = build_model(isometric_shift())
     with pytest.raises(OutsideDisc):
         kernel_eval(model, 0.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "lam, z", [(math.nan, 0.5), (0.5, math.nan), (complex(0.1, math.inf), 0.0)]
+)
+def test_kernel_refuses_non_finite_points(lam, z):
+    model = build_model(isometric_shift())
+    with pytest.raises(NonFinite):
+        kernel_eval(model, lam, z)
+
+
+def test_reproducing_refuses_non_finite_point():
+    model = build_model(isometric_shift())
+    x = FiniteSupportVector.basis(2)
+    with pytest.raises(NonFinite):
+        verify_reproducing(model, x, math.nan, np.array([1.0 + 0.0j]))
 
 
 def _szego_dirichlet(lam: complex, z: complex) -> tuple[complex, complex]:
@@ -324,6 +365,24 @@ def test_verify_semigroup_model_report():
     assert rep.commutation_residual <= 1e-12
     assert rep.constant_term_residual <= 1e-12
     assert any("e^{-t}" in note or "exp" in note for note in rep.notes)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_semigroup_maps_refuse_non_finite_times(t):
+    with pytest.raises(NonFinite):
+        semigroup_multiplier(t, 8)
+    with pytest.raises(NonFinite):
+        verify_semigroup_model(t, N=8)
+
+
+def test_semigroup_maps_refuse_negative_times_and_overflow():
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify_semigroup_model(-1.0, N=8)
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify_semigroup_model(0.5, N=-1)
+    # h_n ~ (2t)^n / n! overflows while e^{-t} underflows to 0: the product is NaN
+    with pytest.raises(NonFinite):
+        semigroup_multiplier(1e6, 64)
 
 
 def test_wold_decompose_pinned_cases():

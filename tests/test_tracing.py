@@ -38,3 +38,19 @@ def test_traced_results_equal_untraced():
 
     assert np.array_equal(traced_kernel, plain_kernel)
     assert traced_report == plain_report
+
+
+def test_toeplitz_materialisation_is_counted():
+    phi = sm.blaschke_series(sm.BlaschkeSpec((0.5,)), 20)
+    plain = sm.analytic_toeplitz_trunc(phi, 16).array
+
+    tracer = _load_spans().Tracer(sm)
+    tracer.install()
+    try:
+        traced = sm.analytic_toeplitz_trunc(phi, 16).array
+        assert tracer.span_calls["hardy.ToeplitzTrunc.matrix"] == 1
+        assert tracer.counts["hardy.toeplitz_entries"] == 256
+    finally:
+        tracer.uninstall()
+
+    assert np.array_equal(traced, plain)
