@@ -118,8 +118,6 @@ from .hardy import (
     block_forward_shift_trunc,
     caradus_certificate,
     composition_operator_trunc,
-    differentiation_generator_trunc,
-    generator_kernel_scan,
     inner_check,
     inner_semigroup_symbol,
     model_space_basis,

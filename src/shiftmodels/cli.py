@@ -308,7 +308,10 @@ def _cmd_model(args: argparse.Namespace, run: _Run) -> None:
         }
 
     if args.kernel:
-        lam, z = _parse_complex_list(args.kernel)[:2]
+        points = _parse_complex_list(args.kernel)
+        if len(points) != 2:
+            raise ValueError(f"--kernel expects 'lam,z', got {len(points)} values")
+        lam, z = points
         kmat = kernel_eval(model, lam, z, run.tol)
         run.results["kernel"] = {
             "lam": _pair(lam),
@@ -458,18 +461,18 @@ def _cmd_hardy(args: argparse.Namespace, run: _Run) -> None:
         if len(pieces) != 2:
             raise ValueError("--caradus expects 'multiplicity,dimension'")
         d, n = int(pieces[0]), int(pieces[1])
-        backward = caradus_certificate(
-            block_backward_shift_trunc(d, n), run.tol, structure="backward_shift"
-        )
-        forward = caradus_certificate(
-            block_forward_shift_trunc(d, n), run.tol, structure="forward_shift"
-        )
+        backward = caradus_certificate(block_backward_shift_trunc(d, n), run.tol)
+        forward = caradus_certificate(block_forward_shift_trunc(d, n), run.tol)
         run.results["caradus"] = {
             "backward": dataclasses.asdict(backward),
             "forward": dataclasses.asdict(forward),
         }
-        run.check("caradus_backward_certified", backward.passed)
-        run.check("caradus_forward_refused", not forward.passed)
+        run.check(
+            "caradus_backward_certified", backward.passed, backward.sigma_min, backward.rank_tol
+        )
+        run.check(
+            "caradus_forward_refused", not forward.passed, forward.sigma_min, forward.rank_tol
+        )
 
 
 def _cmd_verify_all(args: argparse.Namespace, run: _Run) -> None:

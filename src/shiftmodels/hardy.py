@@ -13,11 +13,9 @@ functions on the unit disc.  It provides:
   complements of shifted-symbol columns);
 * ladder decompositions ``K, phi*K, phi^2*K, ...`` with orthogonality
   certificates;
-* surjectivity-plus-kernel certificates for truncated block shifts, with the
-  structural verdict kept separate from truncation artifacts;
-* small exhibit constructors (composition operator of a disc automorphism,
-  differentiation generator) used to probe which truncations do or do not
-  carry universal-model structure.
+* Caradus certificates (surjective with a kernel) read from the measured
+  rank of rectangular block-shift truncations;
+* the truncated composition operator of a disc automorphism, an exhibit.
 
 Everything is desk scale: matrices are a few hundred rows at most and all
 residuals are reported, not hidden.
@@ -39,7 +37,7 @@ from .errors import (
     TruncationTooSmall,
     ZeroOnBoundary,
 )
-from .numkit import ComplexMatrix, null_space_basis, rank
+from .numkit import ComplexMatrix, _rank_of, null_space_basis, rank, singular_values
 from .series import (
     PowerSeries,
     series_add,
@@ -66,8 +64,6 @@ __all__ = [
     "block_backward_shift_trunc",
     "block_forward_shift_trunc",
     "composition_operator_trunc",
-    "differentiation_generator_trunc",
-    "generator_kernel_scan",
 ]
 
 _CHECK_RADII = (0.9, 0.99)
@@ -496,117 +492,73 @@ def verify_ladder_decomposition(
 
 @dataclass(frozen=True)
 class CaradusReport:
-    """Surjectivity-plus-kernel certificate for a truncated operator.
+    """Surjectivity-plus-kernel certificate read from a measured rank.
 
-    ``rank``, ``kernel_dim`` and ``surjective_on_truncation`` are measured on
-    the matrix as given.  When ``structure`` names a known truncation family
-    the structural fields state what the untruncated operator satisfies and
-    ``caveat`` spells out which measured deficits are truncation artifacts.
-    The certificate passes iff the structural reading has a nontrivial
-    kernel and is surjective.
+    ``rank`` counts the singular values above ``rank_tol`` relative to the
+    largest; ``sigma_min`` is the smallest of them relative to the largest,
+    the margin of that decision.  The operator is surjective iff the rank
+    equals ``rows`` and ``kernel_dim = cols - rank``; the certificate passes
+    iff it is surjective with a nontrivial kernel.
     """
 
-    dimension: int
+    rows: int
+    cols: int
     rank: int
     kernel_dim: int
-    surjective_on_truncation: bool
-    structure: str | None
-    structural_kernel_dim: int
-    structural_surjective: bool
-    caveat: str
+    surjective: bool
+    sigma_min: float
+    rank_tol: float
     passed: bool
 
 
-_STRUCTURES = (None, "backward_shift", "forward_shift")
+def _check_block(multiplicity: int, n: int) -> None:
+    if multiplicity < 1 or n < 1:
+        raise ValueError("need multiplicity >= 1 and n >= 1")
 
 
-def block_backward_shift_trunc(multiplicity: int, n: int) -> ComplexMatrix:
-    """Truncation of the backward shift of the given multiplicity.
+def block_backward_shift_trunc(multiplicity: int, n: int) -> np.ndarray:
+    """The n x (n + multiplicity) block of the backward shift of that multiplicity.
 
-    Sends basis vector ``e_k`` to ``e_{k - multiplicity}`` (and the first
-    ``multiplicity`` vectors to zero).
+    Column ``k`` is the image of ``e_k``: ``e_{k - multiplicity}``, and zero
+    for the first ``multiplicity`` columns, so the block maps onto ``C^n``
+    with a ``multiplicity``-dimensional kernel, as the untruncated shift does.
     """
-    if multiplicity < 1 or n <= multiplicity:
-        raise ValueError("need 1 <= multiplicity < n")
-    arr = np.zeros((n, n), dtype=np.complex128)
-    for k in range(multiplicity, n):
-        arr[k - multiplicity, k] = 1.0
-    return ComplexMatrix(arr)
+    _check_block(multiplicity, n)
+    return np.eye(n, n + multiplicity, k=multiplicity, dtype=np.complex128)
 
 
-def block_forward_shift_trunc(multiplicity: int, n: int) -> ComplexMatrix:
-    """Truncation of the forward shift of the given multiplicity."""
-    if multiplicity < 1 or n <= multiplicity:
-        raise ValueError("need 1 <= multiplicity < n")
-    arr = np.zeros((n, n), dtype=np.complex128)
-    for k in range(0, n - multiplicity):
-        arr[k + multiplicity, k] = 1.0
-    return ComplexMatrix(arr)
+def block_forward_shift_trunc(multiplicity: int, n: int) -> np.ndarray:
+    """The (n + multiplicity) x n block of the forward shift: the backward block's adjoint.
+
+    It is injective and its range misses the first ``multiplicity``
+    coordinates, as the untruncated shift's does.
+    """
+    _check_block(multiplicity, n)
+    return np.eye(n + multiplicity, n, k=-multiplicity, dtype=np.complex128)
 
 
-def caradus_certificate(
-    M,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    structure: str | None = None,
-) -> CaradusReport:
-    """Check the surjective-with-kernel hypothesis on a truncated operator.
+def caradus_certificate(M, tol: ToleranceConfig = DEFAULT_TOL) -> CaradusReport:
+    """Check the surjective-with-kernel hypothesis on a (rectangular) truncation.
 
     A bounded operator that is surjective and has nontrivial kernel is the
-    classical sufficient hypothesis for universality.  On an ``n x n``
-    truncation surjectivity can fail (or a kernel can appear) purely as an
-    edge effect, so a ``structure`` tag is accepted for the two stock
-    families:
-
-    * ``"backward_shift"``: the kernel (bottom coordinates) is genuine, the
-      rank deficit (top coordinates unreachable) is an artifact; the full
-      operator is surjective, so the certificate passes.
-    * ``"forward_shift"``: the kernel (top coordinates) is an artifact, the
-      rank deficit (bottom coordinates unreachable) is genuine; the full
-      operator is injective and not surjective, so the certificate fails.
+    classical sufficient hypothesis for universality (Caradus).  The verdict
+    is measured: surjective means full row rank, and the kernel has
+    dimension ``cols - rank``.
     """
-    if structure not in _STRUCTURES:
-        raise ValueError(f"unknown structure tag {structure!r}")
-    if isinstance(M, ComplexMatrix):
-        arr = M.array
-    elif isinstance(M, ToeplitzTrunc):
-        arr = M.matrix().array
-    else:
-        arr = np.asarray(M, dtype=np.complex128)
-    n = arr.shape[0]
-    r = rank(arr, tol)
-    kernel = n - r
-    surjective_trunc = kernel == 0
-    if structure == "backward_shift":
-        structural_kernel = kernel
-        structural_surjective = True
-        caveat = (
-            "rank deficit on the truncation sits in the top coordinates and "
-            "is a truncation artifact; the untruncated backward shift is "
-            "surjective, and the kernel in the bottom coordinates is genuine"
-        )
-    elif structure == "forward_shift":
-        structural_kernel = 0
-        structural_surjective = False
-        caveat = (
-            "kernel on the truncation sits in the top coordinates and is a "
-            "truncation artifact; the untruncated forward shift is injective "
-            "and its range genuinely misses the bottom coordinates"
-        )
-    else:
-        structural_kernel = kernel
-        structural_surjective = surjective_trunc
-        caveat = "no structure tag given; structural reading equals the measured one"
-    passed = structural_kernel >= 1 and structural_surjective
+    s = singular_values(M)
+    rows, cols = (M.array if isinstance(M, ComplexMatrix) else np.asarray(M)).shape
+    r = _rank_of(s, tol)
+    surjective = r == rows
+    kernel = cols - r
     return CaradusReport(
-        dimension=n,
+        rows=rows,
+        cols=cols,
         rank=r,
         kernel_dim=kernel,
-        surjective_on_truncation=bool(surjective_trunc),
-        structure=structure,
-        structural_kernel_dim=structural_kernel,
-        structural_surjective=structural_surjective,
-        caveat=caveat,
-        passed=bool(passed),
+        surjective=surjective,
+        sigma_min=float(s[r - 1] / s[0]) if r else 0.0,
+        rank_tol=tol.rank_tol,
+        passed=surjective and kernel >= 1,
     )
 
 
@@ -644,32 +596,3 @@ def composition_operator_trunc(r: float, n: int) -> ComplexMatrix:
         current = series_mul(current, symbol, N=n - 1)
     return ComplexMatrix(arr)
 
-
-def differentiation_generator_trunc(n: int) -> ComplexMatrix:
-    """Truncation of d/dz on coefficient space: entry (k, k+1) = k + 1."""
-    if n < 2:
-        raise ValueError("need dimension at least 2")
-    arr = np.zeros((n, n), dtype=np.complex128)
-    for k in range(n - 1):
-        arr[k, k + 1] = k + 1
-    return ComplexMatrix(arr)
-
-
-def generator_kernel_scan(
-    M,
-    lam_values,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> tuple[int, ...]:
-    """Kernel dimensions of ``M - lam * I`` over a list of sample points.
-
-    Used to show that an exhibit's truncation carries at most one-dimensional
-    eigenspaces (no room for the infinite-multiplicity structure a universal
-    model needs).
-    """
-    arr = M.array if isinstance(M, ComplexMatrix) else np.asarray(M, dtype=np.complex128)
-    n = arr.shape[0]
-    dims = []
-    for lam in lam_values:
-        shifted = arr - complex(lam) * np.eye(n, dtype=np.complex128)
-        dims.append(n - rank(shifted, tol))
-    return tuple(dims)

@@ -156,8 +156,15 @@ def _expm_array(arr: np.ndarray) -> np.ndarray:
             return np.eye(n, dtype=np.complex128)
         if not np.isfinite(norm):
             raise NonFinite("matrix 1-norm overflows")
-        squarings = max(0, int(np.ceil(np.log2(norm / _EXPM_SCALE_TARGET))))
-        A = arr / (2.0**squarings)
+        # the quotient overflows only for norms within a factor 2 of the float
+        # maximum, and only there is its log2 taken as a difference of logs:
+        # log2(norm) + 1 rounds differently next to powers of two
+        ratio = norm / _EXPM_SCALE_TARGET
+        log_ratio = (
+            np.log2(ratio) if ratio < np.inf else np.log2(norm) - np.log2(_EXPM_SCALE_TARGET)
+        )
+        squarings = max(0, int(np.ceil(log_ratio)))
+        A = arr * np.ldexp(1.0, -squarings)
 
         ident = np.eye(n, dtype=np.complex128)
         b = _PADE13_B
@@ -189,8 +196,17 @@ def expm(M) -> ComplexMatrix:
     return ComplexMatrix(_expm_array(_as_array(M)))
 
 
+def _svd(M, compute_uv: bool):
+    """The one SVD call: singular values past the float range are refused."""
+    out = np.linalg.svd(_as_array(M, square=False), compute_uv=compute_uv)
+    s = out.S if compute_uv else out
+    if not np.isfinite(s).all():
+        raise NonFinite("singular values overflow the float range")
+    return out
+
+
 def singular_values(M) -> np.ndarray:
-    return np.linalg.svd(_as_array(M, square=False), compute_uv=False)
+    return _svd(M, compute_uv=False)
 
 
 def _rank_of(s: np.ndarray, tol: ToleranceConfig) -> int:
@@ -222,13 +238,13 @@ def solve(M, rhs, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 def orthonormal_range_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Columns form an orthonormal basis of the numerical column space."""
-    u, s, _ = np.linalg.svd(_as_array(M, square=False))
+    u, s, _ = _svd(M, compute_uv=True)
     return u[:, : _rank_of(s, tol)]
 
 
 def null_space_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Columns form an orthonormal basis of the numerical kernel."""
-    _, s, vh = np.linalg.svd(_as_array(M, square=False))
+    _, s, vh = _svd(M, compute_uv=True)
     return vh[_rank_of(s, tol) :].conj().T
 
 

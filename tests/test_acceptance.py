@@ -65,5 +65,16 @@ def test_criterion_11_caradus_certificates():
     _check(acceptance.criterion_11_caradus_certificates())
 
 
+def test_criterion_11_fails_when_the_blocks_are_swapped(monkeypatch):
+    # the verdict is measured, so a forward shift passed as the backward one fails
+    backward = acceptance.block_backward_shift_trunc
+    forward = acceptance.block_forward_shift_trunc
+    monkeypatch.setattr(acceptance, "block_backward_shift_trunc", forward)
+    monkeypatch.setattr(acceptance, "block_forward_shift_trunc", backward)
+    result = acceptance.criterion_11_caradus_certificates()
+    assert not result.passed
+    assert "backward d=1" in result.detail and "forward d=1" in result.detail
+
+
 def test_criterion_12_concave_power_growth():
     _check(acceptance.criterion_12_concave_power_growth())

@@ -147,8 +147,24 @@ def test_hardy_caradus_only(capsys):
     code, out = _run(capsys, ["hardy", "--caradus", "2,16"])
     assert code == 0
     report = json.loads(out)
-    assert report["results"]["caradus"]["backward"]["passed"] is True
-    assert report["results"]["caradus"]["forward"]["passed"] is False
+    backward = report["results"]["caradus"]["backward"]
+    forward = report["results"]["caradus"]["forward"]
+    # the 16 x 18 backward block is onto with a 2-dimensional kernel;
+    # the 18 x 16 forward block is injective and misses 2 coordinates
+    assert (backward["rows"], backward["cols"], backward["rank"]) == (16, 18, 16)
+    assert backward["kernel_dim"] == 2 and backward["surjective"] is True
+    assert backward["passed"] is True
+    assert (forward["rows"], forward["cols"], forward["rank"]) == (18, 16, 16)
+    assert forward["kernel_dim"] == 0 and forward["surjective"] is False
+    assert forward["passed"] is False
+    assert set(backward) == {
+        "rows", "cols", "rank", "kernel_dim", "surjective", "sigma_min", "rank_tol", "passed"
+    }
+    checks = {c["name"]: c for c in report["checks"]}
+    for name, side in (("caradus_backward_certified", backward), ("caradus_forward_refused", forward)):
+        assert checks[name]["passed"] is True
+        assert checks[name]["residual"] == side["sigma_min"] == 1.0
+        assert checks[name]["tolerance"] == side["rank_tol"] == 1e-10
 
 
 def test_reports_are_byte_identical(capsys):
@@ -310,6 +326,10 @@ _UNDERFLOW = [[-1000.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1000.0, 0.0]]
 # e^A = 1e308 [[1, 1.5], [0, 1]] is finite, its 2-norm is not
 _NORM_INF = [[math.log(1e308), 0.0], [1.5, 0.0], [0.0, 0.0], [math.log(1e308), 0.0]]
 _NEG_HUGE = [[-1e300, 0.0], [0.0, 0.0], [0.0, 0.0], [-1e300, 0.0]]
+# finite 1-norm at t = 0.5, but within a factor 2 of the float maximum
+_NEAR_MAX = [[1e308, 0.0], [1e308, 0.0], [-1e308, 0.0], [1e308, 0.0]]
+# invertible with singular values 2.1e308: the SVD overflows
+_SVD_OVERFLOW = [[1.5e308, 0.0], [1.5e308, 0.0], [1.5e308, 0.0], [-1.5e308, 0.0]]
 
 
 @pytest.mark.parametrize(
@@ -329,6 +349,8 @@ _NEG_HUGE = [[-1e300, 0.0], [0.0, 0.0], [0.0, 0.0], [-1e300, 0.0]]
         (_NORM_INF, ["semigroup", "--t", "1", "--format", "text", "--generator"]),
         # e^{tA} underflows to 0, so the suite reaches the overflowing generator form
         (_NEG_HUGE, ["semigroup", "--equivalence-suite", "--generator"]),
+        (_NEAR_MAX, ["semigroup", "--growth-bound", "--generator"]),
+        (_SVD_OVERFLOW, ["model", "--wold", "--operator"]),
     ],
 )
 def test_overflowing_input_is_refused_without_warnings(tmp_path, data, argv):
@@ -384,6 +406,14 @@ def _with_vector_file(tmp_path, argv):
 def test_non_finite_points_and_times_are_refused(tmp_path, argv, code):
     proc = _run_subprocess(_with_vector_file(tmp_path, argv))
     _assert_single_error_line(proc, code)
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("points", ["0.5,0.5,0.9", "0.5"])
+def test_kernel_needs_exactly_two_points(points):
+    proc = _run_subprocess(["model", "--operator", _fixture("isometric.json"), "--kernel", points])
+    _assert_single_error_line(proc, 2)
+    assert "'lam,z'" in proc.stderr
     assert proc.stdout == ""
 
 

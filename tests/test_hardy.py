@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from shiftmodels.config import DEFAULT_TOL, ToleranceConfig
 from shiftmodels.errors import (
@@ -24,8 +25,6 @@ from shiftmodels.hardy import (
     block_forward_shift_trunc,
     caradus_certificate,
     composition_operator_trunc,
-    differentiation_generator_trunc,
-    generator_kernel_scan,
     inner_check,
     inner_semigroup_symbol,
     model_space_basis,
@@ -240,39 +239,81 @@ def test_toeplitz_truncation_pinned_diagonals(order, n):
     np.testing.assert_array_equal(analytic_toeplitz_trunc(PowerSeries(c), n).array, expected)
 
 
+@pytest.mark.parametrize("shape", [(5, 8), (8, 5), (6, 6), (7, 9)])
+def test_caradus_measures_planted_rank(shape):
+    # U[:, :r] diag(sigma) V[:, :r]* has rank r exactly, its kernel has
+    # dimension cols - r, and its nonzero singular values are sigma
+    rows, cols = shape
+    rng = np.random.default_rng(rows * 10 + cols)
+    for r in range(0, min(shape) + 1):
+        U, _ = np.linalg.qr(rng.standard_normal((rows, rows)) + 1j * rng.standard_normal((rows, rows)))
+        V, _ = np.linalg.qr(rng.standard_normal((cols, cols)) + 1j * rng.standard_normal((cols, cols)))
+        sigma = rng.uniform(1e-3, 1.0, r)
+        M = U[:, :r] @ np.diag(sigma) @ V[:, :r].conj().T
+        report = caradus_certificate(M)
+        assert (report.rows, report.cols) == shape
+        assert report.rank == r
+        assert report.kernel_dim == cols - r == scipy.linalg.null_space(M).shape[1]
+        assert report.surjective == (r == rows)
+        assert report.passed == (r == rows < cols)
+        expected = sigma.min() / sigma.max() if r else 0.0
+        assert report.sigma_min == pytest.approx(expected, abs=1e-12)
+        assert report.rank_tol == DEFAULT_TOL.rank_tol
+
+
+_BLOCKS = ((1, 8), (4, 20), (3, 24))
+
+
 def test_caradus_backward_shift_certified():
-    report = caradus_certificate(block_backward_shift_trunc(1, 8), structure="backward_shift")
-    assert report.passed
-    assert report.kernel_dim == 1
-    assert report.structural_kernel_dim == 1
-    assert report.structural_surjective
-    assert not report.surjective_on_truncation  # finite-truncation artifact
-    assert "artifact" in report.caveat
+    # the n x (n + m) block is onto C^n and kills the first m basis vectors
+    for m, n in _BLOCKS:
+        report = caradus_certificate(block_backward_shift_trunc(m, n))
+        assert (report.rows, report.cols, report.rank) == (n, n + m, n)
+        assert report.kernel_dim == m
+        assert report.surjective and report.passed
+        assert report.sigma_min == 1.0  # a partial isometry: nonzero singular values are 1
 
 
 def test_caradus_forward_shift_refused():
-    report = caradus_certificate(block_forward_shift_trunc(1, 8), structure="forward_shift")
-    assert not report.passed
-    assert report.structural_kernel_dim == 0
-    assert not report.structural_surjective
-    assert "artifact" in report.caveat
+    # the (n + m) x n block is injective and its range misses m coordinates
+    for m, n in _BLOCKS:
+        report = caradus_certificate(block_forward_shift_trunc(m, n))
+        assert (report.rows, report.cols, report.rank) == (n + m, n, n)
+        assert report.kernel_dim == 0
+        assert not report.surjective and not report.passed
 
 
 def test_caradus_block_multiplicity():
-    report = caradus_certificate(block_backward_shift_trunc(4, 20), structure="backward_shift")
-    assert report.kernel_dim == 4
-    assert report.structural_kernel_dim == 4
-    assert report.passed
+    for m in range(1, 6):
+        assert caradus_certificate(block_backward_shift_trunc(m, 20)).kernel_dim == m
+        assert caradus_certificate(block_forward_shift_trunc(m, 20)).kernel_dim == 0
 
 
 def test_caradus_adjoint_swaps_roles():
-    back = block_backward_shift_trunc(3, 12)
-    forward = block_forward_shift_trunc(3, 12)
-    np.testing.assert_array_equal(back.array.conj().T, forward.array)
-    rb = caradus_certificate(back)
-    rf = caradus_certificate(forward)
-    assert rb.rank == rf.rank
-    assert rb.kernel_dim == rf.kernel_dim
+    for m, n in _BLOCKS:
+        back = block_backward_shift_trunc(m, n)
+        forward = block_forward_shift_trunc(m, n)
+        np.testing.assert_array_equal(back.conj().T, forward)
+        rb = caradus_certificate(back)
+        rf = caradus_certificate(forward)
+        assert rb.rank == rf.rank == n
+        assert (rb.rows, rb.cols) == (rf.cols, rf.rows)
+        assert rb.passed and not rf.passed
+
+
+@pytest.mark.parametrize("m, n", [(0, 4), (-1, 4), (2, 0)])
+def test_block_shifts_refuse_empty_shapes(m, n):
+    with pytest.raises(ValueError):
+        block_backward_shift_trunc(m, n)
+    with pytest.raises(ValueError):
+        block_forward_shift_trunc(m, n)
+
+
+def test_caradus_accepts_a_complex_matrix():
+    # a square matrix: surjective means invertible, so there is no kernel
+    report = caradus_certificate(ComplexMatrix.identity(3))
+    assert (report.rows, report.cols, report.rank, report.kernel_dim) == (3, 3, 3, 0)
+    assert report.surjective and not report.passed
 
 
 def test_composition_operator_pinned_entries():
@@ -286,16 +327,6 @@ def test_composition_operator_pinned_entries():
         composition_operator_trunc(1.2, 5)
     with pytest.raises(InvalidAutomorphism):
         composition_operator_trunc(-0.3, 5)
-
-
-def test_differentiation_generator_kernel_scan():
-    # d/dz - lambda on the truncation: kernel dimension 1 at lambda = 0 and 0
-    # elsewhere (upper triangular with diagonal -lambda); never exceeds 1,
-    # the computational shadow of the one-dimensional eigenspaces
-    D = differentiation_generator_trunc(12)
-    dims = generator_kernel_scan(D, (0.0, 0.5, 1.0, 2.0), DEFAULT_TOL)
-    assert dims[0] == 1
-    assert all(d <= 1 for d in dims)
 
 
 def test_tolerance_config_rejects_nonpositive():

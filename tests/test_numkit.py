@@ -85,6 +85,12 @@ def test_expm_pinned_values():
     np.testing.assert_allclose(expm(nilpotent).array, [[1.0, 1.0], [0.0, 1.0]], atol=1e-15)
 
 
+def test_expm_refuses_overflow_near_the_float_maximum():
+    # the 1-norm 1e308 is finite, but e^A overflows; so would norm / 0.5 and 2**1025
+    with pytest.raises(NonFinite):
+        expm(ComplexMatrix.from_rows([[5e307, 5e307], [-5e307, 5e307]]))
+
+
 def test_expm_inverse_residual():
     rng = np.random.default_rng(12)
     for _ in range(10):
@@ -176,6 +182,15 @@ def test_null_space_basis_matches_rank():
     kernel = null_space_basis(M)
     assert kernel.shape == (2, 1)
     assert np.max(np.abs(M.array @ kernel)) <= 1e-12
+
+
+def test_overflowing_singular_values_are_refused():
+    # invertible, with both singular values 1.5e308 * sqrt(2) past the float range;
+    # read as inf they would give rank 0 and a kernel spanning the whole space
+    A = ComplexMatrix.from_rows([[1.5e308, 1.5e308], [1.5e308, -1.5e308]])
+    for kernel in (rank, two_norm, null_space_basis, orthonormal_range_basis):
+        with pytest.raises(NonFinite):
+            kernel(A)
 
 
 def test_spectral_data_sanity():
