@@ -20,9 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import NonFinite, NotConcave, UnsupportedRegime
+from .errors import NotConcave, UnsupportedRegime
 from .numkit import (
     ComplexMatrix,
+    _finite,
+    _quiet,
     _rank_of,
     hermitian_max_eig,
     null_space_basis,
@@ -116,16 +118,13 @@ def _defect_range(stack: np.ndarray) -> tuple[float, float]:
     """Smallest and largest eigenvalue of T*T*TT - 2 T*T + Id over a stack of T.
 
     ``stack`` has shape (..., n, n); one eigvalsh call covers every matrix.
-    Overflow is refused as NonFinite instead of surfacing as numpy warnings.
     """
     n = stack.shape[-1]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet():
         adj = stack.conj().swapaxes(-1, -2)
         sq = stack @ stack
         defect = sq.conj().swapaxes(-1, -2) @ sq - 2.0 * (adj @ stack) + np.eye(n)
-        herm = (defect + defect.conj().swapaxes(-1, -2)) / 2.0
-    if not np.all(np.isfinite(herm)):
-        raise NonFinite("defect form contains NaN or infinite entries")
+        herm = _finite((defect + defect.conj().swapaxes(-1, -2)) / 2.0, "defect form")
     eigs = np.linalg.eigvalsh(herm)
     return float(eigs[..., 0].min()), float(eigs[..., -1].max())
 
@@ -137,8 +136,9 @@ def _wandering_span_dim(arr: np.ndarray, tol: ToleranceConfig) -> int:
         return 0
     blocks = [current]
     for _ in range(arr.shape[0] - 1):
-        current = arr @ current
-        col_norms = np.linalg.norm(current, axis=0)
+        with _quiet():
+            current = arr @ current
+            col_norms = _finite(np.linalg.norm(current, axis=0), "norms of the defect iterates")
         col_norms[col_norms == 0.0] = 1.0
         current = current / col_norms
         blocks.append(current)
@@ -149,7 +149,7 @@ def _classify_dense(T: Dense, tol: ToleranceConfig) -> ClassificationReport:
     arr = T.matrix.array
     n = arr.shape[0]
     d_inf, d_sup = _defect_range(arr)
-    s = singular_values(arr)
+    s = singular_values(T.matrix)
 
     # purity = nilpotency: the normalized n-th power must vanish
     if s[0] == 0.0:
@@ -228,11 +228,10 @@ def generator_concavity_criterion(
     holds exactly when its largest eigenvalue is nonpositive (at psd_tol).
     """
     arr = A.array
-    # overflow here is refused by the finiteness check of hermitian_max_eig
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet():
         sq = arr @ arr
-        form = (sq + sq.conj().T) / 2.0 + arr.conj().T @ arr
-    margin = hermitian_max_eig(form)
+        form = _finite((sq + sq.conj().T) / 2.0 + arr.conj().T @ arr, "generator form")
+    margin = hermitian_max_eig(ComplexMatrix._trusted(form))
     return GeneratorConcavity(satisfied=margin <= tol.psd_tol, margin=margin)
 
 

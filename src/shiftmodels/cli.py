@@ -590,8 +590,8 @@ def main(argv: list[str] | None = None) -> int:
         run = _Run(args.command, tol)
         _DISPATCH[args.command](args, run)
         _emit(run, args)
-    except ToolkitError as exc:
-        print(f"error: {args.command}: {exc}", file=sys.stderr)
+    except (ToolkitError, np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"error: {args.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {args.command}: {exc}", file=sys.stderr)

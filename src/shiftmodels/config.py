@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Named tolerances; all strictly positive.
+    """Named tolerances; each must be finite and strictly positive.
 
     rank_tol      relative singular-value cutoff for rank decisions
     psd_tol       slack for semidefiniteness verdicts on Hermitian forms
@@ -23,8 +24,8 @@ class ToleranceConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (value > 0.0):
-                raise ValueError(f"{f.name} must be strictly positive, got {value!r}")
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{f.name} must be finite and strictly positive, got {value!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()

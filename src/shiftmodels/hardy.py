@@ -37,7 +37,7 @@ from .errors import (
     TruncationTooSmall,
     ZeroOnBoundary,
 )
-from .numkit import ComplexMatrix, _rank_of, null_space_basis, rank, singular_values
+from .numkit import ComplexMatrix, _finite, _rank_of, null_space_basis, rank, singular_values
 from .series import (
     PowerSeries,
     series_add,
@@ -327,7 +327,7 @@ class ToeplitzTrunc:
     dimension: int
 
     def __post_init__(self) -> None:
-        coeffs = tuple(complex(c) for c in self.coefficients)
+        coeffs = _finite(tuple(complex(c) for c in self.coefficients), "Toeplitz coefficients")
         object.__setattr__(self, "coefficients", coeffs)
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
@@ -344,7 +344,7 @@ class ToeplitzTrunc:
         flat = arr.reshape(-1)  # a view: entry (i, i - d) sits at i * (n + 1) - d
         for d, c in enumerate(self.coefficients):
             flat[d * n :: n + 1] = c
-        return ComplexMatrix(arr)
+        return ComplexMatrix._trusted(arr)
 
 
 def analytic_toeplitz_trunc(phi: PowerSeries, n: int) -> ComplexMatrix:
@@ -594,5 +594,5 @@ def composition_operator_trunc(r: float, n: int) -> ComplexMatrix:
         vals = np.asarray(current.coeffs, dtype=np.complex128)[:n]
         arr[: vals.size, j] = vals
         current = series_mul(current, symbol, N=n - 1)
-    return ComplexMatrix(arr)
+    return ComplexMatrix._trusted(arr)
 

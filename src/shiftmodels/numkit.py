@@ -53,14 +53,25 @@ _PADE13_B = (
 _EXPM_SCALE_TARGET = 0.5
 
 
+def _quiet():
+    """The one overflow policy: numpy warnings off here, and _finite tests what was computed."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _finite(value, what: str):
+    """``value``, or NonFinite naming ``what`` where it holds NaN or infinity."""
+    finite = np.isfinite(value)  # count_nonzero is twice as fast as .all() on short arrays
+    if np.count_nonzero(finite) != finite.size:
+        raise NonFinite(f"non-finite {what}")
+    return value
+
+
 def _checked(arr: np.ndarray, square: bool = True) -> np.ndarray:
     if arr.ndim != 2 or (square and arr.shape[0] != arr.shape[1]):
         raise ValueError(f"matrix must be {'square' if square else '2-d'}, got shape {arr.shape}")
     if square and arr.shape[0] == 0:
         raise ValueError(f"matrix must be at least 1x1, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise NonFinite("matrix contains NaN or infinite entries")
-    return arr
+    return _finite(arr, "matrix entries")
 
 
 @dataclass(frozen=True)
@@ -78,6 +89,14 @@ class ComplexMatrix:
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
 
+    @classmethod
+    def _trusted(cls, arr: np.ndarray) -> "ComplexMatrix":
+        """Wrap a finite square complex array the package computed: no copy, no scan."""
+        out = object.__new__(cls)
+        arr.flags.writeable = False
+        object.__setattr__(out, "array", arr)
+        return out
+
     @property
     def n(self) -> int:
         return self.array.shape[0]
@@ -88,7 +107,9 @@ class ComplexMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ComplexMatrix":
-        return cls(np.eye(n, dtype=np.complex128))
+        if n < 1:
+            raise ValueError(f"matrix must be at least 1x1, got n = {n}")
+        return cls._trusted(np.eye(n, dtype=np.complex128))
 
     @classmethod
     def zeros(cls, n: int) -> "ComplexMatrix":
@@ -99,7 +120,7 @@ class ComplexMatrix:
         return cls(np.diag(np.array(list(entries), dtype=np.complex128)))
 
     def adjoint(self) -> "ComplexMatrix":
-        return ComplexMatrix(self.array.conj().T)
+        return ComplexMatrix._trusted(self.array.conj().T)
 
     def to_json(self) -> dict:
         n = self.n
@@ -136,21 +157,20 @@ def hermitian_max_eig(M) -> float:
     makes the result insensitive to that residual.
     """
     arr = _as_array(M)
-    herm = (arr + arr.conj().T) / 2.0
+    herm = arr / 2.0 + arr.conj().T / 2.0  # halving first cannot overflow
     return float(np.linalg.eigvalsh(herm)[-1])
 
 
 def hermitian_min_eig(M) -> float:
     """Smallest eigenvalue of the Hermitian part (M + M*)/2."""
     arr = _as_array(M)
-    herm = (arr + arr.conj().T) / 2.0
+    herm = arr / 2.0 + arr.conj().T / 2.0
     return float(np.linalg.eigvalsh(herm)[0])
 
 
 def _expm_array(arr: np.ndarray) -> np.ndarray:
     n = arr.shape[0]
-    # overflow shows up as non-finite entries, refused by the caller's checks
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet():
         norm = float(np.linalg.norm(arr, 1))
         if norm == 0.0:
             return np.eye(n, dtype=np.complex128)
@@ -188,25 +208,23 @@ def _expm_array(arr: np.ndarray) -> np.ndarray:
         R = np.linalg.solve(V - U, V + U)
         for _ in range(squarings):
             R = R @ R
-    return R
+    return _finite(R, "matrix exponential")
 
 
 def expm(M) -> ComplexMatrix:
     """Matrix exponential by scaling and squaring with a degree-13 Pade core."""
-    return ComplexMatrix(_expm_array(_as_array(M)))
+    return ComplexMatrix._trusted(_expm_array(_as_array(M)))
 
 
-def _svd(M, compute_uv: bool):
-    """The one SVD call: singular values past the float range are refused."""
-    out = np.linalg.svd(_as_array(M, square=False), compute_uv=compute_uv)
-    s = out.S if compute_uv else out
-    if not np.isfinite(s).all():
-        raise NonFinite("singular values overflow the float range")
+def _svd(arr: np.ndarray, compute_uv: bool):
+    """The one SVD call, on a checked array: singular values past the float range are refused."""
+    out = np.linalg.svd(arr, compute_uv=compute_uv)
+    _finite(out.S if compute_uv else out, "singular values")
     return out
 
 
 def singular_values(M) -> np.ndarray:
-    return _svd(M, compute_uv=False)
+    return _svd(_as_array(M, square=False), compute_uv=False)
 
 
 def _rank_of(s: np.ndarray, tol: ToleranceConfig) -> int:
@@ -227,7 +245,7 @@ def solve(M, rhs, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     b = np.asarray(rhs, dtype=np.complex128)
     if b.shape[0] != arr.shape[0]:
         raise ValueError(f"rhs length {b.shape[0]} does not match matrix size {arr.shape[0]}")
-    s = singular_values(arr)
+    s = _svd(arr, compute_uv=False)
     if _rank_of(s, tol) < arr.shape[0]:
         raise Singular(
             f"matrix singular at rank_tol={tol.rank_tol:g}: "
@@ -238,13 +256,13 @@ def solve(M, rhs, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 def orthonormal_range_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Columns form an orthonormal basis of the numerical column space."""
-    u, s, _ = _svd(M, compute_uv=True)
+    u, s, _ = _svd(_as_array(M, square=False), compute_uv=True)
     return u[:, : _rank_of(s, tol)]
 
 
 def null_space_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Columns form an orthonormal basis of the numerical kernel."""
-    _, s, vh = _svd(M, compute_uv=True)
+    _, s, vh = _svd(_as_array(M, square=False), compute_uv=True)
     return vh[_rank_of(s, tol) :].conj().T
 
 

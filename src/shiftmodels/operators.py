@@ -442,7 +442,7 @@ def to_dense_matrix(T: StructuredOperator) -> ComplexMatrix:
             m = block.shape[0]
             out[off : off + m, off : off + m] = block
             off += m
-        return ComplexMatrix(out)
+        return ComplexMatrix._trusted(out)
     raise UnsupportedRegime("shift operators have no finite matrix form")
 
 

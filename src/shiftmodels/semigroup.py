@@ -25,7 +25,7 @@ import numpy as np
 from .classify import _defect_range, generator_concavity_criterion
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NonFinite, OneInSpectrum
-from .numkit import ComplexMatrix, eigenvalues, expm, rank, spectral_radius
+from .numkit import ComplexMatrix, _finite, _quiet, eigenvalues, expm, rank, spectral_radius
 
 __all__ = [
     "SemigroupSpec",
@@ -86,29 +86,30 @@ def evolve(S: SemigroupSpec, t: float) -> ComplexMatrix:
         raise ValueError(f"semigroup parameter must be nonnegative, got {t}")
     if t == 0.0:
         return ComplexMatrix.identity(S.generator.n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = t * S.generator.array  # overflow is refused by expm as NonFinite
-    return expm(scaled)
+    with _quiet():
+        scaled = _finite(t * S.generator.array, "scaled generator t A")
+    return expm(ComplexMatrix._trusted(scaled))
 
 
-def _cayley(arr: np.ndarray, tol: ToleranceConfig, what: str) -> np.ndarray:
+def _cayley(arr: np.ndarray, tol: ToleranceConfig, what: str) -> ComplexMatrix:
     n = arr.shape[0]
-    shifted = arr - np.eye(n, dtype=np.complex128)
+    shifted = ComplexMatrix._trusted(arr - np.eye(n, dtype=np.complex128))
     if rank(shifted, tol) < n:
         raise OneInSpectrum(f"1 lies in the spectrum of the {what} at rank_tol={tol.rank_tol:g}")
     plus = arr + np.eye(n, dtype=np.complex128)
     # right division: X (A - Id) = (A + Id) solved through the adjoint system
-    return np.linalg.solve(shifted.conj().T, plus.conj().T).conj().T
+    X = np.linalg.solve(shifted.array.conj().T, plus.conj().T).conj().T
+    return ComplexMatrix._trusted(_finite(X, f"Cayley transform of the {what}"))
 
 
 def cogenerator(S: SemigroupSpec, tol: ToleranceConfig = DEFAULT_TOL) -> ComplexMatrix:
     """Cayley transform V = (A + Id)(A - Id)^{-1} of the generator."""
-    return ComplexMatrix(_cayley(S.generator.array, tol, "generator"))
+    return _cayley(S.generator.array, tol, "generator")
 
 
 def inverse_cayley(V: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ComplexMatrix:
     """Recover the generator A = (V + Id)(V - Id)^{-1} from a cogenerator."""
-    return ComplexMatrix(_cayley(V.array, tol, "cogenerator"))
+    return _cayley(V.array, tol, "cogenerator")
 
 
 def growth_bound(S: SemigroupSpec) -> GrowthBound:
@@ -132,9 +133,10 @@ def quasicontractive_rescale(S: SemigroupSpec, lam: float) -> SemigroupSpec:
     """Shift the generator to A - lam Id, rescaling the semigroup by e^{-lam t}."""
     if not math.isfinite(lam):
         raise NonFinite(f"rescaling parameter must be finite, got {lam}")
-    n = S.generator.n
-    shifted = S.generator.array - lam * np.eye(n, dtype=np.complex128)
-    return SemigroupSpec(ComplexMatrix(shifted))
+    shift = lam * np.eye(S.generator.n, dtype=np.complex128)
+    with _quiet():
+        shifted = _finite(S.generator.array - shift, "rescaled generator A - lam Id")
+    return SemigroupSpec(ComplexMatrix._trusted(shifted))
 
 
 def concavity_equivalence_suite(
@@ -156,13 +158,11 @@ def concavity_equivalence_suite(
     rng = np.random.default_rng(_SEED)
     xs = rng.standard_normal((_SAMPLES, n)) + 1j * rng.standard_normal((_SAMPLES, n))
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet():
         ys = half @ xs.T
         mid = np.linalg.norm(evolved @ xs.T, axis=1) ** 2
         outer = np.linalg.norm(np.concatenate((ys[None], evolved @ ys)), axis=1) ** 2
-        second = outer[1:] - 2.0 * mid + outer[:-1]
-    if not np.isfinite(second).all():
-        raise NonFinite("norm path ||e^{tA} x||^2 overflows on the grid")
+        second = _finite(outer[1:] - 2.0 * mid + outer[:-1], "norm path ||e^{tA} x||^2 on the grid")
     max_second = float(second.max())
     norm_path_concave = max_second <= slack
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFinite, ZeroConstantTerm
+from .errors import ZeroConstantTerm
+from .numkit import _finite
 
 __all__ = [
     "PowerSeries",
@@ -36,9 +37,7 @@ class PowerSeries:
         arr = np.asarray(self.coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError(f"series needs a nonempty 1-d coefficient array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise NonFinite("series contains NaN or infinite coefficients")
-        arr = arr.copy()
+        arr = _finite(arr, "series coefficients").copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 

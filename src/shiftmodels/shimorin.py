@@ -34,7 +34,7 @@ from .errors import (
     ToolkitError,
     UnsupportedRegime,
 )
-from .numkit import ComplexMatrix, orthonormal_range_basis, rank, two_norm
+from .numkit import ComplexMatrix, _finite, _quiet, orthonormal_range_basis, rank, two_norm
 from .operators import (
     Dense,
     DirectSum,
@@ -169,13 +169,14 @@ def cauchy_dual(
         return DirectSum(tuple(cauchy_dual(p, tol) for p in T.parts))
     if isinstance(T, Dense):
         arr = T.matrix.array
-        gram = arr.conj().T @ arr
+        with _quiet():  # an overflowing Gram matrix would solve to a finite, wrong dual
+            gram = _finite(arr.conj().T @ arr, "Gram matrix T*T")
         if rank(arr, tol) < T.matrix.n:
             raise NotBoundedBelow(
                 f"Cauchy dual needs a bounded-below operator (rank_tol={tol.rank_tol:g})"
             )
         dual = np.linalg.solve(gram, arr.conj().T).conj().T
-        return Dense(ComplexMatrix(dual))
+        return Dense(ComplexMatrix._trusted(dual))
     raise UnsupportedRegime(f"no Cauchy dual for operator type {type(T).__name__}")
 
 
@@ -270,9 +271,9 @@ def _stack(chunks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _join(chunks: list[np.ndarray]) -> FiniteSupportVector:
-    """The vector whose part r holds ``chunks[r]``; inverse of ``_split``."""
-    flat = _stack(chunks).ravel()
+def _join(stacked: np.ndarray) -> FiniteSupportVector:
+    """The vector whose part r is column r of ``_stack`` output; inverse of ``_split``."""
+    flat = stacked.ravel()
     support = np.flatnonzero(flat)
     return FiniteSupportVector(tuple(zip(support.tolist(), flat[support].tolist())), None)
 
@@ -310,18 +311,18 @@ def left_inverse_apply(model: AnalyticModel, x: FiniteSupportVector) -> FiniteSu
     """L x with L = (T')*, the distinguished left inverse of the source."""
     chunks = _split(model, x)
     duals = _dual_weights(model, max(a.size for a in chunks))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _join([_lower(a, dual) for a, dual in zip(chunks, duals)])
+    with _quiet():
+        return _join(_finite(_stack([_lower(a, dual) for a, dual in zip(chunks, duals)]), "L x"))
 
 
 def defect_projection(model: AnalyticModel, x: FiniteSupportVector) -> FiniteSupportVector:
     """P x = x - T L x, the orthogonal projection onto the defect space."""
     chunks = _split(model, x)
     duals = _dual_weights(model, max(a.size for a in chunks))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet():
         for a, part, dual in zip(chunks, model.shift_parts, duals):
             a[1:] -= _lower(a, dual) * _weights(part.weights, a.size - 1)
-        return _join(chunks)
+    return _join(_finite(_stack(chunks), "P x"))
 
 
 def coefficients(model: AnalyticModel, x: FiniteSupportVector, N: int) -> ModelCoefficients:
@@ -337,8 +338,8 @@ def coefficients(model: AnalyticModel, x: FiniteSupportVector, N: int) -> ModelC
     duals = _dual_weights(model, max(a.size for a in chunks))
     out = np.zeros((N + 1, model.dim_defect), dtype=np.complex128)
     tail = 0.0
-    radius = np.float64(model.radius)  # an overflowing power is inf, refused below
-    with np.errstate(over="ignore", invalid="ignore"):
+    radius = np.float64(model.radius)  # an overflowing power is inf, not an OverflowError
+    with _quiet():
         # adding 0.0 clears negative zeros, as pairing with the basis vectors does
         heads = _stack([_power_heads(a, dual) for a, dual in zip(chunks, duals)]) + 0.0
         rows = min(N + 1, heads.shape[0])
@@ -350,8 +351,8 @@ def coefficients(model: AnalyticModel, x: FiniteSupportVector, N: int) -> ModelC
                 size = np.linalg.norm(heads[n])
                 if size:  # a vanished row adds nothing, even where radius**n overflows
                     tail += float(size * radius**n)
-    if not (np.isfinite(out).all() and math.isfinite(tail)):
-        raise NonFinite("model coefficients overflow: a coefficient or the tail bound is not finite")
+    _finite(out, "model coefficients")
+    _finite(tail, "coefficient tail bound")
     return ModelCoefficients(coeffs=out, N=N, tail_bound=tail)
 
 
@@ -419,7 +420,7 @@ def kernel_eval(
     amplification = 1.0 / (1.0 - abs(z) * model.left_inverse_norm)
     terms = _dual_terms(model, lam, 0.5 * tol.tail_tol / amplification)
     out = np.zeros((model.dim_defect, model.dim_defect), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet():
         for r, dual in enumerate(_dual_weights(model, terms)):
             heads = _power_heads(_dual_neumann(dual, lam, 1.0 + 0.0j), dual).tolist()
             value, factor = heads[0], 1.0 + 0.0j
@@ -428,9 +429,7 @@ def kernel_eval(
                 if head:  # a vanished head adds nothing, even to an overflowed factor
                     value += factor * head
             out[r, r] = value
-    if not np.isfinite(out).all():
-        raise NonFinite("kernel value is not finite: the Neumann terms overflow")
-    return out
+    return _finite(out, "kernel value: the Neumann terms overflow")
 
 
 def verify_intertwining(
@@ -474,9 +473,9 @@ def verify_reproducing(
     # right side: pair x against the kernel section at lam, part by part
     terms = _dual_terms(model, lam, tol.tail_tol / max(1.0, x.norm()))
     duals = _dual_weights(model, terms)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet():
         section = [_dual_neumann(d, lam, complex(c)) if c else d[:0] for d, c in zip(duals, e_coords)]
-        rhs = x.inner(_join(section))
+    rhs = x.inner(_join(_finite(_stack(section), "kernel section k_lam e")))
     residual = abs(lhs - rhs)
     return ReproducingReport(
         lhs=lhs, rhs=rhs, residual=residual, passed=residual <= _REPRODUCE_TOL, terms_used=terms
@@ -511,9 +510,8 @@ def semigroup_multiplier(t: float, N: int) -> PowerSeries:
         raise ValueError(f"semigroup parameter must be nonnegative, got {t}")
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
-    # for large t the recurrence overflows; PowerSeries refuses that as NonFinite
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = _multiplier_coeffs(float(t), N)
+    with _quiet():
+        coeffs = _finite(_multiplier_coeffs(float(t), N), "multiplier coefficients")
     return PowerSeries(coeffs)
 
 
@@ -615,11 +613,10 @@ def wold_decompose(V: StructuredOperator, tol: ToleranceConfig = DEFAULT_TOL) ->
     dim_unitary = previous_rank
     if dim_unitary > 0:
         basis = orthonormal_range_basis(power, tol)
-        # overflow here is refused by the finiteness check of two_norm
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _quiet():
             restricted = basis.conj().T @ arr @ basis
             gram = restricted.conj().T @ restricted - np.eye(dim_unitary)
-        unitary_residual = two_norm(gram)
+        unitary_residual = two_norm(ComplexMatrix._trusted(_finite(gram, "restricted V*V - Id")))
     else:
         unitary_residual = 0.0
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import shiftmodels
+from shiftmodels import cli
 from shiftmodels.cli import main
 
 FIXTURES = files("shiftmodels") / "fixtures"
@@ -330,6 +331,9 @@ _NEG_HUGE = [[-1e300, 0.0], [0.0, 0.0], [0.0, 0.0], [-1e300, 0.0]]
 _NEAR_MAX = [[1e308, 0.0], [1e308, 0.0], [-1e308, 0.0], [1e308, 0.0]]
 # invertible with singular values 2.1e308: the SVD overflows
 _SVD_OVERFLOW = [[1.5e308, 0.0], [1.5e308, 0.0], [1.5e308, 0.0], [-1.5e308, 0.0]]
+_MAX_DIAG = [[1e308, 0.0], [0.0, 0.0], [0.0, 0.0], [1e308, 0.0]]
+# nilpotent, so the Wold loop ends at once; the defect iterate 1e200 e_1 has norm^2 1e400
+_NILPOTENT = [[0.0, 0.0], [1e200, 0.0], [0.0, 0.0], [0.0, 0.0]]
 
 
 @pytest.mark.parametrize(
@@ -351,6 +355,9 @@ _SVD_OVERFLOW = [[1.5e308, 0.0], [1.5e308, 0.0], [1.5e308, 0.0], [-1.5e308, 0.0]
         (_NEG_HUGE, ["semigroup", "--equivalence-suite", "--generator"]),
         (_NEAR_MAX, ["semigroup", "--growth-bound", "--generator"]),
         (_SVD_OVERFLOW, ["model", "--wold", "--operator"]),
+        # 1e308 - (-1e308) overflows in A - lam Id
+        (_MAX_DIAG, ["semigroup", "--rescale", "-1e308", "--generator"]),
+        (_NILPOTENT, ["model", "--wold", "--operator"]),
     ],
 )
 def test_overflowing_input_is_refused_without_warnings(tmp_path, data, argv):
@@ -376,6 +383,45 @@ def test_overflowing_shift_model_is_refused_without_warnings(tmp_path, argv):
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     proc = _run_subprocess(["model", "--operator", str(tmp_path / "tiny.json"), *argv])
     _assert_single_error_line(proc, 3)
+
+
+def test_lapack_failure_is_a_numeric_refusal(tmp_path):
+    # A - Id = [[1, 2], [2, 4]] is singular, but rank_tol 1e-300 counts its rounding-level
+    # second singular value, so LAPACK's solve is reached and fails
+    generator = _dense_file(tmp_path, "g.json", 2, [[2.0, 0.0], [2.0, 0.0], [2.0, 0.0], [5.0, 0.0]])
+    proc = _run_subprocess(
+        ["semigroup", "--generator", generator, "--cogenerator", "--tol-rank", "1e-300"]
+    )
+    _assert_single_error_line(proc, 3)
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--tol-rank", "inf"),
+        ("--tol-psd", "inf"),
+        ("--tol-tail", "inf"),
+        ("--tol-residual", "1e400"),
+    ],
+)
+def test_non_finite_tolerances_are_usage_errors(flag, value):
+    proc = _run_subprocess(["classify", "--operator", _fixture("dirichlet.json"), flag, value])
+    _assert_single_error_line(proc, 2)
+    assert "finite" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_unallocatable_size_is_a_numeric_refusal(capsys, monkeypatch):
+    # the real 100000 x 100003 block would take 149 GiB; a MemoryError may carry no message
+    def unallocatable(m, n):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "block_backward_shift_trunc", unallocatable)
+    assert main(["hardy", "--caradus", "3,100000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: hardy: MemoryError\n"
 
 
 def _with_vector_file(tmp_path, argv):

@@ -18,6 +18,7 @@ from shiftmodels.errors import (
 )
 from shiftmodels.hardy import (
     BlaschkeSpec,
+    ToeplitzTrunc,
     analytic_toeplitz_trunc,
     blaschke_eval,
     blaschke_series,
@@ -330,5 +331,15 @@ def test_composition_operator_pinned_entries():
 
 
 def test_tolerance_config_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        ToleranceConfig(rank_tol=0.0)
+    for value in (0.0, -1e-10, math.inf, math.nan):
+        for name in ("rank_tol", "psd_tol", "residual_tol", "tail_tol"):
+            with pytest.raises(ValueError, match=name):
+                ToleranceConfig(**{name: value})
+
+
+def test_toeplitz_truncation_refuses_non_finite_coefficients():
+    with pytest.raises(NonFinite, match="Toeplitz coefficients"):
+        ToeplitzTrunc((1.0, complex(0.0, math.inf)), 3)
+    T = ToeplitzTrunc((1.0, 2.0), 3).matrix()
+    assert not T.array.flags.writeable
+    np.testing.assert_array_equal(T.array, [[1, 0, 0], [2, 1, 0], [0, 2, 1]])

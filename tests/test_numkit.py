@@ -71,6 +71,12 @@ def test_hermitian_max_eig_rayleigh_cross_check():
         assert reported - best <= 1e-6
 
 
+def test_hermitian_part_of_a_near_maximal_matrix_does_not_overflow():
+    M = ComplexMatrix.diagonal([1.5e308, -1.5e308])
+    assert hermitian_max_eig(M) == 1.5e308
+    assert hermitian_min_eig(M) == -1.5e308
+
+
 def test_hermitian_max_eig_rejects_nonfinite():
     with pytest.raises(NonFinite):
         hermitian_max_eig(ComplexMatrix.from_rows([[np.nan, 0.0], [0.0, 1.0]]))
@@ -212,6 +218,15 @@ def test_empty_matrix_is_refused():
         ComplexMatrix.from_json({"rows": 0, "cols": 0, "data": []})
     with pytest.raises(ValueError, match=r"\(0, 0\)"):
         hermitian_max_eig(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="at least 1x1"):
+        ComplexMatrix.identity(0)
+
+
+def test_computed_matrices_are_read_only():
+    M = ComplexMatrix.from_rows([[0.0, 1.0], [-1.0, 0.5]])
+    for computed in (ComplexMatrix.identity(2), M.adjoint(), expm(M)):
+        assert not computed.array.flags.writeable
+    np.testing.assert_array_equal(M.adjoint().array, [[0.0, -1.0], [1.0, 0.5]])
 
 
 def test_matrix_json_round_trip():

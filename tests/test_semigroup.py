@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from shiftmodels.config import DEFAULT_TOL
+from shiftmodels import semigroup
+from shiftmodels.config import DEFAULT_TOL, ToleranceConfig
 from shiftmodels.errors import NonFinite, OneInSpectrum
 from shiftmodels.numkit import ComplexMatrix, two_norm
 from shiftmodels.classify import generator_concavity_criterion
@@ -117,6 +118,22 @@ def test_quasicontractive_rescale():
     for lam in (math.inf, math.nan):
         with pytest.raises(NonFinite):
             quasicontractive_rescale(S, lam)
+
+
+def test_cayley_transform_refuses_its_own_overflow():
+    # A - Id = [[0, 1e8], [1e-310, 0]] has full rank at rank_tol 1e-320; its inverse holds 1e310
+    near_one = SemigroupSpec(ComplexMatrix.from_rows([[1.0, 1e8], [1e-310, 1.0]]))
+    with pytest.raises(NonFinite, match="Cayley transform"):
+        cogenerator(near_one, ToleranceConfig(rank_tol=1e-320))
+
+
+def test_suite_norm_path_refuses_its_own_overflow(monkeypatch):
+    # e^{2A} = e^600 Id is finite and ||e^{2A} x||^2 = e^1200 is not. On real input the
+    # defect form of stage (i), which holds ||e^{4A}||^2, overflows first, so stage (i)
+    # is stubbed out to reach the norm path
+    monkeypatch.setattr(semigroup, "_defect_range", lambda stack: (0.0, 0.0))
+    with pytest.raises(NonFinite, match="norm path"):
+        concavity_equivalence_suite(SemigroupSpec(ComplexMatrix.diagonal([300.0, 300.0])))
 
 
 def test_rescale_matches_scalar_factor():

@@ -66,6 +66,12 @@ def test_cauchy_dual_rejects_singular_dense():
         cauchy_dual(Dense(ComplexMatrix.from_rows([[1.0, 0.0], [0.0, 0.0]])))
 
 
+def test_cauchy_dual_refuses_an_overflowing_gram_matrix():
+    # T*T = diag(1e600, 1) overflows; solved as it stands it gives the finite, wrong diag(0, 1)
+    with pytest.raises(NonFinite, match="Gram matrix"):
+        cauchy_dual(Dense(ComplexMatrix.diagonal([1e300, 1.0])))
+
+
 def test_build_model_pinned_structure():
     model = build_model(isometric_shift())
     assert model.dim_defect == 1
@@ -100,6 +106,16 @@ def test_model_projection_identities():
             # P idempotent
             p = defect_projection(model, x)
             assert defect_projection(model, p).sub(p).norm() <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "model_map, what", [(left_inverse_apply, "L x"), (defect_projection, "P x")]
+)
+def test_model_maps_refuse_their_own_overflow(model_map, what):
+    # L moves 1e306 e_1 to 1e306 w'_0 e_0 with w'_0 = 1e3; P = Id - T L subtracts that times w_0
+    model = build_model(Shift(EventuallyConstantWeights((1e-3,) * 4, 1.0)))
+    with pytest.raises(NonFinite, match=what):
+        model_map(model, FiniteSupportVector(((1, 1e306),), None))
 
 
 def test_coefficients_pinned_values():
@@ -258,6 +274,13 @@ def test_reproducing_refuses_non_finite_point():
     x = FiniteSupportVector.basis(2)
     with pytest.raises(NonFinite):
         verify_reproducing(model, x, math.nan, np.array([1.0 + 0.0j]))
+
+
+def test_reproducing_refuses_an_overflowing_kernel_section():
+    # |lam| ||L|| = 0.9 needs hundreds of dual Neumann terms; T'^n e_0 = 1e3^n e_n overflows
+    model = build_model(Shift(EventuallyConstantWeights((1e-3,) * 120, 1.0)))
+    with pytest.raises(NonFinite, match="kernel section"):
+        verify_reproducing(model, FiniteSupportVector.basis(0), 0.0009, np.array([1.0 + 0.0j]))
 
 
 def _szego_dirichlet(lam: complex, z: complex) -> tuple[complex, complex]:
