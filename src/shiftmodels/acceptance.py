@@ -8,13 +8,14 @@ drift apart.
 
 The criteria deliberately cross independent code paths: closed forms against
 brute-force series, generator-side against semigroup-side concavity, the
-coefficient-recurrence multiplier against the symbol-algebra multiplier, and
-measured ranks against structural predictions.
+Laguerre multiplier against the symbol-algebra and exponential-recurrence
+multipliers, and measured ranks against structural predictions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .semigroup import (
     growth_bound_consistency,
     inverse_cayley,
 )
-from .series import PowerSeries, series_mul
+from .series import PowerSeries, series_exp, series_mul
 from .shimorin import (
     build_model,
     defect_projection,
@@ -305,7 +306,11 @@ def criterion_6_kernel_closed_forms() -> CriterionResult:
 
 
 def criterion_7_multiplier_semigroup() -> CriterionResult:
-    """Cocycle law, constant term, generator, and the independent symbol route."""
+    """Cocycle law, constant term, generator, and three independent routes to e_t.
+
+    The Laguerre multiplier, the series-algebra symbol and the exponential
+    recurrence of the explicit series must agree pairwise.
+    """
     cocycle_tolerance = 1e-10
     constant_tolerance = 1e-12
     generator_tolerance = 1e-6
@@ -323,8 +328,16 @@ def criterion_7_multiplier_semigroup() -> CriterionResult:
         product = series_mul(et, es, N=N)
         worst_cocycle = max(worst_cocycle, float(np.max(np.abs(product.coeffs - ets.coeffs))))
         worst_constant = max(worst_constant, abs(complex(et.coeffs[0]) - np.exp(-t)))
-        symbol_route = inner_semigroup_symbol(coordinate, t, N)
-        worst_route = max(worst_route, float(np.max(np.abs(symbol_route.coeffs - et.coeffs))))
+        # t (z+1)/(z-1) = -t - 2t sum_{k>=1} z^k, exponentiated by its recurrence
+        explicit = np.full(N + 1, -2.0 * t)
+        explicit[0] = -t
+        routes = (
+            et.coeffs,
+            inner_semigroup_symbol(coordinate, t, N).coeffs,
+            series_exp(PowerSeries(explicit), N).coeffs,
+        )
+        for a, b in combinations(routes, 2):
+            worst_route = max(worst_route, float(np.max(np.abs(a - b))))
 
     report = verify_semigroup_model(t=0.7, N=64)
     passed = (

@@ -6,7 +6,7 @@ functions on the unit disc.  It provides:
 * Blaschke products (closed-form Taylor coefficients, rational evaluation);
 * the inner symbol ``exp(t * (phi + 1) / (phi - 1))`` attached to an inner
   ``phi``, built purely by series algebra (inversion then exponential), a
-  deliberately different route from the coefficient recurrence used by the
+  deliberately different route from the Laguerre recurrence used by the
   analytic-model module so the two can cross-check each other;
 * a boundary-circle innerness check;
 * analytic Toeplitz truncations and model-space bases (orthogonal

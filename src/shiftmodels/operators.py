@@ -87,6 +87,14 @@ class FiniteSupportVector:
         object.__setattr__(self, "entries", tuple(cleaned))
 
     @classmethod
+    def _trusted(cls, entries: tuple[tuple[int, complex], ...], ambient: int | None) -> "FiniteSupportVector":
+        """Wrap pairs the package computed, already sorted, nonzero and finite: no scan."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "entries", entries)
+        object.__setattr__(out, "ambient", ambient)
+        return out
+
+    @classmethod
     def from_dict(cls, entries: Mapping[int, complex], ambient: int | None = None) -> "FiniteSupportVector":
         return cls(tuple(entries.items()), ambient)
 

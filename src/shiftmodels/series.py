@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ZeroConstantTerm
-from .numkit import _finite
+from .numkit import _finite, _quiet
 
 __all__ = [
     "PowerSeries",
@@ -89,7 +89,8 @@ def series_add(f: PowerSeries, g: PowerSeries) -> PowerSeries:
 
 
 def series_scale(f: PowerSeries, c: complex) -> PowerSeries:
-    return PowerSeries(c * f.coeffs)
+    with _quiet():  # an overflowing coefficient is refused by PowerSeries
+        return PowerSeries(c * f.coeffs)
 
 
 def series_shift_up(f: PowerSeries) -> PowerSeries:
@@ -102,12 +103,11 @@ def series_exp(f: PowerSeries, N: int | None = None) -> PowerSeries:
     order = f.order if N is None else N
     fc = f.truncate(order).coeffs
     out = np.zeros(order + 1, dtype=np.complex128)
-    out[0] = np.exp(fc[0])
-    for n in range(1, order + 1):
-        acc = 0.0 + 0.0j
-        for k in range(1, n + 1):
-            acc += k * fc[k] * out[n - k]
-        out[n] = acc / n
+    with _quiet():  # an overflowing coefficient is refused by PowerSeries
+        out[0] = np.exp(fc[0])
+        kf = np.arange(order + 1) * fc
+        for n in range(1, order + 1):
+            out[n] = np.dot(kf[1 : n + 1], out[n - 1 :: -1]) / n
     return PowerSeries(out)
 
 
@@ -118,12 +118,10 @@ def series_inv(f: PowerSeries, N: int | None = None) -> PowerSeries:
     if fc[0] == 0:
         raise ZeroConstantTerm("series inversion needs a nonzero constant term")
     out = np.zeros(order + 1, dtype=np.complex128)
-    out[0] = 1.0 / fc[0]
-    for n in range(1, order + 1):
-        acc = 0.0 + 0.0j
-        for k in range(1, n + 1):
-            acc += fc[k] * out[n - k]
-        out[n] = -acc / fc[0]
+    with _quiet():  # an overflowing coefficient is refused by PowerSeries
+        out[0] = 1.0 / fc[0]
+        for n in range(1, order + 1):
+            out[n] = -np.dot(fc[1 : n + 1], out[n - 1 :: -1]) / fc[0]
     return PowerSeries(out)
 
 

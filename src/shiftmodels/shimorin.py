@@ -12,7 +12,7 @@ E = H - TH, and the reproducing kernel of the image space is
 Evaluations converge on the disc of radius 1/||L||; the possibly larger
 spectral radius of T' is kept on the model as metadata only.  The semigroup
 of the coordinate shift acts by multiplication with e_t = exp(t(z+1)/(z-1)),
-computed through its own exponential recurrence (constant term e^{-t}).
+computed through the Laguerre recurrence (constant term e^{-t}).
 """
 
 from __future__ import annotations
@@ -272,10 +272,13 @@ def _stack(chunks: list[np.ndarray]) -> np.ndarray:
 
 
 def _join(stacked: np.ndarray) -> FiniteSupportVector:
-    """The vector whose part r is column r of ``_stack`` output; inverse of ``_split``."""
+    """The vector whose part r is column r of ``_stack`` output; inverse of ``_split``.
+
+    Callers pass ``stacked`` through ``_finite`` first, so the vector is not scanned again.
+    """
     flat = stacked.ravel()
     support = np.flatnonzero(flat)
-    return FiniteSupportVector(tuple(zip(support.tolist(), flat[support].tolist())), None)
+    return FiniteSupportVector._trusted(tuple(zip(support.tolist(), flat[support].tolist())), None)
 
 
 def _weights(rule: WeightRule, n: int) -> np.ndarray:
@@ -489,17 +492,19 @@ def verify_reproducing(
 def _multiplier_coeffs(t: float, N: int) -> np.ndarray:
     """Coefficients of exp(t (z+1)/(z-1)) for any real t.
 
-    (z+1)/(z-1) = -1 - 2 sum_{k>=1} z^k, so the series is e^{-t} times the
-    exponential of g = -2t sum_{k>=1} z^k, generated by n h_n = sum k g_k h_{n-k}.
+    t (z+1)/(z-1) = -t - 2t z/(1-z), and the Laguerre generating function
+    sum_n L_n^{(-1)}(x) z^n = exp(-x z/(1-z)) (DLMF §18.12) makes coefficient
+    n equal to e^{-t} L_n^{(-1)}(2t).  The three-term recurrence with alpha = -1,
+    (n+1) L_{n+1} = (2n - x) L_n - (n-1) L_{n-1}, L_0 = 1, L_1 = -x, costs O(N).
     """
-    h = np.zeros(N + 1, dtype=np.complex128)
-    h[0] = 1.0
+    x = 2.0 * t
+    laguerre = np.zeros(N + 1)
+    laguerre[0] = previous = 1.0
+    current = -x
     for n in range(1, N + 1):
-        acc = 0.0 + 0.0j
-        for k in range(1, n + 1):
-            acc += k * h[n - k]
-        h[n] = -2.0 * t * acc / n
-    return math.exp(-t) * h
+        laguerre[n] = current
+        previous, current = current, ((2 * n - x) * current - (n - 1) * previous) / (n + 1)
+    return math.exp(-t) * laguerre
 
 
 def semigroup_multiplier(t: float, N: int) -> PowerSeries:

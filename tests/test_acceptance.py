@@ -6,8 +6,14 @@ as the human-readable acceptance report.  Tolerances are pinned inside
 the criterion implementations; the tests only assert the verdicts.
 """
 
+import re
+
+import numpy as np
+import pytest
+
 from shiftmodels import acceptance
 from shiftmodels.acceptance import ALL_CRITERIA, format_line
+from shiftmodels.series import PowerSeries
 
 
 def _check(result):
@@ -74,6 +80,23 @@ def test_criterion_11_fails_when_the_blocks_are_swapped(monkeypatch):
     result = acceptance.criterion_11_caradus_certificates()
     assert not result.passed
     assert "backward d=1" in result.detail and "forward d=1" in result.detail
+
+
+@pytest.mark.parametrize("route", ["semigroup_multiplier", "inner_semigroup_symbol", "series_exp"])
+def test_criterion_7_fails_when_one_route_is_perturbed(monkeypatch, route):
+    # each name feeds exactly one of the three routes to e_t
+    original = getattr(acceptance, route)
+
+    def perturbed(*args, **kwargs):
+        coeffs = np.array(original(*args, **kwargs).coeffs)
+        coeffs[5] += 1e-9
+        return PowerSeries(coeffs)
+
+    monkeypatch.setattr(acceptance, route, perturbed)
+    result = acceptance.criterion_7_multiplier_semigroup()
+    assert not result.passed
+    agreement = re.search(r"route agreement (\S+)", result.detail).group(1)
+    assert float(agreement) >= 0.9e-9
 
 
 def test_criterion_12_concave_power_growth():

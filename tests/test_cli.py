@@ -372,7 +372,7 @@ def test_overflowing_input_is_refused_without_warnings(tmp_path, data, argv):
         ["--coeffs", "e110.json", "--N", "120"],
         # |lam| ||L|| = 0.9 needs hundreds of dual Neumann terms; T'^n e_0 = 1e3^n e_n
         ["--kernel", "0.0009,0.0001"],
-        # h_n ~ (2t)^n / n! overflows while e^{-t} underflows to 0: the product is NaN
+        # L_n(2t) ~ (2t)^n / n! overflows while e^{-t} underflows to 0: the product is NaN
         ["--verify", "semigroup", "--semigroup-t", "1e6"],
     ],
 )
@@ -382,6 +382,24 @@ def test_overflowing_shift_model_is_refused_without_warnings(tmp_path, argv):
     (tmp_path / "e110.json").write_text(json.dumps({"ambient": None, "entries": [[110, 1.0, 0.0]]}))
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     proc = _run_subprocess(["model", "--operator", str(tmp_path / "tiny.json"), *argv])
+    _assert_single_error_line(proc, 3)
+
+
+@pytest.mark.parametrize(
+    "symbol, t, N",
+    [
+        # the inverse of phi - 1 overflows from degree 2 on
+        ([[0.5, 0.0], [1e300, 0.0], [1e300, 0.0]], "1", "16"),
+        # (phi + 1)/(phi - 1) = 3, and e^{3000} overflows
+        ([[2.0, 0.0], [0.0, 0.0]], "1000", "16"),
+        # through degree 1, t (phi + 1)/(phi - 1) = 1e10 (-3 - 8e300 z) overflows
+        ([[0.5, 0.0], [1e300, 0.0]], "1e10", "2"),
+    ],
+)
+def test_overflowing_symbol_series_is_refused_without_warnings(tmp_path, symbol, t, N):
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(symbol))
+    proc = _run_subprocess(["hardy", "--symbol-file", str(path), "--semigroup-t", t, "--N", N])
     _assert_single_error_line(proc, 3)
 
 

@@ -72,6 +72,60 @@ def test_inv_is_two_sided_through_truncation():
         assert np.max(np.abs(product.coeffs - expected)) <= 1e-12
 
 
+def _exp_by_loop(fc: np.ndarray) -> np.ndarray:
+    """The derivative recurrence n g_n = sum_k k f_k g_{n-k}, one term at a time."""
+    out = np.zeros(fc.size, dtype=np.complex128)
+    out[0] = np.exp(fc[0])
+    for n in range(1, fc.size):
+        out[n] = sum(k * fc[k] * out[n - k] for k in range(1, n + 1)) / n
+    return out
+
+
+def _inv_by_loop(fc: np.ndarray) -> np.ndarray:
+    """The convolution recurrence f_0 g_n = -sum_k f_k g_{n-k}, one term at a time."""
+    out = np.zeros(fc.size, dtype=np.complex128)
+    out[0] = 1.0 / fc[0]
+    for n in range(1, fc.size):
+        out[n] = -sum(fc[k] * out[n - k] for k in range(1, n + 1)) / fc[0]
+    return out
+
+
+def test_exp_and_inv_match_the_scalar_recurrences():
+    # the same products in another summation order: agreement to rounding
+    rng = np.random.default_rng(63)
+    order = 96
+    coeffs = 0.3 * (rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1))
+    coeffs[0] = 1.0 + 0.5j
+    f = PowerSeries(coeffs)
+    for fast, slow in ((series_exp, _exp_by_loop), (series_inv, _inv_by_loop)):
+        reference = slow(f.coeffs)
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(fast(f, order).coeffs - reference)) <= 1e-13 * scale
+
+
+_LARGE_ORDER = 4095
+
+
+def test_inv_of_squared_one_minus_z_is_exact_at_large_order():
+    # 1/(1-z)^2 = sum (n+1) z^n; every partial sum is an integer below 2^53
+    out = series_inv(PowerSeries([1.0, -2.0, 1.0]), _LARGE_ORDER)
+    assert np.array_equal(out.coeffs, np.arange(1, _LARGE_ORDER + 2))
+
+
+def test_exp_of_log_is_geometric_at_large_order():
+    # exp(sum_{k>=1} z^k / k) = exp(-log(1-z)) = 1/(1-z)
+    log = np.concatenate(([0.0], 1.0 / np.arange(1, _LARGE_ORDER + 1)))
+    out = series_exp(PowerSeries(log), _LARGE_ORDER)
+    assert np.max(np.abs(out.coeffs - 1.0)) <= 1e-12
+
+
+def test_exp_of_z_is_reciprocal_factorials_at_large_order():
+    out = series_exp(PowerSeries([0.0, 1.0]), _LARGE_ORDER)
+    # 1/n! as a running product of 1/k
+    expected = np.concatenate(([1.0], np.cumprod(1.0 / np.arange(1, _LARGE_ORDER + 1))))
+    assert np.max(np.abs(out.coeffs - expected)) <= 1e-15
+
+
 def test_add_scale_shift_eval():
     f = PowerSeries([1.0, 2.0])
     g = PowerSeries([0.0, -2.0, 3.0])

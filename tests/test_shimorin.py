@@ -27,6 +27,7 @@ from shiftmodels.operators import (
 )
 from shiftmodels.series import PowerSeries, series_mul
 from shiftmodels.shimorin import (
+    _multiplier_coeffs,
     build_model,
     cauchy_dual,
     coefficients,
@@ -360,6 +361,26 @@ def test_multiplier_pinned_values():
     assert semigroup_multiplier(1.0, 10).coeffs[0] == pytest.approx(math.exp(-1.0), abs=1e-14)
 
 
+@pytest.mark.parametrize("t", [0.5, 1.0, 3.0, 1e-5, -1e-5])
+def test_multiplier_matches_generalized_laguerre_oracle(t):
+    # L_n^{(-1)}(x) = -(x/n) L_{n-1}^{(1)}(x); scipy has no alpha = -1
+    special = pytest.importorskip("scipy.special")
+    N = 4095
+    n = np.arange(1, N + 1)
+    oracle = math.exp(-t) * np.concatenate(
+        ([1.0], -(2.0 * t / n) * special.eval_genlaguerre(n - 1, 1, 2.0 * t))
+    )
+    assert np.max(np.abs(_multiplier_coeffs(t, N) - oracle)) <= 1e-14
+
+
+@pytest.mark.parametrize("t", [0.0, 0.25, 1.0, 2.5, -1e-5])
+def test_multiplier_closed_forms_through_degree_three(t):
+    closed = math.exp(-t) * np.array(
+        [1.0, -2.0 * t, 2.0 * t**2 - 2.0 * t, -2.0 * t + 4.0 * t**2 - 4.0 * t**3 / 3.0]
+    )
+    np.testing.assert_allclose(_multiplier_coeffs(t, 3), closed, rtol=1e-14, atol=1e-16)
+
+
 def test_multiplier_semigroup_law():
     N = 64
     for t, s in ((0.3, 0.7), (0.25, 0.25), (1.0, 0.5)):
@@ -403,7 +424,7 @@ def test_semigroup_maps_refuse_negative_times_and_overflow():
         verify_semigroup_model(-1.0, N=8)
     with pytest.raises(ValueError, match="nonnegative"):
         verify_semigroup_model(0.5, N=-1)
-    # h_n ~ (2t)^n / n! overflows while e^{-t} underflows to 0: the product is NaN
+    # L_n(2t) ~ (2t)^n / n! overflows while e^{-t} underflows to 0: the product is NaN
     with pytest.raises(NonFinite):
         semigroup_multiplier(1e6, 64)
 
