@@ -129,6 +129,18 @@ def _defect_range(stack: np.ndarray) -> tuple[float, float]:
     return float(eigs[..., 0].min()), float(eigs[..., -1].max())
 
 
+def _defect_bounds(T: StructuredOperator) -> tuple[float, float]:
+    """(inf, sup) of the defect form: eigenvalues for a matrix, the weight law for a shift."""
+    if isinstance(T, Dense):
+        return _defect_range(T.matrix.array)
+    if isinstance(T, Shift):
+        return T.weights.defect_range()
+    if isinstance(T, DirectSum):
+        bounds = [_defect_bounds(p) for p in T.parts]
+        return min(b[0] for b in bounds), max(b[1] for b in bounds)
+    raise UnsupportedRegime(f"cannot classify operator of type {type(T).__name__}")
+
+
 def _wandering_span_dim(arr: np.ndarray, tol: ToleranceConfig) -> int:
     """Dimension spanned by the defect space ker T* and its first n - 1 iterates."""
     current = null_space_basis(arr.conj().T, tol)
@@ -148,7 +160,7 @@ def _wandering_span_dim(arr: np.ndarray, tol: ToleranceConfig) -> int:
 def _classify_dense(T: Dense, tol: ToleranceConfig) -> ClassificationReport:
     arr = T.matrix.array
     n = arr.shape[0]
-    d_inf, d_sup = _defect_range(arr)
+    d_inf, d_sup = _defect_bounds(T)
     s = singular_values(T.matrix)
 
     # purity = nilpotency: the normalized n-th power must vanish
@@ -177,7 +189,7 @@ def _classify_dense(T: Dense, tol: ToleranceConfig) -> ClassificationReport:
 
 
 def _classify_shift(T: Shift, tol: ToleranceConfig) -> ClassificationReport:
-    d_inf, d_sup = T.weights.defect_range()
+    d_inf, d_sup = _defect_bounds(T)
     return _report_from_defect_range(
         "shift",
         d_inf,
@@ -247,11 +259,9 @@ def concave_power_growth_check(
     its increments are dominated by the first one); checked for n = 1 .. N
     with residual_tol slack.
     """
-    report = classify_operator(T, tol)
-    if not report.concave:
-        raise NotConcave(
-            f"power growth bound needs a concave operator (defect {report.concavity_defect:.3e})"
-        )
+    _, d_sup = _defect_bounds(T)
+    if d_sup > tol.psd_tol:
+        raise NotConcave(f"power growth bound needs a concave operator (defect {d_sup:.3e})")
     base = x.norm() ** 2
     current = T.apply(x)
     first = current.norm() ** 2

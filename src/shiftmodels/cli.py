@@ -48,7 +48,7 @@ from .hardy import (
     verify_ladder_decomposition,
 )
 from .numkit import ComplexMatrix, spectral_radius, two_norm
-from .operators import Dense, FiniteSupportVector, operator_from_json, vector_from_json
+from .operators import Dense, operator_from_json, vector_from_json
 from .semigroup import (
     SemigroupSpec,
     cogenerator,
@@ -188,28 +188,34 @@ class _Run:
 
 
 def _emit(run: _Run, args: argparse.Namespace) -> None:
-    """Write the report; one holding NaN or infinity is refused as NonFinite."""
+    """Write the report; one holding NaN or infinity is refused as NonFinite, in either format.
+
+    Each part is serialized once.  Text mode prints the results key by key; its
+    checks are the only other part that can hold a number (tolerances are finite).
+    """
     report = _jsonable(run.report())
     try:
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        if args.format == "text":
+            json.dumps(report["checks"], allow_nan=False)
+            lines = [f"command: {run.command}"]
+            for c in run.checks:
+                status = "PASS" if c["passed"] else "FAIL"
+                if "residual" in c:
+                    lines.append(
+                        f"check {c['name']}: {status} (residual {c['residual']:.3e}, "
+                        f"tolerance {c['tolerance']:.0e})"
+                    )
+                else:
+                    lines.append(f"check {c['name']}: {status}")
+            for key in sorted(report["results"]):
+                value = json.dumps(report["results"][key], sort_keys=True, allow_nan=False)
+                lines.append(f"result {key}: {value}")
+            lines.extend(f"warning: {w}" for w in run.warnings)
+            text = "\n".join(lines) + "\n"
+        else:
+            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NonFinite(f"report holds a non-finite number ({exc})") from exc
-    if args.format == "text":
-        lines = [f"command: {run.command}"]
-        for c in run.checks:
-            status = "PASS" if c["passed"] else "FAIL"
-            if "residual" in c:
-                lines.append(
-                    f"check {c['name']}: {status} (residual {c['residual']:.3e}, "
-                    f"tolerance {c['tolerance']:.0e})"
-                )
-            else:
-                lines.append(f"check {c['name']}: {status}")
-        for key in sorted(report["results"]):
-            lines.append(f"result {key}: {json.dumps(report['results'][key], sort_keys=True)}")
-        for w in run.warnings:
-            lines.append(f"warning: {w}")
-        text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

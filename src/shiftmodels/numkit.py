@@ -175,7 +175,7 @@ def _expm_array(arr: np.ndarray) -> np.ndarray:
         if norm == 0.0:
             return np.eye(n, dtype=np.complex128)
         if not np.isfinite(norm):
-            raise NonFinite("matrix 1-norm overflows")
+            raise NonFinite("matrix 1-norm is not finite")
         # the quotient overflows only for norms within a factor 2 of the float
         # maximum, and only there is its log2 taken as a difference of logs:
         # log2(norm) + 1 rounds differently next to powers of two

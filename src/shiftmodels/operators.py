@@ -13,23 +13,29 @@ Dirichlet shift w_k = sqrt((k+2)/(k+1)) is not eventually constant, yet its
 closed-form weight algebra (beta_n^2 = n + 1, concavity defect identically
 zero) is exactly what desk-scale checks need.
 
+Every operator acts on the support of a vector, held as an (index, amplitude)
+array pair, so a sparse vector costs its support and not its largest index;
+the weight rules answer for a whole index array at once.
+
 Index layout for direct sums: when every summand is finite the parts occupy
-consecutive index blocks; when any summand is infinite, global index
-``q * p + r`` holds local index ``q`` of part ``r`` (round robin), the only
-flat layout that accommodates several infinite blocks.  ``embed`` and
-``decompose`` hide the arithmetic.
+consecutive index blocks and the sum acts by its block-diagonal matrix; when
+any summand is infinite, global index ``q * p + r`` holds local index ``q``
+of part ``r`` (round robin), the only flat layout that accommodates several
+infinite blocks.  This module is the one place that layout is written down:
+``_round_robin`` splits a global index, ``DirectSum`` joins it back.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from .errors import AmbientMismatch, NonFinite, UnsupportedRegime
-from .numkit import ComplexMatrix, spectral_radius
+from .numkit import ComplexMatrix, _finite, _quiet, spectral_radius
 
 __all__ = [
     "FiniteSupportVector",
@@ -50,6 +56,9 @@ __all__ = [
 ]
 
 
+# Indices live in int64 arrays; the margin below 2**63 leaves room to shift and interleave.
+_INDEX_LIMIT = 2**62
+
 # ---------------------------------------------------------------------------
 # vectors
 
@@ -59,8 +68,8 @@ class FiniteSupportVector:
     """Finitely supported vector: sorted (index, amplitude) pairs.
 
     ``ambient`` is the ambient dimension, or None for infinite ambient.
-    Exact zeros are dropped at construction; indices must be nonnegative and,
-    for finite ambient, strictly below it.
+    Exact zeros are dropped at construction; indices must be nonnegative,
+    below 2**62 and, for finite ambient, strictly below it.
     """
 
     entries: tuple[tuple[int, complex], ...]
@@ -74,6 +83,8 @@ class FiniteSupportVector:
             v = complex(v)
             if k < 0:
                 raise AmbientMismatch(f"negative index {k}")
+            if k >= _INDEX_LIMIT:
+                raise ValueError(f"index {k} is not below 2**62")
             if k in seen:
                 raise AmbientMismatch(f"duplicate index {k}")
             if self.ambient is not None and k >= self.ambient:
@@ -124,15 +135,6 @@ class FiniteSupportVector:
     def max_index(self) -> int:
         return self.entries[-1][0] if self.entries else -1
 
-    def dense(self, n: int | None = None) -> np.ndarray:
-        size = n if n is not None else (self.ambient if self.ambient is not None else self.max_index + 1)
-        out = np.zeros(size, dtype=np.complex128)
-        for k, v in self.entries:
-            if k >= size:
-                raise AmbientMismatch(f"index {k} outside requested length {size}")
-            out[k] = v
-        return out
-
     def norm(self) -> float:
         return math.sqrt(sum(abs(v) ** 2 for _, v in self.entries))
 
@@ -180,11 +182,16 @@ class EventuallyConstantWeights:
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "tail", float(self.tail))
 
-    def weight(self, k: int) -> float:
-        return self.head[k] if k < len(self.head) else self.tail
+    @cached_property
+    def _table(self) -> np.ndarray:
+        return np.array(self.head + (self.tail,))
+
+    def at(self, k: np.ndarray) -> np.ndarray:
+        """w_k for every index in the integer array ``k``."""
+        return self._table.take(k, mode="clip")  # indices past the head read the tail
 
     def weight_sq(self, k: int) -> float:
-        w = self.weight(k)
+        w = self.head[k] if k < len(self.head) else self.tail
         return w * w
 
     def sup(self) -> float:
@@ -230,18 +237,20 @@ class DirichletWeights:
 
     dual: bool = False
 
-    def weight(self, k: int) -> float:
-        return math.sqrt(self.weight_sq(k))
+    def at(self, k: np.ndarray) -> np.ndarray:
+        """w_k for every index in the integer array ``k``; the same operations as ``weight_sq``."""
+        ratio = (k + 2.0) / (k + 1.0)
+        return np.sqrt(1.0 / ratio if self.dual else ratio)
 
     def weight_sq(self, k: int) -> float:
         ratio = (k + 2.0) / (k + 1.0)
         return 1.0 / ratio if self.dual else ratio
 
     def sup(self) -> float:
-        return 1.0 if self.dual else self.weight(0)
+        return 1.0 if self.dual else math.sqrt(self.weight_sq(0))
 
     def inf(self) -> float:
-        return self.weight(0) if self.dual else 1.0
+        return math.sqrt(self.weight_sq(0)) if self.dual else 1.0
 
     def limit(self) -> float:
         return 1.0
@@ -272,10 +281,65 @@ WeightRule = Union[EventuallyConstantWeights, DirichletWeights]
 
 # ---------------------------------------------------------------------------
 # operators
+#
+# Each operator class defines ``_map(k, v, adjoint)``: the support arrays of
+# T x (or T* x) from those of x, with k ascending.  It may leave zeros and
+# overflow in place; ``_act`` runs it under the one overflow guard and drops
+# the zeros.
+
+
+def _support(T: "StructuredOperator", x: FiniteSupportVector) -> tuple[np.ndarray, np.ndarray]:
+    """Index and amplitude arrays of a vector on T's ambient."""
+    if x.ambient != T.ambient:
+        raise AmbientMismatch(
+            f"vector ambient {x.ambient} does not match operator ambient {T.ambient}"
+        )
+    if not x.entries:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.complex128)
+    k, v = zip(*x.entries)
+    return np.array(k, dtype=np.int64), np.array(v, dtype=np.complex128)
+
+
+def _vector(k: np.ndarray, v: np.ndarray, ambient: int | None) -> FiniteSupportVector:
+    """The vector with ascending indices k and finite amplitudes v, zeros dropped: no scan."""
+    entries = tuple((i, a) for i, a in zip(k.tolist(), v.tolist()) if a)
+    return FiniteSupportVector._trusted(entries, ambient)
+
+
+def _act(T: "StructuredOperator", x: FiniteSupportVector, adjoint: bool, what: str):
+    """T x, or T* x when ``adjoint``; NonFinite naming ``what`` where it overflows."""
+    k, v = _support(T, x)
+    with _quiet():
+        k, v = T._map(k, v, adjoint)
+    return _vector(k, _finite(v, what), T.ambient)
+
+
+def _round_robin(parts: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Part r and local index q of the global indices k = q * parts + r."""
+    q, r = np.divmod(k, parts)
+    return r, q
+
+
+def _matvec(arr: np.ndarray, k: np.ndarray, v: np.ndarray, adjoint: bool):
+    """Support arrays of arr x, or arr* x when ``adjoint``, as a dense local vector."""
+    x = np.zeros(arr.shape[0], dtype=np.complex128)
+    x[k] = v
+    y = (arr.conj().T if adjoint else arr) @ x
+    return np.arange(y.size), y
+
+
+class _Acting:
+    """``apply`` and ``adjoint_apply`` of every operator, through its ``_map``."""
+
+    def apply(self, x: FiniteSupportVector) -> FiniteSupportVector:
+        return _act(self, x, False, "T x")
+
+    def adjoint_apply(self, x: FiniteSupportVector) -> FiniteSupportVector:
+        return _act(self, x, True, "T* x")
 
 
 @dataclass(frozen=True)
-class Shift:
+class Shift(_Acting):
     """Weighted unilateral forward shift on infinite ambient."""
 
     weights: WeightRule
@@ -284,21 +348,16 @@ class Shift:
     def ambient(self) -> int | None:
         return None
 
-    def apply(self, x: FiniteSupportVector) -> FiniteSupportVector:
-        _require_infinite(x)
-        return FiniteSupportVector(
-            tuple((k + 1, self.weights.weight(k) * v) for k, v in x.entries), None
-        )
-
-    def adjoint_apply(self, x: FiniteSupportVector) -> FiniteSupportVector:
-        _require_infinite(x)
-        return FiniteSupportVector(
-            tuple((k - 1, self.weights.weight(k - 1) * v) for k, v in x.entries if k >= 1), None
-        )
+    def _map(self, k: np.ndarray, v: np.ndarray, adjoint: bool) -> tuple[np.ndarray, np.ndarray]:
+        if adjoint:  # (T* x)_{k-1} = w_{k-1} x_k
+            keep = k > 0
+            k, v = k[keep] - 1, v[keep]
+            return k, self.weights.at(k) * v
+        return k + 1, self.weights.at(k) * v
 
 
 @dataclass(frozen=True)
-class Dense:
+class Dense(_Acting):
     """Matrix operator on ambient dimension n."""
 
     matrix: ComplexMatrix
@@ -307,22 +366,12 @@ class Dense:
     def ambient(self) -> int | None:
         return self.matrix.n
 
-    def apply(self, x: FiniteSupportVector) -> FiniteSupportVector:
-        return self._matvec(self.matrix.array, x)
-
-    def adjoint_apply(self, x: FiniteSupportVector) -> FiniteSupportVector:
-        return self._matvec(self.matrix.array.conj().T, x)
-
-    def _matvec(self, arr: np.ndarray, x: FiniteSupportVector) -> FiniteSupportVector:
-        if x.ambient != self.matrix.n:
-            raise AmbientMismatch(
-                f"vector ambient {x.ambient} does not match matrix size {self.matrix.n}"
-            )
-        return FiniteSupportVector.from_dense(arr @ x.dense(self.matrix.n), self.matrix.n)
+    def _map(self, k: np.ndarray, v: np.ndarray, adjoint: bool) -> tuple[np.ndarray, np.ndarray]:
+        return _matvec(self.matrix.array, k, v, adjoint)
 
 
 @dataclass(frozen=True)
-class DirectSum:
+class DirectSum(_Acting):
     """Direct sum of structured operators; see module docstring for layout."""
 
     parts: tuple["StructuredOperator", ...]
@@ -332,86 +381,40 @@ class DirectSum:
             raise ValueError("direct sum needs at least one part")
         object.__setattr__(self, "parts", tuple(self.parts))
 
-    @property
+    @cached_property
+    def _dims(self) -> np.ndarray:
+        """Dimension of every part, infinity for an infinite one."""
+        return np.array([np.inf if p.ambient is None else p.ambient for p in self.parts])
+
+    @cached_property
     def ambient(self) -> int | None:
-        dims = [p.ambient for p in self.parts]
-        if any(d is None for d in dims):
-            return None
-        return int(sum(dims))
+        return None if np.isinf(self._dims).any() else int(self._dims.sum())
 
-    @property
-    def interleaved(self) -> bool:
-        return self.ambient is None
-
-    def _offsets(self) -> list[int]:
-        offsets = [0]
-        for p in self.parts:
-            offsets.append(offsets[-1] + p.ambient)
-        return offsets
-
-    def embed(self, part_index: int, local: FiniteSupportVector) -> FiniteSupportVector:
-        """Lift a vector on part ``part_index`` to the sum's global indices."""
+    def _map(self, k: np.ndarray, v: np.ndarray, adjoint: bool) -> tuple[np.ndarray, np.ndarray]:
+        if self.ambient is not None:
+            return _matvec(to_dense_matrix(self).array, k, v, adjoint)
         p = len(self.parts)
-        part = self.parts[part_index]
-        if local.ambient != part.ambient:
+        r, q = _round_robin(p, k)
+        outside = (q >= self._dims[r]).nonzero()[0]
+        if outside.size:
+            i = outside[0]
             raise AmbientMismatch(
-                f"local ambient {local.ambient} does not match part ambient {part.ambient}"
+                f"global index {k[i]} lands outside part {r[i]} (dimension {int(self._dims[r[i]])})"
             )
-        if self.interleaved:
-            entries = tuple((q * p + part_index, v) for q, v in local.entries)
-            return FiniteSupportVector(entries, None)
-        off = self._offsets()[part_index]
-        entries = tuple((q + off, v) for q, v in local.entries)
-        return FiniteSupportVector(entries, self.ambient)
-
-    def decompose(self, x: FiniteSupportVector) -> list[FiniteSupportVector]:
-        """Split a global vector into per-part local vectors."""
-        if x.ambient != self.ambient:
-            raise AmbientMismatch(f"vector ambient {x.ambient} does not match sum ambient {self.ambient}")
-        p = len(self.parts)
-        buckets: list[dict[int, complex]] = [dict() for _ in self.parts]
-        if self.interleaved:
-            for g, v in x.entries:
-                r, q = g % p, g // p
-                part = self.parts[r]
-                if part.ambient is not None and q >= part.ambient:
-                    raise AmbientMismatch(
-                        f"global index {g} lands outside part {r} (dimension {part.ambient})"
-                    )
-                buckets[r][q] = v
-        else:
-            offsets = self._offsets()
-            for g, v in x.entries:
-                for r in range(p):
-                    if offsets[r] <= g < offsets[r + 1]:
-                        buckets[r][g - offsets[r]] = v
-                        break
-        return [
-            FiniteSupportVector.from_dict(buckets[r], self.parts[r].ambient)
-            for r in range(p)
-        ]
-
-    def recombine(self, locals_: Sequence[FiniteSupportVector]) -> FiniteSupportVector:
-        out = FiniteSupportVector.zero(self.ambient)
-        for r, local in enumerate(locals_):
-            out = out.add(self.embed(r, local))
-        return out
-
-    def apply(self, x: FiniteSupportVector) -> FiniteSupportVector:
-        return self.recombine([p.apply(v) for p, v in zip(self.parts, self.decompose(x))])
-
-    def adjoint_apply(self, x: FiniteSupportVector) -> FiniteSupportVector:
-        return self.recombine(
-            [p.adjoint_apply(v) for p, v in zip(self.parts, self.decompose(x))]
-        )
+        keys, images = [k[:0]], [v[:0]]  # so that a vector without entries maps to one
+        for i, part in enumerate(self.parts):
+            mine = r == i
+            if mine.any():  # a part without entries contributes nothing
+                local, image = part._map(q[mine], v[mine], adjoint)
+                keys.append(local * p + i)
+                images.append(image)
+        k = np.concatenate(keys)
+        order = k.argsort()
+        # adding 0.0 clears negative zeros, as adding the parts' images into a zero vector would
+        return k[order], np.concatenate(images)[order] + 0.0
 
 
 StructuredOperator = Union[Shift, Dense, DirectSum]
-
-
-def _require_infinite(x: FiniteSupportVector) -> None:
-    if x.ambient is not None:
-        raise AmbientMismatch("shift operators act on infinite ambient (ambient=None)")
 
 
 def isometric_shift() -> Shift:

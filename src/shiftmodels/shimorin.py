@@ -26,7 +26,6 @@ import numpy as np
 from .classify import _wandering_span_dim
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (
-    AmbientMismatch,
     NonFinite,
     NotBoundedBelow,
     OutsideDisc,
@@ -41,7 +40,10 @@ from .operators import (
     FiniteSupportVector,
     Shift,
     StructuredOperator,
-    WeightRule,
+    _act,
+    _round_robin,
+    _support,
+    _vector,
     spectral_radius_estimate,
     to_dense_matrix,
 )
@@ -211,7 +213,7 @@ def build_model(T: StructuredOperator, tol: ToleranceConfig = DEFAULT_TOL) -> An
     dual = cauchy_dual(T, tol)
     left_inverse_norm = max(p.weights.sup() for p in _shift_parts(dual))
     radius = 1.0 / left_inverse_norm
-    # local index 0 of part r is global index r of the interleaved layout
+    # local index 0 of part r is global index r of the round-robin layout
     defect_basis = tuple(FiniteSupportVector.basis(r, None) for r in range(len(parts)))
 
     model = AnalyticModel(
@@ -249,83 +251,41 @@ def _construction_self_check(model: AnalyticModel, tol: ToleranceConfig) -> None
 # ---------------------------------------------------------------------------
 # the model map
 #
-# Inside, a vector is one complex array per shift part in local indices
-# (global index q * p + r is local index q of part r); L = (T')* lowers
-# local index q + 1 to q with weight w'_q = 1/w_q and never mixes parts.
-# FiniteSupportVector is only the type vectors enter and leave in.
+# L = (T')* is the adjoint action of the Cauchy dual; it lowers local index
+# q + 1 of a part to q with weight w'_q = 1/w_q and never mixes parts.  The
+# maps read weights and the per-part supports of a vector from ``operators``.
 
 
-def _split(model: AnalyticModel, x: FiniteSupportVector) -> list[np.ndarray]:
-    """Per-part local arrays of a vector on the model's interleaved layout."""
-    if x.ambient is not None:
-        raise AmbientMismatch("shift models act on infinite ambient (ambient=None)")
-    flat = x.dense()
-    return [flat[r :: model.dim_defect] for r in range(model.dim_defect)]
+def _power_heads(q: np.ndarray, v: np.ndarray, dual: np.ndarray) -> np.ndarray:
+    """(L^n x)_0 = x_n w'_{n-1} ... w'_0 at the local indices n = q of one part.
 
-
-def _stack(chunks: list[np.ndarray]) -> np.ndarray:
-    """Row q, column r holds local index q of part r (zero past a part's end)."""
-    out = np.zeros((max(a.size for a in chunks), len(chunks)), dtype=np.complex128)
-    for r, a in enumerate(chunks):
-        out[: a.size, r] = a
-    return out
-
-
-def _join(stacked: np.ndarray) -> FiniteSupportVector:
-    """The vector whose part r is column r of ``_stack`` output; inverse of ``_split``.
-
-    Callers pass ``stacked`` through ``_finite`` first, so the vector is not scanned again.
+    ``v`` holds x at q, and ``dual`` the weights w'_0 .. w'_{m-1} for m >= max q.
     """
-    flat = stacked.ravel()
-    support = np.flatnonzero(flat)
-    return FiniteSupportVector._trusted(tuple(zip(support.tolist(), flat[support].tolist())), None)
-
-
-def _weights(rule: WeightRule, n: int) -> np.ndarray:
-    """w_0 .. w_{n-1} of a weight rule, complex so that products need no cast."""
-    return np.array([rule.weight(k) for k in range(n)], dtype=np.complex128)
-
-
-def _dual_weights(model: AnalyticModel, n: int) -> list[np.ndarray]:
-    """Cauchy-dual weights w'_k = 1/w_k, k < n, of every part."""
-    return [_weights(part.weights, n) for part in _shift_parts(model.dual)]
-
-
-def _lower(a: np.ndarray, dual: np.ndarray) -> np.ndarray:
-    """L on one part: local index q + 1 moves to q with weight w'_q."""
-    rest = a[1:]
-    return rest * dual[: rest.size]
-
-
-def _power_heads(a: np.ndarray, dual: np.ndarray) -> np.ndarray:
-    """(L^n a)_0 = a_n w'_{n-1} ... w'_0 for n < a.size; L^n a vanishes from n = a.size on."""
-    scale = np.multiply.accumulate(np.concatenate(([1.0 + 0.0j], dual[: a.size - 1])))
+    scale = np.concatenate(([1.0], np.multiply.accumulate(dual)))[q]
     # a vanished entry stays 0 even where the running product has overflowed
-    heads = np.where(a != 0, a * scale, 0.0)
-    # where the product alone leaves the normal range, apply the weights to a_n one
+    heads = np.where(v != 0, v * scale, 0.0)
+    # where the product alone leaves the normal range, apply the weights to x_n one
     # at a time, as L does, so a representable head is not lost to the product
-    stray = (a != 0) & ~(np.isfinite(scale) & (np.abs(scale) >= _NORMAL_MIN))
-    for n in np.flatnonzero(stray):
-        heads[n] = np.multiply.accumulate(np.concatenate((a[n : n + 1], dual[n - 1 :: -1])))[-1]
+    stray = (v != 0) & ~(np.isfinite(scale) & (scale >= _NORMAL_MIN))
+    for i in np.flatnonzero(stray):
+        heads[i] = np.multiply.accumulate(np.concatenate((v[i : i + 1], dual[q[i] - 1 :: -1])))[-1]
     return heads
 
 
 def left_inverse_apply(model: AnalyticModel, x: FiniteSupportVector) -> FiniteSupportVector:
     """L x with L = (T')*, the distinguished left inverse of the source."""
-    chunks = _split(model, x)
-    duals = _dual_weights(model, max(a.size for a in chunks))
-    with _quiet():
-        return _join(_finite(_stack([_lower(a, dual) for a, dual in zip(chunks, duals)]), "L x"))
+    return _act(model.dual, x, True, "L x")
 
 
 def defect_projection(model: AnalyticModel, x: FiniteSupportVector) -> FiniteSupportVector:
     """P x = x - T L x, the orthogonal projection onto the defect space."""
-    chunks = _split(model, x)
-    duals = _dual_weights(model, max(a.size for a in chunks))
+    k, v = _support(model.source, x)
     with _quiet():
-        for a, part, dual in zip(chunks, model.shift_parts, duals):
-            a[1:] -= _lower(a, dual) * _weights(part.weights, a.size - 1)
-    return _join(_finite(_stack(chunks), "P x"))
+        lowered = model.dual._map(k, v, True)
+        raised, tlx = model.source._map(*lowered, False)
+        # T L x keeps every index of x outside the defect space and no other
+        v[np.searchsorted(k, raised)] -= tlx
+    return _vector(k, _finite(v, "P x"), None)
 
 
 def coefficients(model: AnalyticModel, x: FiniteSupportVector, N: int) -> ModelCoefficients:
@@ -337,21 +297,28 @@ def coefficients(model: AnalyticModel, x: FiniteSupportVector, N: int) -> ModelC
     """
     if N < 0:
         raise ValueError("coefficient order must be nonnegative")
-    chunks = _split(model, x)
-    duals = _dual_weights(model, max(a.size for a in chunks))
+    k, v = _support(model.dual, x)
+    r, q = _round_robin(model.dim_defect, k)
+    heads = np.zeros(k.size, dtype=np.complex128)
     out = np.zeros((N + 1, model.dim_defect), dtype=np.complex128)
     tail = 0.0
-    radius = np.float64(model.radius)  # an overflowing power is inf, not an OverflowError
     with _quiet():
-        # adding 0.0 clears negative zeros, as pairing with the basis vectors does
-        heads = _stack([_power_heads(a, dual) for a, dual in zip(chunks, duals)]) + 0.0
-        rows = min(N + 1, heads.shape[0])
-        out[:rows] = heads[:rows]
-        # visit only the nonzero rows past N, in order; the test skips the numpy
-        # calls in the common case of an x that ends by degree N
-        if heads.shape[0] > N + 1:
-            for n in np.flatnonzero(heads[N + 1 :].any(axis=1)) + (N + 1):
-                size = np.linalg.norm(heads[n])
+        for i, part in enumerate(_shift_parts(model.dual)):
+            mine = r == i
+            if mine.any():
+                local = q[mine]  # ascending, like k
+                heads[mine] = _power_heads(local, v[mine], part.weights.at(np.arange(local[-1])))
+        heads += 0.0  # clears negative zeros, as pairing with the basis vectors does
+        inside = q <= N
+        out[q[inside], r[inside]] = heads[inside]
+        if not inside.all():
+            # the rows past N in order, each with its entries of every part
+            rows, row = np.unique(q[~inside], return_inverse=True)
+            table = np.zeros((rows.size, model.dim_defect), dtype=np.complex128)
+            table[row, r[~inside]] = heads[~inside]
+            radius = np.float64(model.radius)  # an overflowing power is inf, not an OverflowError
+            for n, entries in zip(rows, table):
+                size = np.linalg.norm(entries)
                 if size:  # a vanished row adds nothing, even where radius**n overflows
                     tail += float(size * radius**n)
     _finite(out, "model coefficients")
@@ -424,8 +391,10 @@ def kernel_eval(
     terms = _dual_terms(model, lam, 0.5 * tol.tail_tol / amplification)
     out = np.zeros((model.dim_defect, model.dim_defect), dtype=np.complex128)
     with _quiet():
-        for r, dual in enumerate(_dual_weights(model, terms)):
-            heads = _power_heads(_dual_neumann(dual, lam, 1.0 + 0.0j), dual).tolist()
+        for r, part in enumerate(_shift_parts(model.dual)):
+            dual = part.weights.at(np.arange(terms))
+            u = _dual_neumann(dual, lam, 1.0 + 0.0j)
+            heads = _power_heads(np.arange(u.size), u, dual).tolist()
             value, factor = heads[0], 1.0 + 0.0j
             for head in heads[1:]:
                 factor *= z
@@ -464,8 +433,9 @@ def verify_reproducing(
         raise ValueError(f"defect coordinates must have shape ({model.dim_defect},)")
 
     # left side: the coefficient series ends at the largest local support index
-    parts = len(model.shift_parts)
-    depth = 0 if not x.entries else x.max_index // parts + 1
+    k, _ = _support(model.dual, x)
+    r, q = _round_robin(model.dim_defect, k)
+    depth = int(q[-1]) + 1 if k.size else 0
     cx = coefficients(model, x, depth).coeffs
     lhs = 0.0 + 0.0j
     power = 1.0 + 0.0j
@@ -475,10 +445,18 @@ def verify_reproducing(
 
     # right side: pair x against the kernel section at lam, part by part
     terms = _dual_terms(model, lam, tol.tail_tol / max(1.0, x.norm()))
-    duals = _dual_weights(model, terms)
+    section = []
     with _quiet():
-        section = [_dual_neumann(d, lam, complex(c)) if c else d[:0] for d, c in zip(duals, e_coords)]
-    rhs = x.inner(_join(_finite(_stack(section), "kernel section k_lam e")))
+        for shift, c in zip(_shift_parts(model.dual), e_coords):
+            dual = shift.weights.at(np.arange(terms))
+            values = _dual_neumann(dual, lam, complex(c)) if c else dual[:0]
+            section.append(_finite(values, "kernel section k_lam e").tolist())
+    # the inner product <x, k_lam e>, summed over the nonzero section entries in x's order
+    rhs = sum(
+        a * section[i][n].conjugate()
+        for (_, a), i, n in zip(x.entries, r.tolist(), q.tolist())
+        if n < len(section[i]) and section[i][n]
+    )
     residual = abs(lhs - rhs)
     return ReproducingReport(
         lhs=lhs, rhs=rhs, residual=residual, passed=residual <= _REPRODUCE_TOL, terms_used=terms

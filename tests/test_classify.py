@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from shiftmodels import classify
 from shiftmodels.config import DEFAULT_TOL
 from shiftmodels.classify import (
     classify_operator,
@@ -13,6 +14,7 @@ from shiftmodels.errors import NotConcave
 from shiftmodels.numkit import ComplexMatrix
 from shiftmodels.operators import (
     Dense,
+    DirectSum,
     EventuallyConstantWeights,
     FiniteSupportVector,
     Shift,
@@ -167,3 +169,17 @@ def test_dense_purity_is_nilpotency():
     rep = classify_operator(Dense(jordan))
     assert rep.pure
     assert not classify_operator(Dense(ComplexMatrix.identity(3))).pure
+
+
+def test_power_growth_check_reads_only_the_defect_bounds(monkeypatch):
+    # the verdict needs the sup of the defect form, not a full classification
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify_operator called")
+
+    monkeypatch.setattr(classify, "classify_operator", refuse)
+    pair = DirectSum((Dense(ComplexMatrix.identity(2)), isometric_shift()))
+    assert concave_power_growth_check(pair, FiniteSupportVector.from_dict({1: 1.0, 2: 1.0j}), 20)
+    # diag(2, 0.5): the defect 16 - 8 + 1 = 9 at e_0 is the sup of the form
+    mixed = DirectSum((isometric_shift(), Dense(ComplexMatrix.diagonal([2.0, 0.5]))))
+    with pytest.raises(NotConcave, match=r"defect 9\.000e\+00"):
+        concave_power_growth_check(mixed, FiniteSupportVector.basis(0), 10)

@@ -1,5 +1,6 @@
 """Command-line interface tests: subcommands, exit codes, deterministic reports."""
 
+import argparse
 import json
 import math
 import os
@@ -14,6 +15,8 @@ import pytest
 import shiftmodels
 from shiftmodels import cli
 from shiftmodels.cli import main
+from shiftmodels.config import DEFAULT_TOL
+from shiftmodels.errors import NonFinite
 
 FIXTURES = files("shiftmodels") / "fixtures"
 
@@ -514,3 +517,19 @@ def test_verify_all_reports_twelve_criteria(capsys):
     report = json.loads(out)
     assert len(report["results"]["criteria"]) == 12
     assert all(c["passed"] for c in report["checks"])
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("where", ["residual", "tolerance", "result"])
+def test_report_with_a_non_finite_number_is_refused_in_either_format(capsys, fmt, where):
+    run = cli._Run("probe", DEFAULT_TOL)
+    run.check(
+        "probe",
+        True,
+        math.inf if where == "residual" else 0.5,
+        math.nan if where == "tolerance" else 1e-9,
+    )
+    run.results["value"] = -math.inf if where == "result" else 1.0
+    with pytest.raises(NonFinite, match="non-finite number"):
+        cli._emit(run, argparse.Namespace(format=fmt, out=None))
+    assert capsys.readouterr().out == ""

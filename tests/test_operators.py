@@ -1,11 +1,12 @@
 """Structured operator tests: shifts, dense blocks, direct sums, JSON formats."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from shiftmodels.errors import AmbientMismatch
+from shiftmodels.errors import AmbientMismatch, NonFinite
 from shiftmodels.numkit import ComplexMatrix
 from shiftmodels.operators import (
     Dense,
@@ -158,3 +159,72 @@ def test_vector_json_round_trip():
     x = FiniteSupportVector.from_dict({0: 1.0 - 2.0j, 7: 0.25})
     again = vector_from_json(vector_to_json(x))
     assert again.as_dict() == x.as_dict()
+
+
+def _mixed_sum() -> DirectSum:
+    # round robin: global 2q is local q of the 2x2 block, global 2q + 1 local q of the shift
+    dense = Dense(ComplexMatrix.from_rows([[0.0, 1.0], [2.0, 0.0]]))
+    return DirectSum((dense, Shift(EventuallyConstantWeights((3.0,), 1.0))))
+
+
+def test_mixed_direct_sum_pinned_entries():
+    V = _mixed_sum()
+    x = FiniteSupportVector.from_dict({0: 1.0, 1: 1.0, 2: 1.0j, 3: 2.0})
+    # block: A (1, i) = (i, 2); shift: T (e_0 + 2 e_1) = 3 e_1 + 2 e_2
+    assert V.apply(x).as_dict() == {0: 1.0j, 2: 2.0, 3: 3.0, 5: 2.0}
+    # block: A* (1, i) = (2i, 1); shift: T* (e_0 + 2 e_1) = 6 e_0
+    assert V.adjoint_apply(x).as_dict() == {0: 2.0j, 1: 6.0, 2: 1.0}
+
+
+def test_nested_direct_sum_pinned_entries():
+    # outer part 0 is the iso + Dirichlet sum (its own round robin), part 1 is 2 on C^1
+    inner = DirectSum((isometric_shift(), dirichlet_shift()))
+    V = DirectSum((inner, Dense(ComplexMatrix.diagonal([2.0]))))
+    x = FiniteSupportVector.from_dict({0: 1.0, 1: 5.0, 2: 1.0j, 4: 3.0})
+    image = V.apply(x)
+    assert set(image.as_dict()) == {1, 4, 6, 8}
+    assert image.amplitude(1) == 10.0
+    assert image.amplitude(4) == 1.0 and image.amplitude(8) == 3.0
+    assert image.amplitude(6) == pytest.approx(SQRT2 * 1j, abs=1e-15)
+    # the Dirichlet part loses its e_0, the isometric one moves 3 e_1 to 3 e_0
+    assert V.adjoint_apply(x).as_dict() == {0: 3.0, 1: 10.0}
+
+
+@pytest.mark.parametrize("method", ["apply", "adjoint_apply"])
+def test_direct_sum_refuses_an_index_outside_a_finite_part(method):
+    # global 4 is local 2 of the 2-dimensional block
+    x = FiniteSupportVector.from_dict({3: 1.0, 4: 1.0})
+    with pytest.raises(AmbientMismatch, match="global index 4 lands outside part 0"):
+        getattr(_mixed_sum(), method)(x)
+    nested = DirectSum((isometric_shift(), DirectSum((_mixed_sum(),))))
+    with pytest.raises(AmbientMismatch, match="global index 4 lands outside part 0"):
+        getattr(nested, method)(FiniteSupportVector.basis(9))
+
+
+@pytest.mark.parametrize("method, index", [("apply", 0), ("adjoint_apply", 1)])
+def test_shift_refuses_overflow_without_warnings(method, index):
+    shift = Shift(EventuallyConstantWeights((), 1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            getattr(shift, method)(FiniteSupportVector(((index, 1e10),), None))
+
+
+def test_weight_lookup_matches_the_scalar_rules():
+    k = np.arange(12)
+    for rule in (EventuallyConstantWeights((1.5, 0.25, 3.0), 0.75), EventuallyConstantWeights()):
+        reference = [rule.head[i] if i < len(rule.head) else rule.tail for i in k]
+        assert rule.at(k).tolist() == reference
+    x = FiniteSupportVector.from_dict({i: complex(i + 1, -0.5 * i) for i in range(12)})
+    for dual in (False, True):
+        shift = dirichlet_shift(dual)
+        reference = [math.sqrt(shift.weights.weight_sq(i)) for i in k]
+        assert shift.weights.at(k).tolist() == reference
+        # T x is the scalar product w_k x_k, entry by entry
+        assert shift.apply(x).as_dict() == {i + 1: w * v for (i, v), w in zip(x.entries, reference)}
+
+
+def test_vector_indices_stay_in_the_array_range():
+    FiniteSupportVector.basis(2**62 - 1)
+    with pytest.raises(ValueError, match="2\\*\\*62"):
+        FiniteSupportVector.basis(2**62)

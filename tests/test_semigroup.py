@@ -35,6 +35,14 @@ def test_evolve_pinned_values():
     assert half.array[0, 0] == pytest.approx(0.5, abs=1e-14)
 
 
+@pytest.mark.parametrize("t", [1e10, math.inf, math.nan])
+def test_evolve_refuses_a_non_finite_t_a_by_its_norm(t):
+    # 1e10 * 1e300 overflows; inf * 0 and nan * anything are NaN
+    S = SemigroupSpec(ComplexMatrix.diagonal([1e300, 0.0]))
+    with pytest.raises(NonFinite, match="1-norm is not finite"):
+        evolve(S, t)
+
+
 def test_evolve_semigroup_law():
     rng = np.random.default_rng(41)
     for _ in range(8):

@@ -52,11 +52,11 @@ def _random_vector(rng: np.random.Generator, max_index: int = 15) -> FiniteSuppo
 
 
 def test_cauchy_dual_pinned_values():
-    assert cauchy_dual(isometric_shift()).weights.weight(3) == pytest.approx(1.0)
+    assert cauchy_dual(isometric_shift()).weights.at(np.array([3]))[0] == pytest.approx(1.0)
 
-    dual = cauchy_dual(dirichlet_shift())
+    dual = cauchy_dual(dirichlet_shift()).weights.at(np.arange(6))
     for k in range(6):
-        assert dual.weights.weight(k) == pytest.approx(math.sqrt((k + 1) / (k + 2)), abs=1e-15)
+        assert dual[k] == pytest.approx(math.sqrt((k + 1) / (k + 2)), abs=1e-15)
 
     dense_dual = cauchy_dual(Dense(ComplexMatrix.diagonal([2.0])))
     assert dense_dual.matrix.array[0, 0] == pytest.approx(0.5, abs=1e-14)
@@ -461,3 +461,27 @@ def test_wold_shift_blocks_reported_as_pure():
     rep = wold_decompose(DirectSum((Dense(ComplexMatrix.diagonal([1.0j])), isometric_shift())))
     assert rep.dim_unitary == 1
     assert rep.wandering_infinite
+
+
+def test_dirichlet_maps_on_a_far_basis_vector():
+    # T e_n = sqrt((n+2)/(n+1)) e_{n+1}, T* e_n = sqrt((n+1)/n) e_{n-1},
+    # L e_n = sqrt(n/(n+1)) e_{n-1}
+    n = 200000
+    T = dirichlet_shift()
+    model = build_model(T)
+    e = FiniteSupportVector.basis(n)
+    image = T.apply(e)
+    assert set(image.as_dict()) == {n + 1}
+    assert image.amplitude(n + 1) == pytest.approx(math.sqrt((n + 2) / (n + 1)), rel=1e-15)
+    back = T.adjoint_apply(e)
+    assert set(back.as_dict()) == {n - 1}
+    assert back.amplitude(n - 1) == pytest.approx(math.sqrt((n + 1) / n), rel=1e-15)
+    lower = left_inverse_apply(model, e)
+    assert set(lower.as_dict()) == {n - 1}
+    assert lower.amplitude(n - 1) == pytest.approx(math.sqrt(n / (n + 1)), rel=1e-15)
+    # e_n with n >= 1 lies in the range of T, so P e_n = e_n - T L e_n vanishes
+    assert defect_projection(model, e).norm() <= 1e-15
+    # (L^n e_n)_0 = 1/beta_n = 1/sqrt(n + 1) is the only coefficient
+    c = coefficients(model, e, n).coeffs
+    assert c[n, 0] == pytest.approx(1.0 / math.sqrt(n + 1.0), rel=1e-12)
+    assert np.count_nonzero(c) == 1
