@@ -18,7 +18,7 @@ All numerics are numpy-based and deterministic; every report carries the
 residuals behind its verdicts.
 """
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, Check, ToleranceConfig
 from .errors import (
     AmbientMismatch,
     InvalidAutomorphism,

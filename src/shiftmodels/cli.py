@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import re
@@ -33,7 +34,7 @@ import numpy as np
 
 from .acceptance import run_all
 from .classify import classify_operator
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, Check, ToleranceConfig
 from .errors import NonFinite, ToolkitError
 from .hardy import (
     BlaschkeSpec,
@@ -60,10 +61,6 @@ from .semigroup import (
 )
 from .series import PowerSeries
 from .shimorin import (
-    _CONSTANT_TOL,
-    _GENERATOR_TOL,
-    _INTERTWINE_TOL,
-    _REPRODUCE_TOL,
     MULTIPLIER_SIGN_NOTE,
     RADIUS_CONVENTION_NOTE,
     build_model,
@@ -83,34 +80,34 @@ _CONSISTENCY_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
-def _pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+def _json_default(value):
+    """The ``default`` hook of every ``json.dumps``: what the json module cannot write itself.
+
+    Complex scalars become [re, im] pairs, numpy arrays (the package's are complex)
+    nested lists of such pairs, numpy scalars their Python values, and dataclass
+    reports the dict of their fields.  A check carries its residual and tolerance
+    only where a residual was measured.
+    """
+    if isinstance(value, Check):
+        entry = {"name": value.name, "passed": bool(value.passed)}
+        if value.residual is not None:
+            entry["residual"] = float(value.residual)
+            entry["tolerance"] = None if value.tolerance is None else float(value.tolerance)
+        return entry
+    if isinstance(value, np.ndarray):
+        arr = np.asarray(value, dtype=np.complex128)
+        return np.stack((arr.real, arr.imag), axis=-1).tolist()
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, np.generic):
+        return value.item()
+    if dataclasses.is_dataclass(value):
+        return dataclasses.asdict(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _pairs(values) -> list:
-    return [_pair(v) for v in np.asarray(values, dtype=np.complex128).ravel()]
-
-
-def _matrix_pairs(arr: np.ndarray) -> list:
-    return [[_pair(v) for v in row] for row in np.asarray(arr, dtype=np.complex128)]
-
-
-def _jsonable(value):
-    """Convert numpy scalars and tuples so json.dumps sees native types."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, (complex, np.complexfloating)):
-        return _pair(value)
-    return value
+# the one serializer of report parts: NaN and infinity raise ValueError
+_dumps = functools.partial(json.dumps, sort_keys=True, allow_nan=False, default=_json_default)
 
 
 def _sha256(path: str) -> str:
@@ -148,19 +145,11 @@ class _Run:
     def __init__(self, command: str, tol: ToleranceConfig) -> None:
         self.command = command
         self.tol = tol
-        self.checks: list[dict] = []
+        self.checks: list[Check] = []
         self.results: dict = {}
         self.warnings: list[str] = []
         self.inputs: dict[str, str] = {}
         self.truncations: dict[str, int] = {}
-
-    def check(self, name: str, passed: bool, residual: float | None = None,
-              tolerance: float | None = None) -> None:
-        entry: dict = {"name": name, "passed": bool(passed)}
-        if residual is not None:
-            entry["residual"] = float(residual)
-            entry["tolerance"] = float(tolerance) if tolerance is not None else None
-        self.checks.append(entry)
 
     def warn(self, message: str) -> None:
         if message not in self.warnings:
@@ -177,14 +166,14 @@ class _Run:
             "warnings": self.warnings,
             "provenance": {
                 "inputs": self.inputs,
-                "tolerances": dataclasses.asdict(self.tol),
+                "tolerances": self.tol,
                 "truncations": self.truncations,
             },
         }
 
     @property
     def all_passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
+        return all(c.passed for c in self.checks)
 
 
 def _emit(run: _Run, args: argparse.Namespace) -> None:
@@ -193,27 +182,25 @@ def _emit(run: _Run, args: argparse.Namespace) -> None:
     Each part is serialized once.  Text mode prints the results key by key; its
     checks are the only other part that can hold a number (tolerances are finite).
     """
-    report = _jsonable(run.report())
     try:
         if args.format == "text":
-            json.dumps(report["checks"], allow_nan=False)
+            _dumps(run.checks)  # refuses a non-finite residual or tolerance
             lines = [f"command: {run.command}"]
             for c in run.checks:
-                status = "PASS" if c["passed"] else "FAIL"
-                if "residual" in c:
+                status = "PASS" if c.passed else "FAIL"
+                if c.residual is not None:
                     lines.append(
-                        f"check {c['name']}: {status} (residual {c['residual']:.3e}, "
-                        f"tolerance {c['tolerance']:.0e})"
+                        f"check {c.name}: {status} (residual {c.residual:.3e}, "
+                        f"tolerance {c.tolerance:.0e})"
                     )
                 else:
-                    lines.append(f"check {c['name']}: {status}")
-            for key in sorted(report["results"]):
-                value = json.dumps(report["results"][key], sort_keys=True, allow_nan=False)
-                lines.append(f"result {key}: {value}")
+                    lines.append(f"check {c.name}: {status}")
+            for key in sorted(run.results):
+                lines.append(f"result {key}: {_dumps(run.results[key])}")
             lines.extend(f"warning: {w}" for w in run.warnings)
             text = "\n".join(lines) + "\n"
         else:
-            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+            text = _dumps(run.report(), indent=2) + "\n"
     except ValueError as exc:
         raise NonFinite(f"report holds a non-finite number ({exc})") from exc
     if args.out:
@@ -242,8 +229,7 @@ def _load_generator(run: _Run, path: str) -> ComplexMatrix:
 
 def _cmd_classify(args: argparse.Namespace, run: _Run) -> None:
     T = _load_operator(run, args.operator)
-    report = classify_operator(T, run.tol)
-    run.results["classification"] = dataclasses.asdict(report)
+    run.results["classification"] = classify_operator(T, run.tol)
 
 
 def _cmd_semigroup(args: argparse.Namespace, run: _Run) -> None:
@@ -268,21 +254,20 @@ def _cmd_semigroup(args: argparse.Namespace, run: _Run) -> None:
             S, float(args.rescale)
         ).generator.to_json()
     if args.growth_bound:
-        gb = growth_bound(S)
+        run.results["growth_bound"] = growth_bound(S)
         consistency = growth_bound_consistency(S)
-        run.results["growth_bound"] = {"omega": gb.omega, "method": gb.method}
-        run.check(
-            "growth_bound_consistency",
-            consistency <= _CONSISTENCY_TOL,
-            residual=consistency,
-            tolerance=_CONSISTENCY_TOL,
+        run.checks.append(
+            Check(
+                "growth_bound_consistency",
+                consistency <= _CONSISTENCY_TOL,
+                consistency,
+                _CONSISTENCY_TOL,
+            )
         )
     if args.equivalence_suite:
         suite = concavity_equivalence_suite(S, tol=run.tol)
-        payload = dataclasses.asdict(suite)
-        payload["t_grid"] = list(suite.t_grid)
-        run.results["equivalence_suite"] = payload
-        run.check("equivalence_agree", suite.agree)
+        run.results["equivalence_suite"] = suite
+        run.checks.append(Check("equivalence_agree", suite.agree))
 
 
 def _cmd_model(args: argparse.Namespace, run: _Run) -> None:
@@ -310,7 +295,7 @@ def _cmd_model(args: argparse.Namespace, run: _Run) -> None:
         run.results["coefficients"] = {
             "N": coeff.N,
             "tail_bound": coeff.tail_bound,
-            "rows": [_pairs(row) for row in coeff.coeffs],
+            "rows": coeff.coeffs,
         }
 
     if args.kernel:
@@ -318,12 +303,7 @@ def _cmd_model(args: argparse.Namespace, run: _Run) -> None:
         if len(points) != 2:
             raise ValueError(f"--kernel expects 'lam,z', got {len(points)} values")
         lam, z = points
-        kmat = kernel_eval(model, lam, z, run.tol)
-        run.results["kernel"] = {
-            "lam": _pair(lam),
-            "z": _pair(z),
-            "matrix": _matrix_pairs(kmat),
-        }
+        run.results["kernel"] = {"lam": lam, "z": z, "matrix": kernel_eval(model, lam, z, run.tol)}
 
     for what in verifications:
         if what == "intertwine":
@@ -331,7 +311,6 @@ def _cmd_model(args: argparse.Namespace, run: _Run) -> None:
                 raise ValueError("--verify intertwine needs --coeffs <vector file>")
             rep = verify_intertwining(model, x, N=args.N)
             run.truncations["N"] = args.N
-            run.check("intertwine", rep.passed, rep.max_residual, _INTERTWINE_TOL)
         elif what == "reproduce":
             if x is None:
                 raise ValueError("--verify reproduce needs --coeffs <vector file>")
@@ -339,40 +318,24 @@ def _cmd_model(args: argparse.Namespace, run: _Run) -> None:
             e_coords = np.zeros(model.dim_defect, dtype=np.complex128)
             e_coords[0] = 1.0
             rep = verify_reproducing(model, x, lam, e_coords, run.tol)
-            run.check("reproduce", rep.passed, rep.residual, _REPRODUCE_TOL)
         elif what == "semigroup":
             rep = verify_semigroup_model(float(args.semigroup_t), N=args.N, tol=run.tol)
             run.warn(MULTIPLIER_SIGN_NOTE)
             run.truncations["N"] = args.N
-            run.check(
-                "semigroup_generator",
-                rep.generator_residual <= _GENERATOR_TOL,
-                rep.generator_residual,
-                _GENERATOR_TOL,
-            )
-            run.check(
-                "semigroup_commutation",
-                rep.commutation_residual <= run.tol.residual_tol,
-                rep.commutation_residual,
-                run.tol.residual_tol,
-            )
-            run.check(
-                "semigroup_constant_term",
-                rep.constant_term_residual <= _CONSTANT_TOL,
-                rep.constant_term_residual,
-                _CONSTANT_TOL,
-            )
+        run.checks.extend(rep.checks)
 
     if args.wold:
         wold = wold_decompose(T, tol=run.tol)
-        run.results["wold"] = dataclasses.asdict(wold)
-        run.check("wandering_span", wold.wandering_span_ok)
-        run.check(
-            "unitary_restriction",
-            wold.unitary_residual <= run.tol.residual_tol,
-            wold.unitary_residual,
-            run.tol.residual_tol,
-        )
+        run.results["wold"] = wold
+        run.checks += [
+            Check("wandering_span", wold.wandering_span_ok),
+            Check(
+                "unitary_restriction",
+                wold.unitary_residual <= run.tol.residual_tol,
+                wold.unitary_residual,
+                run.tol.residual_tol,
+            ),
+        ]
 
 
 def _hardy_symbol(args: argparse.Namespace, run: _Run) -> tuple[PowerSeries, int | None, str]:
@@ -382,16 +345,16 @@ def _hardy_symbol(args: argparse.Namespace, run: _Run) -> tuple[PowerSeries, int
         raise ValueError(
             "exactly one of --blaschke, --blaschke-file, --symbol-file is required"
         )
+    if args.symbol_file:
+        run.record_input(args.symbol_file)
+        series = PowerSeries.from_json(_load_json(args.symbol_file))
+        return series, (args.degree if args.degree else None), "series"
     if args.blaschke:
         spec = BlaschkeSpec(tuple(_parse_complex_list(args.blaschke)))
-        return blaschke_series(spec, args.N - 1), spec.degree, "blaschke"
-    if args.blaschke_file:
+    else:
         run.record_input(args.blaschke_file)
         spec = BlaschkeSpec.from_json(_load_json(args.blaschke_file))
-        return blaschke_series(spec, args.N - 1), spec.degree, "blaschke"
-    run.record_input(args.symbol_file)
-    series = PowerSeries.from_json(_load_json(args.symbol_file))
-    return series, (args.degree if args.degree else None), "series"
+    return blaschke_series(spec, args.N - 1), spec.degree, "blaschke"
 
 
 def _cmd_hardy(args: argparse.Namespace, run: _Run) -> None:
@@ -411,25 +374,18 @@ def _cmd_hardy(args: argparse.Namespace, run: _Run) -> None:
     phi = degree = None
     if needs_symbol:
         phi, degree, source = _hardy_symbol(args, run)
-        run.results["symbol"] = {
-            "source": source,
-            "degree": degree,
-            "series": [_pair(c) for c in phi.coeffs],
-        }
+        run.results["symbol"] = {"source": source, "degree": degree, "series": phi.coeffs}
 
     if args.semigroup_t is not None:
         phi = inner_semigroup_symbol(phi, float(args.semigroup_t), args.N - 1)
         run.warn(MULTIPLIER_SIGN_NOTE)
-        run.results["semigroup_symbol"] = {
-            "t": float(args.semigroup_t),
-            "series": [_pair(c) for c in phi.coeffs],
-        }
+        run.results["semigroup_symbol"] = {"t": float(args.semigroup_t), "series": phi.coeffs}
         degree = None
 
     if args.inner_check:
         report = inner_check(phi, tol=run.tol)
-        run.results["inner_check"] = dataclasses.asdict(report)
-        run.check("inner_check", report.passed)
+        run.results["inner_check"] = report
+        run.checks.append(Check("inner_check", report.passed))
 
     if args.model_space or args.ladder is not None:
         if degree is None and not args.degree:
@@ -440,26 +396,26 @@ def _cmd_hardy(args: argparse.Namespace, run: _Run) -> None:
         basis = model_space_basis(phi, args.N, degree, run.tol)
         columns = analytic_toeplitz_trunc(phi, args.N).array[:, : args.N // 2]
         residual = float(np.max(np.abs(basis.conj().T @ columns)))
-        run.results["model_space"] = {
-            "degree": degree,
-            "n": args.N,
-            "basis": _matrix_pairs(basis),
-        }
-        run.check(
-            "model_space_orthogonality",
-            residual <= run.tol.residual_tol,
-            residual,
-            run.tol.residual_tol,
+        run.results["model_space"] = {"degree": degree, "n": args.N, "basis": basis}
+        run.checks.append(
+            Check(
+                "model_space_orthogonality",
+                residual <= run.tol.residual_tol,
+                residual,
+                run.tol.residual_tol,
+            )
         )
 
     if args.ladder is not None:
         report = verify_ladder_decomposition(phi, degree, int(args.ladder), args.N, run.tol)
-        run.results["ladder"] = dataclasses.asdict(report)
-        run.check(
-            "ladder_orthogonality",
-            report.passed,
-            max(report.offdiag_residual, report.within_block_residual),
-            run.tol.residual_tol,
+        run.results["ladder"] = report
+        run.checks.append(
+            Check(
+                "ladder_orthogonality",
+                report.passed,
+                max(report.offdiag_residual, report.within_block_residual),
+                run.tol.residual_tol,
+            )
         )
 
     if args.caradus:
@@ -469,25 +425,22 @@ def _cmd_hardy(args: argparse.Namespace, run: _Run) -> None:
         d, n = int(pieces[0]), int(pieces[1])
         backward = caradus_certificate(block_backward_shift_trunc(d, n), run.tol)
         forward = caradus_certificate(block_forward_shift_trunc(d, n), run.tol)
-        run.results["caradus"] = {
-            "backward": dataclasses.asdict(backward),
-            "forward": dataclasses.asdict(forward),
-        }
-        run.check(
-            "caradus_backward_certified", backward.passed, backward.sigma_min, backward.rank_tol
-        )
-        run.check(
-            "caradus_forward_refused", not forward.passed, forward.sigma_min, forward.rank_tol
-        )
+        run.results["caradus"] = {"backward": backward, "forward": forward}
+        run.checks += [
+            Check(
+                "caradus_backward_certified", backward.passed, backward.sigma_min, backward.rank_tol
+            ),
+            Check(
+                "caradus_forward_refused", not forward.passed, forward.sigma_min, forward.rank_tol
+            ),
+        ]
 
 
 def _cmd_verify_all(args: argparse.Namespace, run: _Run) -> None:
     del args
-    criteria = []
-    for result in run_all():
-        criteria.append(dataclasses.asdict(result))
-        run.check(f"criterion_{result.number:02d}_{result.name}", result.passed)
+    criteria = run_all()
     run.results["criteria"] = criteria
+    run.checks.extend(Check(f"criterion_{c.number:02d}_{c.name}", c.passed) for c in criteria)
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +456,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-rank", type=float, default=None, help="rank tolerance")
-    common.add_argument("--tol-psd", type=float, default=None, help="semidefiniteness tolerance")
-    common.add_argument("--tol-residual", type=float, default=None, help="residual tolerance")
-    common.add_argument("--tol-tail", type=float, default=None, help="series tail tolerance")
+    common.add_argument(
+        "--tol-rank", type=float, default=DEFAULT_TOL.rank_tol, help="rank tolerance"
+    )
+    common.add_argument(
+        "--tol-psd", type=float, default=DEFAULT_TOL.psd_tol, help="semidefiniteness tolerance"
+    )
+    common.add_argument(
+        "--tol-residual", type=float, default=DEFAULT_TOL.residual_tol, help="residual tolerance"
+    )
+    common.add_argument(
+        "--tol-tail", type=float, default=DEFAULT_TOL.tail_tol, help="series tail tolerance"
+    )
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--out", default=None, help="write the report to this path")
 
@@ -562,17 +523,6 @@ _DISPATCH = {
 }
 
 
-def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
-    return ToleranceConfig(
-        rank_tol=args.tol_rank if args.tol_rank is not None else DEFAULT_TOL.rank_tol,
-        psd_tol=args.tol_psd if args.tol_psd is not None else DEFAULT_TOL.psd_tol,
-        residual_tol=(
-            args.tol_residual if args.tol_residual is not None else DEFAULT_TOL.residual_tol
-        ),
-        tail_tol=args.tol_tail if args.tol_tail is not None else DEFAULT_TOL.tail_tol,
-    )
-
-
 def _attach_dash_values(argv: list[str]) -> list[str]:
     """Join ``--opt -0.3,0.2`` into ``--opt=-0.3,0.2``.
 
@@ -592,7 +542,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
-        tol = _tolerances(args)
+        tol = ToleranceConfig(args.tol_rank, args.tol_psd, args.tol_residual, args.tol_tail)
         run = _Run(args.command, tol)
         _DISPATCH[args.command](args, run)
         _emit(run, args)

@@ -1,4 +1,4 @@
-"""Tolerance configuration shared by every numeric check."""
+"""Tolerance configuration shared by every numeric check, and the record of one check."""
 
 from __future__ import annotations
 
@@ -29,3 +29,13 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+
+@dataclass(frozen=True)
+class Check:
+    """One judged check: its verdict, and the residual and tolerance it was judged by."""
+
+    name: str
+    passed: bool
+    residual: float | None = None
+    tolerance: float | None = None

@@ -51,6 +51,8 @@ _PADE13_B = (
 
 # Scale so the Pade argument has 1-norm at most this value.
 _EXPM_SCALE_TARGET = 0.5
+# e^x falls below the smallest normal double for x under this value.
+_LOG_NORMAL_MIN = float(np.log(np.finfo(np.float64).tiny))
 
 
 def _quiet():
@@ -64,6 +66,15 @@ def _finite(value, what: str):
     if np.count_nonzero(finite) != finite.size:
         raise NonFinite(f"non-finite {what}")
     return value
+
+
+def _json_integer(value, what: str) -> int:
+    """A JSON number that is a finite integer (3 or 3.0) as an int; anything else is refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} must be a finite integer, got {value!r}")
 
 
 def _checked(arr: np.ndarray, square: bool = True) -> np.ndarray:
@@ -133,6 +144,7 @@ class ComplexMatrix:
             rows, cols, data = obj["rows"], obj["cols"], obj["data"]
         except (TypeError, KeyError) as exc:
             raise ValueError(f"matrix object missing field: {exc}") from exc
+        rows, cols = _json_integer(rows, "matrix rows"), _json_integer(cols, "matrix cols")
         if rows != cols:
             raise ValueError(f"matrix must be square, got {rows}x{cols}")
         if len(data) != rows * cols:
@@ -208,7 +220,12 @@ def _expm_array(arr: np.ndarray) -> np.ndarray:
         R = np.linalg.solve(V - U, V + U)
         for _ in range(squarings):
             R = R @ R
-    return _finite(R, "matrix exponential")
+    _finite(R, "matrix exponential")
+    # e^A is invertible, so the zero matrix is an underflow only where every eigenvalue
+    # of A lies left of log(tiny); elsewhere the Pade rounding was squared away
+    if not R.any() and np.linalg.eigvals(arr).real.max() > _LOG_NORMAL_MIN:
+        raise NonFinite("matrix exponential: scaling and squaring overscaled it to zero")
+    return R
 
 
 def expm(M) -> ComplexMatrix:

@@ -35,7 +35,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import AmbientMismatch, NonFinite, UnsupportedRegime
-from .numkit import ComplexMatrix, _finite, _quiet, spectral_radius
+from .numkit import ComplexMatrix, _finite, _json_integer, _quiet, spectral_radius
 
 __all__ = [
     "FiniteSupportVector",
@@ -515,9 +515,11 @@ def vector_from_json(obj: dict) -> FiniteSupportVector:
         raise ValueError("vector object must be a dict with an 'entries' field")
     ambient = obj.get("ambient")
     if ambient is not None:
-        ambient = int(ambient)
+        ambient = _json_integer(ambient, "vector ambient")
     try:
-        entries = tuple((int(k), complex(re, im)) for k, re, im in obj["entries"])
+        entries = tuple(
+            (_json_integer(k, "vector index"), complex(re, im)) for k, re, im in obj["entries"]
+        )
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed vector entries: {exc}") from exc
     return FiniteSupportVector(entries, ambient)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import _wandering_span_dim
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, Check, ToleranceConfig
 from .errors import (
     NonFinite,
     NotBoundedBelow,
@@ -118,29 +118,41 @@ class ModelCoefficients:
     tail_bound: float = 0.0
 
 
+class _Judged:
+    """A report judged by its ``checks``: it passes when every check does."""
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+
+def _check(name: str, residual: float, tolerance: float) -> Check:
+    return Check(name, bool(residual <= tolerance), residual, tolerance)
+
+
 @dataclass(frozen=True)
-class IntertwiningReport:
+class IntertwiningReport(_Judged):
     max_residual: float
-    passed: bool
     N: int
+    checks: tuple[Check, ...]
 
 
 @dataclass(frozen=True)
-class ReproducingReport:
+class ReproducingReport(_Judged):
     lhs: complex
     rhs: complex
     residual: float
-    passed: bool
     terms_used: int
+    checks: tuple[Check, ...]
 
 
 @dataclass(frozen=True)
-class SemigroupModelReport:
+class SemigroupModelReport(_Judged):
     generator_residual: float
     generator_degree: int
     commutation_residual: float
     constant_term_residual: float
-    passed: bool
+    checks: tuple[Check, ...]
     notes: tuple[str, ...] = (MULTIPLIER_SIGN_NOTE, RADIUS_CONVENTION_NOTE)
 
 
@@ -415,7 +427,9 @@ def verify_intertwining(
     residual = float(np.max(np.abs(ctx[0])))
     if N >= 1:
         residual = max(residual, float(np.max(np.abs(ctx[1:] - cx[:-1]))))
-    return IntertwiningReport(max_residual=residual, passed=residual <= _INTERTWINE_TOL, N=N)
+    return IntertwiningReport(
+        max_residual=residual, N=N, checks=(_check("intertwine", residual, _INTERTWINE_TOL),)
+    )
 
 
 def verify_reproducing(
@@ -458,9 +472,8 @@ def verify_reproducing(
         if n < len(section[i]) and section[i][n]
     )
     residual = abs(lhs - rhs)
-    return ReproducingReport(
-        lhs=lhs, rhs=rhs, residual=residual, passed=residual <= _REPRODUCE_TOL, terms_used=terms
-    )
+    check = _check("reproduce", residual, _REPRODUCE_TOL)
+    return ReproducingReport(lhs=lhs, rhs=rhs, residual=residual, terms_used=terms, checks=(check,))
 
 
 # ---------------------------------------------------------------------------
@@ -530,17 +543,16 @@ def verify_semigroup_model(
 
     constant_residual = abs(et[0] - math.exp(-float(t)))
 
-    passed = (
-        generator_residual <= _GENERATOR_TOL
-        and commutation_residual <= tol.residual_tol
-        and constant_residual <= _CONSTANT_TOL
-    )
     return SemigroupModelReport(
         generator_residual=generator_residual,
         generator_degree=degree,
         commutation_residual=commutation_residual,
         constant_term_residual=constant_residual,
-        passed=passed,
+        checks=(
+            _check("semigroup_generator", generator_residual, _GENERATOR_TOL),
+            _check("semigroup_commutation", commutation_residual, tol.residual_tol),
+            _check("semigroup_constant_term", constant_residual, _CONSTANT_TOL),
+        ),
     )
 
 

@@ -15,7 +15,7 @@ import pytest
 import shiftmodels
 from shiftmodels import cli
 from shiftmodels.cli import main
-from shiftmodels.config import DEFAULT_TOL
+from shiftmodels.config import DEFAULT_TOL, Check
 from shiftmodels.errors import NonFinite
 
 FIXTURES = files("shiftmodels") / "fixtures"
@@ -313,6 +313,10 @@ def test_empty_dense_matrix_is_a_usage_error(tmp_path, argv):
             {"kind": "dense", "matrix": {"rows": 2, "cols": 2, "data": [1, 2, 3, 4]}},
             ["classify", "--operator"],
         ),
+        (
+            {"kind": "dense", "matrix": {"rows": "2", "cols": "2", "data": [[1, 0]] * 4}},
+            ["classify", "--operator"],
+        ),
         ({"zeros": 5}, ["hardy", "--inner-check", "--blaschke-file"]),
     ],
 )
@@ -337,6 +341,9 @@ _SVD_OVERFLOW = [[1.5e308, 0.0], [1.5e308, 0.0], [1.5e308, 0.0], [-1.5e308, 0.0]
 _MAX_DIAG = [[1e308, 0.0], [0.0, 0.0], [0.0, 0.0], [1e308, 0.0]]
 # nilpotent, so the Wold loop ends at once; the defect iterate 1e200 e_1 has norm^2 1e400
 _NILPOTENT = [[0.0, 0.0], [1e200, 0.0], [0.0, 0.0], [0.0, 0.0]]
+# e^{0.05 A} has entries near e^{-10} and 2e154, but scaling and squaring overscales to zero
+_OVERSCALED = [[-200.0, 0.0], [1e160, 0.0], [0.0, 0.0], [-200.0, 0.0]]
+_OVERSCALED_ROTATION = [[0.0, 0.0], [1e50, 0.0], [0.0, 0.0], [0.0, 20.0 * math.pi]]
 
 
 @pytest.mark.parametrize(
@@ -361,6 +368,8 @@ _NILPOTENT = [[0.0, 0.0], [1e200, 0.0], [0.0, 0.0], [0.0, 0.0]]
         # 1e308 - (-1e308) overflows in A - lam Id
         (_MAX_DIAG, ["semigroup", "--rescale", "-1e308", "--generator"]),
         (_NILPOTENT, ["model", "--wold", "--operator"]),
+        (_OVERSCALED, ["semigroup", "--t", "0.05", "--generator"]),
+        (_OVERSCALED_ROTATION, ["semigroup", "--t", "0.05", "--generator"]),
     ],
 )
 def test_overflowing_input_is_refused_without_warnings(tmp_path, data, argv):
@@ -404,6 +413,26 @@ def test_overflowing_symbol_series_is_refused_without_warnings(tmp_path, symbol,
     path.write_text(json.dumps(symbol))
     proc = _run_subprocess(["hardy", "--symbol-file", str(path), "--semigroup-t", t, "--N", N])
     _assert_single_error_line(proc, 3)
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [
+        '{"entries": [[1e400, 1.0, 0.0]]}',
+        '{"ambient": 1e400, "entries": [[0, 1.0, 0.0]]}',
+        '{"entries": [[1.5, 1.0, 0.0]]}',
+        '{"ambient": 2.5, "entries": [[0, 1.0, 0.0]]}',
+    ],
+)
+def test_vector_index_or_ambient_that_is_not_a_finite_integer_is_a_usage_error(tmp_path, vector):
+    path = tmp_path / "x.json"
+    path.write_text(vector)  # 1e400 parses to infinity
+    proc = _run_subprocess(
+        ["model", "--operator", _fixture("isometric.json"), "--coeffs", str(path)]
+    )
+    _assert_single_error_line(proc, 2)
+    assert "Traceback" not in proc.stderr
+    assert "finite integer" in proc.stderr
 
 
 def test_lapack_failure_is_a_numeric_refusal(tmp_path):
@@ -523,11 +552,13 @@ def test_verify_all_reports_twelve_criteria(capsys):
 @pytest.mark.parametrize("where", ["residual", "tolerance", "result"])
 def test_report_with_a_non_finite_number_is_refused_in_either_format(capsys, fmt, where):
     run = cli._Run("probe", DEFAULT_TOL)
-    run.check(
-        "probe",
-        True,
-        math.inf if where == "residual" else 0.5,
-        math.nan if where == "tolerance" else 1e-9,
+    run.checks.append(
+        Check(
+            "probe",
+            True,
+            math.inf if where == "residual" else 0.5,
+            math.nan if where == "tolerance" else 1e-9,
+        )
     )
     run.results["value"] = -math.inf if where == "result" else 1.0
     with pytest.raises(NonFinite, match="non-finite number"):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from shiftmodels.config import DEFAULT_TOL
+from shiftmodels.config import DEFAULT_TOL, Check, ToleranceConfig
 from shiftmodels.errors import (
     AmbientMismatch,
     NonFinite,
@@ -27,6 +27,7 @@ from shiftmodels.operators import (
 )
 from shiftmodels.series import PowerSeries, series_mul
 from shiftmodels.shimorin import (
+    IntertwiningReport,
     _multiplier_coeffs,
     build_model,
     cauchy_dual,
@@ -409,6 +410,39 @@ def test_verify_semigroup_model_report():
     assert rep.commutation_residual <= 1e-12
     assert rep.constant_term_residual <= 1e-12
     assert any("e^{-t}" in note or "exp" in note for note in rep.notes)
+
+
+def test_model_reports_are_judged_by_their_checks():
+    model = build_model(dirichlet_shift())
+    x = _random_vector(np.random.default_rng(76))
+    tol = ToleranceConfig(residual_tol=1e-11)
+    intertwine = verify_intertwining(model, x, N=25)
+    reproduce = verify_reproducing(model, x, 0.4, np.array([1.0 + 0.0j]), tol)
+    semigroup = verify_semigroup_model(0.7, N=64, tol=tol)
+    reports = (intertwine, reproduce, semigroup)
+
+    pinned = {c.name: c.tolerance for rep in reports for c in rep.checks}
+    assert pinned == {
+        "intertwine": 1e-12,
+        "reproduce": 1e-8,
+        "semigroup_generator": 1e-6,
+        "semigroup_commutation": 1e-11,  # residual_tol
+        "semigroup_constant_term": 1e-12,
+    }
+    assert [c.residual for rep in reports for c in rep.checks] == [
+        intertwine.max_residual,
+        reproduce.residual,
+        semigroup.generator_residual,
+        semigroup.commutation_residual,
+        semigroup.constant_term_residual,
+    ]
+    for rep in reports:
+        assert rep.passed == all(c.passed for c in rep.checks)
+        for c in rep.checks:
+            assert c.passed == (c.residual <= c.tolerance)
+
+    failing = Check("intertwine", False, 1.0, 1e-12)
+    assert not IntertwiningReport(max_residual=1.0, N=1, checks=(failing,)).passed
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])
