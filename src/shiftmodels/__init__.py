@@ -21,7 +21,6 @@ residuals behind its verdicts.
 from .config import DEFAULT_TOL, Check, ToleranceConfig
 from .errors import (
     AmbientMismatch,
-    InvalidAutomorphism,
     NonFinite,
     NotBoundedBelow,
     NotConcave,
@@ -36,7 +35,7 @@ from .errors import (
     ZeroConstantTerm,
     ZeroOnBoundary,
 )
-from .numkit import ComplexMatrix, expm, hermitian_max_eig, hermitian_min_eig, spectral_radius
+from .numkit import ComplexMatrix, expm, hermitian_max_eig, spectral_radius
 from .operators import (
     Dense,
     DirectSum,
@@ -48,11 +47,9 @@ from .operators import (
     dirichlet_shift,
     isometric_shift,
     operator_from_json,
-    operator_to_json,
     spectral_radius_estimate,
     to_dense_matrix,
     vector_from_json,
-    vector_to_json,
 )
 from .classify import (
     ClassificationReport,
@@ -81,7 +78,6 @@ from .series import (
     series_inv,
     series_mul,
     series_scale,
-    series_shift_up,
 )
 from .shimorin import (
     MULTIPLIER_SIGN_NOTE,
@@ -98,7 +94,6 @@ from .shimorin import (
     defect_projection,
     kernel_eval,
     left_inverse_apply,
-    model_norm_sq,
     semigroup_multiplier,
     verify_intertwining,
     verify_reproducing,
@@ -117,7 +112,6 @@ from .hardy import (
     block_backward_shift_trunc,
     block_forward_shift_trunc,
     caradus_certificate,
-    composition_operator_trunc,
     inner_check,
     inner_semigroup_symbol,
     model_space_basis,

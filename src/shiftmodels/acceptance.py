@@ -60,7 +60,7 @@ from .shimorin import (
     wold_decompose,
 )
 
-__all__ = ["CriterionResult", "run_all", "format_line", "ALL_CRITERIA"]
+__all__ = ["CriterionResult", "run_all", "ALL_CRITERIA"]
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,6 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-
-
-def format_line(result: CriterionResult) -> str:
-    status = "PASS" if result.passed else "FAIL"
-    return f"[{status}] criterion {result.number:2d} {result.name}: {result.detail}"
 
 
 def _random_complex(rng: np.random.Generator, shape) -> np.ndarray:

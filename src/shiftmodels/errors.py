@@ -59,7 +59,3 @@ class SymbolSingularAtOrigin(ToolkitError):
 
 class TruncationTooSmall(ToolkitError):
     """Requested truncation order cannot resolve the computation."""
-
-
-class InvalidAutomorphism(ToolkitError):
-    """Disc automorphism parameter outside its valid range."""

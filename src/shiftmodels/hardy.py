@@ -14,8 +14,7 @@ functions on the unit disc.  It provides:
 * ladder decompositions ``K, phi*K, phi^2*K, ...`` with orthogonality
   certificates;
 * Caradus certificates (surjective with a kernel) read from the measured
-  rank of rectangular block-shift truncations;
-* the truncated composition operator of a disc automorphism, an exhibit.
+  rank of rectangular block-shift truncations.
 
 Everything is desk scale: matrices are a few hundred rows at most and all
 residuals are reported, not hidden.
@@ -30,7 +29,6 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import (
-    InvalidAutomorphism,
     NonFinite,
     SymbolSingularAtOrigin,
     TailNotConvergent,
@@ -63,7 +61,6 @@ __all__ = [
     "caradus_certificate",
     "block_backward_shift_trunc",
     "block_forward_shift_trunc",
-    "composition_operator_trunc",
 ]
 
 _CHECK_RADII = (0.9, 0.99)
@@ -109,12 +106,6 @@ class BlaschkeSpec:
     @property
     def degree(self) -> int:
         return len(self.zeros)
-
-    def to_json(self) -> dict:
-        return {
-            "zeros": [[a.real, a.imag] for a in self.zeros],
-            "constant": [self.constant.real, self.constant.imag],
-        }
 
     @classmethod
     def from_json(cls, data: dict) -> "BlaschkeSpec":
@@ -560,39 +551,3 @@ def caradus_certificate(M, tol: ToleranceConfig = DEFAULT_TOL) -> CaradusReport:
         rank_tol=tol.rank_tol,
         passed=surjective and kernel >= 1,
     )
-
-
-# ---------------------------------------------------------------------------
-# Exhibit constructors
-# ---------------------------------------------------------------------------
-
-
-def composition_operator_trunc(r: float, n: int) -> ComplexMatrix:
-    """Truncated composition operator of the disc automorphism (z + r)/(1 + r z).
-
-    Column ``j`` holds the Taylor coefficients of the ``j``-th power of the
-    automorphism, truncated to length ``n``.  Requires ``0 <= r < 1``.
-    """
-    if not (0.0 <= r < 1.0):
-        raise InvalidAutomorphism(
-            f"parameter {r} does not define a disc automorphism of this "
-            "family; need 0 <= r < 1"
-        )
-    if n < 2:
-        raise ValueError("need dimension at least 2")
-    taps = np.zeros(n, dtype=np.complex128)
-    taps[0] = r
-    scale = 1.0 - r * r
-    power = 1.0
-    for k in range(1, n):
-        taps[k] = power * scale
-        power *= -r
-    symbol = PowerSeries(tuple(taps))
-    arr = np.zeros((n, n), dtype=np.complex128)
-    current = PowerSeries.constant(1.0)
-    for j in range(n):
-        vals = np.asarray(current.coeffs, dtype=np.complex128)[:n]
-        arr[: vals.size, j] = vals
-        current = series_mul(current, symbol, N=n - 1)
-    return ComplexMatrix._trusted(arr)
-

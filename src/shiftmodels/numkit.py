@@ -20,7 +20,6 @@ from .errors import NonFinite, Singular
 __all__ = [
     "ComplexMatrix",
     "hermitian_max_eig",
-    "hermitian_min_eig",
     "expm",
     "solve",
     "rank",
@@ -147,6 +146,8 @@ class ComplexMatrix:
         rows, cols = _json_integer(rows, "matrix rows"), _json_integer(cols, "matrix cols")
         if rows != cols:
             raise ValueError(f"matrix must be square, got {rows}x{cols}")
+        if not isinstance(data, list):
+            raise ValueError(f"matrix data must be a list, got {type(data).__name__}")
         if len(data) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
         try:
@@ -171,13 +172,6 @@ def hermitian_max_eig(M) -> float:
     arr = _as_array(M)
     herm = arr / 2.0 + arr.conj().T / 2.0  # halving first cannot overflow
     return float(np.linalg.eigvalsh(herm)[-1])
-
-
-def hermitian_min_eig(M) -> float:
-    """Smallest eigenvalue of the Hermitian part (M + M*)/2."""
-    arr = _as_array(M)
-    herm = arr / 2.0 + arr.conj().T / 2.0
-    return float(np.linalg.eigvalsh(herm)[0])
 
 
 def _expm_array(arr: np.ndarray) -> np.ndarray:

@@ -49,9 +49,7 @@ __all__ = [
     "dirichlet_shift",
     "spectral_radius_estimate",
     "to_dense_matrix",
-    "operator_to_json",
     "operator_from_json",
-    "vector_to_json",
     "vector_from_json",
 ]
 
@@ -69,26 +67,29 @@ class FiniteSupportVector:
 
     ``ambient`` is the ambient dimension, or None for infinite ambient.
     Exact zeros are dropped at construction; indices must be nonnegative,
-    below 2**62 and, for finite ambient, strictly below it.
+    distinct, below 2**62 and, for finite ambient, strictly below it.  Data
+    that breaks these rules, or a negative ambient, is malformed: ValueError.
     """
 
     entries: tuple[tuple[int, complex], ...]
     ambient: int | None = None
 
     def __post_init__(self) -> None:
+        if self.ambient is not None and self.ambient < 0:
+            raise ValueError(f"negative ambient dimension {self.ambient}")
         cleaned = []
         seen = set()
         for k, v in self.entries:
             k = int(k)
             v = complex(v)
             if k < 0:
-                raise AmbientMismatch(f"negative index {k}")
+                raise ValueError(f"negative index {k}")
             if k >= _INDEX_LIMIT:
                 raise ValueError(f"index {k} is not below 2**62")
             if k in seen:
-                raise AmbientMismatch(f"duplicate index {k}")
+                raise ValueError(f"duplicate index {k}")
             if self.ambient is not None and k >= self.ambient:
-                raise AmbientMismatch(f"index {k} outside ambient dimension {self.ambient}")
+                raise ValueError(f"index {k} outside ambient dimension {self.ambient}")
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise NonFinite(f"non-finite amplitude at index {k}")
             seen.add(k)
@@ -118,10 +119,6 @@ class FiniteSupportVector:
     def basis(cls, k: int, ambient: int | None = None) -> "FiniteSupportVector":
         return cls(((k, 1.0 + 0.0j),), ambient)
 
-    @classmethod
-    def zero(cls, ambient: int | None = None) -> "FiniteSupportVector":
-        return cls((), ambient)
-
     def as_dict(self) -> dict[int, complex]:
         return dict(self.entries)
 
@@ -130,10 +127,6 @@ class FiniteSupportVector:
             if idx == k:
                 return v
         return 0.0 + 0.0j
-
-    @property
-    def max_index(self) -> int:
-        return self.entries[-1][0] if self.entries else -1
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(v) ** 2 for _, v in self.entries))
@@ -223,9 +216,6 @@ class EventuallyConstantWeights:
         values = [self.defect(k) for k in range(len(self.head) + 1)]
         return min(values), max(values)
 
-    def json_fields(self) -> dict:
-        return {"head_weights": list(self.head), "tail_weight": self.tail}
-
 
 @dataclass(frozen=True)
 class DirichletWeights:
@@ -271,9 +261,6 @@ class DirichletWeights:
             # decreasing in k with infimum 0, maximum at k = 0
             return 0.0, self.defect(0)
         return 0.0, 0.0
-
-    def json_fields(self) -> dict:
-        return {"law": "dirichlet-dual" if self.dual else "dirichlet"}
 
 
 WeightRule = Union[EventuallyConstantWeights, DirichletWeights]
@@ -461,18 +448,6 @@ def to_dense_matrix(T: StructuredOperator) -> ComplexMatrix:
 # JSON wire formats
 
 
-def operator_to_json(T: StructuredOperator) -> dict:
-    if isinstance(T, Shift):
-        out: dict = {"kind": "shift"}
-        out.update(T.weights.json_fields())
-        return out
-    if isinstance(T, Dense):
-        return {"kind": "dense", "matrix": T.matrix.to_json()}
-    if isinstance(T, DirectSum):
-        return {"kind": "direct_sum", "parts": [operator_to_json(p) for p in T.parts]}
-    raise UnsupportedRegime(f"unknown operator type {type(T).__name__}")
-
-
 def operator_from_json(obj: dict) -> StructuredOperator:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("operator object must be a dict with a 'kind' field")
@@ -497,17 +472,10 @@ def operator_from_json(obj: dict) -> StructuredOperator:
         return Dense(ComplexMatrix.from_json(obj["matrix"]))
     if kind == "direct_sum":
         parts = obj.get("parts")
-        if not parts:
+        if not isinstance(parts, list) or not parts:
             raise ValueError("direct_sum needs a nonempty 'parts' list")
         return DirectSum(tuple(operator_from_json(p) for p in parts))
     raise ValueError(f"unknown operator kind {kind!r}")
-
-
-def vector_to_json(x: FiniteSupportVector) -> dict:
-    return {
-        "ambient": x.ambient,
-        "entries": [[k, float(v.real), float(v.imag)] for k, v in x.entries],
-    }
 
 
 def vector_from_json(obj: dict) -> FiniteSupportVector:

@@ -20,7 +20,6 @@ __all__ = [
     "series_mul",
     "series_add",
     "series_scale",
-    "series_shift_up",
     "series_exp",
     "series_inv",
     "series_eval",
@@ -51,19 +50,12 @@ class PowerSeries:
         arr[0] = value
         return cls(arr)
 
-    @classmethod
-    def geometric(cls, ratio: complex, N: int) -> "PowerSeries":
-        return cls(np.power(complex(ratio), np.arange(N + 1)))
-
     def truncate(self, N: int) -> "PowerSeries":
         if N + 1 <= self.coeffs.size:
             return PowerSeries(self.coeffs[: N + 1])
         out = np.zeros(N + 1, dtype=np.complex128)
         out[: self.coeffs.size] = self.coeffs
         return PowerSeries(out)
-
-    def to_json(self) -> list:
-        return [[float(c.real), float(c.imag)] for c in self.coeffs]
 
     @classmethod
     def from_json(cls, data: list) -> "PowerSeries":
@@ -91,11 +83,6 @@ def series_add(f: PowerSeries, g: PowerSeries) -> PowerSeries:
 def series_scale(f: PowerSeries, c: complex) -> PowerSeries:
     with _quiet():  # an overflowing coefficient is refused by PowerSeries
         return PowerSeries(c * f.coeffs)
-
-
-def series_shift_up(f: PowerSeries) -> PowerSeries:
-    """Multiply by z (degree grows by one)."""
-    return PowerSeries(np.concatenate(([0.0 + 0.0j], f.coeffs)))
 
 
 def series_exp(f: PowerSeries, N: int | None = None) -> PowerSeries:

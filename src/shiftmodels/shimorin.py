@@ -61,7 +61,6 @@ __all__ = [
     "left_inverse_apply",
     "defect_projection",
     "coefficients",
-    "model_norm_sq",
     "kernel_eval",
     "verify_intertwining",
     "verify_reproducing",
@@ -98,7 +97,6 @@ class AnalyticModel:
 
     source: StructuredOperator
     dual: StructuredOperator
-    shift_parts: tuple[Shift, ...]
     defect_basis: tuple[FiniteSupportVector, ...]
     left_inverse_norm: float
     radius: float
@@ -231,7 +229,6 @@ def build_model(T: StructuredOperator, tol: ToleranceConfig = DEFAULT_TOL) -> An
     model = AnalyticModel(
         source=T,
         dual=dual,
-        shift_parts=parts,
         defect_basis=defect_basis,
         left_inverse_norm=left_inverse_norm,
         radius=radius,
@@ -336,15 +333,6 @@ def coefficients(model: AnalyticModel, x: FiniteSupportVector, N: int) -> ModelC
     _finite(out, "model coefficients")
     _finite(tail, "coefficient tail bound")
     return ModelCoefficients(coeffs=out, N=N, tail_bound=tail)
-
-
-def model_norm_sq(model: AnalyticModel, coeffs: ModelCoefficients) -> float:
-    """Squared model norm sum_n sum_r beta_r(n)^2 |c_{n,r}|^2 (pullback norm)."""
-    total = 0.0
-    for n in range(coeffs.N + 1):
-        for r, part in enumerate(model.shift_parts):
-            total += part.weights.beta_sq(n) * abs(coeffs.coeffs[n, r]) ** 2
-    return total
 
 
 def _check_inside(model: AnalyticModel, value: complex, name: str) -> None:

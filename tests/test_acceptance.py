@@ -1,7 +1,7 @@
 """Acceptance gate: one test per top-level criterion.
 
 Each test runs the corresponding end-to-end criterion and prints its
-single pass/fail line, so `pytest -v -s tests/test_acceptance.py` doubles
+detail line, so `pytest -v -s tests/test_acceptance.py` doubles
 as the human-readable acceptance report.  Tolerances are pinned inside
 the criterion implementations; the tests only assert the verdicts.
 """
@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from shiftmodels import acceptance
-from shiftmodels.acceptance import ALL_CRITERIA, format_line
+from shiftmodels.acceptance import ALL_CRITERIA
 from shiftmodels.series import PowerSeries
 
 
 def _check(result):
-    print(format_line(result))
-    assert result.passed, format_line(result)
+    print(result.detail)
+    assert result.passed, result.detail
 
 
 def test_criterion_registry_is_complete():

@@ -306,6 +306,9 @@ def test_empty_dense_matrix_is_a_usage_error(tmp_path, argv):
     assert "(0, 0)" in proc.stderr
 
 
+_COEFFS = ["model", "--operator", _fixture("isometric.json"), "--coeffs"]
+
+
 @pytest.mark.parametrize(
     "content, argv",
     [
@@ -318,6 +321,20 @@ def test_empty_dense_matrix_is_a_usage_error(tmp_path, argv):
             ["classify", "--operator"],
         ),
         ({"zeros": 5}, ["hardy", "--inner-check", "--blaschke-file"]),
+        (
+            {"kind": "dense", "matrix": {"rows": 2, "cols": 2, "data": 5}},
+            ["classify", "--operator"],
+        ),
+        (
+            {"kind": "dense", "matrix": {"rows": 2, "cols": 2, "data": None}},
+            ["classify", "--operator"],
+        ),
+        ({"kind": "direct_sum", "parts": 5}, ["classify", "--operator"]),
+        # a vector's own data is malformed whatever operator it meets
+        ({"ambient": -1, "entries": []}, _COEFFS),
+        ({"entries": [[-1, 1.0, 0.0]]}, _COEFFS),
+        ({"entries": [[0, 1.0, 0.0], [0, 2.0, 0.0]]}, _COEFFS),
+        ({"ambient": 2, "entries": [[2, 1.0, 0.0]]}, _COEFFS),
     ],
 )
 def test_malformed_json_is_a_usage_error(tmp_path, content, argv):
@@ -325,6 +342,7 @@ def test_malformed_json_is_a_usage_error(tmp_path, content, argv):
     path.write_text(json.dumps(content))
     proc = _run_subprocess([*argv, str(path)])
     _assert_single_error_line(proc, 2)
+    assert "Traceback" not in proc.stderr
 
 
 _HUGE = [[1e300, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]

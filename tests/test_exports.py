@@ -1,9 +1,12 @@
-"""Every name a module lists in ``__all__`` resolves, so a stale export fails; the CLI
-imports no private name from a sibling module."""
+"""Every name a module lists in ``__all__`` resolves, so a stale export fails, and every
+exported function is reached outside the tests; the CLI imports no private name from a
+sibling module."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,48 @@ def test_cli_imports_no_private_name_from_a_sibling_module():
         if alias.name.startswith("_")
     ]
     assert not private, f"cli.py imports private names: {private}"
+
+
+def _loads_outside_own_body(tree: ast.Module, own: set[str]) -> set[str]:
+    """Names and attributes the module loads; a load inside ``def f`` does not count for f in own."""
+    used = set()
+    for stmt in tree.body:
+        skip = stmt.name if isinstance(stmt, ast.FunctionDef) and stmt.name in own else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            else:
+                continue
+            if name != skip:
+                used.add(name)
+    return used
+
+
+def test_every_exported_function_is_reached():
+    # an exported function that no module of the package, other than the root's re-export,
+    # calls and no benchmark job names is reached by tests alone: delete it, with its tests
+    package = Path(shiftmodels.__file__).parent
+    exported = {}
+    for name in MODULES:
+        module = importlib.import_module(f"shiftmodels.{name}")
+        exported.update(
+            (attr, getattr(module, attr))
+            for attr in module.__all__
+            if inspect.isfunction(getattr(module, attr))
+        )
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            own = {n for n, fn in exported.items() if fn.__module__ == f"shiftmodels.{path.stem}"}
+            used |= _loads_outside_own_body(ast.parse(path.read_text(encoding="utf-8")), own)
+    perfbench = "\n".join(
+        p.read_text(encoding="utf-8") for p in (Path(__file__).parents[1] / "perfbench").glob("*.py")
+    )
+    unreached = sorted(
+        f"{fn.__module__}.{name}"
+        for name, fn in exported.items()
+        if name not in used and not re.search(rf"\b{name}\b", perfbench)
+    )
+    assert not unreached, f"exported functions that only tests reach: {unreached}"

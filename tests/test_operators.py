@@ -17,11 +17,8 @@ from shiftmodels.operators import (
     dirichlet_shift,
     isometric_shift,
     operator_from_json,
-    operator_to_json,
     spectral_radius_estimate,
-    to_dense_matrix,
     vector_from_json,
-    vector_to_json,
 )
 from shiftmodels.shimorin import cauchy_dual
 
@@ -138,27 +135,55 @@ def test_vector_algebra_and_inner_convention():
     assert x.norm() == pytest.approx(SQRT2, abs=1e-15)
 
 
+def _assert_same_operator(S, T) -> None:
+    assert type(S) is type(T)
+    if isinstance(S, Shift):
+        assert S.weights == T.weights
+    elif isinstance(S, Dense):
+        np.testing.assert_array_equal(S.matrix.array, T.matrix.array)
+    else:
+        assert len(S.parts) == len(T.parts)
+        for a, b in zip(S.parts, T.parts):
+            _assert_same_operator(a, b)
+
+
+_ROTATION = {"rows": 2, "cols": 2, "data": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]]}
+
+
 def test_operator_json_round_trip():
-    ops = (
-        dirichlet_shift(),
-        Shift(EventuallyConstantWeights((1.5, 0.5), 1.0)),
-        Dense(ComplexMatrix.from_rows([[0.0, 1.0], [-1.0, 0.0]])),
-        DirectSum((Dense(ComplexMatrix.diagonal([1.0j])), Dense(ComplexMatrix.identity(2)))),
+    # literal wire dicts pin the format independently of any serializer
+    cases = (
+        ({"kind": "shift", "law": "dirichlet"}, dirichlet_shift()),
+        ({"kind": "shift", "law": "dirichlet-dual"}, dirichlet_shift(dual=True)),
+        (
+            {"kind": "shift", "head_weights": [1.5, 0.5], "tail_weight": 1.0},
+            Shift(EventuallyConstantWeights((1.5, 0.5), 1.0)),
+        ),
+        (
+            {"kind": "dense", "matrix": _ROTATION},
+            Dense(ComplexMatrix.from_rows([[0.0, 1.0], [-1.0, 0.0]])),
+        ),
+        (
+            {
+                "kind": "direct_sum",
+                "parts": [
+                    {"kind": "dense", "matrix": {"rows": 1, "cols": 1, "data": [[0.0, 1.0]]}},
+                    {"kind": "shift", "law": "dirichlet"},
+                ],
+            },
+            DirectSum((Dense(ComplexMatrix.diagonal([1.0j])), dirichlet_shift())),
+        ),
     )
-    rng = np.random.default_rng(23)
-    for T in ops:
-        again = operator_from_json(operator_to_json(T))
-        ambient = to_dense_matrix(T).n if isinstance(T, (Dense, DirectSum)) else None
-        for _ in range(5):
-            max_index = ambient - 1 if ambient is not None else 2
-            x = _random_vector(rng, max_index=max_index, ambient=ambient)
-            assert again.apply(x).sub(T.apply(x)).norm() <= 1e-15
+    for wire, expected in cases:
+        _assert_same_operator(operator_from_json(wire), expected)
 
 
 def test_vector_json_round_trip():
-    x = FiniteSupportVector.from_dict({0: 1.0 - 2.0j, 7: 0.25})
-    again = vector_from_json(vector_to_json(x))
-    assert again.as_dict() == x.as_dict()
+    # a literal wire dict: entries are [index, re, im], ambient is optional
+    x = vector_from_json({"entries": [[7, 0.25, 0.0], [0, 1.0, -2.0]]})
+    assert x.entries == ((0, 1.0 - 2.0j), (7, 0.25 + 0.0j))
+    assert x.ambient is None
+    assert vector_from_json({"ambient": 8, "entries": [[7, 0.25, 0.0]]}).ambient == 8
 
 
 def _mixed_sum() -> DirectSum:
