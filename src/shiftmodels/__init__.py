@@ -101,6 +101,7 @@ from .shimorin import (
     wold_decompose,
 )
 from .hardy import (
+    BlaschkeSeries,
     BlaschkeSpec,
     CaradusReport,
     InnerCheckReport,

@@ -29,6 +29,7 @@ from .hardy import (
     block_forward_shift_trunc,
     caradus_certificate,
     inner_semigroup_symbol,
+    model_space_basis,
     verify_ladder_decomposition,
 )
 from .numkit import ComplexMatrix
@@ -425,8 +426,10 @@ def criterion_8_wold_split() -> CriterionResult:
 
 
 def criterion_9_ladder_decomposition() -> CriterionResult:
-    """K, phi K, ..., phi^4 K are orthogonal with the exact total dimension."""
+    """K, phi K, ..., phi^4 K are orthogonal with the exact total dimension, and
+    the two model-space routes span the same K for Blaschke symbols."""
     tolerance = 1e-10
+    span_tolerance = 1e-12
     n = 64
     levels = 4
     cases = (
@@ -436,18 +439,26 @@ def criterion_9_ladder_decomposition() -> CriterionResult:
     )
     worst = 0.0
     dim_errors = 0
+    span_gap = 0.0
     for _, phi, degree in cases:
         report = verify_ladder_decomposition(phi, degree, levels, n)
         worst = max(worst, report.offdiag_residual, report.within_block_residual)
         if report.total_dim != report.expected_dim:
             dim_errors += 1
+    for _, phi, degree in cases[1:]:
+        # the Takenaka-Malmquist-Walsh basis against the SVD complement of the same coefficients
+        tmw = model_space_basis(phi, n, degree)
+        svd = model_space_basis(PowerSeries(phi.coeffs), n, degree)
+        span_gap = max(span_gap, float(np.abs(tmw @ tmw.conj().T - svd @ svd.conj().T).max()))
     return CriterionResult(
         number=9,
         name="ladder_decomposition",
-        passed=worst <= tolerance and dim_errors == 0,
+        passed=worst <= tolerance and dim_errors == 0 and span_gap <= span_tolerance,
         detail=(
             f"max Gram residual {worst:.3e} over 3 symbols at 5 levels, n=64 "
-            f"(tolerance {tolerance:.0e}); {dim_errors} dimension errors"
+            f"(tolerance {tolerance:.0e}); {dim_errors} dimension errors; "
+            f"TMW vs SVD span gap {span_gap:.3e} over 2 Blaschke symbols "
+            f"(tolerance {span_tolerance:.0e})"
         ),
     )
 

@@ -123,6 +123,8 @@ def _load_json(path: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"malformed JSON in {path}: nested too deeply ({exc})") from exc
 
 
 def _parse_complex(text: str) -> complex:

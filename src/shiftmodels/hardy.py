@@ -4,13 +4,16 @@ This module works with concrete power-series representatives of analytic
 functions on the unit disc.  It provides:
 
 * Blaschke products (closed-form Taylor coefficients, rational evaluation);
+  their series remember the zeros (``BlaschkeSeries``);
 * the inner symbol ``exp(t * (phi + 1) / (phi - 1))`` attached to an inner
   ``phi``, built purely by series algebra (inversion then exponential), a
   deliberately different route from the Laguerre recurrence used by the
   analytic-model module so the two can cross-check each other;
 * a boundary-circle innerness check;
-* analytic Toeplitz truncations and model-space bases (orthogonal
-  complements of shifted-symbol columns);
+* analytic Toeplitz truncations and model-space bases ``K_B = H^2 ⊖ B H^2``
+  on two independent routes: the Takenaka-Malmquist-Walsh closed form for a
+  Blaschke series whose zeros are known, and the orthogonal complement of
+  the shifted-symbol columns (an SVD) for any other series;
 * ladder decompositions ``K, phi*K, phi^2*K, ...`` with orthogonality
   certificates;
 * Caradus certificates (surjective with a kernel) read from the measured
@@ -47,6 +50,7 @@ from .series import (
 
 __all__ = [
     "BlaschkeSpec",
+    "BlaschkeSeries",
     "blaschke_series",
     "blaschke_eval",
     "inner_semigroup_symbol",
@@ -118,7 +122,14 @@ class BlaschkeSpec:
         return cls(zeros=zeros, constant=constant)
 
 
-def _factor_series(a: complex, N: int) -> PowerSeries:
+def _conj_powers(a: complex, count: int) -> np.ndarray:
+    """``conj(a)^0, ..., conj(a)^(count - 1)``, each one multiplication after the last."""
+    steps = np.full(count, np.conj(a), dtype=np.complex128)
+    steps[:1] = 1.0
+    return np.cumprod(steps)
+
+
+def _factor_series(a: complex, N: int) -> np.ndarray:
     """Taylor coefficients of one normalised Blaschke factor through degree N.
 
     For ``a != 0`` the closed form is ``c_0 = |a|`` and
@@ -126,28 +137,40 @@ def _factor_series(a: complex, N: int) -> PowerSeries:
     """
     coeffs = np.zeros(N + 1, dtype=np.complex128)
     if a == 0:
-        if N >= 1:
-            coeffs[1] = 1.0
-        return PowerSeries(tuple(coeffs))
+        coeffs[1:2] = 1.0
+        return coeffs
     mod = abs(a)
     lead = mod / a
     drop = mod * mod - 1.0
     coeffs[0] = mod
-    power = 1.0 + 0.0j
-    for k in range(1, N + 1):
-        coeffs[k] = lead * power * drop
-        power *= np.conj(a)
-    return PowerSeries(tuple(coeffs))
+    power = _conj_powers(a, N)
+    # the product by parts: numpy's array complex multiply rounds differently from
+    # the scalar one, and these are the scalar product's roundings
+    coeffs.real[1:] = (lead.real * power.real - lead.imag * power.imag) * drop
+    coeffs.imag[1:] = (lead.real * power.imag + lead.imag * power.real) * drop
+    return coeffs
 
 
-def blaschke_series(spec: BlaschkeSpec, N: int) -> PowerSeries:
+@dataclass(frozen=True)
+class BlaschkeSeries(PowerSeries):
+    """Taylor coefficients of a Blaschke product that remember its zeros.
+
+    Only ``blaschke_series`` builds one. Every series operation returns a plain
+    ``PowerSeries``, so the factorization is dropped as soon as the
+    coefficients could change.
+    """
+
+    spec: BlaschkeSpec
+
+
+def blaschke_series(spec: BlaschkeSpec, N: int) -> BlaschkeSeries:
     """Taylor coefficients of the Blaschke product through degree ``N``."""
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
-    out = PowerSeries.constant(spec.constant, N)
+    coeffs = PowerSeries.constant(spec.constant, N).coeffs
     for a in spec.zeros:
-        out = series_mul(out, _factor_series(a, N), N=N)
-    return out
+        coeffs = np.convolve(coeffs, _factor_series(a, N))[: N + 1]
+    return BlaschkeSeries(coeffs, spec)
 
 
 def blaschke_eval(spec: BlaschkeSpec, z: complex) -> complex:
@@ -343,6 +366,26 @@ def analytic_toeplitz_trunc(phi: PowerSeries, n: int) -> ComplexMatrix:
     return ToeplitzTrunc.from_analytic(phi, n).matrix()
 
 
+def _tmw_basis(zeros: tuple[complex, ...], n: int) -> np.ndarray:
+    """The Takenaka-Malmquist-Walsh basis of ``K_B``, ``n`` coefficients per column.
+
+    Column ``k`` holds ``e_k = sqrt(1 - |a_k|^2) / (1 - conj(a_k) z) * prod_{j<k} b_j``
+    with ``b_j`` the normalised factor of zero ``a_j``.  These functions are
+    orthonormal in H^2 and span ``K_B`` (Garcia, Mashreghi and Ross,
+    *Introduction to Model Spaces and their Operators*, 2016), so the
+    truncation drops only their tails.  One running product of the factor
+    series serves every column.
+    """
+    basis = np.empty((n, len(zeros)), dtype=np.complex128)
+    product = np.ones(1, dtype=np.complex128)
+    for k, a in enumerate(zeros):
+        if k:
+            product = np.convolve(product, _factor_series(zeros[k - 1], n - 1))[:n]
+        kernel = math.sqrt(1.0 - abs(a) ** 2) * _conj_powers(a, n)
+        basis[:, k] = np.convolve(product, kernel)[:n]
+    return basis
+
+
 def model_space_basis(
     phi: PowerSeries,
     n: int,
@@ -361,6 +404,11 @@ def model_space_basis(
     Requires ``n >= 4 * degree`` and a truncation that resolves the symbol:
     the trailing coefficient mass from index ``n - 2 * degree`` on must stay
     below the tail tolerance, otherwise ``TruncationTooSmall`` is raised.
+
+    A ``BlaschkeSeries`` of this degree and of order at least ``n - 1`` gets
+    the Takenaka-Malmquist-Walsh basis, whose phases are fixed by its
+    formula; any other series gets the SVD complement, whose column phases
+    LAPACK picks.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
@@ -369,7 +417,7 @@ def model_space_basis(
             f"truncation {n} is below the working minimum {4 * degree} "
             f"for a degree {degree} symbol"
         )
-    coeffs = np.asarray(phi.coeffs, dtype=np.complex128)
+    coeffs = phi.coeffs
     boundary = n - 2 * degree
     trailing = np.abs(coeffs[boundary:]).sum() if coeffs.size > boundary else 0.0
     if trailing > tol.tail_tol:
@@ -378,6 +426,8 @@ def model_space_basis(
             f"{trailing:.3e}, above the tail tolerance {tol.tail_tol:.1e}; "
             "increase the truncation"
         )
+    if isinstance(phi, BlaschkeSeries) and phi.spec.degree == degree and phi.order >= n - 1:
+        return _tmw_basis(phi.spec.zeros, n)
     T = analytic_toeplitz_trunc(phi, n).array
     columns = T[:, : n - degree]
     basis = null_space_basis(columns.conj().T, tol)
@@ -437,13 +487,7 @@ def verify_ladder_decomposition(
     blocks: list[np.ndarray] = []
     power = PowerSeries.constant(1.0)
     for _ in range(levels + 1):
-        block = np.zeros((n, degree), dtype=np.complex128)
-        for r in range(degree):
-            column = PowerSeries(tuple(K[:, r]))
-            product = series_mul(power, column, N=n - 1)
-            vals = np.asarray(product.coeffs, dtype=np.complex128)
-            block[: vals.size, r] = vals
-        blocks.append(block)
+        blocks.append(np.stack([np.convolve(power.coeffs, column)[:n] for column in K.T], axis=1))
         power = series_mul(power, phi, N=n - 1)
     stacked = np.hstack(blocks)
     gram = stacked.conj().T @ stacked

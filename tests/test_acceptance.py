@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from shiftmodels import acceptance
+from shiftmodels import acceptance, hardy
 from shiftmodels.acceptance import ALL_CRITERIA
 from shiftmodels.series import PowerSeries
 
@@ -61,6 +61,16 @@ def test_criterion_08_wold_split():
 
 def test_criterion_09_ladder_decomposition():
     _check(acceptance.criterion_9_ladder_decomposition())
+
+
+def test_criterion_9_fails_when_the_tmw_builder_gets_a_wrong_zero(monkeypatch):
+    # the closed-form basis is checked against the SVD complement of the same coefficients
+    original = hardy._tmw_basis
+    monkeypatch.setattr(hardy, "_tmw_basis", lambda zeros, n: original((0.2,) + zeros[1:], n))
+    result = acceptance.criterion_9_ladder_decomposition()
+    assert not result.passed
+    gap = re.search(r"TMW vs SVD span gap (\S+)", result.detail).group(1)
+    assert float(gap) > 1e-3
 
 
 def test_criterion_10_growth_bound():

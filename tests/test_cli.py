@@ -335,11 +335,20 @@ _COEFFS = ["model", "--operator", _fixture("isometric.json"), "--coeffs"]
         ({"entries": [[-1, 1.0, 0.0]]}, _COEFFS),
         ({"entries": [[0, 1.0, 0.0], [0, 2.0, 0.0]]}, _COEFFS),
         ({"ambient": 2, "entries": [[2, 1.0, 0.0]]}, _COEFFS),
+        # nested past the interpreter's recursion limit, written as text
+        pytest.param(
+            '{"kind": "direct_sum", "parts": [' * 600
+            + '{"kind": "shift", "law": "dirichlet"}'
+            + "]}" * 600,
+            ["classify", "--operator"],
+            id="direct_sum-600-deep",
+        ),
+        pytest.param("[" * 100000 + "]" * 100000, ["classify", "--operator"], id="brackets-100000"),
     ],
 )
 def test_malformed_json_is_a_usage_error(tmp_path, content, argv):
     path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(content))
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
     proc = _run_subprocess([*argv, str(path)])
     _assert_single_error_line(proc, 2)
     assert "Traceback" not in proc.stderr

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from shiftmodels import hardy
 from shiftmodels.config import DEFAULT_TOL, ToleranceConfig
 from shiftmodels.errors import (
     NonFinite,
@@ -16,6 +17,7 @@ from shiftmodels.errors import (
     ZeroOnBoundary,
 )
 from shiftmodels.hardy import (
+    BlaschkeSeries,
     BlaschkeSpec,
     ToeplitzTrunc,
     analytic_toeplitz_trunc,
@@ -167,10 +169,9 @@ def test_model_space_of_blaschke_half():
     basis = model_space_basis(phi, n, 1)
     assert basis.shape == (n, 1)
     # K_phi is spanned by the kernel 1/(1 - 0.5 z): coefficients 0.5^k,
-    # normalized by sqrt(1 - 0.25)
+    # normalized by sqrt(1 - 0.25); the closed form fixes the phase, so no division by it
     expected = np.array([math.sqrt(0.75) * 0.5**k for k in range(n)])
-    phase = basis[0, 0] / abs(basis[0, 0])
-    np.testing.assert_allclose((basis[:, 0] / phase).real, expected, atol=1e-9)
+    np.testing.assert_allclose(basis[:, 0], expected, rtol=0.0, atol=1e-12)
 
     # orthogonality to phi * z^k columns (spec invariant)
     columns = analytic_toeplitz_trunc(phi, n).array[:, : n // 2]
@@ -184,6 +185,111 @@ def test_model_space_degree_two_dimension():
     assert basis.shape == (n, 2)
     gram = basis.conj().T @ basis
     np.testing.assert_allclose(gram, np.eye(2), atol=1e-12)
+
+
+def _factor_series_loop(a, N):
+    """The scalar loop the vectorized factor coefficients must reproduce bit for bit."""
+    coeffs = np.zeros(N + 1, dtype=np.complex128)
+    if a == 0:
+        if N >= 1:
+            coeffs[1] = 1.0
+        return coeffs
+    mod = abs(a)
+    lead = mod / a
+    drop = mod * mod - 1.0
+    coeffs[0] = mod
+    power = 1.0 + 0.0j
+    for k in range(1, N + 1):
+        coeffs[k] = lead * power * drop
+        power *= np.conj(a)
+    return coeffs
+
+
+@pytest.mark.parametrize("N", [0, 1, 5, 256, 4095])
+def test_factor_series_is_bit_identical_to_the_scalar_loop(N):
+    rng = np.random.default_rng(20261018)
+    radii = 0.999 * np.sqrt(rng.uniform(size=300))
+    zeros = radii * np.exp(2j * np.pi * rng.uniform(size=300))
+    for a in (0.0, 0.5, -0.4, 0.3j, *zeros):
+        a = complex(a)
+        assert np.array_equal(hardy._factor_series(a, N), _factor_series_loop(a, N)), a
+
+
+def test_blaschke_series_keeps_its_spec_and_operations_drop_it():
+    spec = BlaschkeSpec((0.3, -0.4))
+    phi = blaschke_series(spec, 31)
+    assert isinstance(phi, BlaschkeSeries)
+    assert phi.spec is spec and phi.order == 31
+    for derived in (series_mul(phi, phi), phi.truncate(31), phi.truncate(63)):
+        assert type(derived) is PowerSeries
+
+
+def _tmw_closed_form(zeros, k, z):
+    """e_k(z) = sqrt(1 - |a_k|^2) / (1 - conj(a_k) z) * prod_{j<k} b_{a_j}(z), written out."""
+    a = zeros[k]
+    value = math.sqrt(1.0 - abs(a) ** 2) / (1.0 - a.conjugate() * z)
+    for b in zeros[:k]:
+        value *= z if b == 0 else (abs(b) / b) * (b - z) / (1.0 - b.conjugate() * z)
+    return value
+
+
+@pytest.mark.parametrize(
+    "zeros",
+    [(0.3, -0.4), (0.0, 0.5 - 0.2j), (0.4j, 0.4j), (-0.3 + 0.4j, 0.0, 0.6, 0.6)],
+    ids=["two", "origin", "repeated", "mixed"],
+)
+def test_tmw_basis_matches_the_rational_closed_form(zeros):
+    zeros = tuple(complex(a) for a in zeros)
+    n = 96
+    basis = model_space_basis(blaschke_series(BlaschkeSpec(zeros), n - 1), n, len(zeros))
+    rng = np.random.default_rng(7)
+    points = 0.9 * np.sqrt(rng.uniform(size=8)) * np.exp(2j * np.pi * rng.uniform(size=8))
+    points[0] = 0.9  # one point on the outer circle
+    for k in range(len(zeros)):
+        by_series = np.polynomial.polynomial.polyval(points, basis[:, k])
+        closed = np.array([_tmw_closed_form(zeros, k, complex(z)) for z in points])
+        np.testing.assert_allclose(by_series, closed, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("zeros", [(0.5,), (0.5, -0.3 + 0.4j, 0.2j)])
+def test_tmw_and_svd_routes_span_the_same_space(zeros, n):
+    phi = blaschke_series(BlaschkeSpec(zeros), n - 1)
+    tmw = model_space_basis(phi, n, len(zeros))
+    svd = model_space_basis(PowerSeries(phi.coeffs), n, len(zeros))
+    np.testing.assert_allclose(tmw.conj().T @ tmw, np.eye(len(zeros)), rtol=0.0, atol=1e-12)
+    gap = np.abs(tmw @ tmw.conj().T - svd @ svd.conj().T).max()
+    assert gap <= 1e-12
+
+
+def test_model_space_route_follows_the_input_type(monkeypatch):
+    n = 64
+    phi = blaschke_series(BlaschkeSpec((0.3, -0.4)), n - 1)
+    tmw = model_space_basis(phi, n, 2)
+
+    def refuse(*args):
+        raise AssertionError("wrong route")
+
+    # a plain series with the same coefficients, a degree other than the zero count, or a
+    # symbol shorter than the truncation takes the SVD complement
+    monkeypatch.setattr(hardy, "_tmw_basis", refuse)
+    plain = model_space_basis(PowerSeries(phi.coeffs), n, 2)
+    assert np.abs(plain @ plain.conj().T - tmw @ tmw.conj().T).max() <= 1e-12
+    with pytest.raises(ValueError, match="rank deficient"):
+        model_space_basis(phi, n, 1)
+    assert model_space_basis(blaschke_series(BlaschkeSpec((0.3, -0.4)), 31), n, 2).shape == (n, 2)
+    monkeypatch.undo()
+    # the Blaschke series itself never reaches the SVD
+    monkeypatch.setattr(hardy, "null_space_basis", refuse)
+    np.testing.assert_array_equal(model_space_basis(phi, n, 2), tmw)
+
+
+def test_tmw_route_keeps_the_refusals():
+    # both refusals run before the route is chosen
+    with pytest.raises(TruncationTooSmall, match="working minimum"):
+        model_space_basis(blaschke_series(BlaschkeSpec((0.3, -0.4)), 63), 7, 2)
+    with pytest.raises(TruncationTooSmall, match="carry mass"):
+        model_space_basis(blaschke_series(BlaschkeSpec((0.95,)), 63), 64, 1)
 
 
 def test_model_space_rejects_small_truncation():
