@@ -167,7 +167,9 @@ def blaschke_series(spec: BlaschkeSpec, N: int) -> BlaschkeSeries:
     """Taylor coefficients of the Blaschke product through degree ``N``."""
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
-    coeffs = PowerSeries.constant(spec.constant, N).coeffs
+    if not spec.zeros:
+        return BlaschkeSeries(PowerSeries.constant(spec.constant, N).coeffs, spec)
+    coeffs = np.array([spec.constant])  # a length-1 start: the first product is a scaling
     for a in spec.zeros:
         coeffs = np.convolve(coeffs, _factor_series(a, N))[: N + 1]
     return BlaschkeSeries(coeffs, spec)

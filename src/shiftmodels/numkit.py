@@ -3,12 +3,13 @@
 All kernels accept :class:`ComplexMatrix` (or a raw ndarray for internal use)
 and route rank decisions through singular values so every cutoff is relative
 to the largest one.  Factorizations are delegated to LAPACK via numpy; the
-matrix exponential is computed here by scaling and squaring with a degree-13
-Pade core because downstream semigroup checks pin its behaviour.
+matrix exponential, of one matrix or of a stack, is computed here by scaling and
+squaring with one degree-13 Pade core because downstream semigroup checks pin it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -174,57 +175,84 @@ def hermitian_max_eig(M) -> float:
     return float(np.linalg.eigvalsh(herm)[-1])
 
 
-def _expm_array(arr: np.ndarray) -> np.ndarray:
-    n = arr.shape[0]
-    with _quiet():
-        norm = float(np.linalg.norm(arr, 1))
-        if norm == 0.0:
-            return np.eye(n, dtype=np.complex128)
-        if not np.isfinite(norm):
-            raise NonFinite("matrix 1-norm is not finite")
-        # the quotient overflows only for norms within a factor 2 of the float
-        # maximum, and only there is its log2 taken as a difference of logs:
-        # log2(norm) + 1 rounds differently next to powers of two
-        ratio = norm / _EXPM_SCALE_TARGET
-        log_ratio = (
-            np.log2(ratio) if ratio < np.inf else np.log2(norm) - np.log2(_EXPM_SCALE_TARGET)
-        )
-        squarings = max(0, int(np.ceil(log_ratio)))
-        A = arr * np.ldexp(1.0, -squarings)
+def _expm_stack(stack: np.ndarray) -> tuple[np.ndarray, NonFinite | None]:
+    """e^{A_j} for the members of a (k, n, n) stack up to the first one refused, and its refusal.
 
-        ident = np.eye(n, dtype=np.complex128)
+    Each member keeps its own 1-norm, squaring count and refusals; a zero member is the
+    exact identity.  The Pade diagonal is evaluated once per squaring count, on that
+    group's sub-stack, which is then squared.
+    """
+    k, n = stack.shape[:2]
+    m, zeros, groups = k, [], {}  # m members computed; groups: squaring count -> members
+    with _quiet():
+        for j, norm in enumerate(np.abs(stack).sum(axis=1).max(axis=1).tolist()):  # 1-norms
+            if not math.isfinite(norm):
+                m = j
+                break
+            if norm == 0.0:
+                zeros.append(j)
+                continue
+            # the quotient overflows only for norms within a factor 2 of the float
+            # maximum, and only there is its log2 taken as a difference of logs:
+            # log2(norm) + 1 rounds differently next to powers of two
+            ratio = norm / _EXPM_SCALE_TARGET
+            log_ratio = (
+                np.log2(ratio) if ratio < math.inf else np.log2(norm) - np.log2(_EXPM_SCALE_TARGET)
+            )
+            groups.setdefault(max(0, math.ceil(log_ratio)), []).append(j)
+        stack = stack[:m]
+        out = np.empty_like(stack)
+        ident = np.eye(n, dtype=np.complex128)[None]  # a stack broadcasts faster than a matrix
+        if zeros:
+            out[zeros] = ident
         b = _PADE13_B
-        A2 = A @ A
-        A4 = A2 @ A2
-        A6 = A4 @ A2
-        U = A @ (
-            A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-            + b[7] * A6
-            + b[5] * A4
-            + b[3] * A2
-            + b[1] * ident
-        )
-        V = (
-            A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-            + b[6] * A6
-            + b[4] * A4
-            + b[2] * A2
-            + b[0] * ident
-        )
-        R = np.linalg.solve(V - U, V + U)
-        for _ in range(squarings):
-            R = R @ R
-    _finite(R, "matrix exponential")
-    # e^A is invertible, so the zero matrix is an underflow only where every eigenvalue
-    # of A lies left of log(tiny); elsewhere the Pade rounding was squared away
-    if not R.any() and np.linalg.eigvals(arr).real.max() > _LOG_NORMAL_MIN:
-        raise NonFinite("matrix exponential: scaling and squaring overscaled it to zero")
-    return R
+        for squarings, members in groups.items():
+            whole = len(members) == m  # one group of every member: no gather, no scatter
+            A = (stack if whole else stack[members]) * math.ldexp(1.0, -squarings)
+            A2 = A @ A
+            A4 = A2 @ A2
+            A6 = A4 @ A2
+            U = A @ (
+                A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+                + b[7] * A6
+                + b[5] * A4
+                + b[3] * A2
+                + b[1] * ident
+            )
+            V = (
+                A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+                + b[6] * A6
+                + b[4] * A4
+                + b[2] * A2
+                + b[0] * ident
+            )
+            R = np.linalg.solve(V - U, V + U)
+            for _ in range(squarings):
+                R = R @ R
+            if whole:
+                out = R
+            else:
+                out[members] = R
+    finite = np.isfinite(out)
+    # a zero member has a zero diagonal: with none on any diagonal, no member is zero
+    if np.count_nonzero(finite) != finite.size or np.count_nonzero(out.diagonal(0, 1, 2)) != m * n:
+        for j in range(m):
+            if not finite[j].all():
+                return out[:j], NonFinite("non-finite matrix exponential")
+            # e^A is invertible, so the zero matrix is an underflow only where every eigenvalue
+            # of A lies left of log(tiny); elsewhere the Pade rounding was squared away
+            if not out[j].any() and np.linalg.eigvals(stack[j]).real.max() > _LOG_NORMAL_MIN:
+                overscaled = "matrix exponential: scaling and squaring overscaled it to zero"
+                return out[:j], NonFinite(overscaled)
+    return out, None if m == k else NonFinite("matrix 1-norm is not finite")
 
 
 def expm(M) -> ComplexMatrix:
     """Matrix exponential by scaling and squaring with a degree-13 Pade core."""
-    return ComplexMatrix._trusted(_expm_array(_as_array(M)))
+    out, refusal = _expm_stack(_as_array(M)[None])
+    if refusal is not None:
+        raise refusal
+    return ComplexMatrix._trusted(out[0])
 
 
 def _svd(arr: np.ndarray, compute_uv: bool):

@@ -25,7 +25,7 @@ import numpy as np
 from .classify import _defect_range, generator_concavity_criterion
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NonFinite, OneInSpectrum
-from .numkit import ComplexMatrix, _finite, _quiet, eigenvalues, expm, rank, spectral_radius
+from .numkit import ComplexMatrix, _expm_stack, _finite, _quiet, eigenvalues, rank, spectral_radius
 
 __all__ = [
     "SemigroupSpec",
@@ -80,15 +80,23 @@ class EquivalenceSuiteReport:
     grid_slack: float = 0.0
 
 
+def _evolve_stack(S: SemigroupSpec, times) -> tuple[np.ndarray, NonFinite | None]:
+    """e^{tA} for each t of ``times`` up to the first one refused, and its refusal: t < 0 is
+    refused outright, and t = 0 gives the exact identity (t A is zero)."""
+    for t in times:
+        if t < 0.0:
+            raise ValueError(f"semigroup parameter must be nonnegative, got {t}")
+    with _quiet():  # the core refuses a t A holding infinity or NaN: its 1-norm is not finite
+        scaled = np.asarray(times, dtype=np.float64)[:, None, None] * S.generator.array
+    return _expm_stack(scaled)
+
+
 def evolve(S: SemigroupSpec, t: float) -> ComplexMatrix:
     """e^{tA}; t = 0 returns the exact identity."""
-    if t < 0.0:
-        raise ValueError(f"semigroup parameter must be nonnegative, got {t}")
-    if t == 0.0:
-        return ComplexMatrix.identity(S.generator.n)
-    with _quiet():  # expm refuses a t A holding infinity or NaN: its 1-norm is not finite
-        scaled = t * S.generator.array
-    return expm(ComplexMatrix._trusted(scaled))
+    evolved, refusal = _evolve_stack(S, (t,))
+    if refusal is not None:
+        raise refusal
+    return ComplexMatrix._trusted(evolved[0])
 
 
 def _cayley(arr: np.ndarray, tol: ToleranceConfig, what: str) -> ComplexMatrix:
@@ -120,12 +128,15 @@ def growth_bound(S: SemigroupSpec) -> GrowthBound:
 def growth_bound_consistency(S: SemigroupSpec) -> float:
     """Max over t of |(1/t) log r(e^{tA}) - omega|; small by spectral mapping."""
     omega = growth_bound(S).omega
+    evolved, refusal = _evolve_stack(S, _CONSISTENCY_TIMES)
     worst = 0.0
-    for t in _CONSISTENCY_TIMES:
-        radius = spectral_radius(evolve(S, t))
+    for t, E in zip(_CONSISTENCY_TIMES, evolved):  # the times before the first one refused
+        radius = spectral_radius(ComplexMatrix._trusted(E))
         if radius == 0.0:  # e^{tA} is invertible, so only underflow gives r = 0
             raise NonFinite(f"spectral radius of e^{{tA}} underflows to 0 at t = {t:g}")
         worst = max(worst, abs(np.log(radius) / t - omega))
+    if refusal is not None:
+        raise refusal
     return worst
 
 
@@ -148,7 +159,9 @@ def concavity_equivalence_suite(
     n = A.n
 
     # (i) concavity of each evolved operator on the grid
-    exponentials = np.stack([evolve(S, t).array for t in (*_GRID, _STEP)])
+    exponentials, refusal = _evolve_stack(S, (*_GRID, _STEP))
+    if refusal is not None:
+        raise refusal
     evolved, half = exponentials[:-1], exponentials[-1]
     _, max_defect = _defect_range(evolved)
     semigroup_concave = max_defect <= slack

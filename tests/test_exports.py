@@ -89,3 +89,28 @@ def test_every_exported_function_is_reached():
         if name not in used and not re.search(rf"\b{name}\b", perfbench)
     )
     assert not unreached, f"exported functions that only tests reach: {unreached}"
+
+
+def test_one_function_reads_the_pade_coefficients():
+    # one Pade core serves single matrices and stacks alike: a second reader of the
+    # coefficient table would be a second scaling-and-squaring implementation
+    readers = []
+    for path in sorted(Path(shiftmodels.__file__).parent.glob("*.py")):
+        scopes = [f"{path.stem} (module level)"]
+
+        def visit(node):
+            is_function = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            if is_function:
+                scopes.append(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
+            loaded = (isinstance(node, ast.Name) and node.id == "_PADE13_B") or (
+                isinstance(node, ast.Attribute) and node.attr == "_PADE13_B"
+            )
+            if loaded and isinstance(node.ctx, ast.Load):
+                readers.append(scopes[-1])
+            for child in ast.iter_child_nodes(node):
+                visit(child)
+            if is_function:
+                scopes.pop()
+
+        visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert len(set(readers)) == 1 and not readers[0].endswith("(module level)"), readers

@@ -215,6 +215,31 @@ def test_factor_series_is_bit_identical_to_the_scalar_loop(N):
         assert np.array_equal(hardy._factor_series(a, N), _factor_series_loop(a, N)), a
 
 
+def _blaschke_series_from_full_constant(spec, N):
+    """The product started from the constant as a full length-(N + 1) series."""
+    coeffs = PowerSeries.constant(spec.constant, N).coeffs
+    for a in spec.zeros:
+        coeffs = np.convolve(coeffs, hardy._factor_series(a, N))[: N + 1]
+    return coeffs
+
+
+@pytest.mark.parametrize("N", [0, 1, 5, 64, 256, 4095])
+def test_blaschke_series_from_the_constant_alone_is_bit_identical(N):
+    # scaling the first factor by the constant (c * f) rounds differently; convolving
+    # [c] with it does not, for c = 1 and for unimodular c.  Only the first convolution
+    # differs between the routes, so most cases have one zero.
+    rng = np.random.default_rng(20261018 + N)
+    for case in range(40):
+        constant = 1.0 if case % 2 else complex(np.exp(2j * np.pi * rng.uniform()))
+        radius, angle = 0.95 * np.sqrt(rng.uniform()), 2.0 * np.pi * rng.uniform()
+        a = 0.0 if case % 10 == 0 else complex(radius * np.exp(1j * angle))
+        spec = BlaschkeSpec((a, 0.5j) if case % 20 == 1 else (a,), constant)
+        coeffs, full = blaschke_series(spec, N).coeffs, _blaschke_series_from_full_constant(spec, N)
+        assert np.array_equal(coeffs, full) and coeffs.tobytes() == full.tobytes(), spec
+    constant = BlaschkeSpec((), 1j)  # no zeros: the full constant series, length N + 1
+    assert np.array_equal(blaschke_series(constant, N).coeffs, [1j] + [0.0] * N)
+
+
 def test_blaschke_series_keeps_its_spec_and_operations_drop_it():
     spec = BlaschkeSpec((0.3, -0.4))
     phi = blaschke_series(spec, 31)

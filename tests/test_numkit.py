@@ -9,6 +9,7 @@ from shiftmodels.config import DEFAULT_TOL
 from shiftmodels.errors import NonFinite, Singular
 from shiftmodels.numkit import (
     ComplexMatrix,
+    _expm_stack,
     eigenvalues,
     expm,
     hermitian_max_eig,
@@ -94,6 +95,56 @@ def test_expm_refuses_overflow_near_the_float_maximum():
     # the 1-norm 1e308 is finite, but e^A overflows; so would norm / 0.5 and 2**1025
     with pytest.raises(NonFinite):
         expm(ComplexMatrix.from_rows([[5e307, 5e307], [-5e307, 5e307]]))
+
+
+_SUITE_TIMES = tuple(k / 10.0 for k in range(1, 21)) + (0.05,)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 32])
+def test_expm_stack_is_bit_identical_to_one_matrix_at_a_time(n):
+    # grouping by squaring count and evaluating a group's Pade diagonal on its sub-stack
+    # changes no bit: the 21 suite times span several squaring counts per generator
+    rng = np.random.default_rng(1300 + n)
+    for scale in (1.0, 10.0, 1e-3, 1e-100, 1e-300):
+        for kind in ("skew", "dissipative", "general"):
+            A = _random_matrix(rng, n, scale).array
+            if kind == "skew":
+                A = (A - A.conj().T) / 2.0
+            elif kind == "dissipative":
+                A = A - 2.0 * scale * n * np.eye(n)
+            stack = np.asarray(_SUITE_TIMES)[:, None, None] * A
+            out, refusal = _expm_stack(stack)
+            assert refusal is None and out.shape == stack.shape
+            for member, single in zip(out, stack):
+                assert np.array_equal(member, expm(ComplexMatrix(single)).array), (kind, scale)
+
+
+def test_expm_stack_judges_each_member():
+    rng = np.random.default_rng(1301)
+    A = _random_matrix(rng, 3).array
+    # a zero member is the exact identity, wherever it sits in the stack
+    out, refusal = _expm_stack(np.stack([A, np.zeros((3, 3)), 2.0 * A]))
+    assert refusal is None
+    assert np.array_equal(out[1], np.eye(3)) and np.array_equal(out[2], expm(2.0 * A).array)
+    # e^{-1e6} underflows to zero legitimately, beside a member that does not
+    out, refusal = _expm_stack(np.array([[[-1e6]], [[1.0]]], dtype=np.complex128))
+    assert refusal is None and out[0, 0, 0] == 0.0 and out[1, 0, 0] == expm([[1.0]]).array[0, 0]
+    # a finite member whose 1-norm overflows is refused; the members before it are
+    # computed, none after it
+    huge = np.array([[1e308, 0.0], [1e308, 0.0]])
+    out, refusal = _expm_stack(np.array([A[:2, :2], huge, A[:2, :2]], dtype=np.complex128))
+    assert isinstance(refusal, NonFinite) and "1-norm" in str(refusal)
+    assert out.shape == (1, 2, 2) and np.array_equal(out[0], expm(A[:2, :2]).array)
+    # an overflowing member and an overscaled zero are refused in stack order
+    overflow = [[5e307, 5e307], [-5e307, 5e307]]
+    overscaled = 0.05 * np.array([[-200.0, 1e160], [0.0, -200.0]])
+    for first, second, text in (
+        (overflow, overscaled, "non-finite matrix exponential"),
+        (overscaled, overflow, "overscaled it to zero"),
+    ):
+        out, refusal = _expm_stack(np.array([A[:2, :2], first, second], dtype=np.complex128))
+        assert isinstance(refusal, NonFinite) and text in str(refusal)
+        assert out.shape == (1, 2, 2) and np.array_equal(out[0], expm(A[:2, :2]).array)
 
 
 def test_expm_inverse_residual():

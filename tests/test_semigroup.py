@@ -1,5 +1,6 @@
 """Semigroup engine tests: evolution, Cayley transforms, growth bounds, suite."""
 
+import cmath
 import math
 
 import numpy as np
@@ -53,6 +54,27 @@ def test_evolve_semigroup_law():
         lhs = evolve(S, s + t).array
         rhs = evolve(S, s).array @ evolve(S, t).array
         assert np.max(np.abs(lhs - rhs)) <= DEFAULT_TOL.residual_tol * max(1.0, np.max(np.abs(rhs)))
+
+
+@pytest.mark.parametrize(
+    "a, c", [(-0.5, -0.5), (0.4 + 0.4j, 0.4 + 0.4j), (-1.0, 0.3), (-0.2 + 1.5j, -0.7)]
+)
+@pytest.mark.parametrize("b", [1.0, -1.0j, 1e2, 1e2 * cmath.exp(0.7j)])
+def test_suite_exponentials_of_triangular_generators_match_the_closed_form(a, c, b):
+    # e^{tA} for A = [[a, b], [0, c]] has entry (0, 1) equal to b (e^{tc} - e^{ta}) / (c - a),
+    # and t b e^{ta} when a = c.  The pins stop at |b| = 1e2: with every matrix scaled to
+    # 1-norm 0.5 before the Pade step, the error is ~1e-11 at |b| = 1e4 and O(1) at 1e16,
+    # so the large-|b| pins wait for the Al-Mohy-Higham choice of degree and squarings.
+    S = SemigroupSpec(ComplexMatrix.from_rows([[a, b], [0.0, c]]))
+    times = (*semigroup._GRID, semigroup._STEP)
+    evolved, refusal = semigroup._evolve_stack(S, times)  # the suite's one stacked call
+    assert refusal is None
+    for t, E in zip(times, evolved):
+        ta, tc = cmath.exp(t * a), cmath.exp(t * c)
+        corner = t * b * ta if a == c else b * (tc - ta) / (c - a)
+        for value, exact in ((E[0, 0], ta), (E[1, 1], tc), (E[0, 1], corner)):
+            assert abs(value - exact) <= 1e-12 * abs(exact), (t, value, exact)
+        assert E[1, 0] == 0.0
 
 
 def test_cogenerator_pinned_values():
