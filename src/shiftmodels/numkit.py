@@ -5,6 +5,7 @@ and route rank decisions through singular values so every cutoff is relative
 to the largest one.  Factorizations are delegated to LAPACK via numpy; the
 matrix exponential, of one matrix or of a stack, is computed here by scaling and
 squaring with one degree-13 Pade core because downstream semigroup checks pin it.
+A stack takes one Pade evaluation and one solve, whatever its members' squaring counts.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "ComplexMatrix",
     "hermitian_max_eig",
     "expm",
+    "expm_stack",
     "solve",
     "rank",
     "orthonormal_range_basis",
@@ -175,15 +177,17 @@ def hermitian_max_eig(M) -> float:
     return float(np.linalg.eigvalsh(herm)[-1])
 
 
-def _expm_stack(stack: np.ndarray) -> tuple[np.ndarray, NonFinite | None]:
+def expm_stack(stack: np.ndarray) -> tuple[np.ndarray, NonFinite | None]:
     """e^{A_j} for the members of a (k, n, n) stack up to the first one refused, and its refusal.
 
     Each member keeps its own 1-norm, squaring count and refusals; a zero member is the
-    exact identity.  The Pade diagonal is evaluated once per squaring count, on that
-    group's sub-stack, which is then squared.
+    exact identity.  One Pade pass serves the whole stack: each member is scaled by its own
+    power of two, and the members, ordered by squaring count, are squared as a shrinking
+    prefix.  Batched products and solves treat each member alone, so every result is the
+    one that member gets on its own.
     """
     k, n = stack.shape[:2]
-    m, zeros, groups = k, [], {}  # m members computed; groups: squaring count -> members
+    m, zeros, live = k, [], []  # m members computed; live: (squaring count, member)
     with _quiet():
         for j, norm in enumerate(np.abs(stack).sum(axis=1).max(axis=1).tolist()):  # 1-norms
             if not math.isfinite(norm):
@@ -199,40 +203,54 @@ def _expm_stack(stack: np.ndarray) -> tuple[np.ndarray, NonFinite | None]:
             log_ratio = (
                 np.log2(ratio) if ratio < math.inf else np.log2(norm) - np.log2(_EXPM_SCALE_TARGET)
             )
-            groups.setdefault(max(0, math.ceil(log_ratio)), []).append(j)
+            live.append((max(0, math.ceil(log_ratio)), j))
         stack = stack[:m]
-        out = np.empty_like(stack)
+        live.sort(reverse=True)  # the squaring rounds then act on a shrinking prefix
+        counts = [s for s, _ in live]
+        order = [j for _, j in live]
+        in_order = order == list(range(m))  # no zero member, and the counts already descend
         ident = np.eye(n, dtype=np.complex128)[None]  # a stack broadcasts faster than a matrix
-        if zeros:
-            out[zeros] = ident
-        b = _PADE13_B
-        for squarings, members in groups.items():
-            whole = len(members) == m  # one group of every member: no gather, no scatter
-            A = (stack if whole else stack[members]) * math.ldexp(1.0, -squarings)
+        R = stack[:0]  # no live member: m = 0, or every member is zero
+        if live:
+            scale = np.ldexp(1.0, -np.array(counts))  # integer exponents: exact powers of two
+            A = (stack if in_order else stack[order]) * scale[:, None, None]
             A2 = A @ A
             A4 = A2 @ A2
             A6 = A4 @ A2
-            U = A @ (
-                A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-                + b[7] * A6
-                + b[5] * A4
-                + b[3] * A2
-                + b[1] * ident
-            )
-            V = (
-                A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-                + b[6] * A6
-                + b[4] * A4
-                + b[2] * A2
-                + b[0] * ident
-            )
+            # U (odd coefficients) and V (even ones) sum their terms in the one-matrix order;
+            # finishing U first lets A go before V, and the powers go before the solve, so
+            # the whole-stack working set stays small
+            b = _PADE13_B
+            U = b[13] * A6
+            for X, c in ((A4, b[11]), (A2, b[9])):
+                U += c * X
+            U = A6 @ U
+            for X, c in ((A6, b[7]), (A4, b[5]), (A2, b[3]), (ident, b[1])):
+                U += c * X
+            U = A @ U
+            del A
+            V = b[12] * A6
+            for X, c in ((A4, b[10]), (A2, b[8])):
+                V += c * X
+            V = A6 @ V
+            for X, c in ((A6, b[6]), (A4, b[4]), (A2, b[2]), (ident, b[0])):
+                V += c * X
+            del A2, A4, A6
             R = np.linalg.solve(V - U, V + U)
-            for _ in range(squarings):
+            del U, V
+            for _ in range(counts[-1]):  # the rounds every member takes
                 R = R @ R
-            if whole:
-                out = R
-            else:
-                out[members] = R
+            width = len(order)
+            for i in range(counts[-1], counts[0]):  # round i squares the members with more than i
+                while counts[width - 1] <= i:
+                    width -= 1
+                R[:width] = R[:width] @ R[:width]
+        if in_order:
+            out = R
+        else:
+            out = np.empty_like(stack)
+            out[zeros] = ident
+            out[order] = R
     finite = np.isfinite(out)
     # a zero member has a zero diagonal: with none on any diagonal, no member is zero
     if np.count_nonzero(finite) != finite.size or np.count_nonzero(out.diagonal(0, 1, 2)) != m * n:
@@ -249,7 +267,7 @@ def _expm_stack(stack: np.ndarray) -> tuple[np.ndarray, NonFinite | None]:
 
 def expm(M) -> ComplexMatrix:
     """Matrix exponential by scaling and squaring with a degree-13 Pade core."""
-    out, refusal = _expm_stack(_as_array(M)[None])
+    out, refusal = expm_stack(_as_array(M)[None])
     if refusal is not None:
         raise refusal
     return ComplexMatrix._trusted(out[0])

@@ -9,9 +9,9 @@ from shiftmodels.config import DEFAULT_TOL
 from shiftmodels.errors import NonFinite, Singular
 from shiftmodels.numkit import (
     ComplexMatrix,
-    _expm_stack,
     eigenvalues,
     expm,
+    expm_stack,
     hermitian_max_eig,
     null_space_basis,
     orthonormal_range_basis,
@@ -102,8 +102,10 @@ _SUITE_TIMES = tuple(k / 10.0 for k in range(1, 21)) + (0.05,)
 
 @pytest.mark.parametrize("n", [1, 2, 6, 32])
 def test_expm_stack_is_bit_identical_to_one_matrix_at_a_time(n):
-    # grouping by squaring count and evaluating a group's Pade diagonal on its sub-stack
-    # changes no bit: the 21 suite times span several squaring counts per generator
+    # one Pade pass over the whole stack, each member scaled by its own power of two and
+    # squared in a prefix ordered by squaring count, changes no bit: the suite times span
+    # several squaring counts per generator, here also shuffled with zero members between
+    # the others.  A one-member call performs one matrix's operations, so it is the oracle
     rng = np.random.default_rng(1300 + n)
     for scale in (1.0, 10.0, 1e-3, 1e-100, 1e-300):
         for kind in ("skew", "dissipative", "general"):
@@ -112,27 +114,50 @@ def test_expm_stack_is_bit_identical_to_one_matrix_at_a_time(n):
                 A = (A - A.conj().T) / 2.0
             elif kind == "dissipative":
                 A = A - 2.0 * scale * n * np.eye(n)
-            stack = np.asarray(_SUITE_TIMES)[:, None, None] * A
-            out, refusal = _expm_stack(stack)
-            assert refusal is None and out.shape == stack.shape
-            for member, single in zip(out, stack):
-                assert np.array_equal(member, expm(ComplexMatrix(single)).array), (kind, scale)
+            for times in (_SUITE_TIMES, rng.permutation((*_SUITE_TIMES, 0.0, 0.0, 0.0))):
+                stack = np.asarray(times)[:, None, None] * A
+                out, refusal = expm_stack(stack)
+                assert refusal is None and out.shape == stack.shape
+                for member, single in zip(out, stack):
+                    assert np.array_equal(member, expm(ComplexMatrix(single)).array), (kind, scale)
+
+
+def test_expm_stack_makes_one_solve_for_the_suite_times(monkeypatch):
+    # however many squaring counts the times span, the Pade diagonal is evaluated once
+    shapes = []
+    unpatched = np.linalg.solve
+
+    def counting_solve(*args):
+        shapes.append(args[0].shape)
+        return unpatched(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    A = _random_matrix(np.random.default_rng(1302), 6).array
+    stack = np.asarray(_SUITE_TIMES)[:, None, None] * A
+    squarings = {math.ceil(math.log2(np.abs(M).sum(axis=0).max() / 0.5)) for M in stack}
+    _, refusal = expm_stack(stack)
+    assert refusal is None and len(squarings) > 3
+    assert shapes == [(21, 6, 6)]
+    # with no member to evaluate, nothing is solved
+    expm_stack(np.zeros((2, 6, 6), dtype=np.complex128))
+    expm_stack(np.array([[[np.inf]], [[1.0]]], dtype=np.complex128))
+    assert shapes == [(21, 6, 6)]
 
 
 def test_expm_stack_judges_each_member():
     rng = np.random.default_rng(1301)
     A = _random_matrix(rng, 3).array
     # a zero member is the exact identity, wherever it sits in the stack
-    out, refusal = _expm_stack(np.stack([A, np.zeros((3, 3)), 2.0 * A]))
+    out, refusal = expm_stack(np.stack([A, np.zeros((3, 3)), 2.0 * A]))
     assert refusal is None
     assert np.array_equal(out[1], np.eye(3)) and np.array_equal(out[2], expm(2.0 * A).array)
     # e^{-1e6} underflows to zero legitimately, beside a member that does not
-    out, refusal = _expm_stack(np.array([[[-1e6]], [[1.0]]], dtype=np.complex128))
+    out, refusal = expm_stack(np.array([[[-1e6]], [[1.0]]], dtype=np.complex128))
     assert refusal is None and out[0, 0, 0] == 0.0 and out[1, 0, 0] == expm([[1.0]]).array[0, 0]
     # a finite member whose 1-norm overflows is refused; the members before it are
     # computed, none after it
     huge = np.array([[1e308, 0.0], [1e308, 0.0]])
-    out, refusal = _expm_stack(np.array([A[:2, :2], huge, A[:2, :2]], dtype=np.complex128))
+    out, refusal = expm_stack(np.array([A[:2, :2], huge, A[:2, :2]], dtype=np.complex128))
     assert isinstance(refusal, NonFinite) and "1-norm" in str(refusal)
     assert out.shape == (1, 2, 2) and np.array_equal(out[0], expm(A[:2, :2]).array)
     # an overflowing member and an overscaled zero are refused in stack order
@@ -142,9 +167,17 @@ def test_expm_stack_judges_each_member():
         (overflow, overscaled, "non-finite matrix exponential"),
         (overscaled, overflow, "overscaled it to zero"),
     ):
-        out, refusal = _expm_stack(np.array([A[:2, :2], first, second], dtype=np.complex128))
+        out, refusal = expm_stack(np.array([A[:2, :2], first, second], dtype=np.complex128))
         assert isinstance(refusal, NonFinite) and text in str(refusal)
         assert out.shape == (1, 2, 2) and np.array_equal(out[0], expm(A[:2, :2]).array)
+    # a refused first member leaves nothing to compute, and an empty stack nothing to refuse
+    out, refusal = expm_stack(np.array([huge, A[:2, :2]], dtype=np.complex128))
+    assert isinstance(refusal, NonFinite) and "1-norm" in str(refusal) and out.shape == (0, 2, 2)
+    out, refusal = expm_stack(np.empty((0, 3, 3), dtype=np.complex128))
+    assert refusal is None and out.shape == (0, 3, 3)
+    # a stack of zero members is a stack of identities
+    out, refusal = expm_stack(np.zeros((2, 3, 3), dtype=np.complex128))
+    assert refusal is None and np.array_equal(out, np.broadcast_to(np.eye(3), (2, 3, 3)))
 
 
 def test_expm_inverse_residual():

@@ -54,3 +54,22 @@ def test_toeplitz_materialisation_is_counted():
         tracer.uninstall()
 
     assert np.array_equal(traced, plain)
+
+
+def test_stacked_exponentials_are_a_numkit_span():
+    # the suite's exponentials are one call of the public stacked core, booked to numkit
+    rng = np.random.default_rng(14)
+    A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)) - 4.0 * np.eye(6)
+    spec = sm.SemigroupSpec(sm.ComplexMatrix(A))
+    plain = sm.concavity_equivalence_suite(spec)
+
+    tracer = _load_spans().Tracer(sm)
+    tracer.install()
+    try:
+        traced = sm.concavity_equivalence_suite(spec)
+        assert tracer.span_calls["semigroup.concavity_equivalence_suite"] == 1
+        assert tracer.span_calls["numkit.expm_stack"] == 1
+    finally:
+        tracer.uninstall()
+
+    assert traced == plain
