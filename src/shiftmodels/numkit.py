@@ -186,6 +186,9 @@ def expm_stack(stack: np.ndarray) -> tuple[np.ndarray, NonFinite | None]:
     prefix.  Batched products and solves treat each member alone, so every result is the
     one that member gets on its own.
     """
+    stack = np.asarray(stack, dtype=np.complex128)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0:
+        raise ValueError(f"stack must be (k, n, n) with n >= 1, got shape {stack.shape}")
     k, n = stack.shape[:2]
     m, zeros, live = k, [], []  # m members computed; live: (squaring count, member)
     with _quiet():
@@ -205,15 +208,15 @@ def expm_stack(stack: np.ndarray) -> tuple[np.ndarray, NonFinite | None]:
             )
             live.append((max(0, math.ceil(log_ratio)), j))
         stack = stack[:m]
-        live.sort(reverse=True)  # the squaring rounds then act on a shrinking prefix
+        # descending counts, ties in member order: the squaring rounds act on a shrinking prefix
+        live.sort(key=lambda p: -p[0])
         counts = [s for s, _ in live]
         order = [j for _, j in live]
-        in_order = order == list(range(m))  # no zero member, and the counts already descend
         ident = np.eye(n, dtype=np.complex128)[None]  # a stack broadcasts faster than a matrix
         R = stack[:0]  # no live member: m = 0, or every member is zero
         if live:
             scale = np.ldexp(1.0, -np.array(counts))  # integer exponents: exact powers of two
-            A = (stack if in_order else stack[order]) * scale[:, None, None]
+            A = stack[order] * scale[:, None, None]
             A2 = A @ A
             A4 = A2 @ A2
             A6 = A4 @ A2
@@ -238,19 +241,14 @@ def expm_stack(stack: np.ndarray) -> tuple[np.ndarray, NonFinite | None]:
             del A2, A4, A6
             R = np.linalg.solve(V - U, V + U)
             del U, V
-            for _ in range(counts[-1]):  # the rounds every member takes
-                R = R @ R
             width = len(order)
-            for i in range(counts[-1], counts[0]):  # round i squares the members with more than i
+            for i in range(counts[0]):  # round i squares the members with more than i
                 while counts[width - 1] <= i:
                     width -= 1
                 R[:width] = R[:width] @ R[:width]
-        if in_order:
-            out = R
-        else:
-            out = np.empty_like(stack)
-            out[zeros] = ident
-            out[order] = R
+        out = np.empty_like(stack)
+        out[zeros] = ident
+        out[order] = R
     finite = np.isfinite(out)
     # a zero member has a zero diagonal: with none on any diagonal, no member is zero
     if np.count_nonzero(finite) != finite.size or np.count_nonzero(out.diagonal(0, 1, 2)) != m * n:

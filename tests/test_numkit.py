@@ -178,6 +178,18 @@ def test_expm_stack_judges_each_member():
     # a stack of zero members is a stack of identities
     out, refusal = expm_stack(np.zeros((2, 3, 3), dtype=np.complex128))
     assert refusal is None and np.array_equal(out, np.broadcast_to(np.eye(3), (2, 3, 3)))
+    # a real stack, with a zero member and tied squaring counts, is taken as complex
+    real = rng.standard_normal((3, 3))
+    out, refusal = expm_stack(np.stack([real, np.zeros((3, 3)), real, -real]))
+    assert refusal is None and out.dtype == np.complex128
+    assert np.array_equal(out[1], np.eye(3)) and np.array_equal(out[0], out[2])
+    for member, single in zip(out, (real, np.zeros((3, 3)), real, -real)):
+        assert np.array_equal(member, expm(single).array)
+    assert expm_stack(np.array([[[1.0]]]))[0][0, 0, 0] == expm([[1.0]]).array[0, 0]
+    # only a (k, n, n) stack with n >= 1 is taken
+    for shape in ((3, 3), (2, 3, 4), (2, 0, 0), (1, 2, 2, 2)):
+        with pytest.raises(ValueError, match="stack must be"):
+            expm_stack(np.zeros(shape))
 
 
 def test_expm_inverse_residual():
