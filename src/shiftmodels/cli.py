@@ -27,8 +27,10 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 import numpy as np
 
@@ -81,7 +83,7 @@ _CONSISTENCY_TOL = 1e-8
 
 
 def _json_default(value):
-    """The ``default`` hook of every ``json.dumps``: what the json module cannot write itself.
+    """The conversion rule of every report writer: what JSON cannot hold as it is.
 
     Complex scalars become [re, im] pairs, numpy arrays (the package's are complex)
     nested lists of such pairs, numpy scalars their Python values, and dataclass
@@ -106,8 +108,76 @@ def _json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-# the one serializer of report parts: NaN and infinity raise ValueError
+# compact report parts (text mode): NaN and infinity raise ValueError
 _dumps = functools.partial(json.dumps, sort_keys=True, allow_nan=False, default=_json_default)
+
+
+def _float_text(value: float) -> str:
+    if math.isfinite(value):
+        return float.__repr__(value)
+    raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, float):
+        return _encode_str(_float_text(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _encode_str(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write(value, level: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False, default=_json_default)``.
+
+    The stdlib writes indented JSON in pure Python, one element at a time.  This
+    writer keeps its bytes and its errors (key order and coercions, string escapes,
+    float text, the ValueError for NaN and infinity), but writes a non-empty finite
+    array with one string format over its interleaved ``tolist()`` values, one row
+    at a time if it has more than one axis.  Everything else goes through
+    ``_json_default``.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    close = "\n" + "  " * level
+    sep = close + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_write(item, level + 1) for item in value]
+        return "[" + sep + ("," + sep).join(items) + close + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_key_text(k) + ": " + _write(v, level + 1) for k, v in sorted(value.items())]
+        return "{" + sep + ("," + sep).join(items) + close + "}"
+    if isinstance(value, np.ndarray) and value.ndim and value.size:
+        arr = np.asarray(value, dtype=np.complex128)
+        if arr.ndim > 1:
+            return _write(list(arr), level)
+        if np.isfinite(arr).all():
+            pair = "[" + sep + "  %r," + sep + "  %r" + sep + "]"
+            pairs = ("," + sep).join([pair] * arr.size)
+            flat = np.ascontiguousarray(arr).view(np.float64).tolist()  # re, im, re, im, ...
+            return "[" + sep + (pairs % tuple(flat)) + close + "]"
+    return _write(_json_default(value), level)
 
 
 def _sha256(path: str) -> str:
@@ -181,8 +251,9 @@ class _Run:
 def _emit(run: _Run, args: argparse.Namespace) -> None:
     """Write the report; one holding NaN or infinity is refused as NonFinite, in either format.
 
-    Each part is serialized once.  Text mode prints the results key by key; its
-    checks are the only other part that can hold a number (tolerances are finite).
+    Each part is serialized once: the JSON report by ``_write``, text mode's
+    results key by key as compact JSON.  Text mode's checks are the only other
+    part that can hold a number (tolerances are finite).
     """
     try:
         if args.format == "text":
@@ -202,7 +273,7 @@ def _emit(run: _Run, args: argparse.Namespace) -> None:
             lines.extend(f"warning: {w}" for w in run.warnings)
             text = "\n".join(lines) + "\n"
         else:
-            text = _dumps(run.report(), indent=2) + "\n"
+            text = _write(run.report()) + "\n"
     except ValueError as exc:
         raise NonFinite(f"report holds a non-finite number ({exc})") from exc
     if args.out:

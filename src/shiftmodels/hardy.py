@@ -290,11 +290,15 @@ def inner_check(f: PowerSeries, tol: ToleranceConfig = DEFAULT_TOL) -> InnerChec
     actually approaches the unit circle (max at 0.99 at least 0.95).
     Raises ``TailNotConvergent`` when the declared truncation shows
     unresolved coefficient mass at these radii.
+
+    Both tail estimates are judged before anything is evaluated, so a
+    refused series costs no evaluation.  One in-place Horner sweep then
+    covers the points of both circles; it performs the operations of
+    ``np.polynomial.polynomial.polyval`` in the same order, so the moduli
+    are the same bits as one ``polyval`` call per circle.
     """
     coeffs = np.asarray(f.coeffs, dtype=np.complex128)
     magnitudes = np.abs(coeffs)
-    maxima: list[float] = []
-    means: list[float] = []
     tails: list[float] = []
     for rho in _CHECK_RADII:
         estimate = _tail_estimate(magnitudes, rho, tol.tail_tol)
@@ -305,12 +309,16 @@ def inner_check(f: PowerSeries, tol: ToleranceConfig = DEFAULT_TOL) -> InnerChec
                 f"tolerance {tol.tail_tol:.1e}; increase the truncation order"
             )
         tails.append(estimate)
-        angles = 2.0 * np.pi * np.arange(_INNER_GRID) / _INNER_GRID
-        zs = rho * np.exp(1j * angles)
-        values = np.polynomial.polynomial.polyval(zs, coeffs)
-        moduli = np.abs(values)
-        maxima.append(float(moduli.max()))
-        means.append(float(moduli.mean()))
+    angles = 2.0 * np.pi * np.arange(_INNER_GRID) / _INNER_GRID
+    circle = np.exp(1j * angles)
+    zs = np.concatenate([rho * circle for rho in _CHECK_RADII])
+    values = coeffs[-1] + zs * 0
+    for c in coeffs[-2::-1].tolist():
+        values *= zs
+        values += c
+    moduli = np.abs(values).reshape(len(_CHECK_RADII), _INNER_GRID)
+    maxima = [float(row.max()) for row in moduli]
+    means = [float(row.mean()) for row in moduli]
     bounded = all(m <= 1.0 + tol.residual_tol for m in maxima)
     approaching = maxima[-1] >= _BOUNDARY_FLOOR
     nondecreasing = means[-1] >= means[0] - tol.residual_tol

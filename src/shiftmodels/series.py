@@ -4,6 +4,12 @@ Coefficients are stored lowest degree first as a read-only complex array.
 ``series_exp`` uses the derivative recurrence g' = f' g and ``series_inv`` the
 matching convolution recurrence; both are exact degree-by-degree statements,
 so truncation order is the only approximation.
+
+Both recurrences fill a reversed buffer, g_j at index ``order - j``, so that
+the known coefficients g_{n-1}, ..., g_0 of step n are the contiguous tail
+``rev[order - n + 1:]``.  ``np.dot`` would copy a negative-stride view of a
+forward buffer to exactly that operand before calling BLAS, so the reversed
+buffer gives the same bits without the copy; the result is reversed once.
 """
 
 from __future__ import annotations
@@ -89,13 +95,13 @@ def series_exp(f: PowerSeries, N: int | None = None) -> PowerSeries:
     """exp(f) via the derivative recurrence n g_n = sum_k k f_k g_{n-k}."""
     order = f.order if N is None else N
     fc = f.truncate(order).coeffs
-    out = np.zeros(order + 1, dtype=np.complex128)
+    rev = np.zeros(order + 1, dtype=np.complex128)  # g_j at rev[order - j]
     with _quiet():  # an overflowing coefficient is refused by PowerSeries
-        out[0] = np.exp(fc[0])
+        rev[order] = np.exp(fc[0])
         kf = np.arange(order + 1) * fc
         for n in range(1, order + 1):
-            out[n] = np.dot(kf[1 : n + 1], out[n - 1 :: -1]) / n
-    return PowerSeries(out)
+            rev[order - n] = np.dot(kf[1 : n + 1], rev[order - n + 1 :]) / n
+    return PowerSeries(rev[::-1])
 
 
 def series_inv(f: PowerSeries, N: int | None = None) -> PowerSeries:
@@ -104,12 +110,12 @@ def series_inv(f: PowerSeries, N: int | None = None) -> PowerSeries:
     fc = f.truncate(order).coeffs
     if fc[0] == 0:
         raise ZeroConstantTerm("series inversion needs a nonzero constant term")
-    out = np.zeros(order + 1, dtype=np.complex128)
+    rev = np.zeros(order + 1, dtype=np.complex128)  # g_j at rev[order - j]
     with _quiet():  # an overflowing coefficient is refused by PowerSeries
-        out[0] = 1.0 / fc[0]
+        rev[order] = 1.0 / fc[0]
         for n in range(1, order + 1):
-            out[n] = -np.dot(fc[1 : n + 1], out[n - 1 :: -1]) / fc[0]
-    return PowerSeries(out)
+            rev[order - n] = -np.dot(fc[1 : n + 1], rev[order - n + 1 :]) / fc[0]
+    return PowerSeries(rev[::-1])
 
 
 def series_eval(f: PowerSeries, z: complex) -> complex:

@@ -11,6 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import shiftmodels
 from shiftmodels import cli
@@ -575,8 +578,16 @@ def test_verify_all_reports_twelve_criteria(capsys):
     assert all(c["passed"] for c in report["checks"])
 
 
+_NON_FINITE = {
+    "residual": ("json", "inf"),
+    "tolerance": ("json", "nan"),
+    "result": ("json", "-inf"),
+    "array": ("json", "nan"),
+}
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
-@pytest.mark.parametrize("where", ["residual", "tolerance", "result"])
+@pytest.mark.parametrize("where", ["residual", "tolerance", "result", "array"])
 def test_report_with_a_non_finite_number_is_refused_in_either_format(capsys, fmt, where):
     run = cli._Run("probe", DEFAULT_TOL)
     run.checks.append(
@@ -587,7 +598,129 @@ def test_report_with_a_non_finite_number_is_refused_in_either_format(capsys, fmt
             math.nan if where == "tolerance" else 1e-9,
         )
     )
-    run.results["value"] = -math.inf if where == "result" else 1.0
-    with pytest.raises(NonFinite, match="non-finite number"):
+    if where == "array":
+        run.results["value"] = np.array([1.0 + 2.0j, complex(3.0, math.nan), 4.0])
+    else:
+        run.results["value"] = -math.inf if where == "result" else 1.0
+    # the JSON writer names the value, as json.dumps does; the compact C encoder does not
+    detail = f": {_NON_FINITE[where][1]}" if fmt == "json" else ""
+    message = f"report holds a non-finite number (Out of range float values are not JSON compliant{detail})"
+    with pytest.raises(NonFinite) as refused:
         cli._emit(run, argparse.Namespace(format=fmt, out=None))
+    assert str(refused.value) == message
     assert capsys.readouterr().out == ""
+
+
+# ---------------------------------------------------------------------------
+# the JSON report writer against the stdlib
+# ---------------------------------------------------------------------------
+
+
+def _stdlib(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False, default=cli._json_default)
+
+
+_REPORT_ARGV = [
+    ["verify-all"],
+    ["classify", "--operator", "jordan3.json"],
+    ["model", "--operator", "dirichlet.json", "--wold"],
+    [
+        "model", "--operator", "isometric.json", "--coeffs", "x.json", "--N", "16",
+        "--kernel", "0.5,0.3", "--verify", "intertwine", "--verify", "reproduce",
+    ],
+    *(
+        [
+            "semigroup", "--generator", name, "--t", "0,0.05,0.5,1.0,2.5",
+            "--growth-bound", "--equivalence-suite", "--cogenerator", "--rescale", "0.5",
+        ]
+        for name in ("skew4.json", "jordan3.json", "zero.json")
+    ),
+    *(
+        ["hardy", "--blaschke", "0", "--semigroup-t", t, "--N", "4096", "--inner-check"]
+        for t in ("0.5", "1.0")  # at N = 2048 both tails are refused
+    ),
+    ["hardy", "--blaschke", "0.5", "--N", "64", "--model-space", "--ladder", "3"],
+    ["hardy", "--blaschke", "0.5,-0.3", "--caradus", "2,3", "--inner-check"],
+    ["hardy", "--blaschke-file", "blaschke05.json", "--N", "256", "--inner-check"],
+]
+
+
+@pytest.mark.parametrize("argv", _REPORT_ARGV, ids=lambda argv: " ".join(argv))
+def test_report_writer_matches_the_stdlib_on_reports(tmp_path, argv):
+    args = cli.build_parser().parse_args(_with_vector_file(tmp_path, argv))
+    tol = cli.ToleranceConfig(args.tol_rank, args.tol_psd, args.tol_residual, args.tol_tail)
+    run = cli._Run(args.command, tol)
+    cli._DISPATCH[args.command](args, run)
+    report = run.report()
+    assert cli._write(report) == _stdlib(report)
+
+
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+_COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
+_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", 'say "hi"\n', "\x00\x1f\x7f", "é€😀", "tab\tend", "\ud800"]),
+)
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200).flatmap(lambda n: st.sampled_from([n, -n])),
+    _FINITE,
+    _COMPLEX,
+    _TEXT,
+    _FINITE.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    _COMPLEX.map(np.complex128),
+    hnp.arrays(np.float64, _SHAPES, elements=_FINITE),
+    hnp.arrays(np.complex128, _SHAPES, elements=_COMPLEX),
+    st.builds(
+        Check,
+        _TEXT,
+        st.booleans() | st.booleans().map(np.bool_),
+        st.none() | _FINITE,
+        st.none() | _FINITE,
+    ),
+)
+_NUMBER_KEYS = st.one_of(st.integers(), st.booleans(), _FINITE)  # mutually comparable
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+        st.dictionaries(_NUMBER_KEYS, children, max_size=4),
+        st.dictionaries(st.none(), children, max_size=1),
+    ),
+    max_leaves=12,
+)
+
+
+# every kind the strategy draws from, in one value, whatever the draws reach
+_EDGES = {
+    'key "é"\\\n\x01': [-0.0, 5e-324, 1.7976931348623157e308, 2**100, -(2**70), True, None, 1 - 2j],
+    "arrays": [
+        np.array(1.5),
+        np.zeros(0),
+        np.zeros((2, 0)),
+        np.arange(3.0),
+        np.ones((2, 2)) * (1 - 2j),
+        np.array([1j, -0.0, 5e-324]),
+    ],
+    "numpy scalars": (np.float64(-0.0), np.int64(-7), np.bool_(False), np.complex128(5e-324j)),
+    "checks": [Check("c", np.bool_(True), 1e-3, 1e-9), Check("d", False)],
+    "number keys": {3: "x", -1: {True: 0.5, 2.5: [], -0.0: ()}},
+    "none key": {None: {}},
+}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(_VALUES)
+@example(_EDGES)
+def test_report_writer_matches_the_stdlib_on_generated_values(value):
+    assert cli._write(value) == _stdlib(value)

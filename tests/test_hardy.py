@@ -154,6 +154,61 @@ def test_inner_check_singular_symbol_resolves_at_large_order():
     assert max(report.tail_estimates) <= DEFAULT_TOL.tail_tol
 
 
+def _inner_check_per_circle(f, tol=DEFAULT_TOL):
+    """The report from one ``polyval`` call per circle, each after its own tail is judged."""
+    magnitudes = np.abs(f.coeffs)
+    maxima, means, tails = [], [], []
+    for rho in hardy._CHECK_RADII:
+        tails.append(hardy._tail_estimate(magnitudes, rho, tol.tail_tol))
+        assert tails[-1] <= tol.tail_tol
+        angles = 2.0 * np.pi * np.arange(hardy._INNER_GRID) / hardy._INNER_GRID
+        moduli = np.abs(np.polynomial.polynomial.polyval(rho * np.exp(1j * angles), f.coeffs))
+        maxima.append(float(moduli.max()))
+        means.append(float(moduli.mean()))
+    passed = (
+        all(m <= 1.0 + tol.residual_tol for m in maxima)
+        and maxima[-1] >= hardy._BOUNDARY_FLOOR
+        and means[-1] >= means[0] - tol.residual_tol
+    )
+    return hardy.InnerCheckReport(
+        radii=hardy._CHECK_RADII,
+        grid=hardy._INNER_GRID,
+        max_modulus=tuple(maxima),
+        mean_modulus=tuple(means),
+        tail_estimates=tuple(tails),
+        boundary_floor=hardy._BOUNDARY_FLOOR,
+        passed=passed,
+    )
+
+
+@pytest.mark.parametrize("N", [64, 256])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_inner_check_is_bit_identical_to_one_polyval_per_circle(degree, N):
+    rng = np.random.default_rng(20261018 + 10 * N + degree)
+    for _ in range(10):
+        radii = 0.6 * np.sqrt(rng.uniform(size=degree))
+        zeros = tuple(complex(v) for v in radii * np.exp(2j * np.pi * rng.uniform(size=degree)))
+        f = blaschke_series(BlaschkeSpec(zeros), N)
+        assert inner_check(f) == _inner_check_per_circle(f), zeros
+
+
+def test_inner_check_of_the_semigroup_symbol_is_bit_identical_to_one_polyval_per_circle():
+    symbol = inner_semigroup_symbol(PowerSeries([0.0, 1.0]), 1.0, 4095)
+    report = inner_check(symbol)
+    assert report.passed
+    assert report == _inner_check_per_circle(symbol)
+
+
+def test_inner_check_refusal_text_is_unchanged():
+    symbol = inner_semigroup_symbol(PowerSeries([0.0, 1.0]), 0.5, 2047)
+    with pytest.raises(TailNotConvergent) as refused:
+        inner_check(symbol)
+    assert str(refused.value) == (
+        "coefficient tail beyond degree 2047 contributes about 1.993e-10 on the circle "
+        "|z| = 0.99, above the tail tolerance 1.0e-10; increase the truncation order"
+    )
+
+
 def test_model_space_of_monomial_symbol():
     phi = blaschke_series(BlaschkeSpec((0.0, 0.0)), 31)  # z^2
     basis = model_space_basis(phi, 32, 2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from shiftmodels.errors import ZeroConstantTerm
+from shiftmodels.errors import NonFinite, ZeroConstantTerm
 from shiftmodels.series import (
     PowerSeries,
     series_add,
@@ -144,3 +144,65 @@ def test_truncate_and_json_round_trip():
     # a literal wire list, lowest degree first, pins the format independently of any serializer
     parsed = PowerSeries.from_json([[1.0, 0.0], [2.0, -1.0], [0.0, 0.5]])
     np.testing.assert_array_equal(parsed.coeffs, [1.0, 2.0 - 1.0j, 0.5j])
+
+
+def _exp_by_the_forward_buffer(f, N):
+    """The recurrence on a forward buffer, whose reversed view np.dot copies each step."""
+    fc = f.truncate(N).coeffs
+    out = np.zeros(N + 1, dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        out[0] = np.exp(fc[0])
+        kf = np.arange(N + 1) * fc
+        for n in range(1, N + 1):
+            out[n] = np.dot(kf[1 : n + 1], out[n - 1 :: -1]) / n
+    return PowerSeries(out)
+
+
+def _inv_by_the_forward_buffer(f, N):
+    fc = f.truncate(N).coeffs
+    out = np.zeros(N + 1, dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        out[0] = 1.0 / fc[0]
+        for n in range(1, N + 1):
+            out[n] = -np.dot(fc[1 : n + 1], out[n - 1 :: -1]) / fc[0]
+    return PowerSeries(out)
+
+
+def _outcome(route, f, N):
+    """The coefficient bytes, or the refusal's type and text."""
+    try:
+        return route(f, N).coeffs.tobytes()
+    except NonFinite as exc:
+        return type(exc), str(exc)
+
+
+def _decaying_series(N, scale=1.0):
+    # the tail's l1 norm stays below |f_0|, so 1/f has no pole in the closed disc
+    rng = np.random.default_rng(20261018 + N)
+    coeffs = 0.15 * (rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1))
+    coeffs /= np.arange(1, N + 2) ** 1.5
+    coeffs[0] = 0.7 - 0.2j
+    return PowerSeries(scale * coeffs)
+
+
+_ROUTES = ((series_exp, _exp_by_the_forward_buffer), (series_inv, _inv_by_the_forward_buffer))
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 7, 64, 257, 2047, 4095])
+def test_exp_and_inv_are_bit_identical_to_the_forward_buffer(N):
+    f = _decaying_series(N)
+    # the input's own order, a truncation and a zero-padded extension
+    for order in sorted({N, N // 2, N + 3}):
+        for fast, slow in _ROUTES:
+            outcome = _outcome(fast, f, order)
+            assert isinstance(outcome, bytes), (fast.__name__, order)
+            assert outcome == _outcome(slow, f, order), (fast.__name__, order)
+
+
+@pytest.mark.parametrize("N", [7, 64, 257])
+def test_a_huge_series_keeps_its_outcome_and_refusal_text(N):
+    f = _decaying_series(N, 1e150)
+    for fast, slow in _ROUTES:
+        assert _outcome(fast, f, N) == _outcome(slow, f, N), fast.__name__
+    assert _outcome(series_exp, f, N) == (NonFinite, "non-finite series coefficients")
+    assert isinstance(_outcome(series_inv, f, N), bytes)
