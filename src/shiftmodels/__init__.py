@@ -26,7 +26,6 @@ from .errors import (
     NotConcave,
     OneInSpectrum,
     OutsideDisc,
-    Singular,
     SymbolSingularAtOrigin,
     TailNotConvergent,
     ToolkitError,
@@ -35,7 +34,7 @@ from .errors import (
     ZeroConstantTerm,
     ZeroOnBoundary,
 )
-from .numkit import ComplexMatrix, expm, hermitian_max_eig, spectral_radius
+from .numkit import ComplexMatrix, hermitian_max_eig, spectral_radius
 from .operators import (
     Dense,
     DirectSum,

@@ -249,7 +249,8 @@ class _Run:
 
 
 def _emit(run: _Run, args: argparse.Namespace) -> None:
-    """Write the report; one holding NaN or infinity is refused as NonFinite, in either format.
+    """Write the report; one holding NaN or infinity is refused as NonFinite, with one text in
+    either format (the encoder's error is its cause).
 
     Each part is serialized once: the JSON report by ``_write``, text mode's
     results key by key as compact JSON.  Text mode's checks are the only other
@@ -275,7 +276,7 @@ def _emit(run: _Run, args: argparse.Namespace) -> None:
         else:
             text = _write(run.report()) + "\n"
     except ValueError as exc:
-        raise NonFinite(f"report holds a non-finite number ({exc})") from exc
+        raise NonFinite("report holds a non-finite number") from exc
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -329,14 +330,7 @@ def _cmd_semigroup(args: argparse.Namespace, run: _Run) -> None:
     if args.growth_bound:
         run.results["growth_bound"] = growth_bound(S)
         consistency = growth_bound_consistency(S)
-        run.checks.append(
-            Check(
-                "growth_bound_consistency",
-                consistency <= _CONSISTENCY_TOL,
-                consistency,
-                _CONSISTENCY_TOL,
-            )
-        )
+        run.checks.append(Check.judged("growth_bound_consistency", consistency, _CONSISTENCY_TOL))
     if args.equivalence_suite:
         suite = concavity_equivalence_suite(S, tol=run.tol)
         run.results["equivalence_suite"] = suite
@@ -402,12 +396,7 @@ def _cmd_model(args: argparse.Namespace, run: _Run) -> None:
         run.results["wold"] = wold
         run.checks += [
             Check("wandering_span", wold.wandering_span_ok),
-            Check(
-                "unitary_restriction",
-                wold.unitary_residual <= run.tol.residual_tol,
-                wold.unitary_residual,
-                run.tol.residual_tol,
-            ),
+            Check.judged("unitary_restriction", wold.unitary_residual, run.tol.residual_tol),
         ]
 
 
@@ -470,14 +459,7 @@ def _cmd_hardy(args: argparse.Namespace, run: _Run) -> None:
         columns = analytic_toeplitz_trunc(phi, args.N).array[:, : args.N // 2]
         residual = float(np.max(np.abs(basis.conj().T @ columns)))
         run.results["model_space"] = {"degree": degree, "n": args.N, "basis": basis}
-        run.checks.append(
-            Check(
-                "model_space_orthogonality",
-                residual <= run.tol.residual_tol,
-                residual,
-                run.tol.residual_tol,
-            )
-        )
+        run.checks.append(Check.judged("model_space_orthogonality", residual, run.tol.residual_tol))
 
     if args.ladder is not None:
         report = verify_ladder_decomposition(phi, degree, int(args.ladder), args.N, run.tol)

@@ -39,3 +39,8 @@ class Check:
     passed: bool
     residual: float | None = None
     tolerance: float | None = None
+
+    @classmethod
+    def judged(cls, name: str, residual: float, tolerance: float) -> "Check":
+        """The check that passes when ``residual`` is at most ``tolerance``."""
+        return cls(name, bool(residual <= tolerance), residual, tolerance)

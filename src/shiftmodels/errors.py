@@ -13,10 +13,6 @@ class NonFinite(ToolkitError):
     """Input contains NaN or infinite entries."""
 
 
-class Singular(ToolkitError):
-    """Linear system is singular at the configured rank tolerance."""
-
-
 class AmbientMismatch(ToolkitError):
     """Vector indices or dimension are incompatible with the operator."""
 

@@ -3,7 +3,7 @@
 All kernels accept :class:`ComplexMatrix` (or a raw ndarray for internal use)
 and route rank decisions through singular values so every cutoff is relative
 to the largest one.  Factorizations are delegated to LAPACK via numpy; the
-matrix exponential, of one matrix or of a stack, is computed here by scaling and
+matrix exponential of a stack of matrices is computed here by scaling and
 squaring with one degree-13 Pade core because downstream semigroup checks pin it.
 A stack takes one Pade evaluation and one solve, whatever its members' squaring counts.
 """
@@ -12,19 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import NonFinite, Singular
+from .errors import NonFinite
 
 __all__ = [
     "ComplexMatrix",
     "hermitian_max_eig",
-    "expm",
     "expm_stack",
-    "solve",
     "rank",
     "orthonormal_range_basis",
     "null_space_basis",
@@ -115,25 +113,8 @@ class ComplexMatrix:
         return self.array.shape[0]
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[complex]]) -> "ComplexMatrix":
-        return cls(np.array(rows, dtype=np.complex128))
-
-    @classmethod
-    def identity(cls, n: int) -> "ComplexMatrix":
-        if n < 1:
-            raise ValueError(f"matrix must be at least 1x1, got n = {n}")
-        return cls._trusted(np.eye(n, dtype=np.complex128))
-
-    @classmethod
-    def zeros(cls, n: int) -> "ComplexMatrix":
-        return cls(np.zeros((n, n), dtype=np.complex128))
-
-    @classmethod
     def diagonal(cls, entries: Iterable[complex]) -> "ComplexMatrix":
         return cls(np.diag(np.array(list(entries), dtype=np.complex128)))
-
-    def adjoint(self) -> "ComplexMatrix":
-        return ComplexMatrix._trusted(self.array.conj().T)
 
     def to_json(self) -> dict:
         n = self.n
@@ -263,14 +244,6 @@ def expm_stack(stack: np.ndarray) -> tuple[np.ndarray, NonFinite | None]:
     return out, None if m == k else NonFinite("matrix 1-norm is not finite")
 
 
-def expm(M) -> ComplexMatrix:
-    """Matrix exponential by scaling and squaring with a degree-13 Pade core."""
-    out, refusal = expm_stack(_as_array(M)[None])
-    if refusal is not None:
-        raise refusal
-    return ComplexMatrix._trusted(out[0])
-
-
 def _svd(arr: np.ndarray, compute_uv: bool):
     """The one SVD call, on a checked array: singular values past the float range are refused."""
     out = np.linalg.svd(arr, compute_uv=compute_uv)
@@ -292,21 +265,6 @@ def _rank_of(s: np.ndarray, tol: ToleranceConfig) -> int:
 def rank(M, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Numerical rank: singular values above rank_tol relative to the largest."""
     return _rank_of(singular_values(M), tol)
-
-
-def solve(M, rhs, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Solve M y = rhs, raising Singular below the relative rank cutoff."""
-    arr = _as_array(M)
-    b = np.asarray(rhs, dtype=np.complex128)
-    if b.shape[0] != arr.shape[0]:
-        raise ValueError(f"rhs length {b.shape[0]} does not match matrix size {arr.shape[0]}")
-    s = _svd(arr, compute_uv=False)
-    if _rank_of(s, tol) < arr.shape[0]:
-        raise Singular(
-            f"matrix singular at rank_tol={tol.rank_tol:g}: "
-            f"sigma_min/sigma_max = {0.0 if s[0] == 0.0 else s[-1] / s[0]:.3e}"
-        )
-    return np.linalg.solve(arr, b)
 
 
 def orthonormal_range_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

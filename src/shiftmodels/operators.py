@@ -122,20 +122,8 @@ class FiniteSupportVector:
     def as_dict(self) -> dict[int, complex]:
         return dict(self.entries)
 
-    def amplitude(self, k: int) -> complex:
-        for idx, v in self.entries:
-            if idx == k:
-                return v
-        return 0.0 + 0.0j
-
     def norm(self) -> float:
         return math.sqrt(sum(abs(v) ** 2 for _, v in self.entries))
-
-    def inner(self, other: "FiniteSupportVector") -> complex:
-        """Inner product, linear in the first slot: sum_k x_k * conj(y_k)."""
-        _check_same_ambient(self, other)
-        other_map = other.as_dict()
-        return sum(v * other_map[k].conjugate() for k, v in self.entries if k in other_map)
 
     def scale(self, c: complex) -> "FiniteSupportVector":
         return FiniteSupportVector(tuple((k, c * v) for k, v in self.entries), self.ambient)
@@ -316,13 +304,10 @@ def _matvec(arr: np.ndarray, k: np.ndarray, v: np.ndarray, adjoint: bool):
 
 
 class _Acting:
-    """``apply`` and ``adjoint_apply`` of every operator, through its ``_map``."""
+    """``apply`` of every operator, through its ``_map``."""
 
     def apply(self, x: FiniteSupportVector) -> FiniteSupportVector:
         return _act(self, x, False, "T x")
-
-    def adjoint_apply(self, x: FiniteSupportVector) -> FiniteSupportVector:
-        return _act(self, x, True, "T* x")
 
 
 @dataclass(frozen=True)

@@ -124,10 +124,6 @@ class _Judged:
         return all(c.passed for c in self.checks)
 
 
-def _check(name: str, residual: float, tolerance: float) -> Check:
-    return Check(name, bool(residual <= tolerance), residual, tolerance)
-
-
 @dataclass(frozen=True)
 class IntertwiningReport(_Judged):
     max_residual: float
@@ -416,7 +412,7 @@ def verify_intertwining(
     if N >= 1:
         residual = max(residual, float(np.max(np.abs(ctx[1:] - cx[:-1]))))
     return IntertwiningReport(
-        max_residual=residual, N=N, checks=(_check("intertwine", residual, _INTERTWINE_TOL),)
+        max_residual=residual, N=N, checks=(Check.judged("intertwine", residual, _INTERTWINE_TOL),)
     )
 
 
@@ -460,7 +456,7 @@ def verify_reproducing(
         if n < len(section[i]) and section[i][n]
     )
     residual = abs(lhs - rhs)
-    check = _check("reproduce", residual, _REPRODUCE_TOL)
+    check = Check.judged("reproduce", residual, _REPRODUCE_TOL)
     return ReproducingReport(lhs=lhs, rhs=rhs, residual=residual, terms_used=terms, checks=(check,))
 
 
@@ -537,9 +533,9 @@ def verify_semigroup_model(
         commutation_residual=commutation_residual,
         constant_term_residual=constant_residual,
         checks=(
-            _check("semigroup_generator", generator_residual, _GENERATOR_TOL),
-            _check("semigroup_commutation", commutation_residual, tol.residual_tol),
-            _check("semigroup_constant_term", constant_residual, _CONSTANT_TOL),
+            Check.judged("semigroup_generator", generator_residual, _GENERATOR_TOL),
+            Check.judged("semigroup_commutation", commutation_residual, tol.residual_tol),
+            Check.judged("semigroup_constant_term", constant_residual, _CONSTANT_TOL),
         ),
     )
 

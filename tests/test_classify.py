@@ -90,7 +90,7 @@ def test_two_isometry_is_intersection_flag():
 
 
 def test_generator_criterion_pinned_values():
-    skew = ComplexMatrix.from_rows([[0.0, 1.0], [-1.0, 0.0]])
+    skew = ComplexMatrix([[0.0, 1.0], [-1.0, 0.0]])
     res = generator_concavity_criterion(skew, DEFAULT_TOL)
     assert res.satisfied
     assert abs(res.margin) <= 1e-14
@@ -99,7 +99,7 @@ def test_generator_criterion_pinned_values():
     assert not res.satisfied
     assert res.margin == pytest.approx(2.0, abs=1e-12)
 
-    nilpotent = ComplexMatrix.from_rows([[0.0, 1.0], [0.0, 0.0]])
+    nilpotent = ComplexMatrix([[0.0, 1.0], [0.0, 0.0]])
     res = generator_concavity_criterion(nilpotent, DEFAULT_TOL)
     assert not res.satisfied
     assert res.margin == pytest.approx(1.0, abs=1e-12)
@@ -165,10 +165,10 @@ def test_power_growth_check_requires_concave():
 
 
 def test_dense_purity_is_nilpotency():
-    jordan = ComplexMatrix.from_rows([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    jordan = ComplexMatrix([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     rep = classify_operator(Dense(jordan))
     assert rep.pure
-    assert not classify_operator(Dense(ComplexMatrix.identity(3))).pure
+    assert not classify_operator(Dense(ComplexMatrix(np.eye(3)))).pure
 
 
 def test_power_growth_check_reads_only_the_defect_bounds(monkeypatch):
@@ -177,7 +177,7 @@ def test_power_growth_check_reads_only_the_defect_bounds(monkeypatch):
         raise AssertionError("classify_operator called")
 
     monkeypatch.setattr(classify, "classify_operator", refuse)
-    pair = DirectSum((Dense(ComplexMatrix.identity(2)), isometric_shift()))
+    pair = DirectSum((Dense(ComplexMatrix(np.eye(2))), isometric_shift()))
     assert concave_power_growth_check(pair, FiniteSupportVector.from_dict({1: 1.0, 2: 1.0j}), 20)
     # diag(2, 0.5): the defect 16 - 8 + 1 = 9 at e_0 is the sup of the form
     mixed = DirectSum((isometric_shift(), Dense(ComplexMatrix.diagonal([2.0, 0.5]))))

@@ -497,7 +497,7 @@ def test_block_shifts_refuse_empty_shapes(m, n):
 
 def test_caradus_accepts_a_complex_matrix():
     # a square matrix: surjective means invertible, so there is no kernel
-    report = caradus_certificate(ComplexMatrix.identity(3))
+    report = caradus_certificate(ComplexMatrix(np.eye(3)))
     assert (report.rows, report.cols, report.rank, report.kernel_dim) == (3, 3, 3, 0)
     assert report.surjective and not report.passed
 

@@ -29,7 +29,7 @@ def _random_skew(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def test_evolve_pinned_values():
-    A = ComplexMatrix.from_rows([[0.0, 2.0], [1.0, -1.0]])
+    A = ComplexMatrix([[0.0, 2.0], [1.0, -1.0]])
     np.testing.assert_array_equal(evolve(SemigroupSpec(A), 0.0).array, np.eye(2))
 
     half = evolve(SemigroupSpec(ComplexMatrix.diagonal([-1.0])), math.log(2.0))
@@ -65,7 +65,7 @@ def test_suite_exponentials_of_triangular_generators_match_the_closed_form(a, c,
     # and t b e^{ta} when a = c.  The pins stop at |b| = 1e2: with every matrix scaled to
     # 1-norm 0.5 before the Pade step, the error is ~1e-11 at |b| = 1e4 and O(1) at 1e16,
     # so the large-|b| pins wait for the Al-Mohy-Higham choice of degree and squarings.
-    S = SemigroupSpec(ComplexMatrix.from_rows([[a, b], [0.0, c]]))
+    S = SemigroupSpec(ComplexMatrix([[a, b], [0.0, c]]))
     times = (*semigroup._GRID, semigroup._STEP)
     evolved, refusal = semigroup._evolve_stack(S, times)  # the suite's one stacked call
     assert refusal is None
@@ -79,7 +79,7 @@ def test_suite_exponentials_of_triangular_generators_match_the_closed_form(a, c,
 
 def test_cogenerator_pinned_values():
     np.testing.assert_allclose(
-        cogenerator(SemigroupSpec(ComplexMatrix.zeros(3))).array, -np.eye(3), atol=1e-14
+        cogenerator(SemigroupSpec(ComplexMatrix(np.zeros((3, 3))))).array, -np.eye(3), atol=1e-14
     )
     np.testing.assert_allclose(
         cogenerator(SemigroupSpec(ComplexMatrix.diagonal([-1.0]))).array, [[0.0]], atol=1e-14
@@ -96,11 +96,13 @@ def test_cogenerator_of_skew_generator_is_unitary():
 
 def test_cogenerator_rejects_one_in_spectrum():
     with pytest.raises(OneInSpectrum):
-        cogenerator(SemigroupSpec(ComplexMatrix.identity(2)))
+        cogenerator(SemigroupSpec(ComplexMatrix(np.eye(2))))
 
 
 def test_inverse_cayley_round_trip():
-    np.testing.assert_allclose(inverse_cayley(ComplexMatrix.zeros(2)).array, -np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(
+        inverse_cayley(ComplexMatrix(np.zeros((2, 2)))).array, -np.eye(2), atol=1e-14
+    )
     np.testing.assert_allclose(
         inverse_cayley(ComplexMatrix.diagonal([-1.0, -1.0])).array, np.zeros((2, 2)), atol=1e-14
     )
@@ -152,7 +154,7 @@ def test_quasicontractive_rescale():
 
 def test_cayley_transform_refuses_its_own_overflow():
     # A - Id = [[0, 1e8], [1e-310, 0]] has full rank at rank_tol 1e-320; its inverse holds 1e310
-    near_one = SemigroupSpec(ComplexMatrix.from_rows([[1.0, 1e8], [1e-310, 1.0]]))
+    near_one = SemigroupSpec(ComplexMatrix([[1.0, 1e8], [1e-310, 1.0]]))
     with pytest.raises(NonFinite, match="Cayley transform"):
         cogenerator(near_one, ToleranceConfig(rank_tol=1e-320))
 
@@ -234,7 +236,7 @@ def test_equivalence_suite_defects_match_independent_oracle():
 def test_equivalence_suite_rejects_one_in_generator_spectrum():
     # the cogenerator leg needs 1 outside the generator spectrum
     with pytest.raises(OneInSpectrum):
-        concavity_equivalence_suite(SemigroupSpec(ComplexMatrix.identity(3)))
+        concavity_equivalence_suite(SemigroupSpec(ComplexMatrix(np.eye(3))))
 
 
 def test_equivalence_suite_dissipative_generators_agree():
