@@ -226,9 +226,11 @@ def test_nested_direct_sum_pinned_entries():
     assert _adjoint_apply(V, x).as_dict() == {0: 3.0, 1: 10.0}
 
 
-@pytest.mark.parametrize("adjoint", [False, True], ids=["apply", "adjoint"])
-def test_direct_sum_refuses_an_index_outside_a_finite_part(adjoint):
-    # global 4 is local 2 of the 2-dimensional block
+@pytest.mark.parametrize("method", ["apply", "adjoint_apply"])
+def test_direct_sum_refuses_an_index_outside_a_finite_part(method):
+    # the forward action T x and the adjoint action T* x alike; global 4 is local 2 of
+    # the 2-dimensional block
+    adjoint = method == "adjoint_apply"
     x = FiniteSupportVector.from_dict({3: 1.0, 4: 1.0})
     with pytest.raises(AmbientMismatch, match="global index 4 lands outside part 0"):
         _act(_mixed_sum(), x, adjoint, "T x")
@@ -237,8 +239,9 @@ def test_direct_sum_refuses_an_index_outside_a_finite_part(adjoint):
         _act(nested, FiniteSupportVector.basis(9), adjoint, "T x")
 
 
-@pytest.mark.parametrize("adjoint, index", [(False, 0), (True, 1)], ids=["apply", "adjoint"])
-def test_shift_refuses_overflow_without_warnings(adjoint, index):
+@pytest.mark.parametrize("method, index", [("apply", 0), ("adjoint_apply", 1)])
+def test_shift_refuses_overflow_without_warnings(method, index):
+    adjoint = method == "adjoint_apply"
     shift = Shift(EventuallyConstantWeights((), 1e300))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -447,6 +447,16 @@ def test_model_reports_are_judged_by_their_checks():
     assert not IntertwiningReport(max_residual=1.0, N=1, checks=(failing,)).passed
 
 
+def test_a_judged_check_passes_when_its_residual_is_at_most_its_tolerance():
+    assert Check.judged("c", 1e-9, 1e-9) == Check("c", True, 1e-9, 1e-9)
+    assert Check.judged("c", np.nextafter(1e-9, 1.0), 1e-9).passed is False
+    assert Check.judged("c", 0.0, 1e-12).passed is True
+    # a NaN residual compares false, so it fails; the verdict is a plain bool, never np.bool_
+    assert Check.judged("c", math.nan, 1e-9).passed is False
+    assert Check.judged("c", np.float64(math.inf), 1e-9).passed is False
+    assert type(Check.judged("c", np.float64(0.5), 1.0).passed) is bool
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf])
 def test_semigroup_maps_refuse_non_finite_times(t):
     with pytest.raises(NonFinite):
