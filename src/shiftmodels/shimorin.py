@@ -73,6 +73,8 @@ __all__ = [
 
 _TERM_CAP = 10_000
 _NORMAL_MIN = np.finfo(np.float64).tiny
+_RESCALE_BITS = 512
+_RESCALE_ABOVE = 2.0**_RESCALE_BITS
 
 _INTERTWINE_TOL = 1e-12
 _REPRODUCE_TOL = 1e-8
@@ -471,15 +473,42 @@ def _multiplier_coeffs(t: float, N: int) -> np.ndarray:
     sum_n L_n^{(-1)}(x) z^n = exp(-x z/(1-z)) (DLMF §18.12) makes coefficient
     n equal to e^{-t} L_n^{(-1)}(2t).  The three-term recurrence with alpha = -1,
     (n+1) L_{n+1} = (2n - x) L_n - (n-1) L_{n-1}, L_0 = 1, L_1 = -x, costs O(N).
+
+    L_n(2t) grows like (2t)^n / n! while e^{-t} underflows from t = 745 on, so
+    the recurrence carries its two values scaled by exact powers of two: when
+    either passes 2^512, both are divided by 2^512 and the binary exponent of
+    every later index grows by 512.  Since |L_{n+1}| <= (3 + |x|) times the
+    larger of |L_n| and |L_{n-1}|, values below 2^512 stay finite for
+    511 / log2(3 + |x|) steps, so that test runs once per block of as many
+    steps, not at every step.  The scaling is exact: where e^{-t} is a normal
+    number the result has the bits of the product e^{-t} L_n.  Below that,
+    e^{-t} 2^exponent is applied as 2^(exponent - t / ln 2), at a relative
+    error of about t 2^-52 from rounding t / ln 2.
     """
     x = 2.0 * t
     laguerre = np.zeros(N + 1)
+    rescaled: list[int] = []  # the indices from which a further 2^512 was divided out
     laguerre[0] = previous = 1.0
     current = -x
-    for n in range(1, N + 1):
-        laguerre[n] = current
-        previous, current = current, ((2 * n - x) * current - (n - 1) * previous) / (n + 1)
-    return math.exp(-t) * laguerre
+    block = max(1, int(511 / math.log2(3.0 + abs(x))))
+    for start in range(1, N + 1, block):
+        if max(abs(previous), abs(current)) > _RESCALE_ABOVE:
+            previous /= _RESCALE_ABOVE
+            current /= _RESCALE_ABOVE
+            rescaled.append(start)
+        for n in range(start, min(start + block, N + 1)):
+            laguerre[n] = current
+            previous, current = current, ((2 * n - x) * current - (n - 1) * previous) / (n + 1)
+    head = math.exp(-t)
+    if not rescaled and head >= _NORMAL_MIN:
+        return head * laguerre
+    exponents = _RESCALE_BITS * np.searchsorted(rescaled, np.arange(N + 1), side="right")
+    if head < _NORMAL_MIN:
+        # below -2^13 every entry underflows; the floor keeps the exponents in range of an int64
+        total = np.maximum(exponents - t / math.log(2.0), -8192.0)
+        exponents = np.floor(total)
+        head = np.exp2(total - exponents)
+    return np.ldexp(head * laguerre, exponents.astype(np.int64))
 
 
 def semigroup_multiplier(t: float, N: int) -> PowerSeries:

@@ -92,20 +92,31 @@ def test_criterion_11_fails_when_the_blocks_are_swapped(monkeypatch):
     assert "backward d=1" in result.detail and "forward d=1" in result.detail
 
 
-@pytest.mark.parametrize("route", ["semigroup_multiplier", "inner_semigroup_symbol", "series_exp"])
-def test_criterion_7_fails_when_one_route_is_perturbed(monkeypatch, route):
-    # each name feeds exactly one of the three routes to e_t
-    original = getattr(acceptance, route)
+@pytest.mark.parametrize(
+    "module, route, measured",
+    [
+        pytest.param(acceptance, "semigroup_multiplier", "route agreement", id="semigroup_multiplier"),
+        pytest.param(acceptance, "inner_semigroup_symbol", "route agreement", id="inner_semigroup_symbol"),
+        pytest.param(acceptance, "series_exp", "route agreement", id="series_exp"),
+        # the two Blaschke routes: the recurrence from the zeros, and the series algebra
+        # (whose last step also feeds the coordinate symbol)
+        pytest.param(hardy, "_symbol_from_zeros", "Blaschke route agreement", id="blaschke-zeros"),
+        pytest.param(hardy, "series_exp", "Blaschke route agreement", id="blaschke-series-algebra"),
+    ],
+)
+def test_criterion_7_fails_when_one_route_is_perturbed(monkeypatch, module, route, measured):
+    # each name feeds exactly one of the routes to e_t
+    original = getattr(module, route)
 
     def perturbed(*args, **kwargs):
         coeffs = np.array(original(*args, **kwargs).coeffs)
         coeffs[5] += 1e-9
         return PowerSeries(coeffs)
 
-    monkeypatch.setattr(acceptance, route, perturbed)
+    monkeypatch.setattr(module, route, perturbed)
     result = acceptance.criterion_7_multiplier_semigroup()
     assert not result.passed
-    agreement = re.search(r"route agreement (\S+)", result.detail).group(1)
+    agreement = re.search(rf"{measured} (\S+)", result.detail).group(1)
     assert float(agreement) >= 0.9e-9
 
 

@@ -414,8 +414,8 @@ def test_overflowing_input_is_refused_without_warnings(tmp_path, data, argv):
         ["--coeffs", "e110.json", "--N", "120"],
         # |lam| ||L|| = 0.9 needs hundreds of dual Neumann terms; T'^n e_0 = 1e3^n e_n
         ["--kernel", "0.0009,0.0001"],
-        # L_n(2t) ~ (2t)^n / n! overflows while e^{-t} underflows to 0: the product is NaN
-        ["--verify", "semigroup", "--semigroup-t", "1e6"],
+        # 2t L_n overflows even on values scaled down by powers of two
+        ["--verify", "semigroup", "--semigroup-t", "1e200"],
     ],
 )
 def test_overflowing_shift_model_is_refused_without_warnings(tmp_path, argv):
@@ -425,6 +425,22 @@ def test_overflowing_shift_model_is_refused_without_warnings(tmp_path, argv):
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     proc = _run_subprocess(["model", "--operator", str(tmp_path / "tiny.json"), *argv])
     _assert_single_error_line(proc, 3)
+
+
+def test_semigroup_model_reports_where_e_to_the_minus_t_underflows(capsys):
+    # L_n(2t) overflows and e^{-t} underflows to 0 at t = 1e6; the multiplier is still reported
+    code, out = _run(
+        capsys,
+        ["model", "--operator", _fixture("dirichlet.json"), "--verify", "semigroup", "--semigroup-t", "1e6"],
+    )
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == [
+        "semigroup_generator",
+        "semigroup_commutation",
+        "semigroup_constant_term",
+    ]
+    assert all(c["passed"] for c in checks)
 
 
 @pytest.mark.parametrize(

@@ -118,6 +118,113 @@ def test_inner_semigroup_symbol_refuses_non_finite_time(t):
         inner_semigroup_symbol(PowerSeries([0.0, 1.0]), t, 8)
 
 
+def _zeros_with_largest_modulus(rng, degree, largest):
+    radii = np.concatenate(([largest], rng.uniform(0.0, largest, degree - 1)))
+    return tuple(complex(v) for v in radii * np.exp(2j * np.pi * rng.uniform(size=degree)))
+
+
+def _symbol_by_clark_points(spec, t, N):
+    """exp(t F), F = (phi + 1)/(phi - 1), from the Herglotz form of F.
+
+    F is rational with Re F <= 0 on the disc and simple poles at the d points
+    zeta_j of the circle where phi = 1, the roots of P - Q for phi = P / Q.  So
+    F = i Im F(0) + sum_j lam_j (z + zeta_j)/(z - zeta_j) with
+    lam_j = Q(zeta_j) / (zeta_j (P - Q)'(zeta_j)) > 0, and exp(t F) is the product of
+    the rotated multipliers e_{lam_j t}(z / zeta_j), whose coefficients
+    h_n(lam_j t) conj(zeta_j)^n come from the Laguerre route.
+    """
+    poly = np.polynomial.polynomial
+    P, Q = np.array([spec.constant]), np.array([1.0 + 0.0j])
+    for a in spec.zeros:
+        P = poly.polymul(P, (0.0, 1.0) if a == 0 else (abs(a), -abs(a) / a))
+        Q = poly.polymul(Q, (1.0, -np.conj(a)))
+    zetas = poly.polyroots(P - Q)
+    zetas /= np.abs(zetas)
+    lams = poly.polyval(zetas, Q) / (zetas * poly.polyval(zetas, poly.polyder(P - Q)))
+    assert np.abs(lams.imag).max() <= 1e-12 and lams.real.min() > 0.0
+    out = np.zeros(N + 1, dtype=np.complex128)
+    out[0] = np.exp(1j * t * ((P[0] + 1.0) / (P[0] - 1.0)).imag)
+    for zeta, lam in zip(zetas, lams.real):
+        rotated = semigroup_multiplier(lam * t, N).coeffs * np.conj(zeta) ** np.arange(N + 1)
+        out = np.convolve(out, rotated)[: N + 1]
+    return out
+
+
+@pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_symbol_from_zeros_matches_the_clark_point_closed_form(degree, t):
+    # at N = 4095 a largest zero modulus of 0.85-0.9 keeps the Blaschke series normal
+    rng = np.random.default_rng(20261019 + degree)
+    spec = BlaschkeSpec(_zeros_with_largest_modulus(rng, degree, rng.uniform(0.85, 0.9)))
+    N = 4095
+    symbol = inner_semigroup_symbol(blaschke_series(spec, N), t, N).coeffs
+    assert np.max(np.abs(symbol - _symbol_by_clark_points(spec, t, N))) <= 1e-13
+
+
+@pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_symbol_routes_agree_on_blaschke_data(degree, t):
+    # zeros within |a| <= 0.6 at N = 1023; nearer the circle and at N = 4095 the
+    # series-algebra route is itself off by more than 1e-13 (up to 2e-12 at |a| = 0.9, t = 4)
+    rng = np.random.default_rng(20261020 + degree)
+    N = 1023
+    phi = blaschke_series(BlaschkeSpec(_zeros_with_largest_modulus(rng, degree, 0.6)), N)
+    by_zeros = inner_semigroup_symbol(phi, t, N).coeffs
+    by_algebra = inner_semigroup_symbol(PowerSeries(phi.coeffs), t, N).coeffs
+    assert np.max(np.abs(by_zeros - by_algebra)) <= 1e-13
+
+
+@pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
+def test_symbol_of_the_coordinate_closed_forms(t):
+    h = inner_semigroup_symbol(blaschke_series(BlaschkeSpec((0.0,)), 64), t, 64).coeffs
+    closed = math.exp(-t) * np.array([1.0, -2.0 * t, 2.0 * t**2 - 2.0 * t])
+    np.testing.assert_allclose(h[:3], closed, rtol=1e-14, atol=0.0)
+    # a rotated coordinate c z gives h_n c^n
+    for angle in (0.5, 2.0, math.pi):
+        c = complex(math.cos(angle), math.sin(angle))
+        rotated = inner_semigroup_symbol(blaschke_series(BlaschkeSpec((0.0,), c), 64), t, 64)
+        assert np.max(np.abs(rotated.coeffs - h * c ** np.arange(65))) <= 1e-14
+
+
+@pytest.mark.parametrize("c", [-1.0, 1j, complex(math.cos(2.0), math.sin(2.0))])
+def test_symbol_of_a_constant_is_a_constant(c):
+    out = inner_semigroup_symbol(blaschke_series(BlaschkeSpec((), c), 16), 1.5, 16).coeffs
+    assert out[0] == pytest.approx(np.exp(1.5 * (c + 1.0) / (c - 1.0)), abs=1e-15)
+    # exact zeros, and none of them negative: the report prints 0.0, as for the series route
+    assert not out[1:].any() and not np.signbit(out[1:].view(np.float64)).any()
+
+
+def test_symbol_route_is_chosen_by_type(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the series-algebra route ran")
+
+    monkeypatch.setattr(hardy, "series_inv", refuse)
+    phi = blaschke_series(BlaschkeSpec((0.5, -0.3j)), 32)
+    assert inner_semigroup_symbol(phi, 1.0, 32).order == 32
+    with pytest.raises(AssertionError):
+        inner_semigroup_symbol(PowerSeries(phi.coeffs), 1.0, 32)
+    # a Blaschke series shorter than the requested order holds only a truncation
+    with pytest.raises(AssertionError):
+        inner_semigroup_symbol(phi, 1.0, 33)
+
+
+def test_symbol_from_zeros_keeps_the_refusals():
+    with pytest.raises(SymbolSingularAtOrigin):
+        inner_semigroup_symbol(blaschke_series(BlaschkeSpec(()), 8), 1.0, 8)
+    phi = blaschke_series(BlaschkeSpec((0.5,)), 8)
+    for t in (math.nan, math.inf):
+        with pytest.raises(NonFinite):
+            inner_semigroup_symbol(phi, t, 8)
+    with pytest.raises(ValueError, match="nonnegative"):
+        inner_semigroup_symbol(phi, -1.0, 8)
+    with pytest.raises(ValueError, match="nonnegative"):
+        inner_semigroup_symbol(phi, 1.0, -1)
+    # 2t (P Q' - Q P') overflows; so does t (phi + 1)/(phi - 1) on the series route
+    for route in (phi, PowerSeries(phi.coeffs)):
+        with pytest.raises(NonFinite):
+            inner_semigroup_symbol(route, 1e308, 8)
+
+
 def test_inner_check_coordinate_passes():
     report = inner_check(PowerSeries([0.0, 1.0]))
     assert report.passed

@@ -470,9 +470,49 @@ def test_semigroup_maps_refuse_negative_times_and_overflow():
         verify_semigroup_model(-1.0, N=8)
     with pytest.raises(ValueError, match="nonnegative"):
         verify_semigroup_model(0.5, N=-1)
-    # L_n(2t) ~ (2t)^n / n! overflows while e^{-t} underflows to 0: the product is NaN
+    # 2t L_n overflows even on values scaled down by powers of two
     with pytest.raises(NonFinite):
-        semigroup_multiplier(1e6, 64)
+        semigroup_multiplier(1e200, 64)
+
+
+@pytest.mark.parametrize(
+    "t, N", [(709.0, 4096), (1000.0, 4096), (1100.0, 4096), (1e6, 64), (1e6, 4096), (1e100, 64)]
+)
+def test_multiplier_holds_where_e_to_the_minus_t_underflows(t, N):
+    # e_t is inner, so its coefficients have sum |h_n|^2 <= 1
+    h = semigroup_multiplier(t, N).coeffs
+    assert np.isfinite(h).all()
+    assert np.sum(np.abs(h) ** 2) <= 1.0 + 1e-12
+    report = verify_semigroup_model(t, N=64)
+    assert report.passed
+
+
+def _multiplier_by_the_unscaled_loop(t, N):
+    """e^{-t} L_n(2t) with L_n carried unscaled: the reference wherever that stays finite."""
+    x = 2.0 * t
+    laguerre = np.zeros(N + 1)
+    laguerre[0] = previous = 1.0
+    current = -x
+    for n in range(1, N + 1):
+        laguerre[n] = current
+        previous, current = current, ((2 * n - x) * current - (n - 1) * previous) / (n + 1)
+    return math.exp(-t) * laguerre
+
+
+@pytest.mark.parametrize("t", [-1e-5, 0.0, 0.5, 3.0, 100.0, 400.0, 700.0])
+def test_multiplier_is_bit_identical_to_the_unscaled_loop_where_that_is_finite(t):
+    # from t = 400 on L_n(2t) passes 2^512 and the scaled route divides it out
+    for N in (0, 1, 64, 4095):
+        assert _multiplier_coeffs(t, N).tobytes() == _multiplier_by_the_unscaled_loop(t, N).tobytes()
+
+
+def test_multiplier_semigroup_law_across_the_underflow_of_e_to_the_minus_t():
+    # e^{-500} is a normal number and e^{-1000} is not; e_500 e_500 = e_1000 exactly in series
+    N = 2048
+    half = semigroup_multiplier(500.0, N)
+    whole = semigroup_multiplier(1000.0, N).coeffs
+    assert np.max(np.abs(whole)) >= 0.1
+    assert np.max(np.abs(series_mul(half, half, N=N).coeffs - whole)) <= 1e-13
 
 
 def test_wold_decompose_pinned_cases():
