@@ -484,6 +484,12 @@ def _multiplier_coeffs(t: float, N: int) -> np.ndarray:
     number the result has the bits of the product e^{-t} L_n.  Below that,
     e^{-t} 2^exponent is applied as 2^(exponent - t / ln 2), at a relative
     error of about t 2^-52 from rounding t / ln 2.
+
+    From x of order 2^512 on, x times a scaled value can overflow all the same.
+    There every coefficient is zero in floating point:
+    |L_n(x)| <= (2 max(1, x))^n <= (4 max(1, t))^n, so |e^{-t} L_n(x)| < 2^-1075
+    for every n <= N once t - N ln(4 max(1, t)) > 1075 ln 2, and each rounds to
+    a zero signed as L_n(x), which is (-1)^n for x past the largest root (< 4N).
     """
     x = 2.0 * t
     laguerre = np.zeros(N + 1)
@@ -499,6 +505,12 @@ def _multiplier_coeffs(t: float, N: int) -> np.ndarray:
         for n in range(start, min(start + block, N + 1)):
             laguerre[n] = current
             previous, current = current, ((2 * n - x) * current - (n - 1) * previous) / (n + 1)
+    if not np.isfinite(laguerre).all():
+        growth = 2.0 * math.log(2.0) + math.log(max(1.0, t))  # ln(4 max(1, t)), even past 2t = inf
+        if t - N * growth > 1075.0 * math.log(2.0):
+            zeros = np.zeros(N + 1)
+            zeros[1::2] = -0.0
+            return zeros
     head = math.exp(-t)
     if not rescaled and head >= _NORMAL_MIN:
         return head * laguerre

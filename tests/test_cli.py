@@ -374,6 +374,9 @@ _NILPOTENT = [[0.0, 0.0], [1e200, 0.0], [0.0, 0.0], [0.0, 0.0]]
 # e^{0.05 A} has entries near e^{-10} and 2e154, but scaling and squaring overscales to zero
 _OVERSCALED = [[-200.0, 0.0], [1e160, 0.0], [0.0, 0.0], [-200.0, 0.0]]
 _OVERSCALED_ROTATION = [[0.0, 0.0], [1e50, 0.0], [0.0, 0.0], [0.0, 20.0 * math.pi]]
+# e^{0.05 A} = e^20 Id is finite and e^{1.8 A} = e^720 Id is not
+_DIAG_400 = [[400.0, 0.0], [0.0, 0.0], [0.0, 0.0], [400.0, 0.0]]
+_NEG_MAX_DIAG = [[-1e308, 0.0], [0.0, 0.0], [0.0, 0.0], [-1e308, 0.0]]
 
 
 @pytest.mark.parametrize(
@@ -400,6 +403,11 @@ _OVERSCALED_ROTATION = [[0.0, 0.0], [1e50, 0.0], [0.0, 0.0], [0.0, 20.0 * math.p
         (_NILPOTENT, ["model", "--wold", "--operator"]),
         (_OVERSCALED, ["semigroup", "--t", "0.05", "--generator"]),
         (_OVERSCALED_ROTATION, ["semigroup", "--t", "0.05", "--generator"]),
+        # the suite's grid is powers of e^{0.05 A}: e^{0.05 A} is overscaled, or a power overflows
+        (_OVERSCALED, ["semigroup", "--equivalence-suite", "--generator"]),
+        (_DIAG_400, ["semigroup", "--equivalence-suite", "--generator"]),
+        # e^{tA} underflows to 0 and A^2 overflows in the generator form
+        (_NEG_MAX_DIAG, ["semigroup", "--equivalence-suite", "--generator"]),
     ],
 )
 def test_overflowing_input_is_refused_without_warnings(tmp_path, data, argv):
@@ -414,8 +422,6 @@ def test_overflowing_input_is_refused_without_warnings(tmp_path, data, argv):
         ["--coeffs", "e110.json", "--N", "120"],
         # |lam| ||L|| = 0.9 needs hundreds of dual Neumann terms; T'^n e_0 = 1e3^n e_n
         ["--kernel", "0.0009,0.0001"],
-        # 2t L_n overflows even on values scaled down by powers of two
-        ["--verify", "semigroup", "--semigroup-t", "1e200"],
     ],
 )
 def test_overflowing_shift_model_is_refused_without_warnings(tmp_path, argv):
@@ -428,19 +434,22 @@ def test_overflowing_shift_model_is_refused_without_warnings(tmp_path, argv):
 
 
 def test_semigroup_model_reports_where_e_to_the_minus_t_underflows(capsys):
-    # L_n(2t) overflows and e^{-t} underflows to 0 at t = 1e6; the multiplier is still reported
-    code, out = _run(
-        capsys,
-        ["model", "--operator", _fixture("dirichlet.json"), "--verify", "semigroup", "--semigroup-t", "1e6"],
-    )
-    assert code == 0
-    checks = json.loads(out)["checks"]
-    assert [c["name"] for c in checks] == [
-        "semigroup_generator",
-        "semigroup_commutation",
-        "semigroup_constant_term",
-    ]
-    assert all(c["passed"] for c in checks)
+    # L_n(2t) overflows and e^{-t} underflows to 0 at t = 1e6; the multiplier is still reported.
+    # At t = 1e200, 2t L_n overflows even on values scaled down by powers of two, and every
+    # coefficient is a zero
+    for t in ("1e6", "1e200"):
+        code, out = _run(
+            capsys,
+            ["model", "--operator", _fixture("dirichlet.json"), "--verify", "semigroup", "--semigroup-t", t],
+        )
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [c["name"] for c in checks] == [
+            "semigroup_generator",
+            "semigroup_commutation",
+            "semigroup_constant_term",
+        ]
+        assert all(c["passed"] for c in checks)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import pytest
 from shiftmodels import semigroup
 from shiftmodels.config import DEFAULT_TOL, ToleranceConfig
 from shiftmodels.errors import NonFinite, OneInSpectrum
-from shiftmodels.numkit import ComplexMatrix, two_norm
+from shiftmodels.numkit import ComplexMatrix, expm_stack, two_norm
 from shiftmodels.classify import generator_concavity_criterion
 from shiftmodels.semigroup import (
     SemigroupSpec,
@@ -67,14 +67,68 @@ def test_suite_exponentials_of_triangular_generators_match_the_closed_form(a, c,
     # so the large-|b| pins wait for the Al-Mohy-Higham choice of degree and squarings.
     S = SemigroupSpec(ComplexMatrix([[a, b], [0.0, c]]))
     times = (*semigroup._GRID, semigroup._STEP)
-    evolved, refusal = semigroup._evolve_stack(S, times)  # the suite's one stacked call
-    assert refusal is None
-    for t, E in zip(times, evolved):
+    evolved, half = semigroup._grid_exponentials(S)  # the suite's grid: powers of e^{2hA}
+    for t, E in zip(times, (*evolved, half)):
         ta, tc = cmath.exp(t * a), cmath.exp(t * c)
         corner = t * b * ta if a == c else b * (tc - ta) / (c - a)
         for value, exact in ((E[0, 0], ta), (E[1, 1], tc), (E[0, 1], corner)):
             assert abs(value - exact) <= 1e-12 * abs(exact), (t, value, exact)
         assert E[1, 0] == 0.0
+
+
+@pytest.mark.parametrize("n", [4, 6, 16, 32])
+def test_suite_grid_matches_one_exponential_per_time(n):
+    # the three generator families of acceptance criterion 2; the per-time stack takes
+    # each e^{tA} by its own scaling and squaring, with no product of grid members
+    rng = np.random.default_rng(300 + n)
+    times = (*semigroup._GRID, semigroup._STEP)
+    for family in range(3):
+        for _ in range(2):
+            B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            A = ((B - B.conj().T) / 2.0, -(B.conj().T @ B + np.eye(n)), B)[family]
+            S = SemigroupSpec(ComplexMatrix(A))
+            evolved, half = semigroup._grid_exponentials(S)
+            assert evolved.shape == (len(semigroup._GRID), n, n)
+            independent, refusal = semigroup._evolve_stack(S, times)
+            assert refusal is None
+            for t, E, exact in zip(times, (*evolved, half), independent):
+                scale = max(1.0, float(np.max(np.abs(exact))))
+                assert np.max(np.abs(E - exact)) <= 1e-12 * scale, (family, t)
+
+
+def test_suite_takes_one_matrix_exponential(monkeypatch):
+    # the grid comes from e^{hA} alone; the generator form and the cogenerator never feed it
+    shapes = []
+
+    def recording(stack):
+        shapes.append(stack.shape)
+        return expm_stack(stack)
+
+    monkeypatch.setattr(semigroup, "expm_stack", recording)
+    rng = np.random.default_rng(301)
+    suite = concavity_equivalence_suite(SemigroupSpec(ComplexMatrix(_random_skew(rng, 5))))
+    assert suite.verdict is True
+    assert shapes == [(1, 5, 5)]
+
+
+def test_suite_refuses_an_overflowing_power():
+    # A = 400 Id: e^{hA} = e^20 Id and e^{1.7 A} = e^680 Id are finite, e^{1.8 A} is not
+    S = SemigroupSpec(ComplexMatrix.diagonal([400.0, 400.0]))
+    evolved, refusal = semigroup._evolve_stack(S, (semigroup._STEP, 1.7))
+    assert refusal is None and np.isfinite(evolved).all()
+    for call in (semigroup._grid_exponentials, concavity_equivalence_suite):
+        with pytest.raises(NonFinite, match="^non-finite matrix exponential$"):
+            call(S)
+
+
+def test_suite_refuses_an_overscaled_step_exponential():
+    # e^{hA} = e^{-10} [[1, 5e158], [0, 1]] at h = 0.05, but scaling and squaring
+    # overscales it to zero; the grid is built from that one member, so it is refused
+    S = SemigroupSpec(ComplexMatrix([[-200.0, 1e160], [0.0, -200.0]]))
+    _, refusal = semigroup._evolve_stack(S, (semigroup._STEP,))
+    assert "overscaled" in str(refusal)
+    with pytest.raises(NonFinite, match="overscaled it to zero"):
+        concavity_equivalence_suite(S)
 
 
 def test_cogenerator_pinned_values():

@@ -2,6 +2,7 @@
 multiplier semigroup, Wold splitting."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -465,18 +466,28 @@ def test_semigroup_maps_refuse_non_finite_times(t):
         verify_semigroup_model(t, N=8)
 
 
-def test_semigroup_maps_refuse_negative_times_and_overflow():
+def test_semigroup_maps_refuse_negative_times():
     with pytest.raises(ValueError, match="nonnegative"):
         verify_semigroup_model(-1.0, N=8)
     with pytest.raises(ValueError, match="nonnegative"):
         verify_semigroup_model(0.5, N=-1)
-    # 2t L_n overflows even on values scaled down by powers of two
-    with pytest.raises(NonFinite):
-        semigroup_multiplier(1e200, 64)
+
+
+@pytest.mark.parametrize("t", [1e160, 1e200, 1e300, sys.float_info.max])
+@pytest.mark.parametrize("N", [0, 1, 64, 4096])
+def test_multiplier_is_the_zero_series_where_the_recurrence_overflows(t, N):
+    # |e^{-t} L_n(2t)| <= e^{-t} (4t)^n lies far below the least subnormal, so every
+    # coefficient is a zero signed as L_n(2t), (-1)^n, also from the index on where 2t L_n
+    # overflows even on values scaled down by powers of two; the bits are those of t = 1e100
+    h = semigroup_multiplier(t, N).coeffs
+    signs = np.where(np.arange(N + 1) % 2 == 0, 0.0, -0.0).astype(np.complex128)
+    assert h.tobytes() == signs.tobytes()
+    assert h.tobytes() == semigroup_multiplier(1e100, N).coeffs.tobytes()
 
 
 @pytest.mark.parametrize(
-    "t, N", [(709.0, 4096), (1000.0, 4096), (1100.0, 4096), (1e6, 64), (1e6, 4096), (1e100, 64)]
+    "t, N",
+    [(709.0, 4096), (1000.0, 4096), (1100.0, 4096), (1e6, 64), (1e6, 4096), (1e100, 64), (1e200, 64)],
 )
 def test_multiplier_holds_where_e_to_the_minus_t_underflows(t, N):
     # e_t is inner, so its coefficients have sum |h_n|^2 <= 1
