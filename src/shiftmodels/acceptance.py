@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .classify import classify_operator, concave_power_growth_check
-from .config import ToleranceConfig
+from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NotConcave
 from .hardy import (
     BlaschkeSpec,
@@ -123,6 +123,7 @@ def criterion_1_cayley_round_trip() -> CriterionResult:
 
 def criterion_2_concavity_equivalence() -> CriterionResult:
     """All four concavity formulations agree on 100 mixed 6x6 generators."""
+    tol = DEFAULT_TOL
     rng = np.random.default_rng(202)
     n = 6
     disagreements = 0
@@ -138,7 +139,7 @@ def criterion_2_concavity_equivalence() -> CriterionResult:
         else:
             A = B
             expected = False
-        suite = concavity_equivalence_suite(SemigroupSpec(ComplexMatrix(A)))
+        suite = concavity_equivalence_suite(SemigroupSpec(ComplexMatrix(A)), tol)
         if not suite.agree:
             disagreements += 1
         elif suite.verdict is not expected:
@@ -150,7 +151,7 @@ def criterion_2_concavity_equivalence() -> CriterionResult:
         passed=passed,
         detail=(
             f"{disagreements} disagreements, {wrong_verdicts} wrong verdicts over "
-            f"100 generators (grid slack {suite.grid_slack:.0e}, psd_tol 1e-10)"
+            f"100 generators (grid slack {suite.grid_slack:.0e}, psd_tol {tol.psd_tol:.0e})"
         ),
     )
 
@@ -359,11 +360,12 @@ def criterion_7_multiplier_semigroup() -> CriterionResult:
         name="multiplier_semigroup",
         passed=passed,
         detail=(
-            f"cocycle {worst_cocycle:.3e} (<=1e-10), constant term {worst_constant:.3e} "
-            f"(<=1e-12), generator fd {report.generator_residual:.3e} (<=1e-6), "
-            f"route agreement {worst_route:.3e} (<=1e-12), "
-            f"Blaschke route agreement {worst_blaschke:.3e} (<=1e-12, degrees 1-3, "
-            "N=64, t=1), "
+            f"cocycle {worst_cocycle:.3e} (<={cocycle_tolerance:.0e}), constant term "
+            f"{worst_constant:.3e} (<={constant_tolerance:.0e}), generator fd "
+            f"{report.generator_residual:.3e} (<={generator_tolerance:.0e}), "
+            f"route agreement {worst_route:.3e} (<={route_tolerance:.0e}), "
+            f"Blaschke route agreement {worst_blaschke:.3e} (<={route_tolerance:.0e}, "
+            "degrees 1-3, N=64, t=1), "
             f"shift commutation {report.commutation_residual:.3e}"
         ),
     )
@@ -426,8 +428,9 @@ def criterion_8_wold_split() -> CriterionResult:
         passed=passed,
         detail=(
             f"{dim_errors} dimension errors, {span_failures} span failures, unitary "
-            f"residual {worst_unitary:.3e} (<=1e-10) over 20 sums; 50 unitaries "
-            f"classified 2-isometric with isometry residual {worst_rigidity:.3e} (<=1e-8)"
+            f"residual {worst_unitary:.3e} (<={unitary_tolerance:.0e}) over 20 sums; 50 "
+            f"unitaries classified 2-isometric with isometry residual {worst_rigidity:.3e} "
+            f"(<={rigidity_tolerance:.0e})"
         ),
     )
 
@@ -510,8 +513,9 @@ def criterion_10_growth_bound() -> CriterionResult:
         name="growth_bound",
         passed=passed,
         detail=(
-            f"max oracle deviation {worst_oracle:.3e} (<=1e-10), max radius "
-            f"consistency {worst_consistency:.3e} (<=1e-8) over 30 generators"
+            f"max oracle deviation {worst_oracle:.3e} (<={oracle_tolerance:.0e}), max "
+            f"radius consistency {worst_consistency:.3e} (<={consistency_tolerance:.0e}) "
+            "over 30 generators"
         ),
     )
 
@@ -591,8 +595,8 @@ def criterion_12_concave_power_growth() -> CriterionResult:
         name="concave_power_growth",
         passed=passed,
         detail=(
-            f"{checks - failures}/{checks} growth bounds hold at slack 1e-10 for "
-            f"n<=50; non-concave input refused: {refused}"
+            f"{checks - failures}/{checks} growth bounds hold at slack "
+            f"{slack.residual_tol:.0e} for n<=50; non-concave input refused: {refused}"
         ),
     )
 

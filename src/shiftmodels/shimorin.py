@@ -9,10 +9,14 @@ E = H - TH, and the reproducing kernel of the image space is
 
     k(lam, z) = P (Id - z L)^{-1} (Id - conj(lam) L*)^{-1} restricted to E.
 
-Evaluations converge on the disc of radius 1/||L||; the possibly larger
-spectral radius of T' is kept on the model as metadata only.  The semigroup
-of the coordinate shift acts by multiplication with e_t = exp(t(z+1)/(z-1)),
-computed through the Laguerre recurrence (constant term e^{-t}).
+On a weighted shift with dual weights w'_k = 1/w_k this is, part by part, the
+scalar series sum_m (z conj(lam))^m (w'_0 ... w'_{m-1})^2, summed as one running
+product of the factors (z w'_k) conj(lam w'_k).  Evaluations converge on the
+disc of radius 1/||L|| = 1/sup w', where every factor has modulus below 1, so
+the product cannot overflow; the possibly larger spectral radius of T' is kept
+on the model as metadata only.  The semigroup of the coordinate shift acts by
+multiplication with e_t = exp(t(z+1)/(z-1)), computed through the Laguerre
+recurrence (constant term e^{-t}).
 """
 
 from __future__ import annotations
@@ -30,10 +34,18 @@ from .errors import (
     NotBoundedBelow,
     OutsideDisc,
     TailNotConvergent,
-    ToolkitError,
     UnsupportedRegime,
 )
-from .numkit import ComplexMatrix, _finite, _quiet, orthonormal_range_basis, rank, two_norm
+from .numkit import (
+    ComplexMatrix,
+    _finite,
+    _quiet,
+    _rank_of,
+    orthonormal_range_basis,
+    rank,
+    singular_values,
+    two_norm,
+)
 from .operators import (
     Dense,
     DirectSum,
@@ -213,9 +225,9 @@ def build_model(T: StructuredOperator, tol: ToleranceConfig = DEFAULT_TOL) -> An
 
     A shift with positive weights is bounded below, pure and has the
     wandering-subspace property by its structure, so only the Cauchy dual is
-    built.  Verifies the left-inverse facts at construction: L T = Id,
+    built.  Its weights are the reciprocals of the source's, so L T = Id,
     P = Id - T L projects orthogonally onto the defect space, and L
-    annihilates it.
+    annihilates it, each to rounding.
     """
     parts = _shift_parts(T)
     dual = cauchy_dual(T, tol)
@@ -224,7 +236,7 @@ def build_model(T: StructuredOperator, tol: ToleranceConfig = DEFAULT_TOL) -> An
     # local index 0 of part r is global index r of the round-robin layout
     defect_basis = tuple(FiniteSupportVector.basis(r, None) for r in range(len(parts)))
 
-    model = AnalyticModel(
+    return AnalyticModel(
         source=T,
         dual=dual,
         defect_basis=defect_basis,
@@ -232,27 +244,6 @@ def build_model(T: StructuredOperator, tol: ToleranceConfig = DEFAULT_TOL) -> An
         radius=radius,
         dual_spectral_radius=spectral_radius_estimate(dual),
     )
-    _construction_self_check(model, tol)
-    return model
-
-
-def _construction_self_check(model: AnalyticModel, tol: ToleranceConfig) -> None:
-    probes = [FiniteSupportVector.basis(k, None) for k in range(min(8, 2 + 3 * model.dim_defect))]
-    bound = 10.0 * tol.residual_tol
-    for x in probes:
-        tx = model.source.apply(x)
-        if left_inverse_apply(model, tx).sub(x).norm() > bound:
-            raise ToolkitError("model self-check failed: L T != Id on probe vectors")
-        if defect_projection(model, tx).norm() > bound:
-            raise ToolkitError("model self-check failed: P does not annihilate the range")
-        px = defect_projection(model, x)
-        if defect_projection(model, px).sub(px).norm() > bound:
-            raise ToolkitError("model self-check failed: P is not idempotent")
-    for e in model.defect_basis:
-        if left_inverse_apply(model, e).norm() > bound:
-            raise ToolkitError("model self-check failed: L does not annihilate the defect space")
-        if defect_projection(model, e).sub(e).norm() > bound:
-            raise ToolkitError("model self-check failed: P does not fix the defect space")
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +268,24 @@ def _power_heads(q: np.ndarray, v: np.ndarray, dual: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(stray):
         heads[i] = np.multiply.accumulate(np.concatenate((v[i : i + 1], dual[q[i] - 1 :: -1])))[-1]
     return heads
+
+
+def _model_heads(model: AnalyticModel, x: FiniteSupportVector):
+    """Part r, local index q and amplitude of each support entry of x, with its head (L^q x_r)_0.
+
+    The heads are the nonzero model coefficients: entry (q, r) of the coefficient table.
+    """
+    k, v = _support(model.dual, x)
+    r, q = _round_robin(model.dim_defect, k)
+    heads = np.zeros(k.size, dtype=np.complex128)
+    with _quiet():
+        for i, part in enumerate(_shift_parts(model.dual)):
+            mine = r == i
+            if mine.any():
+                local = q[mine]  # ascending, like k
+                heads[mine] = _power_heads(local, v[mine], part.weights.at(np.arange(local[-1])))
+    heads += 0.0  # clears negative zeros, as pairing with the basis vectors does
+    return r, q, v, heads
 
 
 def left_inverse_apply(model: AnalyticModel, x: FiniteSupportVector) -> FiniteSupportVector:
@@ -304,18 +313,10 @@ def coefficients(model: AnalyticModel, x: FiniteSupportVector, N: int) -> ModelC
     """
     if N < 0:
         raise ValueError("coefficient order must be nonnegative")
-    k, v = _support(model.dual, x)
-    r, q = _round_robin(model.dim_defect, k)
-    heads = np.zeros(k.size, dtype=np.complex128)
+    r, q, _, heads = _model_heads(model, x)
     out = np.zeros((N + 1, model.dim_defect), dtype=np.complex128)
     tail = 0.0
     with _quiet():
-        for i, part in enumerate(_shift_parts(model.dual)):
-            mine = r == i
-            if mine.any():
-                local = q[mine]  # ascending, like k
-                heads[mine] = _power_heads(local, v[mine], part.weights.at(np.arange(local[-1])))
-        heads += 0.0  # clears negative zeros, as pairing with the basis vectors does
         inside = q <= N
         out[q[inside], r[inside]] = heads[inside]
         if not inside.all():
@@ -356,29 +357,18 @@ def _dual_terms(model: AnalyticModel, lam: complex, budget: float) -> int:
     return terms
 
 
-def _dual_neumann(dual: np.ndarray, lam: complex, c: complex) -> np.ndarray:
-    """Sum_n conj(lam)^n T'^n (c e_0) on one part, n <= dual.size, as a local array.
-
-    T'^n e_0 is the running product of the dual weights at local index n.
-    """
-    amplitudes = np.multiply.accumulate(np.concatenate(([c], dual))).tolist()
-    out = [c]
-    factor = 1.0 + 0.0j
-    for amplitude in amplitudes[1:]:
-        factor *= lam.conjugate()
-        out.append(factor * amplitude)
-    return np.array(out, dtype=np.complex128)
-
-
 def kernel_eval(
     model: AnalyticModel, lam: complex, z: complex, tol: ToleranceConfig = DEFAULT_TOL
 ) -> np.ndarray:
     """Reproducing kernel k(lam, z) compressed to the defect space.
 
-    Computed as two Neumann sums per part: u = (Id - conj(lam) L*)^{-1} e_r,
-    then the e_r coordinate of sum_m z^m L^m u, which terminates exactly
-    because L is locally nilpotent on finite supports; entries are accurate
-    to tail_tol.  L keeps the parts apart, so the matrix is diagonal.
+    Entry (r, r) is sum_m (z conj(lam))^m (w'_0 ... w'_{m-1})^2 over the dual
+    weights w' of part r, for m up to the term count of ``_dual_terms``: one
+    running product of the factors (z w'_k) conj(lam w'_k), plus 1 for m = 0;
+    entries are accurate to tail_tol.  Inside the disc every factor has modulus
+    below 1, so the product cannot overflow, and it is formed so that neither
+    w'^2 nor z conj(lam) alone need be representable.  L keeps the parts apart,
+    so the matrix is diagonal.
     """
     lam = complex(lam)
     z = complex(z)
@@ -388,18 +378,10 @@ def kernel_eval(
     amplification = 1.0 / (1.0 - abs(z) * model.left_inverse_norm)
     terms = _dual_terms(model, lam, 0.5 * tol.tail_tol / amplification)
     out = np.zeros((model.dim_defect, model.dim_defect), dtype=np.complex128)
-    with _quiet():
-        for r, part in enumerate(_shift_parts(model.dual)):
-            dual = part.weights.at(np.arange(terms))
-            u = _dual_neumann(dual, lam, 1.0 + 0.0j)
-            heads = _power_heads(np.arange(u.size), u, dual).tolist()
-            value, factor = heads[0], 1.0 + 0.0j
-            for head in heads[1:]:
-                factor *= z
-                if head:  # a vanished head adds nothing, even to an overflowed factor
-                    value += factor * head
-            out[r, r] = value
-    return _finite(out, "kernel value: the Neumann terms overflow")
+    for r, part in enumerate(_shift_parts(model.dual)):
+        dual = part.weights.at(np.arange(terms))
+        out[r, r] = 1.0 + np.cumprod(z * dual * np.conj(lam * dual)).sum()
+    return out
 
 
 def verify_intertwining(
@@ -432,31 +414,19 @@ def verify_reproducing(
     if e_coords.shape != (model.dim_defect,):
         raise ValueError(f"defect coordinates must have shape ({model.dim_defect},)")
 
-    # left side: the coefficient series ends at the largest local support index
-    k, _ = _support(model.dual, x)
-    r, q = _round_robin(model.dim_defect, k)
-    depth = int(q[-1]) + 1 if k.size else 0
-    cx = coefficients(model, x, depth).coeffs
-    lhs = 0.0 + 0.0j
-    power = 1.0 + 0.0j
-    for n in range(depth + 1):
-        lhs += power * complex(cx[n] @ e_coords.conj())
-        power *= lam
-
-    # right side: pair x against the kernel section at lam, part by part
+    r, q, v, heads = _model_heads(model, x)
     terms = _dual_terms(model, lam, tol.tail_tol / max(1.0, x.norm()))
-    section = []
     with _quiet():
-        for shift, c in zip(_shift_parts(model.dual), e_coords):
-            dual = shift.weights.at(np.arange(terms))
-            values = _dual_neumann(dual, lam, complex(c)) if c else dual[:0]
-            section.append(_finite(values, "kernel section k_lam e").tolist())
-    # the inner product <x, k_lam e>, summed over the nonzero section entries in x's order
-    rhs = sum(
-        a * section[i][n].conjugate()
-        for (_, a), i, n in zip(x.entries, r.tolist(), q.tolist())
-        if n < len(section[i]) and section[i][n]
-    )
+        # left side: sum_n lam^n <coefficient n of x, e>, whose nonzero terms are the heads
+        lhs = complex(np.sum(heads * lam**q * e_coords.conj()[r]))
+        # right side: <x, k_lam e>, where k_lam e holds e_r conj(lam)^n w'_0 ... w'_{n-1} at
+        # local index n of part r; each factor conj(lam) w'_k has modulus below 1
+        section = np.ones((model.dim_defect, terms + 1), dtype=np.complex128)
+        for i, part in enumerate(_shift_parts(model.dual)):
+            section[i, 1:] = np.cumprod(np.conj(lam) * part.weights.at(np.arange(terms)))
+        section *= e_coords[:, None]
+        inside = q <= terms
+        rhs = complex(np.sum(v[inside] * section[r[inside], q[inside]].conj()))
     residual = abs(lhs - rhs)
     check = Check.judged("reproduce", residual, _REPRODUCE_TOL)
     return ReproducingReport(lhs=lhs, rhs=rhs, residual=residual, terms_used=terms, checks=(check,))
@@ -618,13 +588,13 @@ def wold_decompose(V: StructuredOperator, tol: ToleranceConfig = DEFAULT_TOL) ->
     steps_used = 0
     for _ in range(n + 1):
         power = arr @ power
-        norm = two_norm(power)
-        if norm == 0.0:
+        s = singular_values(power)
+        if s[0] == 0.0:
             previous_rank = 0
             steps_used += 1
             break
-        power = power / norm
-        current_rank = rank(power, tol)
+        power = power / s[0]
+        current_rank = _rank_of(s, tol)
         steps_used += 1
         if current_rank == previous_rank:
             break

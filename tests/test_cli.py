@@ -415,22 +415,53 @@ def test_overflowing_input_is_refused_without_warnings(tmp_path, data, argv):
     _assert_single_error_line(proc, 3)
 
 
+_TINY_HEADS = {"kind": "shift", "head_weights": [1e-3] * 120, "tail_weight": 1.0}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        # L multiplies by 1/w = 1e3 per step: L^n e_110 overflows before reaching e_0
+        # L multiplies by 1/w = 1e3 per step: the head (L^110 e_110)_0 = 1e330 overflows
         ["--coeffs", "e110.json", "--N", "120"],
-        # |lam| ||L|| = 0.9 needs hundreds of dual Neumann terms; T'^n e_0 = 1e3^n e_n
-        ["--kernel", "0.0009,0.0001"],
     ],
 )
 def test_overflowing_shift_model_is_refused_without_warnings(tmp_path, argv):
-    shift = {"kind": "shift", "head_weights": [1e-3] * 120, "tail_weight": 1.0}
-    (tmp_path / "tiny.json").write_text(json.dumps(shift))
+    (tmp_path / "tiny.json").write_text(json.dumps(_TINY_HEADS))
     (tmp_path / "e110.json").write_text(json.dumps({"ambient": None, "entries": [[110, 1.0, 0.0]]}))
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     proc = _run_subprocess(["model", "--operator", str(tmp_path / "tiny.json"), *argv])
     _assert_single_error_line(proc, 3)
+
+
+def test_kernel_inside_the_disc_is_reported_where_the_dual_products_overflow(capsys, tmp_path):
+    # |lam| ||L|| = 0.9 needs 240 dual Neumann terms, and beta'_n = 1e3^n overflows from n = 103
+    # on; each term is (z conj(lam) 1e6)^m = 0.09^m through m = 120
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(_TINY_HEADS))
+    code, out = _run(capsys, ["model", "--operator", str(path), "--kernel", "0.0009,0.0001"])
+    assert code == 0
+    entry = json.loads(out)["results"]["kernel"]["matrix"][0][0]
+    assert entry[0] == pytest.approx(1.0 / 0.91, abs=DEFAULT_TOL.tail_tol)
+    assert entry[1] == 0.0
+
+
+def test_tolerance_flags_do_not_decide_whether_a_model_is_built(capsys):
+    # residual_tol 1e-17 is below one ulp of the model identities, which the model does not re-check
+    code, out = _run(
+        capsys,
+        [
+            "model",
+            "--operator",
+            _fixture("dirichlet.json"),
+            "--kernel",
+            "0.3,0.2",
+            "--tol-residual",
+            "1e-17",
+        ],
+    )
+    assert code == 0
+    entry = json.loads(out)["results"]["kernel"]["matrix"][0][0]
+    assert entry[0] == pytest.approx(-math.log(0.94) / 0.06, abs=DEFAULT_TOL.tail_tol)
 
 
 def test_semigroup_model_reports_where_e_to_the_minus_t_underflows(capsys):

@@ -239,6 +239,25 @@ def test_every_public_function_and_method_is_reached():
     assert unreached == sorted(_KEPT), f"public members that only tests reach: {unreached}"
 
 
+def test_every_private_function_is_loaded_by_the_package():
+    # a private module-level function that no other code of the package loads outlived its
+    # callers: tests and benchmark jobs do not keep it
+    refs, private = set(), []
+    for path in sorted(Path(shiftmodels.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # the root only re-exports
+            continue
+        source = path.read_text(encoding="utf-8")
+        refs |= _references(source, path.stem)
+        private += [
+            f"{path.stem}.{node.name}"
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_")
+        ]
+    assert private, "no private functions found"
+    unloaded = sorted(set(private) - refs)
+    assert not unloaded, f"private functions no code of the package loads: {unloaded}"
+
+
 def test_one_function_reads_the_pade_coefficients():
     # one Pade core serves single matrices and stacks alike: a second reader of the
     # coefficient table would be a second scaling-and-squaring implementation

@@ -281,11 +281,32 @@ def test_reproducing_refuses_non_finite_point():
         verify_reproducing(model, x, math.nan, np.array([1.0 + 0.0j]))
 
 
-def test_reproducing_refuses_an_overflowing_kernel_section():
-    # |lam| ||L|| = 0.9 needs hundreds of dual Neumann terms; T'^n e_0 = 1e3^n e_n overflows
-    model = build_model(Shift(EventuallyConstantWeights((1e-3,) * 120, 1.0)))
-    with pytest.raises(NonFinite, match="kernel section"):
-        verify_reproducing(model, FiniteSupportVector.basis(0), 0.0009, np.array([1.0 + 0.0j]))
+def _tiny_head_model():
+    """Radius 1e-3: the dual weights are 1e3 through index 119, then 1, so beta'_n = 1e3^min(n, 120)
+    overflows from n = 103 on."""
+    return build_model(Shift(EventuallyConstantWeights((1e-3,) * 120, 1.0)))
+
+
+def test_reproducing_where_the_dual_products_overflow():
+    # |lam| ||L|| = 0.9 needs 240 dual Neumann terms, past the overflow of beta'_n; the pairing
+    # is sum_n x_n lam^n beta'_n = sum_n x_n 0.9^n for n <= 120
+    model = _tiny_head_model()
+    x = FiniteSupportVector.from_dict({0: 1.0, 60: 0.5j, 103: 1e-2})
+    closed = 1.0 + 0.5j * 0.9**60 + 1e-2 * 0.9**103
+    rep = verify_reproducing(model, x, 0.0009, np.array([1.0 + 0.0j]))
+    assert rep.passed
+    assert rep.lhs == pytest.approx(closed, rel=1e-13)
+    assert rep.rhs == pytest.approx(closed, rel=1e-13)
+
+
+def test_kernel_where_the_dual_products_overflow():
+    # sum_m (z conj(lam))^m beta'_m^2 = sum_{m <= 120} 0.81^m + 0.81^120 sum_{j >= 1} (8.1e-7)^j
+    model = _tiny_head_model()
+    closed = (1.0 - 0.81**121) / 0.19 + 0.81**120 * 8.1e-7 / (1.0 - 8.1e-7)
+    assert closed == pytest.approx(5.2631578947, abs=1e-10)
+    assert kernel_eval(model, 0.0009, 0.0009)[0, 0] == pytest.approx(closed, rel=1e-13)
+    # every term past m = 0 carries z^m = 0 exactly
+    assert kernel_eval(model, 0.0009, 0.0).tolist() == [[1.0]]
 
 
 def _szego_dirichlet(lam: complex, z: complex) -> tuple[complex, complex]:
@@ -582,3 +603,8 @@ def test_dirichlet_maps_on_a_far_basis_vector():
     c = coefficients(model, e, n).coeffs
     assert c[n, 0] == pytest.approx(1.0 / math.sqrt(n + 1.0), rel=1e-12)
     assert np.count_nonzero(c) == 1
+    # (U e_n)(lam) = lam^n / sqrt(n + 1); at |lam| = 0.9965 that is still a normal number, and
+    # 0.999 would need more kernel terms than the cap
+    rep = verify_reproducing(model, e, 0.9965, np.array([1.0 + 0.0j]))
+    assert rep.passed
+    assert rep.lhs == pytest.approx(0.9965**n / math.sqrt(n + 1.0), rel=1e-9)
