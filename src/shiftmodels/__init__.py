@@ -22,7 +22,6 @@ from .config import DEFAULT_TOL, Check, ToleranceConfig
 from .errors import (
     AmbientMismatch,
     NonFinite,
-    NotBoundedBelow,
     NotConcave,
     OneInSpectrum,
     OutsideDisc,

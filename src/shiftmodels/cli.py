@@ -343,7 +343,7 @@ def _cmd_model(args: argparse.Namespace, run: _Run) -> None:
     needs_model = bool(args.coeffs or args.kernel or verifications) or not args.wold
     model = None
     if needs_model:
-        model = build_model(T, run.tol)
+        model = build_model(T)
         run.warn(RADIUS_CONVENTION_NOTE)
         run.results["model"] = {
             "dim_defect": model.dim_defect,

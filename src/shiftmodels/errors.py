@@ -17,10 +17,6 @@ class AmbientMismatch(ToolkitError):
     """Vector indices or dimension are incompatible with the operator."""
 
 
-class NotBoundedBelow(ToolkitError):
-    """Operator has no positive lower bound (T*T not invertible)."""
-
-
 class NotConcave(ToolkitError):
     """Operation requires a concave operator."""
 

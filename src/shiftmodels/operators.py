@@ -13,9 +13,11 @@ Dirichlet shift w_k = sqrt((k+2)/(k+1)) is not eventually constant, yet its
 closed-form weight algebra (beta_n^2 = n + 1, concavity defect identically
 zero) is exactly what desk-scale checks need.
 
-Every operator acts on the support of a vector, held as an (index, amplitude)
-array pair, so a sparse vector costs its support and not its largest index;
-the weight rules answer for a whole index array at once.
+A vector is stored as the two arrays every operator acts on: its ascending
+indices and its amplitudes.  So applying an operator to a sparse vector costs
+its support and not its largest index; the weight rules answer for a whole
+index array at once.  (The model coefficients in ``shimorin`` are the one
+exception: they still read the dual weights up to the largest local index.)
 
 Index layout for direct sums: when every summand is finite the parts occupy
 consecutive index blocks and the sum acts by its block-diagonal matrix; when
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -61,25 +63,32 @@ _INDEX_LIMIT = 2**62
 # vectors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, slots=True)
 class FiniteSupportVector:
-    """Finitely supported vector: sorted (index, amplitude) pairs.
+    """Finitely supported vector, held as the two arrays every operator computes with.
 
-    ``ambient`` is the ambient dimension, or None for infinite ambient.
-    Exact zeros are dropped at construction; indices must be nonnegative,
+    ``indices`` (int64, ascending, distinct) and ``values`` (complex128, nonzero,
+    finite) are read-only; ``ambient`` is the ambient dimension, or None for
+    infinite ambient.  The constructor takes (index, amplitude) pairs and
+    validates them once: exact zeros are dropped; indices must be nonnegative,
     distinct, below 2**62 and, for finite ambient, strictly below it.  Data
-    that breaks these rules, or a negative ambient, is malformed: ValueError.
+    that breaks these rules, or a negative ambient, is malformed: ValueError
+    naming the first offending pair in input order (NonFinite for an amplitude).
+    Vectors compare by identity.
     """
 
-    entries: tuple[tuple[int, complex], ...]
-    ambient: int | None = None
+    indices: np.ndarray
+    values: np.ndarray
+    ambient: int | None
 
-    def __post_init__(self) -> None:
-        if self.ambient is not None and self.ambient < 0:
-            raise ValueError(f"negative ambient dimension {self.ambient}")
-        cleaned = []
+    def __init__(
+        self, entries: Iterable[tuple[int, complex]] = (), ambient: int | None = None
+    ) -> None:
+        if ambient is not None and ambient < 0:
+            raise ValueError(f"negative ambient dimension {ambient}")
+        keys, amplitudes = [], []
         seen = set()
-        for k, v in self.entries:
+        for k, v in entries:
             k = int(k)
             v = complex(v)
             if k < 0:
@@ -88,27 +97,19 @@ class FiniteSupportVector:
                 raise ValueError(f"index {k} is not below 2**62")
             if k in seen:
                 raise ValueError(f"duplicate index {k}")
-            if self.ambient is not None and k >= self.ambient:
-                raise ValueError(f"index {k} outside ambient dimension {self.ambient}")
+            if ambient is not None and k >= ambient:
+                raise ValueError(f"index {k} outside ambient dimension {ambient}")
             if not (math.isfinite(v.real) and math.isfinite(v.imag)):
                 raise NonFinite(f"non-finite amplitude at index {k}")
             seen.add(k)
             if v != 0:
-                cleaned.append((k, v))
-        cleaned.sort(key=lambda kv: kv[0])
-        object.__setattr__(self, "entries", tuple(cleaned))
-
-    @classmethod
-    def _trusted(cls, entries: tuple[tuple[int, complex], ...], ambient: int | None) -> "FiniteSupportVector":
-        """Wrap pairs the package computed, already sorted, nonzero and finite: no scan."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "entries", entries)
-        object.__setattr__(out, "ambient", ambient)
-        return out
-
-    @classmethod
-    def from_dict(cls, entries: Mapping[int, complex], ambient: int | None = None) -> "FiniteSupportVector":
-        return cls(tuple(entries.items()), ambient)
+                keys.append(k)
+                amplitudes.append(v)
+        if keys != sorted(keys):
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            keys, amplitudes = [keys[i] for i in order], [amplitudes[i] for i in order]
+        indices = np.array(keys, dtype=np.int64)
+        _hold(self, indices, np.array(amplitudes, dtype=np.complex128), ambient)
 
     @classmethod
     def from_dense(cls, values: Sequence[complex], ambient: int | None = None) -> "FiniteSupportVector":
@@ -119,29 +120,51 @@ class FiniteSupportVector:
     def basis(cls, k: int, ambient: int | None = None) -> "FiniteSupportVector":
         return cls(((k, 1.0 + 0.0j),), ambient)
 
-    def as_dict(self) -> dict[int, complex]:
-        return dict(self.entries)
+    @property
+    def entries(self) -> tuple[tuple[int, complex], ...]:
+        """The (index, amplitude) pairs in ascending index order, as the constructor takes them."""
+        return tuple(zip(self.indices.tolist(), self.values.tolist()))
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(v) ** 2 for _, v in self.entries))
+        return math.sqrt(sum(abs(v) ** 2 for v in self.values.tolist()))
 
     def scale(self, c: complex) -> "FiniteSupportVector":
-        return FiniteSupportVector(tuple((k, c * v) for k, v in self.entries), self.ambient)
+        with _quiet():
+            v = c * self.values
+        return _vector(self.indices, _finite(v, "scaled amplitudes"), self.ambient)
 
     def add(self, other: "FiniteSupportVector") -> "FiniteSupportVector":
-        _check_same_ambient(self, other)
-        acc = self.as_dict()
-        for k, v in other.entries:
-            acc[k] = acc.get(k, 0.0) + v
-        return FiniteSupportVector.from_dict(acc, self.ambient)
+        if self.ambient != other.ambient:
+            raise AmbientMismatch(f"ambient mismatch: {self.ambient} vs {other.ambient}")
+        # the union of the supports in Python: np.union1d imports numpy.ma (~1 MB) on first use
+        union = set(self.indices.tolist()).union(other.indices.tolist())
+        k = np.array(sorted(union), dtype=np.int64)
+        v = np.zeros(k.size, dtype=np.complex128)
+        v[k.searchsorted(self.indices)] = self.values
+        with _quiet():
+            v[k.searchsorted(other.indices)] += other.values
+        return _vector(k, _finite(v, "sum of amplitudes"), self.ambient)
 
     def sub(self, other: "FiniteSupportVector") -> "FiniteSupportVector":
         return self.add(other.scale(-1.0))
 
 
-def _check_same_ambient(x: FiniteSupportVector, y: FiniteSupportVector) -> None:
-    if x.ambient != y.ambient:
-        raise AmbientMismatch(f"ambient mismatch: {x.ambient} vs {y.ambient}")
+def _hold(x: FiniteSupportVector, k: np.ndarray, v: np.ndarray, ambient: int | None):
+    """Store the support arrays k, v on x, read-only."""
+    k.setflags(write=False)
+    v.setflags(write=False)
+    object.__setattr__(x, "indices", k)
+    object.__setattr__(x, "values", v)
+    object.__setattr__(x, "ambient", ambient)
+    return x
+
+
+def _vector(k: np.ndarray, v: np.ndarray, ambient: int | None) -> FiniteSupportVector:
+    """The vector of computed arrays: ascending indices k, finite amplitudes v; zeros dropped."""
+    if np.count_nonzero(v) != v.size:
+        keep = v != 0
+        k, v = k[keep], v[keep]
+    return _hold(object.__new__(FiniteSupportVector), k, v, ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +194,6 @@ class EventuallyConstantWeights:
         """w_k for every index in the integer array ``k``."""
         return self._table.take(k, mode="clip")  # indices past the head read the tail
 
-    def weight_sq(self, k: int) -> float:
-        w = self.head[k] if k < len(self.head) else self.tail
-        return w * w
-
     def sup(self) -> float:
         return max(self.head + (self.tail,))
 
@@ -189,20 +208,13 @@ class EventuallyConstantWeights:
 
     def beta_sq(self, n: int) -> float:
         """Squared norm of T^n e_0: product of w_k^2 for k < n."""
-        out = 1.0
-        for k in range(n):
-            out *= self.weight_sq(k)
-        return out
-
-    def defect(self, k: int) -> float:
-        """Concavity defect w_k^2 w_{k+1}^2 - 2 w_k^2 + 1 at position k."""
-        a = self.weight_sq(k)
-        return a * self.weight_sq(k + 1) - 2.0 * a + 1.0
+        return math.prod((self.at(np.arange(n)) ** 2).tolist(), start=1.0)
 
     def defect_range(self) -> tuple[float, float]:
-        """(inf, sup) of the defect over all k; constant past the head."""
-        values = [self.defect(k) for k in range(len(self.head) + 1)]
-        return min(values), max(values)
+        """(inf, sup) of the defect w_k^2 w_{k+1}^2 - 2 w_k^2 + 1; constant past the head."""
+        w2 = self.at(np.arange(len(self.head) + 2)) ** 2
+        defects = w2[:-1] * w2[1:] - 2.0 * w2[:-1] + 1.0
+        return float(defects.min()), float(defects.max())
 
 
 @dataclass(frozen=True)
@@ -216,19 +228,15 @@ class DirichletWeights:
     dual: bool = False
 
     def at(self, k: np.ndarray) -> np.ndarray:
-        """w_k for every index in the integer array ``k``; the same operations as ``weight_sq``."""
+        """w_k for every index in the integer array ``k``."""
         ratio = (k + 2.0) / (k + 1.0)
         return np.sqrt(1.0 / ratio if self.dual else ratio)
 
-    def weight_sq(self, k: int) -> float:
-        ratio = (k + 2.0) / (k + 1.0)
-        return 1.0 / ratio if self.dual else ratio
-
     def sup(self) -> float:
-        return 1.0 if self.dual else math.sqrt(self.weight_sq(0))
+        return 1.0 if self.dual else math.sqrt(2.0)  # w_0 = sqrt(2), then decreasing to 1
 
     def inf(self) -> float:
-        return math.sqrt(self.weight_sq(0)) if self.dual else 1.0
+        return math.sqrt(0.5) if self.dual else 1.0
 
     def limit(self) -> float:
         return 1.0
@@ -239,15 +247,10 @@ class DirichletWeights:
     def beta_sq(self, n: int) -> float:
         return 1.0 / (n + 1.0) if self.dual else float(n + 1)
 
-    def defect(self, k: int) -> float:
-        if self.dual:
-            return 2.0 / ((k + 2.0) * (k + 3.0))
-        return 0.0
-
     def defect_range(self) -> tuple[float, float]:
         if self.dual:
-            # decreasing in k with infimum 0, maximum at k = 0
-            return 0.0, self.defect(0)
+            # the defect 2 / ((k + 2)(k + 3)) decreases in k with infimum 0, maximum at k = 0
+            return 0.0, 2.0 / 6.0
         return 0.0, 0.0
 
 
@@ -269,16 +272,7 @@ def _support(T: "StructuredOperator", x: FiniteSupportVector) -> tuple[np.ndarra
         raise AmbientMismatch(
             f"vector ambient {x.ambient} does not match operator ambient {T.ambient}"
         )
-    if not x.entries:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.complex128)
-    k, v = zip(*x.entries)
-    return np.array(k, dtype=np.int64), np.array(v, dtype=np.complex128)
-
-
-def _vector(k: np.ndarray, v: np.ndarray, ambient: int | None) -> FiniteSupportVector:
-    """The vector with ascending indices k and finite amplitudes v, zeros dropped: no scan."""
-    entries = tuple((i, a) for i, a in zip(k.tolist(), v.tolist()) if a)
-    return FiniteSupportVector._trusted(entries, ambient)
+    return x.indices, x.values
 
 
 def _act(T: "StructuredOperator", x: FiniteSupportVector, adjoint: bool, what: str):

@@ -29,20 +29,13 @@ import numpy as np
 
 from .classify import _wandering_span_dim
 from .config import DEFAULT_TOL, Check, ToleranceConfig
-from .errors import (
-    NonFinite,
-    NotBoundedBelow,
-    OutsideDisc,
-    TailNotConvergent,
-    UnsupportedRegime,
-)
+from .errors import NonFinite, OutsideDisc, TailNotConvergent, UnsupportedRegime
 from .numkit import (
     ComplexMatrix,
     _finite,
     _quiet,
     _rank_of,
     orthonormal_range_basis,
-    rank,
     singular_values,
     two_norm,
 )
@@ -181,24 +174,12 @@ class WoldReport:
 # construction
 
 
-def cauchy_dual(
-    T: StructuredOperator, tol: ToleranceConfig = DEFAULT_TOL
-) -> StructuredOperator:
-    """Cauchy dual T' = T (T*T)^{-1}; reciprocal weights in the shift regime."""
+def cauchy_dual(T: StructuredOperator) -> StructuredOperator:
+    """Cauchy dual T' = T (T*T)^{-1} of a shift or a sum of shifts: the reciprocal weights."""
     if isinstance(T, Shift):
         return Shift(T.weights.reciprocal())
     if isinstance(T, DirectSum):
-        return DirectSum(tuple(cauchy_dual(p, tol) for p in T.parts))
-    if isinstance(T, Dense):
-        arr = T.matrix.array
-        with _quiet():  # an overflowing Gram matrix would solve to a finite, wrong dual
-            gram = _finite(arr.conj().T @ arr, "Gram matrix T*T")
-        if rank(arr, tol) < T.matrix.n:
-            raise NotBoundedBelow(
-                f"Cauchy dual needs a bounded-below operator (rank_tol={tol.rank_tol:g})"
-            )
-        dual = np.linalg.solve(gram, arr.conj().T).conj().T
-        return Dense(ComplexMatrix._trusted(dual))
+        return DirectSum(tuple(cauchy_dual(p) for p in T.parts))
     raise UnsupportedRegime(f"no Cauchy dual for operator type {type(T).__name__}")
 
 
@@ -220,7 +201,7 @@ def _shift_parts(T: StructuredOperator) -> tuple[Shift, ...]:
     raise UnsupportedRegime(f"unsupported operator type {type(T).__name__}")
 
 
-def build_model(T: StructuredOperator, tol: ToleranceConfig = DEFAULT_TOL) -> AnalyticModel:
+def build_model(T: StructuredOperator) -> AnalyticModel:
     """Construct the analytic model of a shift-regime operator.
 
     A shift with positive weights is bounded below, pure and has the
@@ -230,7 +211,7 @@ def build_model(T: StructuredOperator, tol: ToleranceConfig = DEFAULT_TOL) -> An
     annihilates it, each to rounding.
     """
     parts = _shift_parts(T)
-    dual = cauchy_dual(T, tol)
+    dual = cauchy_dual(T)
     left_inverse_norm = max(p.weights.sup() for p in _shift_parts(dual))
     radius = 1.0 / left_inverse_norm
     # local index 0 of part r is global index r of the round-robin layout
@@ -300,8 +281,9 @@ def defect_projection(model: AnalyticModel, x: FiniteSupportVector) -> FiniteSup
         lowered = model.dual._map(k, v, True)
         raised, tlx = model.source._map(*lowered, False)
         # T L x keeps every index of x outside the defect space and no other
-        v[np.searchsorted(k, raised)] -= tlx
-    return _vector(k, _finite(v, "P x"), None)
+        px = v.copy()
+        px[np.searchsorted(k, raised)] -= tlx
+    return _vector(k, _finite(px, "P x"), None)
 
 
 def coefficients(model: AnalyticModel, x: FiniteSupportVector, N: int) -> ModelCoefficients:
@@ -415,7 +397,9 @@ def verify_reproducing(
         raise ValueError(f"defect coordinates must have shape ({model.dim_defect},)")
 
     r, q, v, heads = _model_heads(model, x)
-    terms = _dual_terms(model, lam, tol.tail_tol / max(1.0, x.norm()))
+    # the tail dropped from <x, k_lam e> is at most ||x|| ||e|| times that of the scalar series
+    size = x.norm() * math.hypot(*map(abs, e_coords.tolist()))
+    terms = _dual_terms(model, lam, tol.tail_tol / max(1.0, size))
     with _quiet():
         # left side: sum_n lam^n <coefficient n of x, e>, whose nonzero terms are the heads
         lhs = complex(np.sum(heads * lam**q * e_coords.conj()[r]))

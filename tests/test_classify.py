@@ -145,13 +145,13 @@ def test_finite_dimensional_rigidity():
 def test_power_growth_check_pinned_cases():
     rng = np.random.default_rng(34)
     U = Dense(ComplexMatrix(_random_unitary(rng, 4)))
-    x = FiniteSupportVector.from_dict({0: 0.6, 2: 0.8j}, ambient=4)
+    x = FiniteSupportVector(tuple({0: 0.6, 2: 0.8j}.items()), 4)
     assert concave_power_growth_check(U, x, 30)
 
     # Dirichlet shift at e0: ||T^n e0||^2 = n+1 meets the bound with equality
     assert concave_power_growth_check(dirichlet_shift(), FiniteSupportVector.basis(0), 50)
 
-    y = FiniteSupportVector.from_dict({1: 1.0, 4: -2.0j})
+    y = FiniteSupportVector(tuple({1: 1.0, 4: -2.0j}.items()))
     assert concave_power_growth_check(isometric_shift(), y, 50)
 
 
@@ -178,7 +178,7 @@ def test_power_growth_check_reads_only_the_defect_bounds(monkeypatch):
 
     monkeypatch.setattr(classify, "classify_operator", refuse)
     pair = DirectSum((Dense(ComplexMatrix(np.eye(2))), isometric_shift()))
-    assert concave_power_growth_check(pair, FiniteSupportVector.from_dict({1: 1.0, 2: 1.0j}), 20)
+    assert concave_power_growth_check(pair, FiniteSupportVector(tuple({1: 1.0, 2: 1.0j}.items())), 20)
     # diag(2, 0.5): the defect 16 - 8 + 1 = 9 at e_0 is the sup of the form
     mixed = DirectSum((isometric_shift(), Dense(ComplexMatrix.diagonal([2.0, 0.5]))))
     with pytest.raises(NotConcave, match=r"defect 9\.000e\+00"):

@@ -1,11 +1,13 @@
 """Command-line interface tests: subcommands, exit codes, deterministic reports."""
 
 import argparse
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from importlib.resources import files
 from pathlib import Path
 
@@ -289,6 +291,18 @@ def _run_subprocess(argv):
     )
 
 
+def _run_captured(argv):
+    """``main(argv)`` in this interpreter with both streams captured, shaped as a finished process.
+
+    A numpy warning fails the test (pytest turns RuntimeWarning into an error) and an
+    uncaught exception fails it as a traceback would.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+
 def _assert_single_error_line(proc, code: int) -> None:
     assert proc.returncode == code, proc.stderr
     lines = proc.stderr.splitlines()
@@ -304,7 +318,7 @@ def _assert_single_error_line(proc, code: int) -> None:
     ],
 )
 def test_empty_dense_matrix_is_a_usage_error(tmp_path, argv):
-    proc = _run_subprocess([*argv, _dense_file(tmp_path, "empty.json", 0, [])])
+    proc = _run_captured([*argv, _dense_file(tmp_path, "empty.json", 0, [])])
     _assert_single_error_line(proc, 2)
     assert "(0, 0)" in proc.stderr
 
@@ -352,7 +366,7 @@ _COEFFS = ["model", "--operator", _fixture("isometric.json"), "--coeffs"]
 def test_malformed_json_is_a_usage_error(tmp_path, content, argv):
     path = tmp_path / "malformed.json"
     path.write_text(content if isinstance(content, str) else json.dumps(content))
-    proc = _run_subprocess([*argv, str(path)])
+    proc = _run_captured([*argv, str(path)])
     _assert_single_error_line(proc, 2)
     assert "Traceback" not in proc.stderr
 
@@ -411,8 +425,25 @@ _NEG_MAX_DIAG = [[-1e308, 0.0], [0.0, 0.0], [0.0, 0.0], [-1e308, 0.0]]
     ],
 )
 def test_overflowing_input_is_refused_without_warnings(tmp_path, data, argv):
-    proc = _run_subprocess([*argv, _dense_file(tmp_path, "huge.json", 2, data)])
+    proc = _run_captured([*argv, _dense_file(tmp_path, "huge.json", 2, data)])
     _assert_single_error_line(proc, 3)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["classify", "--operator", "brackets.json"], 2),
+        (["semigroup", "--equivalence-suite", "--generator", "huge.json"], 3),
+    ],
+)
+def test_the_module_entry_point_refuses_with_one_error_line(tmp_path, argv, code):
+    # the refusal cases above run in process; these two run `python -m shiftmodels.cli` and
+    # read its real stderr, where a traceback or a numpy warning would show
+    (tmp_path / "brackets.json").write_text("[" * 100000 + "]" * 100000)
+    _dense_file(tmp_path, "huge.json", 2, _HUGE)
+    proc = _run_subprocess([str(tmp_path / a) if a.endswith(".json") else a for a in argv])
+    _assert_single_error_line(proc, code)
+    assert proc.stdout == ""
 
 
 _TINY_HEADS = {"kind": "shift", "head_weights": [1e-3] * 120, "tail_weight": 1.0}
@@ -429,7 +460,7 @@ def test_overflowing_shift_model_is_refused_without_warnings(tmp_path, argv):
     (tmp_path / "tiny.json").write_text(json.dumps(_TINY_HEADS))
     (tmp_path / "e110.json").write_text(json.dumps({"ambient": None, "entries": [[110, 1.0, 0.0]]}))
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
-    proc = _run_subprocess(["model", "--operator", str(tmp_path / "tiny.json"), *argv])
+    proc = _run_captured(["model", "--operator", str(tmp_path / "tiny.json"), *argv])
     _assert_single_error_line(proc, 3)
 
 
@@ -497,7 +528,7 @@ def test_semigroup_model_reports_where_e_to_the_minus_t_underflows(capsys):
 def test_overflowing_symbol_series_is_refused_without_warnings(tmp_path, symbol, t, N):
     path = tmp_path / "phi.json"
     path.write_text(json.dumps(symbol))
-    proc = _run_subprocess(["hardy", "--symbol-file", str(path), "--semigroup-t", t, "--N", N])
+    proc = _run_captured(["hardy", "--symbol-file", str(path), "--semigroup-t", t, "--N", N])
     _assert_single_error_line(proc, 3)
 
 
@@ -513,7 +544,7 @@ def test_overflowing_symbol_series_is_refused_without_warnings(tmp_path, symbol,
 def test_vector_index_or_ambient_that_is_not_a_finite_integer_is_a_usage_error(tmp_path, vector):
     path = tmp_path / "x.json"
     path.write_text(vector)  # 1e400 parses to infinity
-    proc = _run_subprocess(
+    proc = _run_captured(
         ["model", "--operator", _fixture("isometric.json"), "--coeffs", str(path)]
     )
     _assert_single_error_line(proc, 2)
@@ -525,7 +556,7 @@ def test_lapack_failure_is_a_numeric_refusal(tmp_path):
     # A - Id = [[1, 2], [2, 4]] is singular, but rank_tol 1e-300 counts its rounding-level
     # second singular value, so LAPACK's solve is reached and fails
     generator = _dense_file(tmp_path, "g.json", 2, [[2.0, 0.0], [2.0, 0.0], [2.0, 0.0], [5.0, 0.0]])
-    proc = _run_subprocess(
+    proc = _run_captured(
         ["semigroup", "--generator", generator, "--cogenerator", "--tol-rank", "1e-300"]
     )
     _assert_single_error_line(proc, 3)
@@ -542,7 +573,7 @@ def test_lapack_failure_is_a_numeric_refusal(tmp_path):
     ],
 )
 def test_non_finite_tolerances_are_usage_errors(flag, value):
-    proc = _run_subprocess(["classify", "--operator", _fixture("dirichlet.json"), flag, value])
+    proc = _run_captured(["classify", "--operator", _fixture("dirichlet.json"), flag, value])
     _assert_single_error_line(proc, 2)
     assert "finite" in proc.stderr
     assert proc.stdout == ""
@@ -586,14 +617,14 @@ def _with_vector_file(tmp_path, argv):
     ],
 )
 def test_non_finite_points_and_times_are_refused(tmp_path, argv, code):
-    proc = _run_subprocess(_with_vector_file(tmp_path, argv))
+    proc = _run_captured(_with_vector_file(tmp_path, argv))
     _assert_single_error_line(proc, code)
     assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("points", ["0.5,0.5,0.9", "0.5"])
 def test_kernel_needs_exactly_two_points(points):
-    proc = _run_subprocess(["model", "--operator", _fixture("isometric.json"), "--kernel", points])
+    proc = _run_captured(["model", "--operator", _fixture("isometric.json"), "--kernel", points])
     _assert_single_error_line(proc, 2)
     assert "'lam,z'" in proc.stderr
     assert proc.stdout == ""

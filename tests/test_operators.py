@@ -11,6 +11,7 @@ from shiftmodels.numkit import ComplexMatrix
 from shiftmodels.operators import (
     Dense,
     DirectSum,
+    DirichletWeights,
     EventuallyConstantWeights,
     FiniteSupportVector,
     Shift,
@@ -32,7 +33,7 @@ def _adjoint_apply(T, y: FiniteSupportVector) -> FiniteSupportVector:
 
 def _inner(x: FiniteSupportVector, y: FiniteSupportVector) -> complex:
     """Linear in the first slot: sum_k x_k * conj(y_k)."""
-    ys = y.as_dict()
+    ys = dict(y.entries)
     return sum(v * ys.get(k, 0.0).conjugate() for k, v in x.entries)
 
 
@@ -44,30 +45,30 @@ def _random_vector(
     entries = {
         int(k): complex(rng.standard_normal(), rng.standard_normal()) for k in support
     }
-    return FiniteSupportVector.from_dict(entries, ambient=ambient)
+    return FiniteSupportVector(tuple(entries.items()), ambient)
 
 
 def test_apply_pinned_values():
     e0 = FiniteSupportVector.basis(0)
-    assert isometric_shift().apply(e0).as_dict() == {1: 1.0 + 0.0j}
+    assert dict(isometric_shift().apply(e0).entries) == {1: 1.0 + 0.0j}
 
-    v = FiniteSupportVector.from_dict({0: 2.0, 1: -1.0j}, ambient=2)
+    v = FiniteSupportVector(tuple({0: 2.0, 1: -1.0j}.items()), 2)
     eye = Dense(ComplexMatrix(np.eye(2)))
-    assert eye.apply(v).as_dict() == v.as_dict()
+    assert dict(eye.apply(v).entries) == dict(v.entries)
 
-    image = dirichlet_shift().apply(e0)
-    assert set(image.as_dict()) == {1}
-    assert image.as_dict()[1] == pytest.approx(SQRT2, abs=1e-15)
+    image = dict(dirichlet_shift().apply(e0).entries)
+    assert set(image) == {1}
+    assert image[1] == pytest.approx(SQRT2, abs=1e-15)
 
 
 def test_adjoint_apply_pinned_values():
     S = isometric_shift()
-    assert _adjoint_apply(S, FiniteSupportVector.basis(0)).as_dict() == {}
-    assert _adjoint_apply(S, FiniteSupportVector.basis(1)).as_dict() == {0: 1.0 + 0.0j}
+    assert dict(_adjoint_apply(S, FiniteSupportVector.basis(0)).entries) == {}
+    assert dict(_adjoint_apply(S, FiniteSupportVector.basis(1)).entries) == {0: 1.0 + 0.0j}
 
-    back = _adjoint_apply(dirichlet_shift(), FiniteSupportVector.basis(1))
-    assert set(back.as_dict()) == {0}
-    assert back.as_dict()[0] == pytest.approx(SQRT2, abs=1e-15)
+    back = dict(_adjoint_apply(dirichlet_shift(), FiniteSupportVector.basis(1)).entries)
+    assert set(back) == {0}
+    assert back[0] == pytest.approx(SQRT2, abs=1e-15)
 
 
 def test_spectral_radius_estimates():
@@ -113,20 +114,20 @@ def test_direct_sum_acts_blockwise():
     dense = Dense(ComplexMatrix([[0.0, 1.0], [0.0, 0.0]]))
     V = DirectSum((dense, Dense(ComplexMatrix.diagonal([1.0j]))))
     # contiguous layout: block 0 owns indices 0..1, block 1 owns index 2
-    x = FiniteSupportVector.from_dict({1: 1.0, 2: 2.0}, ambient=3)
-    image = V.apply(x)
-    assert image.as_dict()[0] == pytest.approx(1.0)
-    assert 1 not in image.as_dict()
-    assert image.as_dict()[2] == pytest.approx(2.0j)
+    x = FiniteSupportVector(tuple({1: 1.0, 2: 2.0}.items()), 3)
+    image = dict(V.apply(x).entries)
+    assert image[0] == pytest.approx(1.0)
+    assert 1 not in image
+    assert image[2] == pytest.approx(2.0j)
 
 
 def test_direct_sum_round_robin_for_infinite_parts():
     V = DirectSum((isometric_shift(), isometric_shift()))
     # round-robin layout: part r, local index q sit at flat index 2q + r
     image = V.apply(FiniteSupportVector.basis(0))
-    assert image.as_dict() == {2: 1.0 + 0.0j}
+    assert dict(image.entries) == {2: 1.0 + 0.0j}
     image = V.apply(FiniteSupportVector.basis(1))
-    assert image.as_dict() == {3: 1.0 + 0.0j}
+    assert dict(image.entries) == {3: 1.0 + 0.0j}
 
 
 def test_ambient_mismatch_raised():
@@ -136,13 +137,13 @@ def test_ambient_mismatch_raised():
 
 
 def test_vector_algebra():
-    x = FiniteSupportVector.from_dict({0: 1.0 + 1.0j})
-    y = FiniteSupportVector.from_dict({0: 2.0})
+    x = FiniteSupportVector(tuple({0: 1.0 + 1.0j}.items()))
+    y = FiniteSupportVector(tuple({0: 2.0}.items()))
     # scaling multiplies each amplitude
-    assert x.scale(3.0).as_dict() == {0: 3.0 + 3.0j}
-    assert y.scale(1.0j).as_dict() == {0: 2.0j}
-    assert x.add(y).as_dict()[0] == pytest.approx(3.0 + 1.0j)
-    assert x.sub(y).as_dict()[0] == pytest.approx(-1.0 + 1.0j)
+    assert dict(x.scale(3.0).entries) == {0: 3.0 + 3.0j}
+    assert dict(y.scale(1.0j).entries) == {0: 2.0j}
+    assert dict(x.add(y).entries)[0] == pytest.approx(3.0 + 1.0j)
+    assert dict(x.sub(y).entries)[0] == pytest.approx(-1.0 + 1.0j)
     assert x.norm() == pytest.approx(SQRT2, abs=1e-15)
 
 
@@ -205,25 +206,25 @@ def _mixed_sum() -> DirectSum:
 
 def test_mixed_direct_sum_pinned_entries():
     V = _mixed_sum()
-    x = FiniteSupportVector.from_dict({0: 1.0, 1: 1.0, 2: 1.0j, 3: 2.0})
+    x = FiniteSupportVector(tuple({0: 1.0, 1: 1.0, 2: 1.0j, 3: 2.0}.items()))
     # block: A (1, i) = (i, 2); shift: T (e_0 + 2 e_1) = 3 e_1 + 2 e_2
-    assert V.apply(x).as_dict() == {0: 1.0j, 2: 2.0, 3: 3.0, 5: 2.0}
+    assert dict(V.apply(x).entries) == {0: 1.0j, 2: 2.0, 3: 3.0, 5: 2.0}
     # block: A* (1, i) = (2i, 1); shift: T* (e_0 + 2 e_1) = 6 e_0
-    assert _adjoint_apply(V, x).as_dict() == {0: 2.0j, 1: 6.0, 2: 1.0}
+    assert dict(_adjoint_apply(V, x).entries) == {0: 2.0j, 1: 6.0, 2: 1.0}
 
 
 def test_nested_direct_sum_pinned_entries():
     # outer part 0 is the iso + Dirichlet sum (its own round robin), part 1 is 2 on C^1
     inner = DirectSum((isometric_shift(), dirichlet_shift()))
     V = DirectSum((inner, Dense(ComplexMatrix.diagonal([2.0]))))
-    x = FiniteSupportVector.from_dict({0: 1.0, 1: 5.0, 2: 1.0j, 4: 3.0})
-    image = V.apply(x)
-    assert set(image.as_dict()) == {1, 4, 6, 8}
-    assert image.as_dict()[1] == 10.0
-    assert image.as_dict()[4] == 1.0 and image.as_dict()[8] == 3.0
-    assert image.as_dict()[6] == pytest.approx(SQRT2 * 1j, abs=1e-15)
+    x = FiniteSupportVector(tuple({0: 1.0, 1: 5.0, 2: 1.0j, 4: 3.0}.items()))
+    image = dict(V.apply(x).entries)
+    assert set(image) == {1, 4, 6, 8}
+    assert image[1] == 10.0
+    assert image[4] == 1.0 and image[8] == 3.0
+    assert image[6] == pytest.approx(SQRT2 * 1j, abs=1e-15)
     # the Dirichlet part loses its e_0, the isometric one moves 3 e_1 to 3 e_0
-    assert _adjoint_apply(V, x).as_dict() == {0: 3.0, 1: 10.0}
+    assert dict(_adjoint_apply(V, x).entries) == {0: 3.0, 1: 10.0}
 
 
 @pytest.mark.parametrize("method", ["apply", "adjoint_apply"])
@@ -231,7 +232,7 @@ def test_direct_sum_refuses_an_index_outside_a_finite_part(method):
     # the forward action T x and the adjoint action T* x alike; global 4 is local 2 of
     # the 2-dimensional block
     adjoint = method == "adjoint_apply"
-    x = FiniteSupportVector.from_dict({3: 1.0, 4: 1.0})
+    x = FiniteSupportVector(tuple({3: 1.0, 4: 1.0}.items()))
     with pytest.raises(AmbientMismatch, match="global index 4 lands outside part 0"):
         _act(_mixed_sum(), x, adjoint, "T x")
     nested = DirectSum((isometric_shift(), DirectSum((_mixed_sum(),))))
@@ -254,13 +255,75 @@ def test_weight_lookup_matches_the_scalar_rules():
     for rule in (EventuallyConstantWeights((1.5, 0.25, 3.0), 0.75), EventuallyConstantWeights()):
         reference = [rule.head[i] if i < len(rule.head) else rule.tail for i in k]
         assert rule.at(k).tolist() == reference
-    x = FiniteSupportVector.from_dict({i: complex(i + 1, -0.5 * i) for i in range(12)})
+    x = FiniteSupportVector(tuple({i: complex(i + 1, -0.5 * i) for i in range(12)}.items()))
     for dual in (False, True):
         shift = dirichlet_shift(dual)
-        reference = [math.sqrt(shift.weights.weight_sq(i)) for i in k]
-        assert shift.weights.at(k).tolist() == reference
+        reference = [math.sqrt((i + 1) / (i + 2) if dual else (i + 2) / (i + 1)) for i in k]
+        weights = shift.weights.at(k).tolist()
+        assert weights == pytest.approx(reference, rel=1e-15)
         # T x is the scalar product w_k x_k, entry by entry
-        assert shift.apply(x).as_dict() == {i + 1: w * v for (i, v), w in zip(x.entries, reference)}
+        image = {i + 1: w * v for (i, v), w in zip(x.entries, weights)}
+        assert dict(shift.apply(x).entries) == image
+
+
+@pytest.mark.parametrize(
+    "rule, sup, inf, defects",
+    [
+        (EventuallyConstantWeights((1.5, 0.5), 1.0), 1.5, 0.5, (-2.9375, 0.75)),
+        (EventuallyConstantWeights((), 0.9), 0.9, 0.9, (0.0361, 0.0361)),
+        (DirichletWeights(), math.sqrt(2.0), 1.0, (0.0, 0.0)),
+        (DirichletWeights(dual=True), 1.0, math.sqrt(0.5), (0.0, 1.0 / 3.0)),
+    ],
+    ids=["head", "constant", "dirichlet", "dirichlet-dual"],
+)
+def test_weight_rule_bounds_are_pinned(rule, sup, inf, defects):
+    # defects w_k^2 w_{k+1}^2 - 2 w_k^2 + 1 of (1.5, 0.5, 1, ...): 2.25 * 0.25 - 4.5 + 1,
+    # 0.25 - 0.5 + 1, then 0; of the constant 0.9: (1 - 0.81)^2; of the Dirichlet dual:
+    # 2 / ((k+2)(k+3)), largest at k = 0
+    assert rule.sup() == sup and rule.inf() == inf
+    assert rule.defect_range() == pytest.approx(defects, rel=1e-15, abs=1e-15)
+
+
+_NAN = complex(float("nan"), 0.0)
+_NOT_BELOW = "is not below 2\\*\\*62"
+
+
+@pytest.mark.parametrize(
+    "entries, ambient, error, message",
+    [
+        (((0, 1.0), (-1, 1.0), (-2, 1.0)), None, ValueError, "negative index -1"),
+        (((1, 1.0), (2**62, 1.0), (-1, 1.0)), None, ValueError, f"index {2**62} {_NOT_BELOW}"),
+        # a Python int past int64: refused before any array conversion could overflow
+        (((1, 1.0), (2**70, 1.0)), None, ValueError, f"index {2**70} {_NOT_BELOW}"),
+        # a dropped zero still claims its index
+        (((3, 0.0), (1, 1.0), (3, 2.0), (-1, 1.0)), None, ValueError, "duplicate index 3"),
+        (((1, 1.0), (4, 1.0), (-1, 1.0)), 4, ValueError, "index 4 outside ambient dimension 4"),
+        (((2, 1.0), (5, _NAN), (-1, 1.0)), None, NonFinite, "non-finite amplitude at index 5"),
+    ],
+    ids=["negative", "2**62", "2**70", "duplicate", "outside-ambient", "nan"],
+)
+def test_vector_constructor_names_the_first_offending_entry(entries, ambient, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        FiniteSupportVector(entries, ambient)
+
+
+def test_vector_holds_read_only_arrays_without_zeros():
+    x = FiniteSupportVector(((7, 0.25), (0, 1.0 - 2.0j), (3, 0.0), (5, -0.0j)), None)
+    assert x.indices.dtype == np.int64 and x.values.dtype == np.complex128
+    assert x.indices.tolist() == [0, 7] and x.values.tolist() == [1.0 - 2.0j, 0.25]
+    assert x.entries == ((0, 1.0 - 2.0j), (7, 0.25 + 0.0j))
+    again = FiniteSupportVector(x.entries, x.ambient)
+    assert again.entries == x.entries and again.ambient is None
+    # a computed vector holds its arrays the same way: T x of (1, 1) under diag(0, 1) is e_1
+    ones = FiniteSupportVector(((0, 1.0), (1, 1.0)), 2)
+    image = Dense(ComplexMatrix.diagonal([0.0, 1.0])).apply(ones)
+    assert image.entries == ((1, 1.0 + 0.0j),)
+    for y in (x, image):
+        for arr in (y.indices, y.values):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+    with pytest.raises(AttributeError):
+        x.ambient = 3
 
 
 def test_vector_indices_stay_in_the_array_range():

@@ -24,7 +24,7 @@ def _run(model, x):
 
 def test_traced_results_equal_untraced():
     model = sm.build_model(sm.dirichlet_shift())
-    x = sm.FiniteSupportVector.from_dict({0: 0.5 - 1.0j, 3: 2.0, 7: 0.25j})
+    x = sm.FiniteSupportVector(tuple({0: 0.5 - 1.0j, 3: 2.0, 7: 0.25j}.items()))
     plain_kernel, plain_report = _run(model, x)
 
     tracer = _load_spans().Tracer(sm)
