@@ -582,7 +582,7 @@ def criterion_12_concave_power_growth() -> CriterionResult:
     refused = False
     try:
         concave_power_growth_check(
-            Dense(ComplexMatrix.diagonal((2.0, 0.5))),
+            Dense(ComplexMatrix(np.diag([2.0, 0.5]))),
             FiniteSupportVector.basis(0, 2),
             N=5,
             tol=slack,

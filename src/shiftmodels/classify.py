@@ -161,7 +161,7 @@ def _classify_dense(T: Dense, tol: ToleranceConfig) -> ClassificationReport:
     arr = T.matrix.array
     n = arr.shape[0]
     d_inf, d_sup = _defect_bounds(T)
-    s = singular_values(T.matrix)
+    s = singular_values(arr)
 
     # purity = nilpotency: the normalized n-th power must vanish
     if s[0] == 0.0:
@@ -243,7 +243,7 @@ def generator_concavity_criterion(
     with _quiet():
         sq = arr @ arr
         form = _finite((sq + sq.conj().T) / 2.0 + arr.conj().T @ arr, "generator form")
-    margin = hermitian_max_eig(ComplexMatrix._trusted(form))
+    margin = hermitian_max_eig(form)
     return GeneratorConcavity(satisfied=margin <= tol.psd_tol, margin=margin)
 
 

@@ -410,7 +410,7 @@ def _hardy_symbol(args: argparse.Namespace, run: _Run) -> tuple[PowerSeries, int
     if args.symbol_file:
         run.record_input(args.symbol_file)
         series = PowerSeries.from_json(_load_json(args.symbol_file))
-        return series, (args.degree if args.degree else None), "series"
+        return series, args.degree, "series"
     if args.blaschke:
         spec = BlaschkeSpec(tuple(_parse_complex_list(args.blaschke)))
     else:
@@ -450,13 +450,13 @@ def _cmd_hardy(args: argparse.Namespace, run: _Run) -> None:
         run.checks.append(Check("inner_check", report.passed))
 
     if args.model_space or args.ladder is not None:
-        if degree is None and not args.degree:
+        if degree is None and args.degree is None:
             raise ValueError("--model-space and --ladder need --degree for series symbols")
         degree = degree if degree is not None else args.degree
 
     if args.model_space:
         basis = model_space_basis(phi, args.N, degree, run.tol)
-        columns = analytic_toeplitz_trunc(phi, args.N).array[:, : args.N // 2]
+        columns = analytic_toeplitz_trunc(phi, args.N)[:, : args.N // 2]
         residual = float(np.max(np.abs(basis.conj().T @ columns)))
         run.results["model_space"] = {"degree": degree, "n": args.N, "basis": basis}
         run.checks.append(Check.judged("model_space_orthogonality", residual, run.tol.residual_tol))

@@ -43,7 +43,6 @@ from .errors import (
     ZeroOnBoundary,
 )
 from .numkit import (
-    ComplexMatrix,
     _finite,
     _quiet,
     _rank_of,
@@ -438,17 +437,18 @@ class ToeplitzTrunc:
         taps += [0.0 + 0.0j] * (n - len(taps))
         return cls(coefficients=tuple(taps), dimension=n)
 
-    def matrix(self) -> ComplexMatrix:
+    def matrix(self) -> np.ndarray:
         n = self.dimension
         arr = np.zeros((n, n), dtype=np.complex128)
         flat = arr.reshape(-1)  # a view: entry (i, i - d) sits at i * (n + 1) - d
         for d, c in enumerate(self.coefficients):
             flat[d * n :: n + 1] = c
-        return ComplexMatrix._trusted(arr)
+        arr.flags.writeable = False
+        return arr
 
 
-def analytic_toeplitz_trunc(phi: PowerSeries, n: int) -> ComplexMatrix:
-    """The lower-triangular n x n truncation of multiplication by ``phi``."""
+def analytic_toeplitz_trunc(phi: PowerSeries, n: int) -> np.ndarray:
+    """The lower-triangular n x n truncation of multiplication by ``phi``, read-only."""
     return ToeplitzTrunc.from_analytic(phi, n).matrix()
 
 
@@ -514,7 +514,7 @@ def model_space_basis(
         )
     if isinstance(phi, BlaschkeSeries) and phi.spec.degree == degree and phi.order >= n - 1:
         return _tmw_basis(phi.spec.zeros, n)
-    T = analytic_toeplitz_trunc(phi, n).array
+    T = analytic_toeplitz_trunc(phi, n)
     columns = T[:, : n - degree]
     basis = null_space_basis(columns.conj().T, tol)
     if basis.shape[1] != degree:
@@ -658,7 +658,7 @@ def block_forward_shift_trunc(multiplicity: int, n: int) -> np.ndarray:
     return np.eye(n + multiplicity, n, k=-multiplicity, dtype=np.complex128)
 
 
-def caradus_certificate(M, tol: ToleranceConfig = DEFAULT_TOL) -> CaradusReport:
+def caradus_certificate(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> CaradusReport:
     """Check the surjective-with-kernel hypothesis on a (rectangular) truncation.
 
     A bounded operator that is surjective and has nontrivial kernel is the
@@ -667,7 +667,7 @@ def caradus_certificate(M, tol: ToleranceConfig = DEFAULT_TOL) -> CaradusReport:
     dimension ``cols - rank``.
     """
     s = singular_values(M)
-    rows, cols = (M.array if isinstance(M, ComplexMatrix) else np.asarray(M)).shape
+    rows, cols = M.shape
     r = _rank_of(s, tol)
     surjective = r == rows
     kernel = cols - r

@@ -1,9 +1,11 @@
 """Dense complex linear algebra kernels with explicit tolerance policy.
 
-All kernels accept :class:`ComplexMatrix` (or a raw ndarray for internal use)
-and route rank decisions through singular values so every cutoff is relative
-to the largest one.  Factorizations are delegated to LAPACK via numpy; the
-matrix exponential of a stack of matrices is computed here by scaling and
+A matrix inside the package is a complex128 ndarray, validated once where it enters:
+:class:`ComplexMatrix` checks one from JSON or from a caller, and an array the package
+computes is finite by construction or tested where it is formed.  So the kernels take
+arrays and neither convert nor scan them.  Rank decisions go through singular values,
+so every cutoff is relative to the largest one.  Factorizations are delegated to LAPACK
+via numpy; the matrix exponential of a stack of matrices is computed here by scaling and
 squaring with one degree-13 Pade core because downstream semigroup checks pin it.
 A stack takes one Pade evaluation and one solve, whatever its members' squaring counts.
 """
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -77,17 +78,14 @@ def _json_integer(value, what: str) -> int:
     raise ValueError(f"{what} must be a finite integer, got {value!r}")
 
 
-def _checked(arr: np.ndarray, square: bool = True) -> np.ndarray:
-    if arr.ndim != 2 or (square and arr.shape[0] != arr.shape[1]):
-        raise ValueError(f"matrix must be {'square' if square else '2-d'}, got shape {arr.shape}")
-    if square and arr.shape[0] == 0:
-        raise ValueError(f"matrix must be at least 1x1, got shape {arr.shape}")
-    return _finite(arr, "matrix entries")
-
-
 @dataclass(frozen=True)
 class ComplexMatrix:
-    """Immutable square complex matrix, at least 1x1, with finite entries.
+    """The checked record of a square complex matrix, at least 1x1, with finite entries.
+
+    This is the boundary: a matrix from JSON or from a caller (``Dense``,
+    ``SemigroupSpec``) is converted, copied and scanned here once, and ``array`` is
+    the read-only complex128 copy that the package computes with.  The record stays
+    while the benchmark's jobs construct it and read ``.array`` from it.
 
     The wire format is ``{"rows": n, "cols": n, "data": [[re, im], ...]}``
     with ``data`` in row-major order.
@@ -96,28 +94,17 @@ class ComplexMatrix:
     array: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        arr = _checked(np.asarray(self.array, dtype=np.complex128)).copy()
+        arr = np.asarray(self.array, dtype=np.complex128)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {arr.shape}")
+        if arr.shape[0] == 0:
+            raise ValueError(f"matrix must be at least 1x1, got shape {arr.shape}")
+        arr = _finite(arr, "matrix entries").copy()
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
 
-    @classmethod
-    def _trusted(cls, arr: np.ndarray) -> "ComplexMatrix":
-        """Wrap a finite square complex array the package computed: no copy, no scan."""
-        out = object.__new__(cls)
-        arr.flags.writeable = False
-        object.__setattr__(out, "array", arr)
-        return out
-
-    @property
-    def n(self) -> int:
-        return self.array.shape[0]
-
-    @classmethod
-    def diagonal(cls, entries: Iterable[complex]) -> "ComplexMatrix":
-        return cls(np.diag(np.array(list(entries), dtype=np.complex128)))
-
     def to_json(self) -> dict:
-        n = self.n
+        n = self.array.shape[0]
         data = [[float(v.real), float(v.imag)] for v in self.array.reshape(-1)]
         return {"rows": n, "cols": n, "data": data}
 
@@ -141,19 +128,12 @@ class ComplexMatrix:
         return cls(flat.reshape(rows, rows))
 
 
-def _as_array(M, square: bool = True) -> np.ndarray:
-    if isinstance(M, ComplexMatrix):
-        return M.array
-    return _checked(np.asarray(M, dtype=np.complex128), square)
-
-
-def hermitian_max_eig(M) -> float:
+def hermitian_max_eig(arr: np.ndarray) -> float:
     """Largest eigenvalue of the Hermitian part (M + M*)/2.
 
     Callers promise M is Hermitian up to residual_tol; symmetrizing first
     makes the result insensitive to that residual.
     """
-    arr = _as_array(M)
     herm = arr / 2.0 + arr.conj().T / 2.0  # halving first cannot overflow
     return float(np.linalg.eigvalsh(herm)[-1])
 
@@ -245,14 +225,14 @@ def expm_stack(stack: np.ndarray) -> tuple[np.ndarray, NonFinite | None]:
 
 
 def _svd(arr: np.ndarray, compute_uv: bool):
-    """The one SVD call, on a checked array: singular values past the float range are refused."""
+    """The one SVD call: singular values past the float range are refused."""
     out = np.linalg.svd(arr, compute_uv=compute_uv)
     _finite(out.S if compute_uv else out, "singular values")
     return out
 
 
-def singular_values(M) -> np.ndarray:
-    return _svd(_as_array(M, square=False), compute_uv=False)
+def singular_values(arr: np.ndarray) -> np.ndarray:
+    return _svd(arr, compute_uv=False)
 
 
 def _rank_of(s: np.ndarray, tol: ToleranceConfig) -> int:
@@ -262,33 +242,33 @@ def _rank_of(s: np.ndarray, tol: ToleranceConfig) -> int:
     return int(np.count_nonzero(s > tol.rank_tol * s[0]))
 
 
-def rank(M, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+def rank(arr: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Numerical rank: singular values above rank_tol relative to the largest."""
-    return _rank_of(singular_values(M), tol)
+    return _rank_of(singular_values(arr), tol)
 
 
-def orthonormal_range_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def orthonormal_range_basis(arr: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Columns form an orthonormal basis of the numerical column space."""
-    u, s, _ = _svd(_as_array(M, square=False), compute_uv=True)
+    u, s, _ = _svd(arr, compute_uv=True)
     return u[:, : _rank_of(s, tol)]
 
 
-def null_space_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def null_space_basis(arr: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Columns form an orthonormal basis of the numerical kernel."""
-    _, s, vh = _svd(_as_array(M, square=False), compute_uv=True)
+    _, s, vh = _svd(arr, compute_uv=True)
     return vh[_rank_of(s, tol) :].conj().T
 
 
-def eigenvalues(M) -> np.ndarray:
+def eigenvalues(arr: np.ndarray) -> np.ndarray:
     """All eigenvalues via the QR/Schur path (general non-Hermitian input)."""
-    return np.linalg.eigvals(_as_array(M))
+    return np.linalg.eigvals(arr)
 
 
-def two_norm(M) -> float:
-    s = singular_values(M)
+def two_norm(arr: np.ndarray) -> float:
+    s = singular_values(arr)
     return float(s[0]) if s.size else 0.0
 
 
-def spectral_radius(M) -> float:
+def spectral_radius(arr: np.ndarray) -> float:
     """Spectral radius: the largest eigenvalue modulus."""
-    return float(np.max(np.abs(eigenvalues(M))))
+    return float(np.max(np.abs(eigenvalues(arr))))

@@ -330,7 +330,7 @@ class Dense(_Acting):
 
     @property
     def ambient(self) -> int | None:
-        return self.matrix.n
+        return self.matrix.array.shape[0]
 
     def _map(self, k: np.ndarray, v: np.ndarray, adjoint: bool) -> tuple[np.ndarray, np.ndarray]:
         return _matvec(self.matrix.array, k, v, adjoint)
@@ -358,7 +358,7 @@ class DirectSum(_Acting):
 
     def _map(self, k: np.ndarray, v: np.ndarray, adjoint: bool) -> tuple[np.ndarray, np.ndarray]:
         if self.ambient is not None:
-            return _matvec(to_dense_matrix(self).array, k, v, adjoint)
+            return _matvec(to_dense_matrix(self), k, v, adjoint)
         p = len(self.parts)
         r, q = _round_robin(p, k)
         outside = (q >= self._dims[r]).nonzero()[0]
@@ -400,14 +400,14 @@ def spectral_radius_estimate(T: StructuredOperator) -> float:
     if isinstance(T, Shift):
         return T.weights.limit()
     if isinstance(T, Dense):
-        return spectral_radius(T.matrix)
+        return spectral_radius(T.matrix.array)
     return max(spectral_radius_estimate(p) for p in T.parts)
 
 
-def to_dense_matrix(T: StructuredOperator) -> ComplexMatrix:
-    """Materialize a finite-ambient operator as a matrix (block diagonal sums)."""
+def to_dense_matrix(T: StructuredOperator) -> np.ndarray:
+    """Materialize a finite-ambient operator as a read-only matrix (block diagonal sums)."""
     if isinstance(T, Dense):
-        return T.matrix
+        return T.matrix.array
     if isinstance(T, DirectSum):
         if T.ambient is None:
             raise UnsupportedRegime("cannot materialize a direct sum with infinite parts")
@@ -415,11 +415,12 @@ def to_dense_matrix(T: StructuredOperator) -> ComplexMatrix:
         out = np.zeros((n, n), dtype=np.complex128)
         off = 0
         for p in T.parts:
-            block = to_dense_matrix(p).array
+            block = to_dense_matrix(p)
             m = block.shape[0]
             out[off : off + m, off : off + m] = block
             off += m
-        return ComplexMatrix._trusted(out)
+        out.flags.writeable = False
+        return out
     raise UnsupportedRegime("shift operators have no finite matrix form")
 
 

@@ -84,9 +84,11 @@ class EquivalenceSuiteReport:
 
 
 def _evolve_stack(S: SemigroupSpec, times) -> tuple[np.ndarray, NonFinite | None]:
-    """e^{tA} for each t of ``times`` up to the first one refused, and its refusal: t < 0 is
-    refused outright, and t = 0 gives the exact identity (t A is zero)."""
+    """e^{tA} for each t of ``times`` up to the first one refused, and its refusal: t not
+    finite or below 0 is refused outright, and t = 0 gives the exact identity (t A is zero)."""
     for t in times:
+        if not math.isfinite(t):
+            raise NonFinite(f"semigroup parameter must be finite, got {t}")
         if t < 0.0:
             raise ValueError(f"semigroup parameter must be nonnegative, got {t}")
     with _quiet():  # the core refuses a t A holding infinity or NaN: its 1-norm is not finite
@@ -94,23 +96,24 @@ def _evolve_stack(S: SemigroupSpec, times) -> tuple[np.ndarray, NonFinite | None
     return expm_stack(scaled)
 
 
-def evolve(S: SemigroupSpec, t: float) -> ComplexMatrix:
-    """e^{tA}; t = 0 returns the exact identity."""
+def evolve(S: SemigroupSpec, t: float) -> np.ndarray:
+    """e^{tA} as a read-only array; t = 0 returns the exact identity."""
     evolved, refusal = _evolve_stack(S, (t,))
     if refusal is not None:
         raise refusal
-    return ComplexMatrix._trusted(evolved[0])
+    evolved.flags.writeable = False
+    return evolved[0]
 
 
 def _cayley(arr: np.ndarray, tol: ToleranceConfig, what: str) -> ComplexMatrix:
     n = arr.shape[0]
-    shifted = ComplexMatrix._trusted(arr - np.eye(n, dtype=np.complex128))
+    shifted = arr - np.eye(n, dtype=np.complex128)
     if rank(shifted, tol) < n:
         raise OneInSpectrum(f"1 lies in the spectrum of the {what} at rank_tol={tol.rank_tol:g}")
     plus = arr + np.eye(n, dtype=np.complex128)
     # right division: X (A - Id) = (A + Id) solved through the adjoint system
-    X = np.linalg.solve(shifted.array.conj().T, plus.conj().T).conj().T
-    return ComplexMatrix._trusted(_finite(X, f"Cayley transform of the {what}"))
+    X = np.linalg.solve(shifted.conj().T, plus.conj().T).conj().T
+    return ComplexMatrix(_finite(X, f"Cayley transform of the {what}"))
 
 
 def cogenerator(S: SemigroupSpec, tol: ToleranceConfig = DEFAULT_TOL) -> ComplexMatrix:
@@ -125,8 +128,9 @@ def inverse_cayley(V: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Comp
 
 def growth_bound(S: SemigroupSpec) -> GrowthBound:
     """omega = max Re(spectrum of A); exact for matrix semigroups."""
-    omega = float(np.max(eigenvalues(S.generator).real))
+    omega = float(np.max(eigenvalues(S.generator.array).real))
     return GrowthBound(omega=omega, method="max real part of generator spectrum")
+
 
 def growth_bound_consistency(S: SemigroupSpec) -> float:
     """Max over t of |(1/t) log r(e^{tA}) - omega|; small by spectral mapping."""
@@ -147,10 +151,10 @@ def quasicontractive_rescale(S: SemigroupSpec, lam: float) -> SemigroupSpec:
     """Shift the generator to A - lam Id, rescaling the semigroup by e^{-lam t}."""
     if not math.isfinite(lam):
         raise NonFinite(f"rescaling parameter must be finite, got {lam}")
-    shift = lam * np.eye(S.generator.n, dtype=np.complex128)
+    shift = lam * np.eye(S.generator.array.shape[0], dtype=np.complex128)
     with _quiet():
         shifted = _finite(S.generator.array - shift, "rescaled generator A - lam Id")
-    return SemigroupSpec(ComplexMatrix._trusted(shifted))
+    return SemigroupSpec(ComplexMatrix(shifted))
 
 
 def _grid_exponentials(S: SemigroupSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -187,8 +191,7 @@ def concavity_equivalence_suite(
     and a power that overflows is a non-finite matrix exponential.
     """
     slack = 10.0 * tol.residual_tol
-    A = S.generator
-    n = A.n
+    n = S.generator.array.shape[0]
 
     # (i) concavity of each evolved operator on the grid
     evolved, half = _grid_exponentials(S)
@@ -209,7 +212,7 @@ def concavity_equivalence_suite(
     norm_path_concave = max_second <= slack
 
     # (iii) the generator-side Hermitian form
-    gen = generator_concavity_criterion(A, tol)
+    gen = generator_concavity_criterion(S.generator, tol)
 
     # (iv) concavity of the cogenerator
     _, cog_defect = _defect_range(cogenerator(S, tol).array)

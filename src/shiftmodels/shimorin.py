@@ -31,7 +31,6 @@ from .classify import _wandering_span_dim
 from .config import DEFAULT_TOL, Check, ToleranceConfig
 from .errors import NonFinite, OutsideDisc, TailNotConvergent, UnsupportedRegime
 from .numkit import (
-    ComplexMatrix,
     _finite,
     _quiet,
     _rank_of,
@@ -560,7 +559,7 @@ def wold_decompose(V: StructuredOperator, tol: ToleranceConfig = DEFAULT_TOL) ->
                 raise UnsupportedRegime("nested direct sums are not supported here")
         if not dense_parts:
             return WoldReport(0, 0, wandering_infinite, 0.0, 0, True, 0)
-        arr = to_dense_matrix(DirectSum(tuple(dense_parts))).array
+        arr = to_dense_matrix(DirectSum(tuple(dense_parts)))
     elif isinstance(V, Dense):
         arr = V.matrix.array
     else:
@@ -590,7 +589,7 @@ def wold_decompose(V: StructuredOperator, tol: ToleranceConfig = DEFAULT_TOL) ->
         with _quiet():
             restricted = basis.conj().T @ arr @ basis
             gram = restricted.conj().T @ restricted - np.eye(dim_unitary)
-        unitary_residual = two_norm(ComplexMatrix._trusted(_finite(gram, "restricted V*V - Id")))
+        unitary_residual = two_norm(_finite(gram, "restricted V*V - Id"))
     else:
         unitary_residual = 0.0
 

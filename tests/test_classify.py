@@ -30,14 +30,14 @@ def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def test_unitary_dense_is_two_isometry():
-    rep = classify_operator(Dense(ComplexMatrix.diagonal([1.0j, -1.0])))
+    rep = classify_operator(Dense(ComplexMatrix(np.diag([1.0j, -1.0]))))
     assert rep.concave and rep.two_contraction and rep.two_isometry
     assert rep.isometry_defect <= 1e-14
 
 
 def test_strict_contraction_is_not_concave():
     # defect for diag(0.5): 0.5^4 - 2*0.25 + 1 = 0.5625 > 0
-    rep = classify_operator(Dense(ComplexMatrix.diagonal([0.5])))
+    rep = classify_operator(Dense(ComplexMatrix(np.diag([0.5]))))
     assert not rep.concave
     assert rep.concavity_defect == pytest.approx(0.5625, abs=1e-12)
 
@@ -46,7 +46,7 @@ def test_dense_diagonal_defect_range_closed_form():
     # diag(a) has defect diag((|a_k|^2 - 1)^2)
     entries = [0.5, 1.0j, -1.5, 0.9 + 0.3j]
     closed = [(abs(a) ** 2 - 1.0) ** 2 for a in entries]
-    rep = classify_operator(Dense(ComplexMatrix.diagonal(entries)))
+    rep = classify_operator(Dense(ComplexMatrix(np.diag(entries))))
     assert rep.concavity_defect == pytest.approx(max(closed), abs=1e-12)
     assert rep.contraction_margin == pytest.approx(min(closed), abs=1e-12)
 
@@ -74,7 +74,7 @@ def test_two_isometry_is_intersection_flag():
     rng = np.random.default_rng(31)
     operators = [
         Dense(ComplexMatrix(_random_unitary(rng, 4))),
-        Dense(ComplexMatrix.diagonal([0.5])),
+        Dense(ComplexMatrix(np.diag([0.5]))),
         dirichlet_shift(),
         isometric_shift(),
         Shift(EventuallyConstantWeights((2.0,), 1.0)),
@@ -95,7 +95,7 @@ def test_generator_criterion_pinned_values():
     assert res.satisfied
     assert abs(res.margin) <= 1e-14
 
-    res = generator_concavity_criterion(ComplexMatrix.diagonal([-1.0]), DEFAULT_TOL)
+    res = generator_concavity_criterion(ComplexMatrix(np.diag([-1.0])), DEFAULT_TOL)
     assert not res.satisfied
     assert res.margin == pytest.approx(2.0, abs=1e-12)
 
@@ -138,7 +138,7 @@ def test_finite_dimensional_rigidity():
         assert rep.concave and rep.bounded_below
         assert np.max(np.abs(U.conj().T @ U - np.eye(n))) <= 1e-8
 
-    rep = classify_operator(Dense(ComplexMatrix.diagonal([0.9, 0.8])))
+    rep = classify_operator(Dense(ComplexMatrix(np.diag([0.9, 0.8]))))
     assert not rep.concave  # (1 - w^2)^2 > 0 for w < 1
 
 
@@ -158,7 +158,7 @@ def test_power_growth_check_pinned_cases():
 def test_power_growth_check_requires_concave():
     with pytest.raises(NotConcave):
         concave_power_growth_check(
-            Dense(ComplexMatrix.diagonal([2.0, 0.5])),
+            Dense(ComplexMatrix(np.diag([2.0, 0.5]))),
             FiniteSupportVector.basis(0, ambient=2),
             10,
         )
@@ -180,6 +180,6 @@ def test_power_growth_check_reads_only_the_defect_bounds(monkeypatch):
     pair = DirectSum((Dense(ComplexMatrix(np.eye(2))), isometric_shift()))
     assert concave_power_growth_check(pair, FiniteSupportVector(tuple({1: 1.0, 2: 1.0j}.items())), 20)
     # diag(2, 0.5): the defect 16 - 8 + 1 = 9 at e_0 is the sup of the form
-    mixed = DirectSum((isometric_shift(), Dense(ComplexMatrix.diagonal([2.0, 0.5]))))
+    mixed = DirectSum((isometric_shift(), Dense(ComplexMatrix(np.diag([2.0, 0.5])))))
     with pytest.raises(NotConcave, match=r"defect 9\.000e\+00"):
         concave_power_growth_check(mixed, FiniteSupportVector.basis(0), 10)

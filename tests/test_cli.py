@@ -614,11 +614,26 @@ def _with_vector_file(tmp_path, argv):
         (["model", "--operator", "isometric.json", "--verify", "semigroup", "--semigroup-t", "-1"], 2),
         (["hardy", "--blaschke", "0", "--semigroup-t", "inf", "--N", "8"], 3),
         (["semigroup", "--generator", "skew4.json", "--rescale", "inf"], 3),
+        (["semigroup", "--generator", "zero.json", "--t", "nan"], 3),
+        (["semigroup", "--generator", "zero.json", "--t", "0.5,inf"], 3),
     ],
 )
 def test_non_finite_points_and_times_are_refused(tmp_path, argv, code):
     proc = _run_captured(_with_vector_file(tmp_path, argv))
     _assert_single_error_line(proc, code)
+    assert proc.stdout == ""
+    if "--t" in argv:  # refused by name, not by the 1-norm of t A: zero.json's A is finite
+        assert "semigroup parameter must be finite, got " in proc.stderr
+
+
+@pytest.mark.parametrize("request_", [["--model-space"], ["--ladder", "2"]])
+def test_degree_zero_for_a_series_symbol_is_not_positive(tmp_path, request_):
+    # --degree 0 is given: it is refused as a degree, not reported as a missing option
+    symbol = tmp_path / "poly.json"
+    symbol.write_text("[[0.0, 0.0], [1.0, 0.0]]")
+    proc = _run_captured(["hardy", "--symbol-file", str(symbol), "--degree", "0", *request_])
+    _assert_single_error_line(proc, 2)
+    assert proc.stderr == "error: hardy: degree must be positive\n"
     assert proc.stdout == ""
 
 

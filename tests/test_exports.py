@@ -202,7 +202,7 @@ def to_dense_matrix(T):
 def probe(a, b, spec, x):
     np.linalg.solve(a, b)
     label = "numkit.expm"
-    return rank(x), spec.zeros, ComplexMatrix.diagonal(label), vector_from_json(x)
+    return rank(x), spec.zeros, ComplexMatrix.from_json(label), vector_from_json(x)
 """
 
 
@@ -213,7 +213,7 @@ def test_the_guard_resolves_what_a_load_refers_to():
     # own body, np.linalg.solve, the string and the parameters name nothing
     assert refs == {
         "numkit.rank",
-        "numkit.ComplexMatrix.diagonal",
+        "numkit.ComplexMatrix.from_json",
         "*.parts",
         "*.zeros",
         "operators.vector_from_json",

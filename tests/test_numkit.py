@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import shiftmodels as sm
 from shiftmodels.config import DEFAULT_TOL
 from shiftmodels.errors import NonFinite
+from shiftmodels.hardy import analytic_toeplitz_trunc
 from shiftmodels.numkit import (
     ComplexMatrix,
     eigenvalues,
@@ -19,11 +21,19 @@ from shiftmodels.numkit import (
     two_norm,
 )
 from shiftmodels.operators import Dense, DirectSum, to_dense_matrix
+from shiftmodels.semigroup import (
+    SemigroupSpec,
+    cogenerator,
+    evolve,
+    inverse_cayley,
+    quasicontractive_rescale,
+)
+from shiftmodels.series import PowerSeries
 
 
-def _random_matrix(rng: np.random.Generator, n: int, scale: float = 1.0) -> ComplexMatrix:
+def _random_matrix(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return ComplexMatrix(scale * raw)
+    return scale * raw
 
 
 def _expm(A) -> np.ndarray:
@@ -40,11 +50,24 @@ def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _diag(entries) -> np.ndarray:
+    return np.diag(np.array(entries, dtype=np.complex128))
+
+
 def test_hermitian_max_eig_pinned_values():
-    assert hermitian_max_eig(ComplexMatrix(np.eye(3))) == pytest.approx(1.0, abs=1e-14)
-    assert hermitian_max_eig(ComplexMatrix(np.zeros((2, 2)))) == pytest.approx(0.0, abs=1e-14)
-    assert hermitian_max_eig(ComplexMatrix.diagonal([-2.0, 5.0])) == pytest.approx(5.0, abs=1e-12)
-    assert hermitian_max_eig(ComplexMatrix.diagonal([-2.0, -5.0])) == pytest.approx(-2.0, abs=1e-12)
+    assert hermitian_max_eig(_diag([1.0, 1.0, 1.0])) == pytest.approx(1.0, abs=1e-14)
+    assert hermitian_max_eig(_diag([0.0, 0.0])) == pytest.approx(0.0, abs=1e-14)
+    assert hermitian_max_eig(_diag([-2.0, 5.0])) == pytest.approx(5.0, abs=1e-12)
+    assert hermitian_max_eig(_diag([-2.0, -5.0])) == pytest.approx(-2.0, abs=1e-12)
+
+
+def test_the_package_root_kernels_take_the_checked_array():
+    # the root re-exports numkit's kernels, which take an array and neither convert nor
+    # scan it: a caller's matrix is checked by ComplexMatrix first and passed as its .array
+    assert sm.hermitian_max_eig is hermitian_max_eig and sm.spectral_radius is spectral_radius
+    M = sm.ComplexMatrix([[1.0, 2.0], [0.0, 3.0]])
+    assert sm.hermitian_max_eig(M.array) == pytest.approx(2.0 + math.sqrt(2.0), abs=1e-14)
+    assert sm.spectral_radius(M.array) == pytest.approx(3.0, abs=1e-14)
 
 
 def test_hermitian_max_eig_rayleigh_cross_check():
@@ -57,7 +80,7 @@ def test_hermitian_max_eig_rayleigh_cross_check():
         n = int(rng.integers(2, 7))
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         herm = (raw + raw.conj().T) / 2.0
-        reported = hermitian_max_eig(ComplexMatrix(herm))
+        reported = hermitian_max_eig(herm)
 
         shifted = herm + (np.linalg.norm(herm, 2) + 1.0) * np.eye(n)
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -79,23 +102,24 @@ def test_hermitian_max_eig_rayleigh_cross_check():
 
 
 def test_hermitian_part_of_a_near_maximal_matrix_does_not_overflow():
-    M = ComplexMatrix.diagonal([1.5e308, -1.5e308])
-    assert hermitian_max_eig(M) == 1.5e308
-    assert hermitian_max_eig(ComplexMatrix.diagonal([-1.5e308, -1.6e308])) == -1.5e308
+    assert hermitian_max_eig(_diag([1.5e308, -1.5e308])) == 1.5e308
+    assert hermitian_max_eig(_diag([-1.5e308, -1.6e308])) == -1.5e308
 
 
-def test_hermitian_max_eig_rejects_nonfinite():
-    with pytest.raises(NonFinite):
-        hermitian_max_eig(ComplexMatrix([[np.nan, 0.0], [0.0, 1.0]]))
+def test_matrix_with_non_finite_entries_is_refused_at_the_boundary():
+    # the kernels trust their arrays: a NaN or an infinity is refused where a matrix enters
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(NonFinite, match="non-finite matrix entries"):
+            ComplexMatrix([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(NonFinite, match="non-finite matrix entries"):
+            ComplexMatrix.from_json({"rows": 1, "cols": 1, "data": [[bad.real, bad.imag]]})
 
 
 def test_expm_pinned_values():
     np.testing.assert_allclose(_expm(np.zeros((3, 3))), np.eye(3), atol=1e-15)
-    np.testing.assert_allclose(
-        _expm(ComplexMatrix.diagonal([math.log(2.0)]).array), [[2.0]], atol=1e-14
-    )
-    nilpotent = ComplexMatrix([[0.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_allclose(_expm(nilpotent.array), [[1.0, 1.0], [0.0, 1.0]], atol=1e-15)
+    np.testing.assert_allclose(_expm(_diag([math.log(2.0)])), [[2.0]], atol=1e-14)
+    nilpotent = [[0.0, 1.0], [0.0, 0.0]]
+    np.testing.assert_allclose(_expm(nilpotent), [[1.0, 1.0], [0.0, 1.0]], atol=1e-15)
 
 
 def test_expm_refuses_overflow_near_the_float_maximum():
@@ -116,7 +140,7 @@ def test_expm_stack_is_bit_identical_to_one_matrix_at_a_time(n):
     rng = np.random.default_rng(1300 + n)
     for scale in (1.0, 10.0, 1e-3, 1e-100, 1e-300):
         for kind in ("skew", "dissipative", "general"):
-            A = _random_matrix(rng, n, scale).array
+            A = _random_matrix(rng, n, scale)
             if kind == "skew":
                 A = (A - A.conj().T) / 2.0
             elif kind == "dissipative":
@@ -139,7 +163,7 @@ def test_expm_stack_makes_one_solve_for_the_suite_times(monkeypatch):
         return unpatched(*args)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    A = _random_matrix(np.random.default_rng(1302), 6).array
+    A = _random_matrix(np.random.default_rng(1302), 6)
     stack = np.asarray(_SUITE_TIMES)[:, None, None] * A
     squarings = {math.ceil(math.log2(np.abs(M).sum(axis=0).max() / 0.5)) for M in stack}
     _, refusal = expm_stack(stack)
@@ -153,7 +177,7 @@ def test_expm_stack_makes_one_solve_for_the_suite_times(monkeypatch):
 
 def test_expm_stack_judges_each_member():
     rng = np.random.default_rng(1301)
-    A = _random_matrix(rng, 3).array
+    A = _random_matrix(rng, 3)
     # a zero member is the exact identity, wherever it sits in the stack
     out, refusal = expm_stack(np.stack([A, np.zeros((3, 3)), 2.0 * A]))
     assert refusal is None
@@ -205,8 +229,8 @@ def test_expm_inverse_residual():
         n = int(rng.integers(2, 7))
         M = _random_matrix(rng, n)
         if two_norm(M) > 10.0:
-            M = ComplexMatrix(M.array * (10.0 / two_norm(M)))
-        product = _expm(M.array) @ _expm(-M.array)
+            M = M * (10.0 / two_norm(M))
+        product = _expm(M) @ _expm(-M)
         assert np.max(np.abs(product - np.eye(n))) <= 1e-10
 
 
@@ -215,7 +239,7 @@ def test_expm_similarity_invariance():
     rng = np.random.default_rng(13)
     for _ in range(8):
         n = int(rng.integers(2, 6))
-        M = _random_matrix(rng, n).array
+        M = _random_matrix(rng, n)
         S = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         assert np.linalg.cond(S) <= 100.0
         lhs = _expm(S @ M @ np.linalg.inv(S))
@@ -227,7 +251,7 @@ def test_expm_semigroup_law():
     rng = np.random.default_rng(14)
     for _ in range(8):
         n = int(rng.integers(2, 6))
-        M = _random_matrix(rng, n, scale=0.5).array
+        M = _random_matrix(rng, n, scale=0.5)
         s, t = rng.uniform(0.1, 2.0, size=2)
         lhs = _expm((s + t) * M)
         rhs = _expm(s * M) @ _expm(t * M)
@@ -235,11 +259,11 @@ def test_expm_semigroup_law():
 
 
 def test_rank_pinned_and_unitary_invariance():
-    assert rank(ComplexMatrix(np.eye(5)), DEFAULT_TOL) == 5
-    assert rank(ComplexMatrix(np.zeros((4, 4))), DEFAULT_TOL) == 0
+    assert rank(_diag([1.0] * 5), DEFAULT_TOL) == 5
+    assert rank(_diag([0.0] * 4), DEFAULT_TOL) == 0
     u = np.array([1.0, 2.0j, -1.0])
     v = np.array([0.5, 1.0, 1.0j])
-    assert rank(ComplexMatrix(np.outer(u, v.conj())), DEFAULT_TOL) == 1
+    assert rank(np.outer(u, v.conj()), DEFAULT_TOL) == 1
 
     rng = np.random.default_rng(16)
     for _ in range(10):
@@ -249,45 +273,45 @@ def test_rank_pinned_and_unitary_invariance():
             rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
         ) if r else np.zeros((n, n), dtype=complex)
         Q = _random_unitary(rng, n)
-        assert rank(ComplexMatrix(Q @ base), DEFAULT_TOL) == rank(ComplexMatrix(base), DEFAULT_TOL)
-        assert rank(ComplexMatrix(base @ Q), DEFAULT_TOL) == rank(ComplexMatrix(base), DEFAULT_TOL)
+        assert rank(Q @ base, DEFAULT_TOL) == rank(base, DEFAULT_TOL)
+        assert rank(base @ Q, DEFAULT_TOL) == rank(base, DEFAULT_TOL)
 
 
 def test_orthonormal_range_basis():
-    eye_basis = orthonormal_range_basis(ComplexMatrix(np.eye(3)))
+    eye_basis = orthonormal_range_basis(_diag([1.0] * 3))
     assert eye_basis.shape == (3, 3)
     np.testing.assert_allclose(eye_basis.conj().T @ eye_basis, np.eye(3), atol=1e-12)
 
-    assert orthonormal_range_basis(ComplexMatrix(np.zeros((3, 3)))).shape == (3, 0)
+    assert orthonormal_range_basis(_diag([0.0] * 3)).shape == (3, 0)
 
-    ones = orthonormal_range_basis(ComplexMatrix([[1.0, 1.0], [1.0, 1.0]]))
+    ones = orthonormal_range_basis(np.ones((2, 2), dtype=np.complex128))
     assert ones.shape == (2, 1)
     direction = ones[:, 0] / ones[0, 0]
     np.testing.assert_allclose(direction, [1.0, 1.0], atol=1e-12)
 
 
 def test_null_space_basis_matches_rank():
-    M = ComplexMatrix([[1.0, 1.0], [1.0, 1.0]])
+    M = np.ones((2, 2), dtype=np.complex128)
     kernel = null_space_basis(M)
     assert kernel.shape == (2, 1)
-    assert np.max(np.abs(M.array @ kernel)) <= 1e-12
+    assert np.max(np.abs(M @ kernel)) <= 1e-12
 
 
 def test_overflowing_singular_values_are_refused():
     # invertible, with both singular values 1.5e308 * sqrt(2) past the float range;
     # read as inf they would give rank 0 and a kernel spanning the whole space
-    A = ComplexMatrix([[1.5e308, 1.5e308], [1.5e308, -1.5e308]])
+    A = np.array([[1.5e308, 1.5e308], [1.5e308, -1.5e308]], dtype=np.complex128)
     for kernel in (rank, two_norm, null_space_basis, orthonormal_range_basis):
         with pytest.raises(NonFinite):
             kernel(A)
 
 
 def test_spectral_data_sanity():
-    M = ComplexMatrix.diagonal([3.0, -5.0])
+    M = _diag([3.0, -5.0])
     assert spectral_radius(M) == pytest.approx(5.0, abs=1e-8)
     # equal-modulus pair and a defective block: no dominant eigenvector to iterate on
-    assert spectral_radius(ComplexMatrix.diagonal([1.0, -1.0])) == pytest.approx(1.0, abs=1e-12)
-    jordan = ComplexMatrix([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]])
+    assert spectral_radius(_diag([1.0, -1.0])) == pytest.approx(1.0, abs=1e-12)
+    jordan = np.array([[0.5, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]], dtype=np.complex128)
     assert spectral_radius(jordan) == pytest.approx(0.5, abs=1e-12)
     assert two_norm(M) == pytest.approx(5.0, abs=1e-12)
     eigs = sorted(eigenvalues(M).real)
@@ -299,15 +323,30 @@ def test_empty_matrix_is_refused():
         ComplexMatrix(np.zeros((0, 0)))
     with pytest.raises(ValueError, match=r"\(0, 0\)"):
         ComplexMatrix.from_json({"rows": 0, "cols": 0, "data": []})
-    with pytest.raises(ValueError, match=r"\(0, 0\)"):
-        hermitian_max_eig(np.zeros((0, 0)))
 
 
 def test_computed_matrices_are_read_only():
+    # the checked records and every matrix the package hands out are read-only arrays
     M = ComplexMatrix([[0.0, 1.0], [-1.0, 0.5]])
-    block = to_dense_matrix(DirectSum((Dense(M), Dense(M))))  # assembled without a copy
-    for computed in (M, ComplexMatrix.from_json(M.to_json()), block):
-        assert not computed.array.flags.writeable
+    S = SemigroupSpec(M)
+    V = cogenerator(S)
+    computed = (
+        M.array,
+        ComplexMatrix.from_json(M.to_json()).array,
+        V.array,
+        inverse_cayley(V).array,
+        quasicontractive_rescale(S, 0.5).generator.array,
+        evolve(S, 0.5),
+        evolve(S, 0.0),
+        to_dense_matrix(Dense(M)),
+        to_dense_matrix(DirectSum((Dense(M), Dense(M)))),  # assembled block by block
+        analytic_toeplitz_trunc(PowerSeries((1.0, 0.5j)), 3),
+    )
+    for arr in computed:
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.complex128
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
 
 
 def test_matrix_json_round_trip():

@@ -73,7 +73,7 @@ def test_adjoint_apply_pinned_values():
 
 def test_spectral_radius_estimates():
     assert spectral_radius_estimate(isometric_shift()) == pytest.approx(1.0, abs=1e-15)
-    assert spectral_radius_estimate(Dense(ComplexMatrix.diagonal([3.0, -5.0]))) == pytest.approx(
+    assert spectral_radius_estimate(Dense(ComplexMatrix(np.diag([3.0, -5.0])))) == pytest.approx(
         5.0, abs=1e-8
     )
     # Cauchy dual of the Dirichlet shift: weights sqrt((k+1)/(k+2)), tail limit 1.
@@ -112,7 +112,7 @@ def test_cauchy_dual_left_inverse_identity():
 
 def test_direct_sum_acts_blockwise():
     dense = Dense(ComplexMatrix([[0.0, 1.0], [0.0, 0.0]]))
-    V = DirectSum((dense, Dense(ComplexMatrix.diagonal([1.0j]))))
+    V = DirectSum((dense, Dense(ComplexMatrix(np.diag([1.0j])))))
     # contiguous layout: block 0 owns indices 0..1, block 1 owns index 2
     x = FiniteSupportVector(tuple({1: 1.0, 2: 2.0}.items()), 3)
     image = dict(V.apply(x).entries)
@@ -183,7 +183,7 @@ def test_operator_json_round_trip():
                     {"kind": "shift", "law": "dirichlet"},
                 ],
             },
-            DirectSum((Dense(ComplexMatrix.diagonal([1.0j])), dirichlet_shift())),
+            DirectSum((Dense(ComplexMatrix(np.diag([1.0j]))), dirichlet_shift())),
         ),
     )
     for wire, expected in cases:
@@ -216,7 +216,7 @@ def test_mixed_direct_sum_pinned_entries():
 def test_nested_direct_sum_pinned_entries():
     # outer part 0 is the iso + Dirichlet sum (its own round robin), part 1 is 2 on C^1
     inner = DirectSum((isometric_shift(), dirichlet_shift()))
-    V = DirectSum((inner, Dense(ComplexMatrix.diagonal([2.0]))))
+    V = DirectSum((inner, Dense(ComplexMatrix(np.diag([2.0])))))
     x = FiniteSupportVector(tuple({0: 1.0, 1: 5.0, 2: 1.0j, 4: 3.0}.items()))
     image = dict(V.apply(x).entries)
     assert set(image) == {1, 4, 6, 8}
@@ -316,7 +316,7 @@ def test_vector_holds_read_only_arrays_without_zeros():
     assert again.entries == x.entries and again.ambient is None
     # a computed vector holds its arrays the same way: T x of (1, 1) under diag(0, 1) is e_1
     ones = FiniteSupportVector(((0, 1.0), (1, 1.0)), 2)
-    image = Dense(ComplexMatrix.diagonal([0.0, 1.0])).apply(ones)
+    image = Dense(ComplexMatrix(np.diag([0.0, 1.0]))).apply(ones)
     assert image.entries == ((1, 1.0 + 0.0j),)
     for y in (x, image):
         for arr in (y.indices, y.values):

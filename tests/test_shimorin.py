@@ -62,7 +62,7 @@ def test_cauchy_dual_pinned_values():
 
 def test_cauchy_dual_refuses_a_dense_operator():
     with pytest.raises(UnsupportedRegime, match="no Cauchy dual"):
-        cauchy_dual(Dense(ComplexMatrix.diagonal([2.0])))
+        cauchy_dual(Dense(ComplexMatrix(np.diag([2.0]))))
 
 
 def test_build_model_pinned_structure():
@@ -83,7 +83,7 @@ def test_build_model_pinned_structure():
 
 def test_build_model_rejects_dense():
     with pytest.raises(UnsupportedRegime):
-        build_model(Dense(ComplexMatrix.diagonal([0.5, 0.25])))
+        build_model(Dense(ComplexMatrix(np.diag([0.5, 0.25]))))
 
 
 def test_model_projection_identities():
@@ -566,7 +566,7 @@ def test_wold_decompose_pinned_cases():
 
     mixed = DirectSum(
         (
-            Dense(ComplexMatrix.diagonal([1.0j])),
+            Dense(ComplexMatrix(np.diag([1.0j]))),
             Dense(ComplexMatrix([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])),
         )
     )
@@ -577,7 +577,7 @@ def test_wold_decompose_pinned_cases():
 
 
 def test_wold_shift_blocks_reported_as_pure():
-    rep = wold_decompose(DirectSum((Dense(ComplexMatrix.diagonal([1.0j])), isometric_shift())))
+    rep = wold_decompose(DirectSum((Dense(ComplexMatrix(np.diag([1.0j]))), isometric_shift())))
     assert rep.dim_unitary == 1
     assert rep.wandering_infinite
 

@@ -42,12 +42,12 @@ def test_traced_results_equal_untraced():
 
 def test_toeplitz_materialisation_is_counted():
     phi = sm.blaschke_series(sm.BlaschkeSpec((0.5,)), 20)
-    plain = sm.analytic_toeplitz_trunc(phi, 16).array
+    plain = sm.analytic_toeplitz_trunc(phi, 16)
 
     tracer = _load_spans().Tracer(sm)
     tracer.install()
     try:
-        traced = sm.analytic_toeplitz_trunc(phi, 16).array
+        traced = sm.analytic_toeplitz_trunc(phi, 16)
         assert tracer.span_calls["hardy.ToeplitzTrunc.matrix"] == 1
         assert tracer.counts["hardy.toeplitz_entries"] == 256
     finally:
