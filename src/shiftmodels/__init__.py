@@ -45,7 +45,6 @@ from .operators import (
     dirichlet_shift,
     isometric_shift,
     operator_from_json,
-    spectral_radius_estimate,
     to_dense_matrix,
     vector_from_json,
 )

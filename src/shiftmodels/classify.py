@@ -82,38 +82,6 @@ class GeneratorConcavity:
     margin: float
 
 
-def _report_from_defect_range(
-    regime: str,
-    d_inf: float,
-    d_sup: float,
-    bounded_below: bool,
-    lower_bound: float,
-    pure: bool,
-    pure_method: str,
-    wandering: bool,
-    wandering_method: str,
-    tol: ToleranceConfig,
-) -> ClassificationReport:
-    concave = d_sup <= tol.psd_tol
-    two_contraction = d_inf >= -tol.psd_tol
-    isometry_defect = max(abs(d_inf), abs(d_sup))
-    return ClassificationReport(
-        regime=regime,
-        bounded_below=bounded_below,
-        lower_bound=lower_bound,
-        concave=concave,
-        concavity_defect=d_sup,
-        two_contraction=two_contraction,
-        contraction_margin=d_inf,
-        two_isometry=concave and two_contraction,
-        isometry_defect=isometry_defect,
-        pure=pure,
-        pure_method=pure_method,
-        wandering=wandering,
-        wandering_method=wandering_method,
-    )
-
-
 def _defect_range(stack: np.ndarray) -> tuple[float, float]:
     """Smallest and largest eigenvalue of T*T*TT - 2 T*T + Id over a stack of T.
 
@@ -157,78 +125,74 @@ def _wandering_span_dim(arr: np.ndarray, tol: ToleranceConfig) -> int:
     return rank(np.hstack(blocks), tol)
 
 
-def _classify_dense(T: Dense, tol: ToleranceConfig) -> ClassificationReport:
-    arr = T.matrix.array
-    n = arr.shape[0]
-    d_inf, d_sup = _defect_bounds(T)
-    s = singular_values(arr)
-
-    # purity = nilpotency: the normalized n-th power must vanish
-    if s[0] == 0.0:
-        pure_residual = 0.0
-    else:
-        pure_residual = two_norm(np.linalg.matrix_power(arr / s[0], n))
-    pure_method = f"nilpotency residual of normalized {n}-th power = {pure_residual:.3e}"
-
-    # wandering subspace: iterates of the defect space must fill the ambient
-    span_dim = _wandering_span_dim(arr, tol)
-    wandering_method = f"defect iterates span {span_dim} of {n} dimensions"
-
-    return _report_from_defect_range(
-        "dense",
-        d_inf,
-        d_sup,
-        _rank_of(s, tol) == n,
-        float(s[-1]),
-        pure_residual <= tol.rank_tol,
-        pure_method,
-        span_dim == n,
-        wandering_method,
-        tol,
-    )
-
-
-def _classify_shift(T: Shift, tol: ToleranceConfig) -> ClassificationReport:
-    d_inf, d_sup = _defect_bounds(T)
-    return _report_from_defect_range(
-        "shift",
-        d_inf,
-        d_sup,
-        True,
-        T.weights.inf(),
-        True,
-        "shift structure: intersection of ranges of powers is trivial",
-        True,
-        "shift structure: defect iterates span by construction",
-        tol,
-    )
+def _structure(T: StructuredOperator, tol: ToleranceConfig) -> dict:
+    """Regime, lower bound, purity and wandering of T, each verdict with its method text."""
+    if isinstance(T, Dense):
+        arr = T.matrix.array
+        n = arr.shape[0]
+        s = singular_values(arr)
+        # purity = nilpotency: the normalized n-th power must vanish
+        if s[0] == 0.0:
+            pure_residual = 0.0
+        else:
+            pure_residual = two_norm(np.linalg.matrix_power(arr / s[0], n))
+        # wandering subspace: iterates of the defect space must fill the ambient
+        span_dim = _wandering_span_dim(arr, tol)
+        return dict(
+            regime="dense",
+            bounded_below=_rank_of(s, tol) == n,
+            lower_bound=float(s[-1]),
+            pure=pure_residual <= tol.rank_tol,
+            pure_method=f"nilpotency residual of normalized {n}-th power = {pure_residual:.3e}",
+            wandering=span_dim == n,
+            wandering_method=f"defect iterates span {span_dim} of {n} dimensions",
+        )
+    if isinstance(T, Shift):
+        return dict(
+            regime="shift",
+            bounded_below=True,
+            lower_bound=T.weights.inf(),
+            pure=True,
+            pure_method="shift structure: intersection of ranges of powers is trivial",
+            wandering=True,
+            wandering_method="shift structure: defect iterates span by construction",
+        )
+    if isinstance(T, DirectSum):
+        parts = [_structure(p, tol) for p in T.parts]
+        pure = all(p["pure"] for p in parts)
+        wandering = all(p["wandering"] for p in parts)
+        return dict(
+            regime="direct_sum",
+            bounded_below=all(p["bounded_below"] for p in parts),
+            lower_bound=min(p["lower_bound"] for p in parts),
+            pure=pure,
+            pure_method="all parts pure" if pure else "some part is not pure",
+            wandering=wandering,
+            wandering_method="all parts wandering" if wandering else "some part is not wandering",
+        )
+    raise UnsupportedRegime(f"cannot classify operator of type {type(T).__name__}")
 
 
 def classify_operator(
     T: StructuredOperator, tol: ToleranceConfig = DEFAULT_TOL
 ) -> ClassificationReport:
-    """Classify a structured operator; direct sums combine their parts."""
-    if isinstance(T, Dense):
-        return _classify_dense(T, tol)
-    if isinstance(T, Shift):
-        return _classify_shift(T, tol)
-    if isinstance(T, DirectSum):
-        reports = [classify_operator(p, tol) for p in T.parts]
-        d_sup = max(r.concavity_defect for r in reports)
-        d_inf = min(r.contraction_margin for r in reports)
-        return _report_from_defect_range(
-            "direct_sum",
-            d_inf,
-            d_sup,
-            all(r.bounded_below for r in reports),
-            min(r.lower_bound for r in reports),
-            all(r.pure for r in reports),
-            "all parts pure" if all(r.pure for r in reports) else "some part is not pure",
-            all(r.wandering for r in reports),
-            "all parts wandering" if all(r.wandering for r in reports) else "some part is not wandering",
-            tol,
-        )
-    raise UnsupportedRegime(f"cannot classify operator of type {type(T).__name__}")
+    """Classify a structured operator; direct sums combine their parts.
+
+    The three verdicts come from the range of the defect form; a 2-isometry is
+    exactly a concave 2-contraction.
+    """
+    d_inf, d_sup = _defect_bounds(T)
+    concave = d_sup <= tol.psd_tol
+    two_contraction = d_inf >= -tol.psd_tol
+    return ClassificationReport(
+        concave=concave,
+        concavity_defect=d_sup,
+        two_contraction=two_contraction,
+        contraction_margin=d_inf,
+        two_isometry=concave and two_contraction,
+        isometry_defect=max(abs(d_inf), abs(d_sup)),
+        **_structure(T, tol),
+    )
 
 
 def generator_concavity_criterion(

@@ -356,7 +356,7 @@ def _cmd_model(args: argparse.Namespace, run: _Run) -> None:
         run.record_input(args.coeffs)
         x = vector_from_json(_load_json(args.coeffs))
 
-    if args.coeffs and model is not None:
+    if args.coeffs:
         run.truncations["N"] = args.N
         coeff = coefficients(model, x, args.N)
         run.results["coefficients"] = {
@@ -579,14 +579,16 @@ _DISPATCH = {
 
 
 def _attach_dash_values(argv: list[str]) -> list[str]:
-    """Join ``--opt -0.3,0.2`` into ``--opt=-0.3,0.2``.
+    """Join ``--opt -0.3,0.2`` or ``--opt -inf`` into ``--opt=-0.3,0.2`` or ``--opt=-inf``.
 
     argparse takes only plain negative numbers as values; no option here
-    starts with ``-`` followed by a digit or ``.``.
+    starts with ``-`` followed by a digit, ``.``, or ``inf`` or ``nan`` in
+    any case.
     """
     out: list[str] = []
     for arg in argv:
-        if out and re.match(r"-[0-9.]", arg) and out[-1].startswith("--") and "=" not in out[-1]:
+        dash_value = re.match(r"-([0-9.]|inf|nan)", arg, re.IGNORECASE)
+        if out and dash_value and out[-1].startswith("--") and "=" not in out[-1]:
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)

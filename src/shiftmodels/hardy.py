@@ -44,8 +44,10 @@ from .errors import (
 )
 from .numkit import (
     _finite,
+    _order,
     _quiet,
     _rank_of,
+    _time,
     null_space_basis,
     rank,
     singular_values,
@@ -176,8 +178,7 @@ class BlaschkeSeries(PowerSeries):
 
 def blaschke_series(spec: BlaschkeSpec, N: int) -> BlaschkeSeries:
     """Taylor coefficients of the Blaschke product through degree ``N``."""
-    if N < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _order(N)
     if not spec.zeros:
         return BlaschkeSeries(PowerSeries.constant(spec.constant, N).coeffs, spec)
     coeffs = np.array([spec.constant])  # a length-1 start: the first product is a scaling
@@ -223,12 +224,8 @@ def inner_semigroup_symbol(phi: PowerSeries, t: float, N: int) -> PowerSeries:
     Neither route calls the Laguerre recurrence of the coordinate symbol, so
     each is an oracle for the other and for ``shimorin.semigroup_multiplier``.
     """
-    if not math.isfinite(t):
-        raise NonFinite(f"time parameter must be finite, got {t}")
-    if t < 0:
-        raise ValueError("time parameter must be nonnegative")
-    if N < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _time(t)
+    _order(N)
     c0 = complex(phi.coeffs[0])
     if abs(c0 - 1.0) <= 1e-12:
         raise SymbolSingularAtOrigin(
@@ -431,12 +428,6 @@ class ToeplitzTrunc:
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
 
-    @classmethod
-    def from_analytic(cls, phi: PowerSeries, n: int) -> "ToeplitzTrunc":
-        taps = list(phi.coeffs[:n])
-        taps += [0.0 + 0.0j] * (n - len(taps))
-        return cls(coefficients=tuple(taps), dimension=n)
-
     def matrix(self) -> np.ndarray:
         n = self.dimension
         arr = np.zeros((n, n), dtype=np.complex128)
@@ -449,7 +440,9 @@ class ToeplitzTrunc:
 
 def analytic_toeplitz_trunc(phi: PowerSeries, n: int) -> np.ndarray:
     """The lower-triangular n x n truncation of multiplication by ``phi``, read-only."""
-    return ToeplitzTrunc.from_analytic(phi, n).matrix()
+    taps = list(phi.coeffs[:n])
+    taps += [0.0 + 0.0j] * (n - len(taps))
+    return ToeplitzTrunc(tuple(taps), n).matrix()
 
 
 def _tmw_basis(zeros: tuple[complex, ...], n: int) -> np.ndarray:
@@ -577,16 +570,13 @@ def verify_ladder_decomposition(
         power = series_mul(power, phi, N=n - 1)
     stacked = np.hstack(blocks)
     gram = stacked.conj().T @ stacked
-    d = degree
-    offdiag = 0.0
-    within = 0.0
-    for j in range(levels + 1):
-        for k in range(levels + 1):
-            sub = gram[j * d : (j + 1) * d, k * d : (k + 1) * d]
-            if j == k:
-                within = max(within, float(np.abs(sub - np.eye(d)).max()))
-            else:
-                offdiag = max(offdiag, float(np.abs(sub).max()))
+    # block (j, k) of |Gram - Id| is entry [j, :, k, :]: the identity off its diagonal
+    # blocks subtracts exact zeros
+    m = levels + 1
+    deviation = np.abs(gram - np.eye(m * degree)).reshape(m, degree, m, degree)
+    same = np.eye(m, dtype=bool)[:, None, :, None]
+    within = float(deviation.max(where=same, initial=0.0))
+    offdiag = float(deviation.max(where=~same, initial=0.0))
     total = rank(stacked, tol)
     expected = (levels + 1) * degree
     passed = (

@@ -27,7 +27,6 @@ __all__ = [
     "rank",
     "orthonormal_range_basis",
     "null_space_basis",
-    "eigenvalues",
     "singular_values",
     "spectral_radius",
     "two_norm",
@@ -67,6 +66,20 @@ def _finite(value, what: str):
     if np.count_nonzero(finite) != finite.size:
         raise NonFinite(f"non-finite {what}")
     return value
+
+
+def _time(t: float) -> None:
+    """Refuse a semigroup parameter t that is not finite (NonFinite) or is below 0 (ValueError)."""
+    if not math.isfinite(t):
+        raise NonFinite(f"semigroup parameter must be finite, got {t}")
+    if t < 0.0:
+        raise ValueError(f"semigroup parameter must be nonnegative, got {t}")
+
+
+def _order(N: int) -> None:
+    """Refuse a negative truncation order N."""
+    if N < 0:
+        raise ValueError("truncation order must be nonnegative")
 
 
 def _json_integer(value, what: str) -> int:
@@ -259,11 +272,6 @@ def null_space_basis(arr: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.
     return vh[_rank_of(s, tol) :].conj().T
 
 
-def eigenvalues(arr: np.ndarray) -> np.ndarray:
-    """All eigenvalues via the QR/Schur path (general non-Hermitian input)."""
-    return np.linalg.eigvals(arr)
-
-
 def two_norm(arr: np.ndarray) -> float:
     s = singular_values(arr)
     return float(s[0]) if s.size else 0.0
@@ -271,4 +279,4 @@ def two_norm(arr: np.ndarray) -> float:
 
 def spectral_radius(arr: np.ndarray) -> float:
     """Spectral radius: the largest eigenvalue modulus."""
-    return float(np.max(np.abs(eigenvalues(arr))))
+    return float(np.max(np.abs(np.linalg.eigvals(arr))))

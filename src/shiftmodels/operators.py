@@ -37,7 +37,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import AmbientMismatch, NonFinite, UnsupportedRegime
-from .numkit import ComplexMatrix, _finite, _json_integer, _quiet, spectral_radius
+from .numkit import ComplexMatrix, _finite, _json_integer, _quiet
 
 __all__ = [
     "FiniteSupportVector",
@@ -49,7 +49,6 @@ __all__ = [
     "StructuredOperator",
     "isometric_shift",
     "dirichlet_shift",
-    "spectral_radius_estimate",
     "to_dense_matrix",
     "operator_from_json",
     "vector_from_json",
@@ -393,15 +392,6 @@ def dirichlet_shift(dual: bool = False) -> Shift:
 
 # ---------------------------------------------------------------------------
 # whole-operator data
-
-
-def spectral_radius_estimate(T: StructuredOperator) -> float:
-    """Spectral radius: exact weight limit for shifts, max |eigenvalue| for dense."""
-    if isinstance(T, Shift):
-        return T.weights.limit()
-    if isinstance(T, Dense):
-        return spectral_radius(T.matrix.array)
-    return max(spectral_radius_estimate(p) for p in T.parts)
 
 
 def to_dense_matrix(T: StructuredOperator) -> np.ndarray:

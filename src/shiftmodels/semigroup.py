@@ -28,7 +28,7 @@ import numpy as np
 from .classify import _defect_range, generator_concavity_criterion
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NonFinite, OneInSpectrum
-from .numkit import ComplexMatrix, _finite, _quiet, eigenvalues, expm_stack, rank
+from .numkit import ComplexMatrix, _finite, _quiet, _time, expm_stack, rank
 
 __all__ = [
     "SemigroupSpec",
@@ -87,10 +87,7 @@ def _evolve_stack(S: SemigroupSpec, times) -> tuple[np.ndarray, NonFinite | None
     """e^{tA} for each t of ``times`` up to the first one refused, and its refusal: t not
     finite or below 0 is refused outright, and t = 0 gives the exact identity (t A is zero)."""
     for t in times:
-        if not math.isfinite(t):
-            raise NonFinite(f"semigroup parameter must be finite, got {t}")
-        if t < 0.0:
-            raise ValueError(f"semigroup parameter must be nonnegative, got {t}")
+        _time(t)
     with _quiet():  # the core refuses a t A holding infinity or NaN: its 1-norm is not finite
         scaled = np.asarray(times, dtype=np.float64)[:, None, None] * S.generator.array
     return expm_stack(scaled)
@@ -128,7 +125,7 @@ def inverse_cayley(V: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> Comp
 
 def growth_bound(S: SemigroupSpec) -> GrowthBound:
     """omega = max Re(spectrum of A); exact for matrix semigroups."""
-    omega = float(np.max(eigenvalues(S.generator.array).real))
+    omega = float(np.max(np.linalg.eigvals(S.generator.array).real))
     return GrowthBound(omega=omega, method="max real part of generator spectrum")
 
 

@@ -32,8 +32,10 @@ from .config import DEFAULT_TOL, Check, ToleranceConfig
 from .errors import NonFinite, OutsideDisc, TailNotConvergent, UnsupportedRegime
 from .numkit import (
     _finite,
+    _order,
     _quiet,
     _rank_of,
+    _time,
     orthonormal_range_basis,
     singular_values,
     two_norm,
@@ -44,11 +46,11 @@ from .operators import (
     FiniteSupportVector,
     Shift,
     StructuredOperator,
+    WeightRule,
     _act,
     _round_robin,
     _support,
     _vector,
-    spectral_radius_estimate,
     to_dense_matrix,
 )
 from .series import PowerSeries
@@ -103,6 +105,7 @@ class AnalyticModel:
 
     source: StructuredOperator
     dual: StructuredOperator
+    dual_weights: tuple[WeightRule, ...]  # the dual's weight rules, one per part
     defect_basis: tuple[FiniteSupportVector, ...]
     left_inverse_norm: float
     radius: float
@@ -209,20 +212,19 @@ def build_model(T: StructuredOperator) -> AnalyticModel:
     P = Id - T L projects orthogonally onto the defect space, and L
     annihilates it, each to rounding.
     """
-    parts = _shift_parts(T)
+    _shift_parts(T)  # refuses a dense operator or part by name before the dual is built
     dual = cauchy_dual(T)
-    left_inverse_norm = max(p.weights.sup() for p in _shift_parts(dual))
-    radius = 1.0 / left_inverse_norm
-    # local index 0 of part r is global index r of the round-robin layout
-    defect_basis = tuple(FiniteSupportVector.basis(r, None) for r in range(len(parts)))
-
+    weights = tuple(p.weights for p in _shift_parts(dual))
+    left_inverse_norm = max(w.sup() for w in weights)
     return AnalyticModel(
         source=T,
         dual=dual,
-        defect_basis=defect_basis,
+        dual_weights=weights,
+        # local index 0 of part r is global index r of the round-robin layout
+        defect_basis=tuple(FiniteSupportVector.basis(r, None) for r in range(len(weights))),
         left_inverse_norm=left_inverse_norm,
-        radius=radius,
-        dual_spectral_radius=spectral_radius_estimate(dual),
+        radius=1.0 / left_inverse_norm,
+        dual_spectral_radius=max(w.limit() for w in weights),
     )
 
 
@@ -231,7 +233,8 @@ def build_model(T: StructuredOperator) -> AnalyticModel:
 #
 # L = (T')* is the adjoint action of the Cauchy dual; it lowers local index
 # q + 1 of a part to q with weight w'_q = 1/w_q and never mixes parts.  The
-# maps read weights and the per-part supports of a vector from ``operators``.
+# maps read the weights from the model's ``dual_weights`` and the per-part
+# supports of a vector from ``operators``.
 
 
 def _power_heads(q: np.ndarray, v: np.ndarray, dual: np.ndarray) -> np.ndarray:
@@ -259,11 +262,11 @@ def _model_heads(model: AnalyticModel, x: FiniteSupportVector):
     r, q = _round_robin(model.dim_defect, k)
     heads = np.zeros(k.size, dtype=np.complex128)
     with _quiet():
-        for i, part in enumerate(_shift_parts(model.dual)):
+        for i, weights in enumerate(model.dual_weights):
             mine = r == i
             if mine.any():
                 local = q[mine]  # ascending, like k
-                heads[mine] = _power_heads(local, v[mine], part.weights.at(np.arange(local[-1])))
+                heads[mine] = _power_heads(local, v[mine], weights.at(np.arange(local[-1])))
     heads += 0.0  # clears negative zeros, as pairing with the basis vectors does
     return r, q, v, heads
 
@@ -292,8 +295,7 @@ def coefficients(model: AnalyticModel, x: FiniteSupportVector, N: int) -> ModelC
     index, so iterates vanish past the largest local support index and the
     reported tail bound is a finite sum, evaluated at the model's disc radius.
     """
-    if N < 0:
-        raise ValueError("coefficient order must be nonnegative")
+    _order(N)
     r, q, _, heads = _model_heads(model, x)
     out = np.zeros((N + 1, model.dim_defect), dtype=np.complex128)
     tail = 0.0
@@ -359,8 +361,8 @@ def kernel_eval(
     amplification = 1.0 / (1.0 - abs(z) * model.left_inverse_norm)
     terms = _dual_terms(model, lam, 0.5 * tol.tail_tol / amplification)
     out = np.zeros((model.dim_defect, model.dim_defect), dtype=np.complex128)
-    for r, part in enumerate(_shift_parts(model.dual)):
-        dual = part.weights.at(np.arange(terms))
+    for r, weights in enumerate(model.dual_weights):
+        dual = weights.at(np.arange(terms))
         out[r, r] = 1.0 + np.cumprod(z * dual * np.conj(lam * dual)).sum()
     return out
 
@@ -405,8 +407,8 @@ def verify_reproducing(
         # right side: <x, k_lam e>, where k_lam e holds e_r conj(lam)^n w'_0 ... w'_{n-1} at
         # local index n of part r; each factor conj(lam) w'_k has modulus below 1
         section = np.ones((model.dim_defect, terms + 1), dtype=np.complex128)
-        for i, part in enumerate(_shift_parts(model.dual)):
-            section[i, 1:] = np.cumprod(np.conj(lam) * part.weights.at(np.arange(terms)))
+        for i, weights in enumerate(model.dual_weights):
+            section[i, 1:] = np.cumprod(np.conj(lam) * weights.at(np.arange(terms)))
         section *= e_coords[:, None]
         inside = q <= terms
         rhs = complex(np.sum(v[inside] * section[r[inside], q[inside]].conj()))
@@ -478,12 +480,8 @@ def _multiplier_coeffs(t: float, N: int) -> np.ndarray:
 
 def semigroup_multiplier(t: float, N: int) -> PowerSeries:
     """Multiplier series e_t = exp(t (z+1)/(z-1)) through degree N (t >= 0)."""
-    if not math.isfinite(t):
-        raise NonFinite(f"semigroup parameter must be finite, got {t}")
-    if t < 0.0:
-        raise ValueError(f"semigroup parameter must be nonnegative, got {t}")
-    if N < 0:
-        raise ValueError("truncation order must be nonnegative")
+    _time(t)
+    _order(N)
     with _quiet():
         coeffs = _finite(_multiplier_coeffs(float(t), N), "multiplier coefficients")
     return PowerSeries(coeffs)

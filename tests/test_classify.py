@@ -183,3 +183,23 @@ def test_power_growth_check_reads_only_the_defect_bounds(monkeypatch):
     mixed = DirectSum((isometric_shift(), Dense(ComplexMatrix(np.diag([2.0, 0.5])))))
     with pytest.raises(NotConcave, match=r"defect 9\.000e\+00"):
         concave_power_growth_check(mixed, FiniteSupportVector.basis(0), 10)
+
+
+def test_direct_sum_report_closed_forms(monkeypatch):
+    # diag(2, 0.5) has defects (4 - 1)^2 = 9 and (0.25 - 1)^2 = 0.5625 and sigma_min 0.5; the
+    # Dirichlet shift has defect 0 and weights decreasing to 1; diag(2, 0.5) is invertible,
+    # so it is neither nilpotent nor wandering
+    calls = []
+    defect_range = classify._defect_range
+    monkeypatch.setattr(classify, "_defect_range", lambda s: calls.append(s) or defect_range(s))
+    pair = DirectSum((Dense(ComplexMatrix(np.diag([2.0, 0.5]))), dirichlet_shift()))
+    rep = classify_operator(pair)
+    assert len(calls) == 1  # the dense part's defect form is formed once
+    assert rep.regime == "direct_sum"
+    assert rep.concavity_defect == pytest.approx(9.0, abs=1e-12)
+    assert rep.contraction_margin == 0.0
+    assert rep.isometry_defect == pytest.approx(9.0, abs=1e-12)
+    assert (rep.concave, rep.two_contraction, rep.two_isometry) == (False, True, False)
+    assert rep.bounded_below and rep.lower_bound == pytest.approx(0.5, abs=1e-15)
+    assert (rep.pure, rep.pure_method) == (False, "some part is not pure")
+    assert (rep.wandering, rep.wandering_method) == (False, "some part is not wandering")

@@ -600,6 +600,16 @@ def _with_vector_file(tmp_path, argv):
     ]
 
 
+# the name each option's refusal of a non-finite value gives its parameter
+_PARAMETER_NAMES = {
+    "--t": "semigroup parameter must be finite, got -inf",
+    "--rescale": "rescaling parameter must be finite, got -inf",
+    "--semigroup-t": "semigroup parameter must be finite, got -inf",
+    "--kernel": "lam = (-inf+0j) is not a finite complex number",
+    "--blaschke": "Blaschke zero must be a finite complex number",
+}
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -616,6 +626,17 @@ def _with_vector_file(tmp_path, argv):
         (["semigroup", "--generator", "skew4.json", "--rescale", "inf"], 3),
         (["semigroup", "--generator", "zero.json", "--t", "nan"], 3),
         (["semigroup", "--generator", "zero.json", "--t", "0.5,inf"], 3),
+        # a value starting with -inf or -nan is joined to its option like a negative number
+        (["semigroup", "--generator", "zero.json", "--t", "-inf"], 3),
+        (["semigroup", "--generator", "skew4.json", "--rescale", "-inf"], 3),
+        (
+            ["model", "--operator", "isometric.json", "--verify", "semigroup",
+             "--semigroup-t", "-inf"],
+            3,
+        ),
+        (["model", "--operator", "isometric.json", "--kernel", "-inf,0"], 3),
+        (["hardy", "--blaschke", "0", "--semigroup-t", "-inf", "--N", "8"], 3),
+        (["hardy", "--blaschke", "-nan"], 3),
     ],
 )
 def test_non_finite_points_and_times_are_refused(tmp_path, argv, code):
@@ -624,6 +645,29 @@ def test_non_finite_points_and_times_are_refused(tmp_path, argv, code):
     assert proc.stdout == ""
     if "--t" in argv:  # refused by name, not by the 1-norm of t A: zero.json's A is finite
         assert "semigroup parameter must be finite, got " in proc.stderr
+    dashed = [i for i, a in enumerate(argv) if a.startswith(("-inf", "-nan"))]
+    if dashed:  # joined to its option, the value reaches the refusal that names the parameter
+        assert _PARAMETER_NAMES[argv[dashed[0] - 1]] in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "t, text",
+    [
+        ("-1", "semigroup parameter must be nonnegative, got -1.0"),
+        ("nan", "semigroup parameter must be finite, got nan"),
+    ],
+)
+def test_semigroup_model_and_hardy_refuse_a_time_with_one_text(t, text):
+    argvs = [
+        ["semigroup", "--generator", _fixture("zero.json"), "--t", t],
+        ["model", "--operator", _fixture("isometric.json"), "--verify", "semigroup",
+         "--semigroup-t", t],
+        ["hardy", "--blaschke", "0", "--semigroup-t", t, "--N", "8"],
+    ]
+    for argv in argvs:
+        proc = _run_captured(argv)
+        _assert_single_error_line(proc, 2 if t == "-1" else 3)
+        assert proc.stderr == f"error: {argv[0]}: {text}\n"
 
 
 @pytest.mark.parametrize("request_", [["--model-space"], ["--ladder", "2"]])

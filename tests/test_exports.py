@@ -111,25 +111,70 @@ def _bindings(tree: ast.Module, home: str | None) -> dict:
     return bound
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.SetComp, ast.DictComp)
+
+
+def _containers(function: ast.FunctionDef | ast.AsyncFunctionDef, bound: dict) -> frozenset:
+    """Local names of ``function`` that each of its bindings binds to a new list, dict or set:
+    a display, a comprehension, or a call of the builtin ``list``, ``dict`` or ``set``."""
+
+    def new_container(value) -> bool:
+        if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+            return value.func.id in ("list", "dict", "set") and value.func.id not in bound
+        return isinstance(value, _DISPLAYS)
+
+    def pairs(target, value):  # (name node, value) for a name or a tuple unpacked from a tuple
+        if isinstance(target, ast.Name):
+            yield target, value
+        elif isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+            if len(target.elts) == len(value.elts):
+                for t, v in zip(target.elts, value.elts):
+                    yield from pairs(t, v)
+
+    def own(node):  # the nodes of this scope, without those of a nested one
+        for child in ast.iter_child_nodes(node):
+            yield child
+            if not isinstance(child, _SCOPES):
+                yield from own(child)
+
+    made, stores = set(), []
+    for node in own(function):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else (node.target,)
+            for target in targets:
+                made |= {id(n) for n, v in pairs(target, node.value) if new_container(v)}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            stores.append(node)
+    containers = {n.id for n in stores if id(n) in made}
+    others = {n.id for n in stores if id(n) not in made}
+    others |= {a.arg for a in ast.walk(function.args) if isinstance(a, ast.arg)}
+    return frozenset(containers - others)
+
+
 def _references(source: str, home: str | None) -> set[str]:
     """What the loads in ``source`` refer to, resolved through its imports and globals.
 
     A function or a class attribute is named as ``module.qualname``; an attribute of a
     value whose type is not resolved (``x.inner``) is ``*.inner``, and counts only inside
     the package (``home``, the module the source is).  A load inside a function's own body
-    refers neither to that function nor, as an attribute, to a method of its name.  Local
-    names are not told apart from globals.  An attribute of an external module
-    (``np.linalg.solve``) refers to nothing, and neither does a string.
+    refers neither to that function nor, as an attribute, to a method of its name.  A local
+    name that its function binds only to a new list, dict or set is external, so
+    ``seen.add(k)`` on ``seen = set()`` names nothing; other local names are not told apart
+    from globals.  An attribute of an external module (``np.linalg.solve``) refers to
+    nothing, and neither does a string.
     """
     tree = ast.parse(source)
     bound = _bindings(tree, home)
     refs = set()
 
-    def resolve(node):
+    def resolve(node, local):
         if isinstance(node, ast.Name):
+            if node.id in local:
+                return _EXTERNAL
             value = bound.get(node.id, _UNKNOWN)
         elif isinstance(node, ast.Attribute):
-            base = resolve(node.value)
+            base = resolve(node.value, local)
             if base is _EXTERNAL:
                 return _EXTERNAL
             value = getattr(base, node.attr, _UNKNOWN) if inspect.ismodule(base) else _UNKNOWN
@@ -139,18 +184,19 @@ def _references(source: str, home: str | None) -> set[str]:
             return _EXTERNAL
         return value
 
-    def visit(node, scope, own):
+    def visit(node, scope, own, local):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
             if not isinstance(node, ast.ClassDef):
                 own = own | {f"{home}.{'.'.join(scope)}"}
+                local = _containers(node, bound)
         ref = None
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            value = resolve(node)
+            value = resolve(node, local)
             if inspect.isfunction(value):
                 ref = _qualified(value)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            base = resolve(node.value)
+            base = resolve(node.value, local)
             if inspect.ismodule(base):
                 value = getattr(base, node.attr, None)
                 ref = _qualified(value) if inspect.isfunction(value) else None
@@ -164,9 +210,9 @@ def _references(source: str, home: str | None) -> set[str]:
         if ref is not None and ref not in own:
             refs.add(ref)
         for child in ast.iter_child_nodes(node):
-            visit(child, scope, own)
+            visit(child, scope, own, local)
 
-    visit(tree, (), frozenset())
+    visit(tree, (), frozenset(), frozenset())
     return refs
 
 
@@ -203,6 +249,17 @@ def probe(a, b, spec, x):
     np.linalg.solve(a, b)
     label = "numkit.expm"
     return rank(x), spec.zeros, ComplexMatrix.from_json(label), vector_from_json(x)
+
+def collect(ks, spec):
+    seen, pairs = set(), []
+    names = {k: k for k in ks}
+    for k in ks:
+        seen.add(k)
+        pairs.append(k)
+        names.update(k)
+    other = []
+    other = spec.copy()
+    return other.extend(seen)
 """
 
 
@@ -210,13 +267,17 @@ def test_the_guard_resolves_what_a_load_refers_to():
     # the guard is only as good as its resolver: pin what a load counts for
     refs = _references(_PROBE, "operators")
     # a global the source does not import is the module's own function; a call inside its
-    # own body, np.linalg.solve, the string and the parameters name nothing
+    # own body, np.linalg.solve, the string and the parameters name nothing; nor do the
+    # methods of a local bound only to a new set, list or dict (seen, pairs, names), but
+    # those of one also bound to something else (other) do
     assert refs == {
         "numkit.rank",
         "numkit.ComplexMatrix.from_json",
         "*.parts",
         "*.zeros",
         "operators.vector_from_json",
+        "*.copy",
+        "*.extend",
     }
     # spec.zeros could be an instance method, but never the classmethod ComplexMatrix.zeros
     assert _is_reached("numkit.ComplexMatrix.zeros", "method", refs)

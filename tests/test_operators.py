@@ -19,7 +19,6 @@ from shiftmodels.operators import (
     dirichlet_shift,
     isometric_shift,
     operator_from_json,
-    spectral_radius_estimate,
     vector_from_json,
 )
 from shiftmodels.shimorin import cauchy_dual
@@ -69,15 +68,6 @@ def test_adjoint_apply_pinned_values():
     back = dict(_adjoint_apply(dirichlet_shift(), FiniteSupportVector.basis(1)).entries)
     assert set(back) == {0}
     assert back[0] == pytest.approx(SQRT2, abs=1e-15)
-
-
-def test_spectral_radius_estimates():
-    assert spectral_radius_estimate(isometric_shift()) == pytest.approx(1.0, abs=1e-15)
-    assert spectral_radius_estimate(Dense(ComplexMatrix(np.diag([3.0, -5.0])))) == pytest.approx(
-        5.0, abs=1e-8
-    )
-    # Cauchy dual of the Dirichlet shift: weights sqrt((k+1)/(k+2)), tail limit 1.
-    assert spectral_radius_estimate(dirichlet_shift(dual=True)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_adjoint_pairing():

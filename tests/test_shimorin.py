@@ -81,6 +81,30 @@ def test_build_model_pinned_structure():
     assert pair.dim_defect == 2
 
 
+_DAMPED = Shift(EventuallyConstantWeights((1.4,), 0.9))
+
+
+@pytest.mark.parametrize(
+    "T, norm, limit",
+    [
+        (isometric_shift(), 1.0, 1.0),
+        # the dual weights sqrt((k+1)/(k+2)) increase to 1
+        (dirichlet_shift(), 1.0, 1.0),
+        # the dual weights 1/1.4, then 1/0.9
+        (_DAMPED, 1.0 / 0.9, 1.0 / 0.9),
+        (DirectSum((isometric_shift(), _DAMPED)), 1.0 / 0.9, 1.0 / 0.9),
+    ],
+)
+def test_build_model_reads_the_dual_weights(T, norm, limit):
+    # ||L|| is the largest dual weight sup 1/w_k, the dual spectral radius the largest limit
+    model = build_model(T)
+    parts = model.dual.parts if isinstance(model.dual, DirectSum) else (model.dual,)
+    assert model.dual_weights == tuple(p.weights for p in parts)
+    assert model.left_inverse_norm == norm
+    assert model.radius == 1.0 / norm
+    assert model.dual_spectral_radius == limit
+
+
 def test_build_model_rejects_dense():
     with pytest.raises(UnsupportedRegime):
         build_model(Dense(ComplexMatrix(np.diag([0.5, 0.25]))))
