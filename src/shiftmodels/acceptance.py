@@ -1,10 +1,12 @@
 """Acceptance criteria: twelve pinned, deterministic end-to-end checks.
 
 Each criterion function runs one stated check with fixed seeds and fixed
-tolerances and returns a ``CriterionResult``; ``run_all`` executes all
-twelve.  The test suite asserts each result and the command line exposes the
-same functions through ``verify-all``, so the two entry points cannot
-drift apart.
+tolerances and returns a ``CriterionResult``.  Its name
+``criterion_<number>_<name>`` is the one place its number and name are
+written: ``_criterion`` reads them from it and lists the function in
+``ALL_CRITERIA``, in definition order; ``run_all`` executes all twelve.  The
+test suite asserts each result and the command line exposes the same
+functions through ``verify-all``, so the two entry points cannot drift apart.
 
 The criteria deliberately cross independent code paths: closed forms against
 brute-force series, generator-side against semigroup-side concavity, the
@@ -14,6 +16,7 @@ multipliers, and measured ranks against structural predictions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -72,6 +75,23 @@ class CriterionResult:
     detail: str
 
 
+_CRITERIA = []  # in definition order
+
+
+def _criterion(fn):
+    """Register ``fn``, a criterion ``criterion_<number>_<name>`` returning (passed, detail),
+    as a function returning its ``CriterionResult``."""
+    _, number, name = fn.__name__.split("_", 2)
+
+    @functools.wraps(fn)
+    def run() -> CriterionResult:
+        passed, detail = fn()
+        return CriterionResult(int(number), name, passed, detail)
+
+    _CRITERIA.append(run)
+    return run
+
+
 def _random_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
@@ -94,7 +114,8 @@ def _random_vector(rng: np.random.Generator, max_support: int, max_index: int) -
 # ---------------------------------------------------------------------------
 
 
-def criterion_1_cayley_round_trip() -> CriterionResult:
+@_criterion
+def criterion_1_cayley_round_trip() -> tuple[bool, str]:
     """inverse_cayley(cogenerator(A)) returns A to 1e-9 for 50 random generators."""
     tolerance = 1e-9
     rng = np.random.default_rng(101)
@@ -108,11 +129,8 @@ def criterion_1_cayley_round_trip() -> CriterionResult:
         S = SemigroupSpec(A)
         recovered = inverse_cayley(cogenerator(S))
         worst = max(worst, float(np.max(np.abs(recovered.array - A.array))))
-    return CriterionResult(
-        number=1,
-        name="cayley_round_trip",
-        passed=worst <= tolerance,
-        detail=f"max entry residual {worst:.3e} over 50 generators (tolerance {tolerance:.0e})",
+    return worst <= tolerance, (
+        f"max entry residual {worst:.3e} over 50 generators (tolerance {tolerance:.0e})"
     )
 
 
@@ -121,7 +139,8 @@ def criterion_1_cayley_round_trip() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_2_concavity_equivalence() -> CriterionResult:
+@_criterion
+def criterion_2_concavity_equivalence() -> tuple[bool, str]:
     """All four concavity formulations agree on 100 mixed 6x6 generators."""
     tol = DEFAULT_TOL
     rng = np.random.default_rng(202)
@@ -145,14 +164,9 @@ def criterion_2_concavity_equivalence() -> CriterionResult:
         elif suite.verdict is not expected:
             wrong_verdicts += 1
     passed = disagreements == 0 and wrong_verdicts == 0
-    return CriterionResult(
-        number=2,
-        name="concavity_equivalence",
-        passed=passed,
-        detail=(
-            f"{disagreements} disagreements, {wrong_verdicts} wrong verdicts over "
-            f"100 generators (grid slack {suite.grid_slack:.0e}, psd_tol {tol.psd_tol:.0e})"
-        ),
+    return passed, (
+        f"{disagreements} disagreements, {wrong_verdicts} wrong verdicts over "
+        f"100 generators (grid slack {suite.grid_slack:.0e}, psd_tol {tol.psd_tol:.0e})"
     )
 
 
@@ -161,7 +175,8 @@ def criterion_2_concavity_equivalence() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_3_model_projection() -> CriterionResult:
+@_criterion
+def criterion_3_model_projection() -> tuple[bool, str]:
     """Left-inverse and projection identities hold to 1e-14 on both stock models."""
     tolerance = 1e-14
     rng = np.random.default_rng(303)
@@ -179,12 +194,7 @@ def criterion_3_model_projection() -> CriterionResult:
         for e in model.defect_basis:
             worst = max(worst, left_inverse_apply(model, e).norm())
             worst = max(worst, defect_projection(model, e).sub(e).norm())
-    return CriterionResult(
-        number=3,
-        name="model_projection",
-        passed=worst <= tolerance,
-        detail=f"max identity residual {worst:.3e} (tolerance {tolerance:.0e})",
-    )
+    return worst <= tolerance, f"max identity residual {worst:.3e} (tolerance {tolerance:.0e})"
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +202,8 @@ def criterion_3_model_projection() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_4_model_intertwining() -> CriterionResult:
+@_criterion
+def criterion_4_model_intertwining() -> tuple[bool, str]:
     """Applying T shifts the model coefficients by one degree, to 1e-12."""
     tolerance = 1e-12
     rng = np.random.default_rng(404)
@@ -205,14 +216,9 @@ def criterion_4_model_intertwining() -> CriterionResult:
             worst = max(worst, report.max_residual)
             if not report.passed:
                 break
-    return CriterionResult(
-        number=4,
-        name="model_intertwining",
-        passed=worst <= tolerance,
-        detail=(
-            f"max coefficient residual {worst:.3e} over 20 vectors per model at "
-            f"N=200 (tolerance {tolerance:.0e})"
-        ),
+    return worst <= tolerance, (
+        f"max coefficient residual {worst:.3e} over 20 vectors per model at "
+        f"N=200 (tolerance {tolerance:.0e})"
     )
 
 
@@ -221,7 +227,8 @@ def criterion_4_model_intertwining() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_5_reproducing_property() -> CriterionResult:
+@_criterion
+def criterion_5_reproducing_property() -> tuple[bool, str]:
     """<(Ux)(lam), e> = <x, k_lam e> to 1e-8; k(0, .) is the identity to 1e-12."""
     tolerance = 1e-8
     identity_tolerance = 1e-12
@@ -245,14 +252,9 @@ def criterion_5_reproducing_property() -> CriterionResult:
                 float(np.max(np.abs(kmat - np.eye(model.dim_defect)))),
             )
     passed = worst <= tolerance and worst_identity <= identity_tolerance
-    return CriterionResult(
-        number=5,
-        name="reproducing_property",
-        passed=passed,
-        detail=(
-            f"max pairing residual {worst:.3e} (tolerance {tolerance:.0e}); "
-            f"max |k(0,z) - Id| {worst_identity:.3e} (tolerance {identity_tolerance:.0e})"
-        ),
+    return passed, (
+        f"max pairing residual {worst:.3e} (tolerance {tolerance:.0e}); "
+        f"max |k(0,z) - Id| {worst_identity:.3e} (tolerance {identity_tolerance:.0e})"
     )
 
 
@@ -261,7 +263,8 @@ def criterion_5_reproducing_property() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_6_kernel_closed_forms() -> CriterionResult:
+@_criterion
+def criterion_6_kernel_closed_forms() -> tuple[bool, str]:
     """Szego and Dirichlet kernels match 1000-term series oracles to 1e-10."""
     tolerance = 1e-10
 
@@ -286,14 +289,9 @@ def criterion_6_kernel_closed_forms() -> CriterionResult:
                 closed = closed_form(w)
                 value = complex(kernel_eval(model, lam, z)[0, 0])
                 worst = max(worst, abs(value - oracle), abs(value - closed))
-    return CriterionResult(
-        number=6,
-        name="kernel_closed_forms",
-        passed=worst <= tolerance,
-        detail=(
-            f"max deviation {worst:.3e} from series oracle and closed form on a "
-            f"5x5 point grid (tolerance {tolerance:.0e})"
-        ),
+    return worst <= tolerance, (
+        f"max deviation {worst:.3e} from series oracle and closed form on a "
+        f"5x5 point grid (tolerance {tolerance:.0e})"
     )
 
 
@@ -302,7 +300,8 @@ def criterion_6_kernel_closed_forms() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_7_multiplier_semigroup() -> CriterionResult:
+@_criterion
+def criterion_7_multiplier_semigroup() -> tuple[bool, str]:
     """Cocycle law, constant term, generator, and three independent routes to e_t.
 
     The Laguerre multiplier, the series-algebra symbol and the exponential
@@ -355,19 +354,14 @@ def criterion_7_multiplier_semigroup() -> CriterionResult:
         and report.commutation_residual <= route_tolerance
         and report.passed
     )
-    return CriterionResult(
-        number=7,
-        name="multiplier_semigroup",
-        passed=passed,
-        detail=(
-            f"cocycle {worst_cocycle:.3e} (<={cocycle_tolerance:.0e}), constant term "
-            f"{worst_constant:.3e} (<={constant_tolerance:.0e}), generator fd "
-            f"{report.generator_residual:.3e} (<={generator_tolerance:.0e}), "
-            f"route agreement {worst_route:.3e} (<={route_tolerance:.0e}), "
-            f"Blaschke route agreement {worst_blaschke:.3e} (<={route_tolerance:.0e}, "
-            "degrees 1-3, N=64, t=1), "
-            f"shift commutation {report.commutation_residual:.3e}"
-        ),
+    return passed, (
+        f"cocycle {worst_cocycle:.3e} (<={cocycle_tolerance:.0e}), constant term "
+        f"{worst_constant:.3e} (<={constant_tolerance:.0e}), generator fd "
+        f"{report.generator_residual:.3e} (<={generator_tolerance:.0e}), "
+        f"route agreement {worst_route:.3e} (<={route_tolerance:.0e}), "
+        f"Blaschke route agreement {worst_blaschke:.3e} (<={route_tolerance:.0e}, "
+        "degrees 1-3, N=64, t=1), "
+        f"shift commutation {report.commutation_residual:.3e}"
     )
 
 
@@ -376,7 +370,8 @@ def criterion_7_multiplier_semigroup() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_8_wold_split() -> CriterionResult:
+@_criterion
+def criterion_8_wold_split() -> tuple[bool, str]:
     """Unitary-plus-nilpotent sums split exactly; finite 2-isometries are unitary."""
     unitary_tolerance = 1e-10
     rigidity_tolerance = 1e-8
@@ -422,16 +417,11 @@ def criterion_8_wold_split() -> CriterionResult:
         and misclassified == 0
         and worst_rigidity <= rigidity_tolerance
     )
-    return CriterionResult(
-        number=8,
-        name="wold_split",
-        passed=passed,
-        detail=(
-            f"{dim_errors} dimension errors, {span_failures} span failures, unitary "
-            f"residual {worst_unitary:.3e} (<={unitary_tolerance:.0e}) over 20 sums; 50 "
-            f"unitaries classified 2-isometric with isometry residual {worst_rigidity:.3e} "
-            f"(<={rigidity_tolerance:.0e})"
-        ),
+    return passed, (
+        f"{dim_errors} dimension errors, {span_failures} span failures, unitary "
+        f"residual {worst_unitary:.3e} (<={unitary_tolerance:.0e}) over 20 sums; 50 "
+        f"unitaries classified 2-isometric with isometry residual {worst_rigidity:.3e} "
+        f"(<={rigidity_tolerance:.0e})"
     )
 
 
@@ -440,7 +430,8 @@ def criterion_8_wold_split() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_9_ladder_decomposition() -> CriterionResult:
+@_criterion
+def criterion_9_ladder_decomposition() -> tuple[bool, str]:
     """K, phi K, ..., phi^4 K are orthogonal with the exact total dimension, and
     the two model-space routes span the same K for Blaschke symbols."""
     tolerance = 1e-10
@@ -465,16 +456,11 @@ def criterion_9_ladder_decomposition() -> CriterionResult:
         tmw = model_space_basis(phi, n, degree)
         svd = model_space_basis(PowerSeries(phi.coeffs), n, degree)
         span_gap = max(span_gap, float(np.abs(tmw @ tmw.conj().T - svd @ svd.conj().T).max()))
-    return CriterionResult(
-        number=9,
-        name="ladder_decomposition",
-        passed=worst <= tolerance and dim_errors == 0 and span_gap <= span_tolerance,
-        detail=(
-            f"max Gram residual {worst:.3e} over 3 symbols at 5 levels, n=64 "
-            f"(tolerance {tolerance:.0e}); {dim_errors} dimension errors; "
-            f"TMW vs SVD span gap {span_gap:.3e} over 2 Blaschke symbols "
-            f"(tolerance {span_tolerance:.0e})"
-        ),
+    return worst <= tolerance and dim_errors == 0 and span_gap <= span_tolerance, (
+        f"max Gram residual {worst:.3e} over 3 symbols at 5 levels, n=64 "
+        f"(tolerance {tolerance:.0e}); {dim_errors} dimension errors; "
+        f"TMW vs SVD span gap {span_gap:.3e} over 2 Blaschke symbols "
+        f"(tolerance {span_tolerance:.0e})"
     )
 
 
@@ -483,7 +469,8 @@ def criterion_9_ladder_decomposition() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_10_growth_bound() -> CriterionResult:
+@_criterion
+def criterion_10_growth_bound() -> tuple[bool, str]:
     """omega matches closed-form oracles to 1e-10 and the evolved radius to 1e-8."""
     oracle_tolerance = 1e-10
     consistency_tolerance = 1e-8
@@ -508,15 +495,10 @@ def criterion_10_growth_bound() -> CriterionResult:
             worst_oracle = max(worst_oracle, abs(omega - oracle))
         worst_consistency = max(worst_consistency, growth_bound_consistency(S))
     passed = worst_oracle <= oracle_tolerance and worst_consistency <= consistency_tolerance
-    return CriterionResult(
-        number=10,
-        name="growth_bound",
-        passed=passed,
-        detail=(
-            f"max oracle deviation {worst_oracle:.3e} (<={oracle_tolerance:.0e}), max "
-            f"radius consistency {worst_consistency:.3e} (<={consistency_tolerance:.0e}) "
-            "over 30 generators"
-        ),
+    return passed, (
+        f"max oracle deviation {worst_oracle:.3e} (<={oracle_tolerance:.0e}), max "
+        f"radius consistency {worst_consistency:.3e} (<={consistency_tolerance:.0e}) "
+        "over 30 generators"
     )
 
 
@@ -525,7 +507,8 @@ def criterion_10_growth_bound() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_11_caradus_certificates() -> CriterionResult:
+@_criterion
+def criterion_11_caradus_certificates() -> tuple[bool, str]:
     """Backward block shifts certify, forward ones are refused, adjoints swap."""
     failures = []
     for d in range(1, 6):
@@ -540,15 +523,10 @@ def criterion_11_caradus_certificates() -> CriterionResult:
             failures.append(f"forward d={d}")
         if cert_b.rank != cert_f.rank or not np.array_equal(backward.conj().T, forward):
             failures.append(f"adjoint swap d={d}")
-    return CriterionResult(
-        number=11,
-        name="caradus_certificates",
-        passed=not failures,
-        detail=(
-            "backward certified / forward refused for multiplicities 1..5 at n=8d"
-            if not failures
-            else "failed: " + ", ".join(failures)
-        ),
+    return not failures, (
+        "backward certified / forward refused for multiplicities 1..5 at n=8d"
+        if not failures
+        else "failed: " + ", ".join(failures)
     )
 
 
@@ -557,7 +535,8 @@ def criterion_11_caradus_certificates() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_12_concave_power_growth() -> CriterionResult:
+@_criterion
+def criterion_12_concave_power_growth() -> tuple[bool, str]:
     """||T^n x||^2 stays under the linear bound for n <= 50 at slack 1e-10."""
     slack = ToleranceConfig(residual_tol=1e-10)
     rng = np.random.default_rng(1212)
@@ -574,7 +553,7 @@ def criterion_12_concave_power_growth() -> CriterionResult:
         n = int(rng.integers(2, 9))
         U = _random_unitary(rng, n)
         x_values = _random_complex(rng, n)
-        x = FiniteSupportVector.from_dense(x_values / np.linalg.norm(x_values), n)
+        x = FiniteSupportVector(tuple(enumerate(x_values / np.linalg.norm(x_values))), n)
         checks += 1
         if not concave_power_growth_check(Dense(ComplexMatrix(U)), x, N=50, tol=slack):
             failures += 1
@@ -590,31 +569,13 @@ def criterion_12_concave_power_growth() -> CriterionResult:
     except NotConcave:
         refused = True
     passed = failures == 0 and refused
-    return CriterionResult(
-        number=12,
-        name="concave_power_growth",
-        passed=passed,
-        detail=(
-            f"{checks - failures}/{checks} growth bounds hold at slack "
-            f"{slack.residual_tol:.0e} for n<=50; non-concave input refused: {refused}"
-        ),
+    return passed, (
+        f"{checks - failures}/{checks} growth bounds hold at slack "
+        f"{slack.residual_tol:.0e} for n<=50; non-concave input refused: {refused}"
     )
 
 
-ALL_CRITERIA = (
-    criterion_1_cayley_round_trip,
-    criterion_2_concavity_equivalence,
-    criterion_3_model_projection,
-    criterion_4_model_intertwining,
-    criterion_5_reproducing_property,
-    criterion_6_kernel_closed_forms,
-    criterion_7_multiplier_semigroup,
-    criterion_8_wold_split,
-    criterion_9_ladder_decomposition,
-    criterion_10_growth_bound,
-    criterion_11_caradus_certificates,
-    criterion_12_concave_power_growth,
-)
+ALL_CRITERIA = tuple(_CRITERIA)
 
 
 def run_all() -> tuple[CriterionResult, ...]:

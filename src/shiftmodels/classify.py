@@ -157,20 +157,19 @@ def _structure(T: StructuredOperator, tol: ToleranceConfig) -> dict:
             wandering=True,
             wandering_method="shift structure: defect iterates span by construction",
         )
-    if isinstance(T, DirectSum):
-        parts = [_structure(p, tol) for p in T.parts]
-        pure = all(p["pure"] for p in parts)
-        wandering = all(p["wandering"] for p in parts)
-        return dict(
-            regime="direct_sum",
-            bounded_below=all(p["bounded_below"] for p in parts),
-            lower_bound=min(p["lower_bound"] for p in parts),
-            pure=pure,
-            pure_method="all parts pure" if pure else "some part is not pure",
-            wandering=wandering,
-            wandering_method="all parts wandering" if wandering else "some part is not wandering",
-        )
-    raise UnsupportedRegime(f"cannot classify operator of type {type(T).__name__}")
+    # a direct sum: _defect_bounds, which runs first, has refused every other type
+    parts = [_structure(p, tol) for p in T.parts]
+    pure = all(p["pure"] for p in parts)
+    wandering = all(p["wandering"] for p in parts)
+    return dict(
+        regime="direct_sum",
+        bounded_below=all(p["bounded_below"] for p in parts),
+        lower_bound=min(p["lower_bound"] for p in parts),
+        pure=pure,
+        pure_method="all parts pure" if pure else "some part is not pure",
+        wandering=wandering,
+        wandering_method="all parts wandering" if wandering else "some part is not wandering",
+    )
 
 
 def classify_operator(

@@ -355,8 +355,6 @@ def _cmd_model(args: argparse.Namespace, run: _Run) -> None:
     if args.coeffs:
         run.record_input(args.coeffs)
         x = vector_from_json(_load_json(args.coeffs))
-
-    if args.coeffs:
         run.truncations["N"] = args.N
         coeff = coefficients(model, x, args.N)
         run.results["coefficients"] = {
@@ -416,7 +414,14 @@ def _hardy_symbol(args: argparse.Namespace, run: _Run) -> tuple[PowerSeries, int
     else:
         run.record_input(args.blaschke_file)
         spec = BlaschkeSpec.from_json(_load_json(args.blaschke_file))
-    return blaschke_series(spec, args.N - 1), spec.degree, "blaschke"
+    return blaschke_series(spec, _series_order(args)), spec.degree, "blaschke"
+
+
+def _series_order(args: argparse.Namespace) -> int:
+    """The series order N - 1 of ``hardy --N``, which counts coefficients."""
+    if args.N < 1:
+        raise ValueError(f"--N counts series coefficients and must be at least 1, got {args.N}")
+    return args.N - 1
 
 
 def _cmd_hardy(args: argparse.Namespace, run: _Run) -> None:
@@ -439,7 +444,7 @@ def _cmd_hardy(args: argparse.Namespace, run: _Run) -> None:
         run.results["symbol"] = {"source": source, "degree": degree, "series": phi.coeffs}
 
     if args.semigroup_t is not None:
-        phi = inner_semigroup_symbol(phi, float(args.semigroup_t), args.N - 1)
+        phi = inner_semigroup_symbol(phi, float(args.semigroup_t), _series_order(args))
         run.warn(MULTIPLIER_SIGN_NOTE)
         run.results["semigroup_symbol"] = {"t": float(args.semigroup_t), "series": phi.coeffs}
         degree = None

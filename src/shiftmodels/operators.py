@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -109,11 +109,6 @@ class FiniteSupportVector:
             keys, amplitudes = [keys[i] for i in order], [amplitudes[i] for i in order]
         indices = np.array(keys, dtype=np.int64)
         _hold(self, indices, np.array(amplitudes, dtype=np.complex128), ambient)
-
-    @classmethod
-    def from_dense(cls, values: Sequence[complex], ambient: int | None = None) -> "FiniteSupportVector":
-        amb = len(values) if ambient is None else ambient
-        return cls(tuple(enumerate(values)), amb)
 
     @classmethod
     def basis(cls, k: int, ambient: int | None = None) -> "FiniteSupportVector":
@@ -203,7 +198,10 @@ class EventuallyConstantWeights:
         return self.tail
 
     def reciprocal(self) -> "EventuallyConstantWeights":
-        return EventuallyConstantWeights(tuple(1.0 / w for w in self.head), 1.0 / self.tail)
+        """The weights 1/w_k; NonFinite where one overflows (w_k subnormal)."""
+        with _quiet():
+            table = _finite(1.0 / self._table, "Cauchy dual weights").tolist()
+        return EventuallyConstantWeights(tuple(table[:-1]), table[-1])
 
     def beta_sq(self, n: int) -> float:
         """Squared norm of T^n e_0: product of w_k^2 for k < n."""
@@ -211,8 +209,9 @@ class EventuallyConstantWeights:
 
     def defect_range(self) -> tuple[float, float]:
         """(inf, sup) of the defect w_k^2 w_{k+1}^2 - 2 w_k^2 + 1; constant past the head."""
-        w2 = self.at(np.arange(len(self.head) + 2)) ** 2
-        defects = w2[:-1] * w2[1:] - 2.0 * w2[:-1] + 1.0
+        with _quiet():
+            w2 = self.at(np.arange(len(self.head) + 2)) ** 2
+            defects = _finite(w2[:-1] * w2[1:] - 2.0 * w2[:-1] + 1.0, "shift defect range")
         return float(defects.min()), float(defects.max())
 
 
@@ -386,8 +385,8 @@ def isometric_shift() -> Shift:
     return Shift(EventuallyConstantWeights((), 1.0))
 
 
-def dirichlet_shift(dual: bool = False) -> Shift:
-    return Shift(DirichletWeights(dual=dual))
+def dirichlet_shift() -> Shift:
+    return Shift(DirichletWeights())
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +425,7 @@ def operator_from_json(obj: dict) -> StructuredOperator:
         if "law" in obj:
             law = obj["law"]
             if law == "dirichlet":
-                return Shift(DirichletWeights(dual=False))
+                return dirichlet_shift()
             if law == "dirichlet-dual":
                 return Shift(DirichletWeights(dual=True))
             raise ValueError(f"unknown shift weight law {law!r}")

@@ -118,9 +118,9 @@ def cogenerator(S: SemigroupSpec, tol: ToleranceConfig = DEFAULT_TOL) -> Complex
     return _cayley(S.generator.array, tol, "generator")
 
 
-def inverse_cayley(V: ComplexMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ComplexMatrix:
+def inverse_cayley(V: ComplexMatrix) -> ComplexMatrix:
     """Recover the generator A = (V + Id)(V - Id)^{-1} from a cogenerator."""
-    return _cayley(V.array, tol, "cogenerator")
+    return _cayley(V.array, DEFAULT_TOL, "cogenerator")
 
 
 def growth_bound(S: SemigroupSpec) -> GrowthBound:

@@ -5,11 +5,12 @@ Coefficients are stored lowest degree first as a read-only complex array.
 matching convolution recurrence; both are exact degree-by-degree statements,
 so truncation order is the only approximation.
 
-Both recurrences fill a reversed buffer, g_j at index ``order - j``, so that
-the known coefficients g_{n-1}, ..., g_0 of step n are the contiguous tail
-``rev[order - n + 1:]``.  ``np.dot`` would copy a negative-stride view of a
-forward buffer to exactly that operand before calling BLAS, so the reversed
-buffer gives the same bits without the copy; the result is reversed once.
+Both recurrences fill a reversed buffer, g_j at index ``N - j`` for the
+truncation degree N, so that the known coefficients g_{n-1}, ..., g_0 of step
+n are the contiguous tail ``rev[N - n + 1:]``.  ``np.dot`` would copy a
+negative-stride view of a forward buffer to exactly that operand before
+calling BLAS, so the reversed buffer gives the same bits without the copy; the
+result is reversed once.
 """
 
 from __future__ import annotations
@@ -71,11 +72,12 @@ class PowerSeries:
             raise ValueError(f"malformed series coefficients: {exc}") from exc
 
 
-def series_mul(f: PowerSeries, g: PowerSeries, N: int | None = None) -> PowerSeries:
-    """Cauchy product truncated to degree N (default: max input order)."""
-    order = max(f.order, g.order) if N is None else N
-    full = np.convolve(f.coeffs, g.coeffs)
-    return PowerSeries(full[: order + 1]).truncate(order)
+def series_mul(f: PowerSeries, g: PowerSeries, N: int) -> PowerSeries:
+    """Cauchy product truncated to degree N."""
+    full = np.convolve(f.coeffs, g.coeffs)[: N + 1]
+    out = np.zeros(N + 1, dtype=np.complex128)
+    out[: full.size] = full
+    return PowerSeries(out)
 
 
 def series_add(f: PowerSeries, g: PowerSeries) -> PowerSeries:
@@ -91,30 +93,28 @@ def series_scale(f: PowerSeries, c: complex) -> PowerSeries:
         return PowerSeries(c * f.coeffs)
 
 
-def series_exp(f: PowerSeries, N: int | None = None) -> PowerSeries:
-    """exp(f) via the derivative recurrence n g_n = sum_k k f_k g_{n-k}."""
-    order = f.order if N is None else N
-    fc = f.truncate(order).coeffs
-    rev = np.zeros(order + 1, dtype=np.complex128)  # g_j at rev[order - j]
+def series_exp(f: PowerSeries, N: int) -> PowerSeries:
+    """exp(f) through degree N via the derivative recurrence n g_n = sum_k k f_k g_{n-k}."""
+    fc = f.truncate(N).coeffs
+    rev = np.zeros(N + 1, dtype=np.complex128)  # g_j at rev[N - j]
     with _quiet():  # an overflowing coefficient is refused by PowerSeries
-        rev[order] = np.exp(fc[0])
-        kf = np.arange(order + 1) * fc
-        for n in range(1, order + 1):
-            rev[order - n] = np.dot(kf[1 : n + 1], rev[order - n + 1 :]) / n
+        rev[N] = np.exp(fc[0])
+        kf = np.arange(N + 1) * fc
+        for n in range(1, N + 1):
+            rev[N - n] = np.dot(kf[1 : n + 1], rev[N - n + 1 :]) / n
     return PowerSeries(rev[::-1])
 
 
-def series_inv(f: PowerSeries, N: int | None = None) -> PowerSeries:
-    """Reciprocal series; requires a nonzero constant term."""
-    order = f.order if N is None else N
-    fc = f.truncate(order).coeffs
+def series_inv(f: PowerSeries, N: int) -> PowerSeries:
+    """Reciprocal series through degree N; requires a nonzero constant term."""
+    fc = f.truncate(N).coeffs
     if fc[0] == 0:
         raise ZeroConstantTerm("series inversion needs a nonzero constant term")
-    rev = np.zeros(order + 1, dtype=np.complex128)  # g_j at rev[order - j]
+    rev = np.zeros(N + 1, dtype=np.complex128)  # g_j at rev[N - j]
     with _quiet():  # an overflowing coefficient is refused by PowerSeries
-        rev[order] = 1.0 / fc[0]
-        for n in range(1, order + 1):
-            rev[order - n] = -np.dot(fc[1 : n + 1], rev[order - n + 1 :]) / fc[0]
+        rev[N] = 1.0 / fc[0]
+        for n in range(1, N + 1):
+            rev[N - n] = -np.dot(fc[1 : n + 1], rev[N - n + 1 :]) / fc[0]
     return PowerSeries(rev[::-1])
 
 

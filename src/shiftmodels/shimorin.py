@@ -88,7 +88,7 @@ _GENERATOR_TOL = 1e-6
 _CONSTANT_TOL = 1e-12
 _FD_STEP = 1e-5
 
-# Convention notes carried on every semigroup-model report.
+# Convention notes, printed as report warnings by the command line.
 MULTIPLIER_SIGN_NOTE = (
     "multiplier exponent convention: e_t = exp(t (z+1)/(z-1)), the branch with "
     "Re exponent <= 0 on the disc and constant term e^{-t}"
@@ -156,7 +156,6 @@ class SemigroupModelReport(_Judged):
     commutation_residual: float
     constant_term_residual: float
     checks: tuple[Check, ...]
-    notes: tuple[str, ...] = (MULTIPLIER_SIGN_NOTE, RADIUS_CONVENTION_NOTE)
 
 
 @dataclass(frozen=True)
@@ -240,14 +239,13 @@ def build_model(T: StructuredOperator) -> AnalyticModel:
 def _power_heads(q: np.ndarray, v: np.ndarray, dual: np.ndarray) -> np.ndarray:
     """(L^n x)_0 = x_n w'_{n-1} ... w'_0 at the local indices n = q of one part.
 
-    ``v`` holds x at q, and ``dual`` the weights w'_0 .. w'_{m-1} for m >= max q.
+    ``v`` holds x at q (nonzero), and ``dual`` the weights w'_0 .. w'_{m-1} for m >= max q.
     """
     scale = np.concatenate(([1.0], np.multiply.accumulate(dual)))[q]
-    # a vanished entry stays 0 even where the running product has overflowed
-    heads = np.where(v != 0, v * scale, 0.0)
+    heads = v * scale
     # where the product alone leaves the normal range, apply the weights to x_n one
     # at a time, as L does, so a representable head is not lost to the product
-    stray = (v != 0) & ~(np.isfinite(scale) & (scale >= _NORMAL_MIN))
+    stray = ~(np.isfinite(scale) & (scale >= _NORMAL_MIN))
     for i in np.flatnonzero(stray):
         heads[i] = np.multiply.accumulate(np.concatenate((v[i : i + 1], dual[q[i] - 1 :: -1])))[-1]
     return heads
@@ -544,24 +542,21 @@ def wold_decompose(V: StructuredOperator, tol: ToleranceConfig = DEFAULT_TOL) ->
     by structure and contribute only to the (then infinite) wandering part.
     """
     wandering_infinite = False
-    if isinstance(V, Shift):
-        V = DirectSum((V,))  # a lone shift is a sum without dense parts
-    if isinstance(V, DirectSum):
-        dense_parts = []
-        for p in V.parts:
-            if isinstance(p, Shift):
-                wandering_infinite = True
-            elif isinstance(p, Dense):
-                dense_parts.append(p)
-            else:
-                raise UnsupportedRegime("nested direct sums are not supported here")
-        if not dense_parts:
-            return WoldReport(0, 0, wandering_infinite, 0.0, 0, True, 0)
-        arr = to_dense_matrix(DirectSum(tuple(dense_parts)))
-    elif isinstance(V, Dense):
-        arr = V.matrix.array
-    else:
-        raise UnsupportedRegime(f"cannot decompose operator type {type(V).__name__}")
+    dense_parts = []
+    parts = V.parts if isinstance(V, DirectSum) else (V,)
+    for p in parts:
+        if isinstance(p, Shift):
+            wandering_infinite = True
+        elif isinstance(p, Dense):
+            dense_parts.append(p)
+        elif isinstance(p, DirectSum):
+            raise UnsupportedRegime("nested direct sums are not supported here")
+        else:
+            raise UnsupportedRegime(f"cannot decompose operator type {type(p).__name__}")
+    if not dense_parts:
+        return WoldReport(0, 0, wandering_infinite, 0.0, 0, True, 0)
+    # a lone dense part hands over its own matrix, without a block copy
+    arr = to_dense_matrix(DirectSum(tuple(dense_parts)) if len(dense_parts) > 1 else dense_parts[0])
 
     n = arr.shape[0]
     power = np.eye(n, dtype=np.complex128)

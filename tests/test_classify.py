@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shiftmodels import classify
-from shiftmodels.config import DEFAULT_TOL
+from shiftmodels.config import DEFAULT_TOL, ToleranceConfig
 from shiftmodels.classify import (
     classify_operator,
     concave_power_growth_check,
@@ -154,6 +154,12 @@ def test_power_growth_check_pinned_cases():
     y = FiniteSupportVector(tuple({1: 1.0, 4: -2.0j}.items()))
     assert concave_power_growth_check(isometric_shift(), y, 50)
 
+    # psd_tol = 10 lets diag(2, 0.5), defect 9, through the concavity gate; then
+    # ||T^2 e_0||^2 = 16 exceeds the linear bound 1 + 2 * 3 = 7
+    T = Dense(ComplexMatrix(np.diag([2.0, 0.5])))
+    loose = ToleranceConfig(psd_tol=10.0)
+    assert not concave_power_growth_check(T, FiniteSupportVector.basis(0, 2), 5, loose)
+
 
 def test_power_growth_check_requires_concave():
     with pytest.raises(NotConcave):
@@ -169,6 +175,10 @@ def test_dense_purity_is_nilpotency():
     rep = classify_operator(Dense(jordan))
     assert rep.pure
     assert not classify_operator(Dense(ComplexMatrix(np.eye(3)))).pure
+    # the zero matrix is nilpotent without normalizing its power
+    zero = classify_operator(Dense(ComplexMatrix(np.zeros((2, 2)))))
+    assert zero.pure
+    assert zero.pure_method == "nilpotency residual of normalized 2-th power = 0.000e+00"
 
 
 def test_power_growth_check_reads_only_the_defect_bounds(monkeypatch):

@@ -7,6 +7,8 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from importlib.resources import files
 from pathlib import Path
@@ -207,6 +209,12 @@ def test_text_format(capsys):
     )
     assert code == 0
     assert out.startswith("command: classify")
+    # a check without a residual is printed by its verdict alone
+    code, out = _run(
+        capsys, ["model", "--operator", _fixture("jordan3.json"), "--wold", "--format", "text"]
+    )
+    assert code == 0
+    assert "check wandering_span: PASS\n" in out
 
 
 def test_exit_one_on_failed_check(capsys, tmp_path):
@@ -687,6 +695,167 @@ def test_kernel_needs_exactly_two_points(points):
     _assert_single_error_line(proc, 2)
     assert "'lam,z'" in proc.stderr
     assert proc.stdout == ""
+
+
+# input files of the refusal table below, by name
+_REFUSAL_FILES = {
+    "bad.json": '{"kind": ',
+    "poly.json": [[0.0, 0.0], [1.0, 0.0]],
+    "zero_weight.json": {"kind": "shift", "head_weights": [0.0], "tail_weight": 1.0},
+    "list.json": [1],
+    "law.json": {"kind": "shift", "law": "cauchy"},
+    "no_tail.json": {"kind": "shift", "head_weights": [1.0]},
+    "no_matrix.json": {"kind": "dense"},
+    "banded.json": {"kind": "banded"},
+    "empty_object.json": {},
+    "no_cols.json": {"kind": "dense", "matrix": {"rows": 2}},
+    "short.json": {"kind": "dense", "matrix": {"rows": 2, "cols": 2, "data": [[1.0, 0.0]]}},
+    "empty_series.json": [],
+    "pair_less.json": [[1.0]],
+    "mixed.json": {
+        "kind": "direct_sum",
+        "parts": [
+            {"kind": "dense", "matrix": {"rows": 1, "cols": 1, "data": [[0.5, 0.0]]}},
+            {"kind": "shift", "law": "dirichlet"},
+        ],
+    },
+    "subnormal_weight.json": {"kind": "shift", "head_weights": [1e-320, 1.0], "tail_weight": 1.0},
+    "huge_head.json": {"kind": "shift", "head_weights": [1e200], "tail_weight": 1.0},
+    "huge_tail.json": {"kind": "shift", "head_weights": [], "tail_weight": 1e200},
+    "nested.json": {
+        "kind": "direct_sum",
+        "parts": [{"kind": "direct_sum", "parts": [{"kind": "shift", "law": "dirichlet"}]}],
+    },
+}
+_MODEL = ["model", "--operator", "isometric.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, text",
+    [
+        (
+            ["classify", "--operator", "bad.json"],
+            2,
+            "malformed JSON in {tmp}/bad.json: Expecting value: line 1 column 10 (char 9)",
+        ),
+        ([*_MODEL, "--kernel", "abc,0.1"], 2, "cannot parse complex number from 'abc'"),
+        (
+            ["hardy", "--blaschke", ","],
+            2,
+            "expected a nonempty comma-separated list of complex numbers",
+        ),
+        (
+            [*_MODEL, "--verify", "intertwine"],
+            2,
+            "--verify intertwine needs --coeffs <vector file>",
+        ),
+        ([*_MODEL, "--verify", "reproduce"], 2, "--verify reproduce needs --coeffs <vector file>"),
+        (["hardy"], 2, "nothing to do: provide a symbol source or request --caradus"),
+        (
+            ["hardy", "--symbol-file", "poly.json", "--model-space"],
+            2,
+            "--model-space and --ladder need --degree for series symbols",
+        ),
+        (["hardy", "--caradus", "2"], 2, "--caradus expects 'multiplicity,dimension'"),
+        # hardy --N counts coefficients: the user's 0 is refused by that name, not as an order
+        (
+            ["hardy", "--blaschke", "0.5", "--N", "0", "--inner-check"],
+            2,
+            "--N counts series coefficients and must be at least 1, got 0",
+        ),
+        (
+            ["hardy", "--symbol-file", "poly.json", "--N", "0", "--semigroup-t", "1"],
+            2,
+            "--N counts series coefficients and must be at least 1, got 0",
+        ),
+        (
+            ["classify", "--operator", "zero_weight.json"],
+            2,
+            "shift weights must be positive finite, got 0.0",
+        ),
+        (
+            ["classify", "--operator", "list.json"],
+            2,
+            "operator object must be a dict with a 'kind' field",
+        ),
+        (["classify", "--operator", "law.json"], 2, "unknown shift weight law 'cauchy'"),
+        (["classify", "--operator", "no_tail.json"], 2, "malformed shift weights: 'tail_weight'"),
+        (["classify", "--operator", "no_matrix.json"], 2, "dense operator needs a 'matrix' field"),
+        (["classify", "--operator", "banded.json"], 2, "unknown operator kind 'banded'"),
+        (
+            [*_MODEL, "--coeffs", "empty_object.json"],
+            2,
+            "vector object must be a dict with an 'entries' field",
+        ),
+        (["classify", "--operator", "no_cols.json"], 2, "matrix object missing field: 'cols'"),
+        (["classify", "--operator", "short.json"], 2, "expected 4 entries, got 1"),
+        (
+            ["hardy", "--symbol-file", "empty_series.json", "--inner-check"],
+            2,
+            "malformed series coefficients: "
+            "series needs a nonempty 1-d coefficient array, got shape (0,)",
+        ),
+        (
+            ["hardy", "--symbol-file", "pair_less.json", "--inner-check"],
+            2,
+            "malformed series coefficients: not enough values to unpack (expected 2, got 1)",
+        ),
+        (["hardy", "--blaschke", "0.5", "--ladder", "0"], 2, "need at least one ladder level"),
+        (
+            ["hardy", "--blaschke", "0.5", "--N", "8", "--ladder", "4"],
+            3,
+            "truncation 8 is below the working minimum 12 for 4 ladder levels at degree 1",
+        ),
+        (
+            ["model", "--operator", "mixed.json", "--kernel", "0.1,0.1"],
+            3,
+            "analytic models require a shift or a direct sum of shifts; found a Dense part",
+        ),
+        (
+            ["model", "--operator", "nested.json", "--wold"],
+            3,
+            "nested direct sums are not supported here",
+        ),
+        # 1 / 1e-320 overflows: the Cauchy dual, not the user's weights, leaves the float range
+        (
+            ["model", "--operator", "subnormal_weight.json", "--kernel", "0.1,0.1"],
+            3,
+            "non-finite Cauchy dual weights",
+        ),
+        # w^2 overflows in the defect w_k^2 w_{k+1}^2 - 2 w_k^2 + 1, at the head or in the tail
+        (["classify", "--operator", "huge_head.json"], 3, "non-finite shift defect range"),
+        (["classify", "--operator", "huge_tail.json"], 3, "non-finite shift defect range"),
+    ],
+)
+def test_each_refusal_names_its_cause(tmp_path, argv, code, text):
+    for name, content in _REFUSAL_FILES.items():
+        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    proc = _run_captured(_with_vector_file(tmp_path, argv))
+    _assert_single_error_line(proc, code)
+    assert proc.stderr == f"error: {argv[0]}: {text.format(tmp=tmp_path)}\n"
+    assert proc.stdout == ""
+
+
+# head and tail weights from 1e-320 (subnormal) to 1e300, spread over the exponents
+_WEIGHT = st.floats(-320.0, 300.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(head=st.lists(_WEIGHT, max_size=3), tail=_WEIGHT)
+def test_any_shift_weights_end_in_a_report_or_a_numeric_refusal(head, tail):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "shift.json"
+        path.write_text(json.dumps({"kind": "shift", "head_weights": head, "tail_weight": tail}))
+        for argv in (["classify"], ["model", "--kernel", "0.1,0.1"]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                proc = _run_captured([argv[0], "--operator", str(path), *argv[1:]])
+            assert not caught, [str(w.message) for w in caught]
+            assert proc.returncode in (0, 1, 3), proc.stderr
+            if proc.returncode == 3:
+                _assert_single_error_line(proc, 3)
+            else:
+                assert proc.stderr == ""
 
 
 @pytest.mark.parametrize(

@@ -406,7 +406,7 @@ def test_blaschke_series_keeps_its_spec_and_operations_drop_it():
     phi = blaschke_series(spec, 31)
     assert isinstance(phi, BlaschkeSeries)
     assert phi.spec is spec and phi.order == 31
-    for derived in (series_mul(phi, phi), phi.truncate(31), phi.truncate(63)):
+    for derived in (series_mul(phi, phi, 31), phi.truncate(31), phi.truncate(63)):
         assert type(derived) is PowerSeries
 
 

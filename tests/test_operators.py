@@ -6,7 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from shiftmodels.errors import AmbientMismatch, NonFinite
+from shiftmodels.classify import classify_operator
+from shiftmodels.errors import AmbientMismatch, NonFinite, UnsupportedRegime
+from shiftmodels.hardy import analytic_toeplitz_trunc
 from shiftmodels.numkit import ComplexMatrix
 from shiftmodels.operators import (
     Dense,
@@ -19,9 +21,11 @@ from shiftmodels.operators import (
     dirichlet_shift,
     isometric_shift,
     operator_from_json,
+    to_dense_matrix,
     vector_from_json,
 )
-from shiftmodels.shimorin import cauchy_dual
+from shiftmodels.series import PowerSeries
+from shiftmodels.shimorin import build_model, cauchy_dual, verify_reproducing, wold_decompose
 
 SQRT2 = math.sqrt(2.0)
 
@@ -156,7 +160,7 @@ def test_operator_json_round_trip():
     # literal wire dicts pin the format independently of any serializer
     cases = (
         ({"kind": "shift", "law": "dirichlet"}, dirichlet_shift()),
-        ({"kind": "shift", "law": "dirichlet-dual"}, dirichlet_shift(dual=True)),
+        ({"kind": "shift", "law": "dirichlet-dual"}, Shift(DirichletWeights(dual=True))),
         (
             {"kind": "shift", "head_weights": [1.5, 0.5], "tail_weight": 1.0},
             Shift(EventuallyConstantWeights((1.5, 0.5), 1.0)),
@@ -247,7 +251,7 @@ def test_weight_lookup_matches_the_scalar_rules():
         assert rule.at(k).tolist() == reference
     x = FiniteSupportVector(tuple({i: complex(i + 1, -0.5 * i) for i in range(12)}.items()))
     for dual in (False, True):
-        shift = dirichlet_shift(dual)
+        shift = Shift(DirichletWeights(dual=dual))
         reference = [math.sqrt((i + 1) / (i + 2) if dual else (i + 2) / (i + 1)) for i in k]
         weights = shift.weights.at(k).tolist()
         assert weights == pytest.approx(reference, rel=1e-15)
@@ -320,3 +324,67 @@ def test_vector_indices_stay_in_the_array_range():
     FiniteSupportVector.basis(2**62 - 1)
     with pytest.raises(ValueError, match="2\\*\\*62"):
         FiniteSupportVector.basis(2**62)
+
+
+def test_reciprocal_weights_are_the_scalar_quotients():
+    # array division rounds as the scalar one does, down to a weight whose reciprocal is near
+    # the float maximum; one past it, the dual leaves the float range
+    rule = EventuallyConstantWeights((6e-309, 0.7, 3.0, 1e300), 1.0 / 3.0)
+    dual = rule.reciprocal()
+    assert dual.head == tuple(1.0 / w for w in rule.head) and dual.tail == 3.0
+    with pytest.raises(NonFinite, match="^non-finite Cauchy dual weights$"):
+        EventuallyConstantWeights((1e-320,), 1.0).reciprocal()
+
+
+def _unit(ambient):
+    return FiniteSupportVector(((0, 1.0),), ambient)
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [
+        (lambda: _unit(2).add(_unit(None)), AmbientMismatch, "ambient mismatch: 2 vs None"),
+        (lambda: DirectSum(()), ValueError, "direct sum needs at least one part"),
+        (
+            lambda: to_dense_matrix(DirectSum((isometric_shift(),))),
+            UnsupportedRegime,
+            "cannot materialize a direct sum with infinite parts",
+        ),
+        (
+            lambda: to_dense_matrix(isometric_shift()),
+            UnsupportedRegime,
+            "shift operators have no finite matrix form",
+        ),
+        (
+            lambda: ComplexMatrix(np.zeros((2, 3))),
+            ValueError,
+            "matrix must be square, got shape (2, 3)",
+        ),
+        (
+            lambda: analytic_toeplitz_trunc(PowerSeries([1.0]), 0),
+            ValueError,
+            "dimension must be positive",
+        ),
+        (lambda: build_model(object()), UnsupportedRegime, "unsupported operator type object"),
+        (
+            lambda: verify_reproducing(build_model(isometric_shift()), _unit(None), 0.3, [1, 1]),
+            ValueError,
+            "defect coordinates must have shape (1,)",
+        ),
+        (
+            lambda: wold_decompose(object()),
+            UnsupportedRegime,
+            "cannot decompose operator type object",
+        ),
+        (
+            lambda: classify_operator(object()),
+            UnsupportedRegime,
+            "cannot classify operator of type object",
+        ),
+    ],
+)
+def test_refusals_only_library_callers_reach(call, error, text):
+    # the command line cannot build these inputs: its JSON readers refuse them first
+    with pytest.raises(error) as refused:
+        call()
+    assert str(refused.value) == text

@@ -28,6 +28,7 @@ from shiftmodels.operators import (
 )
 from shiftmodels.series import PowerSeries, series_mul
 from shiftmodels.shimorin import (
+    MULTIPLIER_SIGN_NOTE,
     IntertwiningReport,
     _multiplier_coeffs,
     build_model,
@@ -458,7 +459,8 @@ def test_verify_semigroup_model_report():
     assert rep.generator_residual <= 1e-6
     assert rep.commutation_residual <= 1e-12
     assert rep.constant_term_residual <= 1e-12
-    assert any("e^{-t}" in note or "exp" in note for note in rep.notes)
+    # the convention the command line prints with every semigroup check
+    assert "e^{-t}" in MULTIPLIER_SIGN_NOTE and "exp" in MULTIPLIER_SIGN_NOTE
 
 
 def test_model_reports_are_judged_by_their_checks():
