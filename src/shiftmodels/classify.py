@@ -25,12 +25,9 @@ from .numkit import (
     ComplexMatrix,
     _finite,
     _quiet,
-    _rank_of,
+    _svd,
     hermitian_max_eig,
-    null_space_basis,
     rank,
-    singular_values,
-    two_norm,
 )
 from .operators import (
     Dense,
@@ -109,12 +106,32 @@ def _defect_bounds(T: StructuredOperator) -> tuple[float, float]:
     raise UnsupportedRegime(f"cannot classify operator of type {type(T).__name__}")
 
 
-def _wandering_span_dim(arr: np.ndarray, tol: ToleranceConfig) -> int:
-    """Dimension spanned by the defect space ker T* and its first n - 1 iterates."""
-    current = null_space_basis(arr.conj().T, tol)
-    if current.shape[1] == 0:
+def _core(arr: np.ndarray, tol: ToleranceConfig) -> tuple[float, np.ndarray, np.ndarray, int]:
+    """sigma_min of T, and orthonormal bases of ker T* and of the core, from one SVD of T.
+
+    The core is the range of T^k once it stops shrinking: the unitary part of the Wold
+    split, trivial exactly when T is pure.  Step k maps the range basis of T^(k-1) by T and
+    keeps the left singular vectors above the one absolute cutoff rank_tol ||T||_2; the
+    count k of steps is returned last.
+    """
+    u, s, _ = _svd(arr, compute_uv=True)
+    cutoff = tol.rank_tol * s[0]
+    r = np.count_nonzero(s > cutoff)
+    core, previous, steps = u[:, :r], arr.shape[0], 1
+    while 0 < core.shape[1] < previous:
+        previous = core.shape[1]
+        image, image_s, _ = _svd(arr @ core, compute_uv=True)
+        core = image[:, : np.count_nonzero(image_s > cutoff)]
+        steps += 1
+    return float(s[-1]), u[:, r:], core, steps
+
+
+def _wandering_span_dim(arr: np.ndarray, defect: np.ndarray, tol: ToleranceConfig) -> int:
+    """Dimension spanned by ``defect``, a basis of ker T*, and its first n - 1 iterates."""
+    if defect.shape[1] == 0:
         return 0
-    blocks = [current]
+    current = defect
+    blocks = [defect]
     for _ in range(arr.shape[0] - 1):
         with _quiet():
             current = arr @ current
@@ -130,20 +147,14 @@ def _structure(T: StructuredOperator, tol: ToleranceConfig) -> dict:
     if isinstance(T, Dense):
         arr = T.matrix.array
         n = arr.shape[0]
-        s = singular_values(arr)
-        # purity = nilpotency: the normalized n-th power must vanish
-        if s[0] == 0.0:
-            pure_residual = 0.0
-        else:
-            pure_residual = two_norm(np.linalg.matrix_power(arr / s[0], n))
-        # wandering subspace: iterates of the defect space must fill the ambient
-        span_dim = _wandering_span_dim(arr, tol)
+        lower_bound, defect, core, steps = _core(arr, tol)
+        span_dim = _wandering_span_dim(arr, defect, tol)
         return dict(
             regime="dense",
-            bounded_below=_rank_of(s, tol) == n,
-            lower_bound=float(s[-1]),
-            pure=pure_residual <= tol.rank_tol,
-            pure_method=f"nilpotency residual of normalized {n}-th power = {pure_residual:.3e}",
+            bounded_below=defect.shape[1] == 0,  # T is square: onto exactly when injective
+            lower_bound=lower_bound,
+            pure=core.shape[1] == 0,
+            pure_method=f"range of T^k stops shrinking at dimension {core.shape[1]} by k = {steps}",
             wandering=span_dim == n,
             wandering_method=f"defect iterates span {span_dim} of {n} dimensions",
         )

@@ -25,7 +25,6 @@ __all__ = [
     "hermitian_max_eig",
     "expm_stack",
     "rank",
-    "orthonormal_range_basis",
     "null_space_basis",
     "singular_values",
     "spectral_radius",
@@ -258,12 +257,6 @@ def _rank_of(s: np.ndarray, tol: ToleranceConfig) -> int:
 def rank(arr: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Numerical rank: singular values above rank_tol relative to the largest."""
     return _rank_of(singular_values(arr), tol)
-
-
-def orthonormal_range_basis(arr: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Columns form an orthonormal basis of the numerical column space."""
-    u, s, _ = _svd(arr, compute_uv=True)
-    return u[:, : _rank_of(s, tol)]
 
 
 def null_space_basis(arr: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -27,17 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import _wandering_span_dim
+from .classify import _core, _wandering_span_dim
 from .config import DEFAULT_TOL, Check, ToleranceConfig
 from .errors import NonFinite, OutsideDisc, TailNotConvergent, UnsupportedRegime
 from .numkit import (
     _finite,
     _order,
     _quiet,
-    _rank_of,
     _time,
-    orthonormal_range_basis,
-    singular_values,
     two_norm,
 )
 from .operators import (
@@ -121,8 +118,8 @@ class ModelCoefficients:
     """Model coefficients of a vector: row n holds P L^n x in defect coordinates."""
 
     coeffs: np.ndarray = field(repr=False)
-    N: int = 0
-    tail_bound: float = 0.0
+    N: int
+    tail_bound: float
 
 
 class _Judged:
@@ -486,7 +483,7 @@ def semigroup_multiplier(t: float, N: int) -> PowerSeries:
 
 
 def verify_semigroup_model(
-    t: float, N: int = 64, tol: ToleranceConfig = DEFAULT_TOL
+    t: float, N: int, tol: ToleranceConfig = DEFAULT_TOL
 ) -> SemigroupModelReport:
     """Check the multiplier semigroup against its generator and the shift.
 
@@ -559,34 +556,17 @@ def wold_decompose(V: StructuredOperator, tol: ToleranceConfig = DEFAULT_TOL) ->
     arr = to_dense_matrix(DirectSum(tuple(dense_parts)) if len(dense_parts) > 1 else dense_parts[0])
 
     n = arr.shape[0]
-    power = np.eye(n, dtype=np.complex128)
-    previous_rank = n
-    steps_used = 0
-    for _ in range(n + 1):
-        power = arr @ power
-        s = singular_values(power)
-        if s[0] == 0.0:
-            previous_rank = 0
-            steps_used += 1
-            break
-        power = power / s[0]
-        current_rank = _rank_of(s, tol)
-        steps_used += 1
-        if current_rank == previous_rank:
-            break
-        previous_rank = current_rank
-
-    dim_unitary = previous_rank
+    _, defect, core, steps_used = _core(arr, tol)
+    dim_unitary = core.shape[1]
     if dim_unitary > 0:
-        basis = orthonormal_range_basis(power, tol)
         with _quiet():
-            restricted = basis.conj().T @ arr @ basis
+            restricted = core.conj().T @ arr @ core
             gram = restricted.conj().T @ restricted - np.eye(dim_unitary)
         unitary_residual = two_norm(_finite(gram, "restricted V*V - Id"))
     else:
         unitary_residual = 0.0
 
-    span_dim = _wandering_span_dim(arr, tol)
+    span_dim = _wandering_span_dim(arr, defect, tol)
 
     return WoldReport(
         dim_unitary=dim_unitary,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from shiftmodels import classify
 from shiftmodels.config import DEFAULT_TOL, ToleranceConfig
@@ -21,6 +22,7 @@ from shiftmodels.operators import (
     dirichlet_shift,
     isometric_shift,
 )
+from shiftmodels.shimorin import wold_decompose
 
 
 def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -175,10 +177,81 @@ def test_dense_purity_is_nilpotency():
     rep = classify_operator(Dense(jordan))
     assert rep.pure
     assert not classify_operator(Dense(ComplexMatrix(np.eye(3)))).pure
-    # the zero matrix is nilpotent without normalizing its power
+    # the range of the zero matrix is trivial at the first step
     zero = classify_operator(Dense(ComplexMatrix(np.zeros((2, 2)))))
     assert zero.pure
-    assert zero.pure_method == "nilpotency residual of normalized 2-th power = 0.000e+00"
+    assert zero.pure_method == "range of T^k stops shrinking at dimension 0 by k = 1"
+
+
+def _jordan(m: int, c: float = 1.0) -> np.ndarray:
+    """c times the nilpotent Jordan block of size m."""
+    return c * np.eye(m, k=1, dtype=np.complex128)
+
+
+def _conjugated_jordan4() -> np.ndarray:
+    rng = np.random.default_rng(1)
+    S = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return S @ _jordan(4) @ np.linalg.inv(S)
+
+
+_U2 = _random_unitary(np.random.default_rng(3), 2)
+
+
+@pytest.mark.parametrize(
+    "T, steps, dim",
+    [
+        pytest.param(
+            np.random.default_rng(5).standard_normal((4, 4)) + 0.5j * np.eye(4), 1, 4,
+            id="invertible",
+        ),
+        pytest.param(np.zeros((3, 3)), 1, 0, id="zero"),
+        pytest.param(_jordan(3), 3, 0, id="jordan3"),
+        *(
+            pytest.param(block_diag(_U2, _jordan(m)), m + 1, 2, id=f"unitary+J{m}")
+            for m in (1, 2, 4)
+        ),
+        # ||T^12|| / ||T||^12 = 1e-12 lies below rank_tol, yet T^12 = 1 + 0 has rank 1
+        pytest.param(block_diag([[1.0]], _jordan(11, 10.0)), 12, 1, id="one+10J11"),
+        # the rounding noise of a nilpotent power lies below rank_tol ||T||_2, though not
+        # below rank_tol times the norm of that power
+        pytest.param(_conjugated_jordan4(), 4, 0, id="conjugated-J4"),
+    ],
+)
+def test_core_steps_and_dimension_pinned_cases(T, steps, dim):
+    op = Dense(ComplexMatrix(T))
+    rep = classify_operator(op)
+    assert rep.pure == (dim == 0)
+    assert rep.pure_method == f"range of T^k stops shrinking at dimension {dim} by k = {steps}"
+    wold = wold_decompose(op)
+    assert (wold.steps_used, wold.dim_unitary) == (steps, dim)
+    assert wold.wandering_span_ok
+
+
+def _seeded_family():
+    """(k, T): k nonzero eigenvalues of moduli 10^U(-1, 1), k in 0..3, beside c J_m, m in 1..5,
+    c = 10^U(-2, 2), under a random unitary (odd trials) or I + 0.3 G (even trials) similarity."""
+    rng = np.random.default_rng(0)
+    for trial in range(400):
+        k, m = int(rng.integers(0, 4)), int(rng.integers(1, 6))
+        moduli, phases = 10.0 ** rng.uniform(-1.0, 1.0, k), rng.uniform(0.0, 2.0 * np.pi, k)
+        eigenvalues = moduli * np.exp(1j * phases)
+        T = block_diag(np.diag(eigenvalues), _jordan(m, 10.0 ** rng.uniform(-2.0, 2.0)))
+        if trial % 2:
+            S = _random_unitary(rng, k + m)
+            yield k, S @ T @ S.conj().T
+        else:
+            S = np.eye(k + m) + 0.3 * (
+                rng.standard_normal((k + m, k + m)) + 1j * rng.standard_normal((k + m, k + m))
+            )
+            yield k, S @ T @ np.linalg.inv(S)
+
+
+def test_core_dimension_counts_the_nonzero_eigenvalues():
+    # the core is the span of the generalized eigenvectors of the nonzero eigenvalues
+    for trial, (k, T) in enumerate(_seeded_family()):
+        op = Dense(ComplexMatrix(T))
+        pure, dim = classify_operator(op).pure, wold_decompose(op).dim_unitary
+        assert (pure, dim) == (k == 0, k), trial
 
 
 def test_power_growth_check_reads_only_the_defect_bounds(monkeypatch):

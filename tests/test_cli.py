@@ -858,6 +858,72 @@ def test_any_shift_weights_end_in_a_report_or_a_numeric_refusal(head, tail):
                 assert proc.stderr == ""
 
 
+# [[1e-320, 5e-324], [0, -1e-320]]: every entry, and so ||T||_2, is subnormal
+_SUBNORMAL = [[1e-320, 0.0], [5e-324, 0.0], [0.0, 0.0], [-1e-320, 0.0]]
+
+
+def test_subnormal_matrix_is_classified_and_split(tmp_path):
+    path = _dense_file(tmp_path, "subnormal.json", 2, _SUBNORMAL)
+    proc = _run_captured(["classify", "--operator", path])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    classification = json.loads(proc.stdout)["results"]["classification"]
+    assert classification["bounded_below"] and not classification["pure"]
+    assert classification["lower_bound"] == pytest.approx(1e-320, rel=1e-3)
+    # the core is the whole space, on which T is far from unitary
+    proc = _run_captured(["model", "--wold", "--operator", path])
+    assert (proc.returncode, proc.stderr) == (1, "")
+    report = json.loads(proc.stdout)
+    assert report["results"]["wold"]["dim_unitary"] == 2
+    restriction = next(c for c in report["checks"] if c["name"] == "unitary_restriction")
+    assert restriction["residual"] == 1.0
+
+
+# a complex entry whose real and imaginary parts are 0 or of modulus 1e-320 to 1e300; the
+# subnormal decade range is drawn on its own, as often as the rest, so that whole matrices
+# of subnormal entries come up
+_PART = st.one_of(
+    st.just(0.0),
+    st.floats(-320.0, -308.0).map(lambda e: 10.0**e),
+    st.floats(-308.0, 300.0).map(lambda e: 10.0**e),
+)
+_ENTRY = st.tuples(st.sampled_from((1.0, -1.0)), _PART, st.sampled_from((1.0, -1.0)), _PART).map(
+    lambda p: [p[0] * p[1], p[2] * p[3]]
+)
+
+
+@st.composite
+def _dense_data(draw):
+    """Row-major entries of an n x n matrix, n = 1..4: independent entries, or S J S^-1.
+
+    J is c times the nilpotent Jordan block of size n and S a seeded complex Gaussian.
+    """
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return n, draw(st.lists(_ENTRY, min_size=n * n, max_size=n * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    scale = 10.0 ** draw(st.floats(-320.0, 290.0))
+    T = S @ (scale * np.eye(n, k=1)) @ np.linalg.inv(S)
+    return n, [[v.real, v.imag] for v in T.reshape(-1).tolist()]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(data=_dense_data())
+def test_any_dense_matrix_ends_in_a_report_or_a_numeric_refusal(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _dense_file(Path(tmp), "dense.json", *data)
+        for argv in (["classify"], ["model", "--wold"]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                proc = _run_captured([*argv, "--operator", path])
+            assert not caught, [str(w.message) for w in caught]
+            assert proc.returncode in (0, 1, 3), proc.stderr
+            if proc.returncode == 3:
+                _assert_single_error_line(proc, 3)
+            else:
+                assert proc.stderr == ""
+
+
 @pytest.mark.parametrize(
     "argv, field, key, value",
     [

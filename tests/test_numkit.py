@@ -14,7 +14,6 @@ from shiftmodels.numkit import (
     expm_stack,
     hermitian_max_eig,
     null_space_basis,
-    orthonormal_range_basis,
     rank,
     spectral_radius,
     two_norm,
@@ -276,19 +275,6 @@ def test_rank_pinned_and_unitary_invariance():
         assert rank(base @ Q, DEFAULT_TOL) == rank(base, DEFAULT_TOL)
 
 
-def test_orthonormal_range_basis():
-    eye_basis = orthonormal_range_basis(_diag([1.0] * 3))
-    assert eye_basis.shape == (3, 3)
-    np.testing.assert_allclose(eye_basis.conj().T @ eye_basis, np.eye(3), atol=1e-12)
-
-    assert orthonormal_range_basis(_diag([0.0] * 3)).shape == (3, 0)
-
-    ones = orthonormal_range_basis(np.ones((2, 2), dtype=np.complex128))
-    assert ones.shape == (2, 1)
-    direction = ones[:, 0] / ones[0, 0]
-    np.testing.assert_allclose(direction, [1.0, 1.0], atol=1e-12)
-
-
 def test_null_space_basis_matches_rank():
     M = np.ones((2, 2), dtype=np.complex128)
     kernel = null_space_basis(M)
@@ -300,7 +286,7 @@ def test_overflowing_singular_values_are_refused():
     # invertible, with both singular values 1.5e308 * sqrt(2) past the float range;
     # read as inf they would give rank 0 and a kernel spanning the whole space
     A = np.array([[1.5e308, 1.5e308], [1.5e308, -1.5e308]], dtype=np.complex128)
-    for kernel in (rank, two_norm, null_space_basis, orthonormal_range_basis):
+    for kernel in (rank, two_norm, null_space_basis):
         with pytest.raises(NonFinite):
             kernel(A)
 
