@@ -44,9 +44,7 @@ from .operators import (
     StructuredOperator,
     dirichlet_shift,
     isometric_shift,
-    operator_from_json,
     to_dense_matrix,
-    vector_from_json,
 )
 from .classify import (
     ClassificationReport,

@@ -26,6 +26,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -51,7 +52,8 @@ from .hardy import (
     verify_ladder_decomposition,
 )
 from .numkit import ComplexMatrix, spectral_radius, two_norm
-from .operators import Dense, operator_from_json, vector_from_json
+from .operators import Dense, DirectSum, DirichletWeights, EventuallyConstantWeights, Shift
+from .operators import FiniteSupportVector, StructuredOperator
 from .semigroup import (
     SemigroupSpec,
     cogenerator,
@@ -180,23 +182,6 @@ def _write(value, level: int = 0) -> str:
     return _write(_json_default(value), level)
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return digest.hexdigest()
-
-
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
-    except RecursionError as exc:
-        raise ValueError(f"malformed JSON in {path}: nested too deeply ({exc})") from exc
-
-
 def _parse_complex(text: str) -> complex:
     try:
         return complex(text.strip().replace(" ", ""))
@@ -227,8 +212,17 @@ class _Run:
         if message not in self.warnings:
             self.warnings.append(message)
 
-    def record_input(self, path: str) -> None:
-        self.inputs[path] = _sha256(path)
+    def read(self, path: str):
+        """The JSON value of the file at ``path``, read once: hashed into the provenance, parsed."""
+        with open(path, "rb") as fh:
+            data = fh.read()
+        self.inputs[path] = hashlib.sha256(data).hexdigest()
+        try:
+            return json.loads(data.decode("utf-8"), parse_int=_integer_literal)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"malformed JSON in {path}: {exc}") from exc
+        except RecursionError as exc:
+            raise ValueError(f"malformed JSON in {path}: nested too deeply ({exc})") from exc
 
     def report(self) -> dict:
         return {
@@ -285,30 +279,131 @@ def _emit(run: _Run, args: argparse.Namespace) -> None:
 
 
 # ---------------------------------------------------------------------------
+# the wire format of the input files
+# ---------------------------------------------------------------------------
+
+
+def _integer_literal(text: str):
+    """A JSON integer literal as an int; past the double range, as ``json`` reads 1e400."""
+    if len(text) > 308 and math.isinf(float(text)):  # 308 characters stay below 1e308
+        return float(text)
+    return int(text)
+
+
+def _numbers(values: list, what: str) -> list:
+    """``values``, if each one is a JSON number: ``true``, ``false`` and strings are not."""
+    if not set(map(type, values)) <= {float, int}:
+        bad = next(v for v in values if type(v) is not float and type(v) is not int)
+        raise ValueError(f"{what} must be numbers, got {bad!r}")
+    return values
+
+
+def _rows(value, width: int, what: str) -> list:
+    """The numbers of a list of ``width``-number lists, row by row."""
+    lists = type(value) is list and set(map(type, value)) <= {list}
+    if not (lists and set(map(len, value)) <= {width}):
+        raise ValueError(f"{what} must be lists of {width} numbers")
+    return _numbers(list(itertools.chain.from_iterable(value)), what)
+
+
+def _complex(pairs, what: str) -> np.ndarray:
+    return np.array(_rows(pairs, 2, what), dtype=np.float64).view(np.complex128)
+
+
+def _integer(value, what: str) -> int:
+    """A JSON number that is a finite integer (3 or 3.0) as an int; anything else is refused."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{what} must be a finite integer, got {value!r}")
+
+
+def _matrix(obj) -> ComplexMatrix:
+    """``{"rows": n, "cols": n, "data": [[re, im], ...]}``, ``data`` in row-major order."""
+    try:
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f"matrix object missing field: {exc}") from exc
+    rows, cols = _integer(rows, "matrix rows"), _integer(cols, "matrix cols")
+    if rows != cols:
+        raise ValueError(f"matrix must be square, got {rows}x{cols}")
+    entries = _complex(data, "matrix entries")
+    if entries.size != rows * cols:
+        raise ValueError(f"expected {rows * cols} entries, got {entries.size}")
+    return ComplexMatrix(entries.reshape(rows, rows))
+
+
+def _matrix_json(M: ComplexMatrix) -> dict:
+    """``M`` in the form ``_matrix`` reads; ``_write`` prints ``data`` as [re, im] pairs."""
+    n = M.array.shape[0]
+    return {"rows": n, "cols": n, "data": M.array.reshape(-1)}
+
+
+def _operator(obj) -> StructuredOperator:
+    """``{"kind": "shift" | "dense" | "direct_sum", ...}``: weights, a matrix or operators."""
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise ValueError("operator object must be a dict with a 'kind' field")
+    kind = obj["kind"]
+    if kind == "shift":
+        if "law" in obj:
+            if obj["law"] not in ("dirichlet", "dirichlet-dual"):
+                raise ValueError(f"unknown shift weight law {obj['law']!r}")
+            return Shift(DirichletWeights(dual=obj["law"] == "dirichlet-dual"))
+        try:
+            head, tail = obj["head_weights"], obj["tail_weight"]
+        except KeyError as exc:
+            raise ValueError(f"malformed shift weights: {exc}") from exc
+        if type(head) is not list:
+            raise ValueError(f"shift weights must be a list, got {type(head).__name__}")
+        *head, tail = _numbers([*head, tail], "shift weights")
+        return Shift(EventuallyConstantWeights(tuple(head), tail))
+    if kind == "dense":
+        if "matrix" not in obj:
+            raise ValueError("dense operator needs a 'matrix' field")
+        return Dense(_matrix(obj["matrix"]))
+    if kind == "direct_sum":
+        parts = obj.get("parts")
+        if not isinstance(parts, list) or not parts:
+            raise ValueError("direct_sum needs a nonempty 'parts' list")
+        return DirectSum(tuple(_operator(p) for p in parts))
+    raise ValueError(f"unknown operator kind {kind!r}")
+
+
+def _vector(obj) -> FiniteSupportVector:
+    """``{"ambient": n or null, "entries": [[index, re, im], ...]}``, ``ambient`` optional."""
+    if not isinstance(obj, dict) or "entries" not in obj:
+        raise ValueError("vector object must be a dict with an 'entries' field")
+    ambient = obj.get("ambient")
+    ambient = None if ambient is None else _integer(ambient, "vector ambient")
+    flat = _rows(obj["entries"], 3, "vector entries")
+    indices = [_integer(k, "vector index") for k in flat[::3]]
+    return FiniteSupportVector(zip(indices, map(complex, flat[1::3], flat[2::3])), ambient)
+
+
+def _blaschke(obj) -> BlaschkeSpec:
+    """``{"zeros": [[re, im], ...], "constant": [re, im]}``, ``constant`` optional."""
+    try:
+        zeros, constant = obj["zeros"], obj.get("constant", [1.0, 0.0])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed Blaschke specification: {exc}") from exc
+    zeros = _complex(zeros, "Blaschke zeros")
+    return BlaschkeSpec(zeros, _complex([constant], "Blaschke constant")[0])
+
+
+# ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
 
-def _load_operator(run: _Run, path: str):
-    run.record_input(path)
-    return operator_from_json(_load_json(path))
-
-
-def _load_generator(run: _Run, path: str) -> ComplexMatrix:
-    T = _load_operator(run, path)
-    if not isinstance(T, Dense):
-        raise ValueError("generator files must contain a dense operator")
-    return T.matrix
-
-
 def _cmd_classify(args: argparse.Namespace, run: _Run) -> None:
-    T = _load_operator(run, args.operator)
+    T = _operator(run.read(args.operator))
     run.results["classification"] = classify_operator(T, run.tol)
 
 
 def _cmd_semigroup(args: argparse.Namespace, run: _Run) -> None:
-    A = _load_generator(run, args.generator)
-    S = SemigroupSpec(A)
+    T = _operator(run.read(args.generator))
+    if not isinstance(T, Dense):
+        raise ValueError("generator files must contain a dense operator")
+    S = SemigroupSpec(T.matrix)
     if args.t:
         evolution = []
         for t in (float(v) for v in args.t.split(",") if v.strip()):
@@ -322,11 +417,10 @@ def _cmd_semigroup(args: argparse.Namespace, run: _Run) -> None:
             )
         run.results["evolution"] = evolution
     if args.cogenerator:
-        run.results["cogenerator"] = cogenerator(S, run.tol).to_json()
+        run.results["cogenerator"] = _matrix_json(cogenerator(S, run.tol))
     if args.rescale is not None:
-        run.results["rescaled_generator"] = quasicontractive_rescale(
-            S, float(args.rescale)
-        ).generator.to_json()
+        rescaled = quasicontractive_rescale(S, float(args.rescale))
+        run.results["rescaled_generator"] = _matrix_json(rescaled.generator)
     if args.growth_bound:
         run.results["growth_bound"] = growth_bound(S)
         consistency = growth_bound_consistency(S)
@@ -338,7 +432,7 @@ def _cmd_semigroup(args: argparse.Namespace, run: _Run) -> None:
 
 
 def _cmd_model(args: argparse.Namespace, run: _Run) -> None:
-    T = _load_operator(run, args.operator)
+    T = _operator(run.read(args.operator))
     verifications = args.verify or []
     needs_model = bool(args.coeffs or args.kernel or verifications) or not args.wold
     model = None
@@ -353,8 +447,7 @@ def _cmd_model(args: argparse.Namespace, run: _Run) -> None:
         }
     x = None
     if args.coeffs:
-        run.record_input(args.coeffs)
-        x = vector_from_json(_load_json(args.coeffs))
+        x = _vector(run.read(args.coeffs))
         run.truncations["N"] = args.N
         coeff = coefficients(model, x, args.N)
         run.results["coefficients"] = {
@@ -406,14 +499,12 @@ def _hardy_symbol(args: argparse.Namespace, run: _Run) -> tuple[PowerSeries, int
             "exactly one of --blaschke, --blaschke-file, --symbol-file is required"
         )
     if args.symbol_file:
-        run.record_input(args.symbol_file)
-        series = PowerSeries.from_json(_load_json(args.symbol_file))
+        series = PowerSeries(_complex(run.read(args.symbol_file), "series coefficients"))
         return series, args.degree, "series"
     if args.blaschke:
         spec = BlaschkeSpec(tuple(_parse_complex_list(args.blaschke)))
     else:
-        run.record_input(args.blaschke_file)
-        spec = BlaschkeSpec.from_json(_load_json(args.blaschke_file))
+        spec = _blaschke(run.read(args.blaschke_file))
     return blaschke_series(spec, _series_order(args)), spec.degree, "blaschke"
 
 

@@ -124,16 +124,6 @@ class BlaschkeSpec:
     def degree(self) -> int:
         return len(self.zeros)
 
-    @classmethod
-    def from_json(cls, data: dict) -> "BlaschkeSpec":
-        try:
-            zeros = tuple(complex(re, im) for re, im in data["zeros"])
-            cre, cim = data.get("constant", [1.0, 0.0])
-            constant = complex(cre, cim)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed Blaschke specification: {exc}") from exc
-        return cls(zeros=zeros, constant=constant)
-
 
 def _conj_powers(a: complex, count: int) -> np.ndarray:
     """``conj(a)^0, ..., conj(a)^(count - 1)``, each one multiplication after the last."""

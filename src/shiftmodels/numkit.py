@@ -1,7 +1,7 @@
 """Dense complex linear algebra kernels with explicit tolerance policy.
 
 A matrix inside the package is a complex128 ndarray, validated once where it enters:
-:class:`ComplexMatrix` checks one from JSON or from a caller, and an array the package
+:class:`ComplexMatrix` checks one from an input file or a caller, and an array the package
 computes is finite by construction or tested where it is formed.  So the kernels take
 arrays and neither convert nor scan them.  Rank decisions go through singular values,
 so every cutoff is relative to the largest one.  Factorizations are delegated to LAPACK
@@ -81,26 +81,14 @@ def _order(N: int) -> None:
         raise ValueError("truncation order must be nonnegative")
 
 
-def _json_integer(value, what: str) -> int:
-    """A JSON number that is a finite integer (3 or 3.0) as an int; anything else is refused."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{what} must be a finite integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ComplexMatrix:
     """The checked record of a square complex matrix, at least 1x1, with finite entries.
 
-    This is the boundary: a matrix from JSON or from a caller (``Dense``,
+    This is the boundary: a matrix from an input file or from a caller (``Dense``,
     ``SemigroupSpec``) is converted, copied and scanned here once, and ``array`` is
     the read-only complex128 copy that the package computes with.  The record stays
     while the benchmark's jobs construct it and read ``.array`` from it.
-
-    The wire format is ``{"rows": n, "cols": n, "data": [[re, im], ...]}``
-    with ``data`` in row-major order.
     """
 
     array: np.ndarray = field(repr=False)
@@ -114,30 +102,6 @@ class ComplexMatrix:
         arr = _finite(arr, "matrix entries").copy()
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
-
-    def to_json(self) -> dict:
-        n = self.array.shape[0]
-        data = [[float(v.real), float(v.imag)] for v in self.array.reshape(-1)]
-        return {"rows": n, "cols": n, "data": data}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ComplexMatrix":
-        try:
-            rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"matrix object missing field: {exc}") from exc
-        rows, cols = _json_integer(rows, "matrix rows"), _json_integer(cols, "matrix cols")
-        if rows != cols:
-            raise ValueError(f"matrix must be square, got {rows}x{cols}")
-        if not isinstance(data, list):
-            raise ValueError(f"matrix data must be a list, got {type(data).__name__}")
-        if len(data) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-        try:
-            flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed matrix entries: {exc}") from exc
-        return cls(flat.reshape(rows, rows))
 
 
 def hermitian_max_eig(arr: np.ndarray) -> float:

@@ -37,7 +37,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .errors import AmbientMismatch, NonFinite, UnsupportedRegime
-from .numkit import ComplexMatrix, _finite, _json_integer, _quiet
+from .numkit import ComplexMatrix, _finite, _quiet
 
 __all__ = [
     "FiniteSupportVector",
@@ -50,8 +50,6 @@ __all__ = [
     "isometric_shift",
     "dirichlet_shift",
     "to_dense_matrix",
-    "operator_from_json",
-    "vector_from_json",
 ]
 
 
@@ -411,52 +409,3 @@ def to_dense_matrix(T: StructuredOperator) -> np.ndarray:
         out.flags.writeable = False
         return out
     raise UnsupportedRegime("shift operators have no finite matrix form")
-
-
-# ---------------------------------------------------------------------------
-# JSON wire formats
-
-
-def operator_from_json(obj: dict) -> StructuredOperator:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("operator object must be a dict with a 'kind' field")
-    kind = obj["kind"]
-    if kind == "shift":
-        if "law" in obj:
-            law = obj["law"]
-            if law == "dirichlet":
-                return dirichlet_shift()
-            if law == "dirichlet-dual":
-                return Shift(DirichletWeights(dual=True))
-            raise ValueError(f"unknown shift weight law {law!r}")
-        try:
-            head = tuple(float(w) for w in obj["head_weights"])
-            tail = float(obj["tail_weight"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed shift weights: {exc}") from exc
-        return Shift(EventuallyConstantWeights(head, tail))
-    if kind == "dense":
-        if "matrix" not in obj:
-            raise ValueError("dense operator needs a 'matrix' field")
-        return Dense(ComplexMatrix.from_json(obj["matrix"]))
-    if kind == "direct_sum":
-        parts = obj.get("parts")
-        if not isinstance(parts, list) or not parts:
-            raise ValueError("direct_sum needs a nonempty 'parts' list")
-        return DirectSum(tuple(operator_from_json(p) for p in parts))
-    raise ValueError(f"unknown operator kind {kind!r}")
-
-
-def vector_from_json(obj: dict) -> FiniteSupportVector:
-    if not isinstance(obj, dict) or "entries" not in obj:
-        raise ValueError("vector object must be a dict with an 'entries' field")
-    ambient = obj.get("ambient")
-    if ambient is not None:
-        ambient = _json_integer(ambient, "vector ambient")
-    try:
-        entries = tuple(
-            (_json_integer(k, "vector index"), complex(re, im)) for k, re, im in obj["entries"]
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed vector entries: {exc}") from exc
-    return FiniteSupportVector(entries, ambient)

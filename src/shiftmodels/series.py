@@ -64,13 +64,6 @@ class PowerSeries:
         out[: self.coeffs.size] = self.coeffs
         return PowerSeries(out)
 
-    @classmethod
-    def from_json(cls, data: list) -> "PowerSeries":
-        try:
-            return cls(np.array([complex(re, im) for re, im in data], dtype=np.complex128))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed series coefficients: {exc}") from exc
-
 
 def series_mul(f: PowerSeries, g: PowerSeries, N: int) -> PowerSeries:
     """Cauchy product truncated to degree N."""

@@ -321,13 +321,13 @@ def _check_inside(model: AnalyticModel, value: complex, name: str) -> None:
         )
 
 
-def _dual_terms(model: AnalyticModel, lam: complex, budget: float) -> int:
-    """Smallest N with q^{N+1}/(1-q) <= budget, q = |lam| ||L|| < 1; capped."""
+def _dual_terms(model: AnalyticModel, lam: complex, tail_tol: float, log_scale: float) -> int:
+    """Smallest N with q^{N+1}/(1-q) <= tail_tol e^log_scale, q = |lam| ||L|| < 1; capped."""
     q = abs(lam) * model.left_inverse_norm
-    target = budget * (1.0 - q)
     terms = 0
-    if 0.0 < q and target < q:
-        terms = max(0, int(math.ceil(math.log(target) / math.log(q))) - 1)
+    if 0.0 < q:  # in log space, where a budget below the smallest double still counts
+        log_target = math.log(tail_tol) + log_scale + math.log(1.0 - q)
+        terms = max(0, math.ceil(log_target / math.log(q)) - 1)
     if terms > _TERM_CAP:
         raise TailNotConvergent(
             f"kernel tail needs {terms} terms (cap {_TERM_CAP}) at |point| = {abs(lam):.6g}"
@@ -353,8 +353,8 @@ def kernel_eval(
     _check_inside(model, lam, "lam")
     _check_inside(model, z, "z")
     # target half the budget per stage so conjugate-symmetric calls agree to tail_tol
-    amplification = 1.0 / (1.0 - abs(z) * model.left_inverse_norm)
-    terms = _dual_terms(model, lam, 0.5 * tol.tail_tol / amplification)
+    log_scale = math.log(0.5 * (1.0 - abs(z) * model.left_inverse_norm))  # 0.5 / amplification
+    terms = _dual_terms(model, lam, tol.tail_tol, log_scale)
     out = np.zeros((model.dim_defect, model.dim_defect), dtype=np.complex128)
     for r, weights in enumerate(model.dual_weights):
         dual = weights.at(np.arange(terms))
@@ -395,7 +395,7 @@ def verify_reproducing(
     r, q, v, heads = _model_heads(model, x)
     # the tail dropped from <x, k_lam e> is at most ||x|| ||e|| times that of the scalar series
     size = x.norm() * math.hypot(*map(abs, e_coords.tolist()))
-    terms = _dual_terms(model, lam, tol.tail_tol / max(1.0, size))
+    terms = _dual_terms(model, lam, tol.tail_tol, -math.log(max(1.0, size)))
     with _quiet():
         # left side: sum_n lam^n <coefficient n of x, e>, whose nonzero terms are the heads
         lhs = complex(np.sum(heads * lam**q * e_coords.conj()[r]))

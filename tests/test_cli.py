@@ -369,6 +369,10 @@ _COEFFS = ["model", "--operator", _fixture("isometric.json"), "--coeffs"]
             id="direct_sum-600-deep",
         ),
         pytest.param("[" * 100000 + "]" * 100000, ["classify", "--operator"], id="brackets-100000"),
+        # weights that are not a list of numbers, once read as (1.0, 2.0), (2.0,) and 1.5
+        ({"kind": "shift", "head_weights": "12", "tail_weight": 1.0}, ["classify", "--operator"]),
+        ({"kind": "shift", "head_weights": {"2.0": 1}, "tail_weight": 1.0}, ["classify", "--operator"]),
+        ({"kind": "shift", "head_weights": [], "tail_weight": "1.5"}, ["classify", "--operator"]),
     ],
 )
 def test_malformed_json_is_a_usage_error(tmp_path, content, argv):
@@ -792,13 +796,12 @@ _MODEL = ["model", "--operator", "isometric.json"]
         (
             ["hardy", "--symbol-file", "empty_series.json", "--inner-check"],
             2,
-            "malformed series coefficients: "
             "series needs a nonempty 1-d coefficient array, got shape (0,)",
         ),
         (
             ["hardy", "--symbol-file", "pair_less.json", "--inner-check"],
             2,
-            "malformed series coefficients: not enough values to unpack (expected 2, got 1)",
+            "series coefficients must be lists of 2 numbers",
         ),
         (["hardy", "--blaschke", "0.5", "--ladder", "0"], 2, "need at least one ladder level"),
         (
@@ -922,6 +925,181 @@ def test_any_dense_matrix_ends_in_a_report_or_a_numeric_refusal(data):
                 _assert_single_error_line(proc, 3)
             else:
                 assert proc.stderr == ""
+
+
+# each place a real number is read: a file with "#" where the number goes, the command that
+# reads it, and the name its refusal gives the field
+_NUMBER_PLACES = {
+    "matrix entry": (
+        '{"kind": "dense", "matrix": {"rows": 1, "cols": 1, "data": [[#, 0]]}}',
+        ["classify", "--operator"],
+        "matrix entries",
+    ),
+    "head weight": (
+        '{"kind": "shift", "head_weights": [#], "tail_weight": 1}',
+        ["classify", "--operator"],
+        "shift weights",
+    ),
+    "tail weight": (
+        '{"kind": "shift", "head_weights": [2], "tail_weight": #}',
+        ["classify", "--operator"],
+        "shift weights",
+    ),
+    "vector amplitude": ('{"entries": [[0, 0.5, #]]}', _COEFFS, "vector entries"),
+    "series coefficient": (
+        "[[0.5, 0], [#, 0]]",
+        ["hardy", "--inner-check", "--symbol-file"],
+        "series coefficients",
+    ),
+    "Blaschke zero": (
+        '{"zeros": [[0.5, #]]}',
+        ["hardy", "--inner-check", "--blaschke-file"],
+        "Blaschke zeros",
+    ),
+    "Blaschke constant": (
+        '{"zeros": [], "constant": [#, 0]}',
+        ["hardy", "--inner-check", "--blaschke-file"],
+        "Blaschke constant",
+    ),
+}
+
+
+def _run_with_number(tmp_path, place: str, literal: str):
+    template, argv, _ = _NUMBER_PLACES[place]
+    path = tmp_path / "number.json"
+    path.write_text(template.replace("#", literal))
+    return _run_captured([*argv, str(path)])
+
+
+@pytest.mark.parametrize("place", list(_NUMBER_PLACES))
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_an_integer_literal_past_the_double_range_reads_as_infinity(tmp_path, place, sign):
+    # 10**400 is refused exactly as 1e400, which json reads as infinity
+    integer = _run_with_number(tmp_path, place, sign + "1" + "0" * 400)
+    exponent = _run_with_number(tmp_path, place, sign + "1e400")
+    assert (integer.returncode, integer.stderr) == (exponent.returncode, exponent.stderr)
+    _assert_single_error_line(integer, integer.returncode)
+    assert integer.returncode in (2, 3)
+
+
+@pytest.mark.parametrize("place", list(_NUMBER_PLACES))
+@pytest.mark.parametrize("literal", ["true", "false", '"0.5"'])
+def test_a_boolean_or_a_string_is_not_a_number(tmp_path, place, literal):
+    proc = _run_with_number(tmp_path, place, literal)
+    _assert_single_error_line(proc, 2)
+    field = _NUMBER_PLACES[place][2]
+    assert f"{field} must be numbers, got " in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        # the budget 0.5 * 5e-324 (1 - 0.25) is below the smallest double: about 1080 terms
+        (["isometric.json", "--kernel", "0.5,0.5", "--tol-tail", "5e-324"], 4.0 / 3.0),
+        (["isometric.json", "--kernel", "0.1,0.9", "--tol-tail", "2e-323"], 1.0 / 0.91),
+        (
+            ["dirichlet.json", "--coeffs", "x.json", "--verify", "reproduce", "--lam", "0.6",
+             "--tol-tail", "5e-324"],
+            None,
+        ),
+    ],
+)
+def test_a_tail_tolerance_near_the_smallest_double_still_counts_its_terms(tmp_path, argv, entry):
+    proc = _run_captured(_with_vector_file(tmp_path, ["model", "--operator", *argv]))
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    report = json.loads(proc.stdout)
+    if entry is not None:  # the Szego kernel 1/(1 - z conj(lam)) of the isometric shift
+        assert report["results"]["kernel"]["matrix"] == [[[pytest.approx(entry, rel=1e-15), 0.0]]]
+
+
+# the numbers of the wire fuzzer: 0, floats of modulus 1e-320 to 1e300 (those from 1e-3 to 10
+# drawn on their own too, so that some files are read into a report), and integer literals
+# past the double range; not numbers: booleans and numeric strings
+_SIGN = st.sampled_from((1, -1))
+_WIRE_NUMBER = st.one_of(
+    st.just(0),
+    st.tuples(_SIGN, st.floats(-3.0, 1.0)).map(lambda p: p[0] * 10.0 ** p[1]),
+    st.tuples(_SIGN, st.floats(-320.0, 300.0)).map(lambda p: p[0] * 10.0 ** p[1]),
+    st.tuples(_SIGN, st.integers(1024, 1100)).map(lambda p: p[0] * 2 ** p[1]),
+)
+_NOT_A_NUMBER = st.one_of(st.booleans(), _WIRE_NUMBER.map(str))
+# a string or an object where a list belongs
+_NOT_A_LIST = st.sampled_from(("12", {"2.0": 1}))
+
+
+# the command that reads each format
+_WIRE_COMMANDS = {
+    "dense": ["classify", "--operator"],
+    "shift": ["classify", "--operator"],
+    "vector": _COEFFS,
+    "series": ["hardy", "--inner-check", "--symbol-file"],
+    "blaschke": ["hardy", "--inner-check", "--blaschke-file"],
+}
+
+
+def _wire_file(kind: str, rows: list) -> tuple[dict, list]:
+    """The file of ``kind`` built from ``rows``, 1 to 4 lists of two numbers, as
+    ``{"file": value}``, and the places in it where a list belongs, as (container, key) pairs.
+
+    Each file holds ``rows[0]``: a dense file keeps the first n^2 rows for the largest n, a
+    shift file takes the numbers as its weights, and a Blaschke file its last row as constant.
+    """
+    holder = {}
+    places = [(holder, "file"), *((rows, k) for k in range(len(rows)))]
+    if kind == "dense":
+        n = math.isqrt(len(rows))
+        del rows[n * n :], places[n * n + 1 :]
+        matrix = {"rows": n, "cols": n, "data": rows}
+        holder["file"] = {"kind": "dense", "matrix": matrix}
+        places.append((matrix, "data"))
+    elif kind == "shift":
+        weights = [x for row in rows for x in row]
+        holder["file"] = {"kind": "shift", "head_weights": weights[:-1], "tail_weight": weights[-1]}
+        places = [(holder, "file"), (holder["file"], "head_weights")]
+    elif kind == "vector":
+        entries = [[k, *row] for k, row in enumerate(rows)]
+        holder["file"] = {"entries": entries}
+        places = [(holder, "file"), (holder["file"], "entries")]
+        places += [(entries, k) for k in range(len(entries))]
+    elif kind == "series":
+        holder["file"] = rows
+    else:
+        holder["file"] = {"zeros": rows[:-1], "constant": rows[-1]}
+        places = [(holder, "file"), (holder["file"], "zeros"), (holder["file"], "constant")]
+        places += [(holder["file"]["zeros"], k) for k in range(len(rows) - 1)]
+    return holder, places
+
+
+@pytest.mark.parametrize("kind", list(_WIRE_COMMANDS))
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_any_input_file_ends_in_a_report_or_a_typed_refusal(kind, data):
+    # the defect, if any: a number's place holds a boolean or a string, or a list's place a
+    # string or an object
+    row = st.lists(_WIRE_NUMBER, min_size=2, max_size=2)
+    rows = data.draw(st.lists(row, min_size=1, max_size=4))
+    defect = data.draw(st.sampled_from((None, "number", "list")))
+    if defect == "number":
+        rows[0][data.draw(st.integers(0, 1))] = data.draw(_NOT_A_NUMBER)
+    holder, places = _wire_file(kind, rows)
+    if defect == "list":
+        container, key = data.draw(st.sampled_from(places))
+        container[key] = data.draw(_NOT_A_LIST)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(holder["file"]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            proc = _run_captured([*_WIRE_COMMANDS[kind], str(path)])
+    assert not caught, [str(w.message) for w in caught]
+    assert proc.returncode in (0, 1, 2, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode in (2, 3):
+        _assert_single_error_line(proc, proc.returncode)
+    else:
+        assert proc.stderr == ""
+    if defect is not None:
+        _assert_single_error_line(proc, 2)
 
 
 @pytest.mark.parametrize(

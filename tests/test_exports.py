@@ -240,7 +240,8 @@ _KEPT = {
 
 _PROBE = """
 import numpy as np
-from .numkit import ComplexMatrix, rank
+from .numkit import rank
+from .series import PowerSeries
 
 def to_dense_matrix(T):
     return to_dense_matrix(T.parts[0])
@@ -248,7 +249,7 @@ def to_dense_matrix(T):
 def probe(a, b, spec, x):
     np.linalg.solve(a, b)
     label = "numkit.expm"
-    return rank(x), spec.zeros, ComplexMatrix.from_json(label), vector_from_json(x)
+    return rank(x), spec.zeros, PowerSeries.constant(label), isometric_shift(x)
 
 def collect(ks, spec):
     seen, pairs = set(), []
@@ -272,10 +273,10 @@ def test_the_guard_resolves_what_a_load_refers_to():
     # those of one also bound to something else (other) do
     assert refs == {
         "numkit.rank",
-        "numkit.ComplexMatrix.from_json",
+        "series.PowerSeries.constant",
         "*.parts",
         "*.zeros",
-        "operators.vector_from_json",
+        "operators.isometric_shift",
         "*.copy",
         "*.extend",
     }

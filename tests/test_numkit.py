@@ -1,11 +1,13 @@
 """Dense linear-algebra kernel tests: eigenvalue bounds, the stacked exponential, rank."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import shiftmodels as sm
+from shiftmodels.cli import _matrix, _matrix_json, _write
 from shiftmodels.config import DEFAULT_TOL
 from shiftmodels.errors import NonFinite
 from shiftmodels.hardy import analytic_toeplitz_trunc
@@ -110,7 +112,7 @@ def test_matrix_with_non_finite_entries_is_refused_at_the_boundary():
         with pytest.raises(NonFinite, match="non-finite matrix entries"):
             ComplexMatrix([[bad, 0.0], [0.0, 1.0]])
         with pytest.raises(NonFinite, match="non-finite matrix entries"):
-            ComplexMatrix.from_json({"rows": 1, "cols": 1, "data": [[bad.real, bad.imag]]})
+            _matrix({"rows": 1, "cols": 1, "data": [[bad.real, bad.imag]]})
 
 
 def test_expm_pinned_values():
@@ -305,7 +307,7 @@ def test_empty_matrix_is_refused():
     with pytest.raises(ValueError, match=r"\(0, 0\)"):
         ComplexMatrix(np.zeros((0, 0)))
     with pytest.raises(ValueError, match=r"\(0, 0\)"):
-        ComplexMatrix.from_json({"rows": 0, "cols": 0, "data": []})
+        _matrix({"rows": 0, "cols": 0, "data": []})
 
 
 def test_computed_matrices_are_read_only():
@@ -315,7 +317,7 @@ def test_computed_matrices_are_read_only():
     V = cogenerator(S)
     computed = (
         M.array,
-        ComplexMatrix.from_json(M.to_json()).array,
+        _matrix({"rows": 2, "cols": 2, "data": [[0, 0], [1, 0], [-1, 0], [0.5, 0]]}).array,
         V.array,
         inverse_cayley(V).array,
         quasicontractive_rescale(S, 0.5).generator.array,
@@ -334,7 +336,7 @@ def test_computed_matrices_are_read_only():
 
 def test_matrix_json_round_trip():
     M = ComplexMatrix([[1.0 + 2.0j, 0.0], [3.0, -1.0j]])
-    again = ComplexMatrix.from_json(M.to_json())
+    again = _matrix(json.loads(_write(_matrix_json(M))))
     np.testing.assert_array_equal(again.array, M.array)
     with pytest.raises(ValueError):
-        ComplexMatrix.from_json({"rows": 2, "cols": 3, "data": [[0.0, 0.0]] * 6})
+        _matrix({"rows": 2, "cols": 3, "data": [[0.0, 0.0]] * 6})

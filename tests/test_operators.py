@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from shiftmodels.classify import classify_operator
+from shiftmodels.cli import _operator, _vector
 from shiftmodels.errors import AmbientMismatch, NonFinite, UnsupportedRegime
 from shiftmodels.hardy import analytic_toeplitz_trunc
 from shiftmodels.numkit import ComplexMatrix
@@ -20,9 +21,7 @@ from shiftmodels.operators import (
     _act,
     dirichlet_shift,
     isometric_shift,
-    operator_from_json,
     to_dense_matrix,
-    vector_from_json,
 )
 from shiftmodels.series import PowerSeries
 from shiftmodels.shimorin import build_model, cauchy_dual, verify_reproducing, wold_decompose
@@ -181,15 +180,15 @@ def test_operator_json_round_trip():
         ),
     )
     for wire, expected in cases:
-        _assert_same_operator(operator_from_json(wire), expected)
+        _assert_same_operator(_operator(wire), expected)
 
 
 def test_vector_json_round_trip():
     # a literal wire dict: entries are [index, re, im], ambient is optional
-    x = vector_from_json({"entries": [[7, 0.25, 0.0], [0, 1.0, -2.0]]})
+    x = _vector({"entries": [[7, 0.25, 0.0], [0, 1.0, -2.0]]})
     assert x.entries == ((0, 1.0 - 2.0j), (7, 0.25 + 0.0j))
     assert x.ambient is None
-    assert vector_from_json({"ambient": 8, "entries": [[7, 0.25, 0.0]]}).ambient == 8
+    assert _vector({"ambient": 8, "entries": [[7, 0.25, 0.0]]}).ambient == 8
 
 
 def _mixed_sum() -> DirectSum:

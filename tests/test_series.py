@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from shiftmodels.cli import _complex
 from shiftmodels.errors import NonFinite, ZeroConstantTerm
 from shiftmodels.series import (
     PowerSeries,
@@ -142,7 +143,7 @@ def test_truncate_and_json_round_trip():
     np.testing.assert_allclose(f.truncate(1).coeffs, [1.0, 2.0], atol=0.0)
     assert f.truncate(5).coeffs.size == 6
     # a literal wire list, lowest degree first, pins the format independently of any serializer
-    parsed = PowerSeries.from_json([[1.0, 0.0], [2.0, -1.0], [0.0, 0.5]])
+    parsed = PowerSeries(_complex([[1.0, 0.0], [2.0, -1.0], [0.0, 0.5]], "series coefficients"))
     np.testing.assert_array_equal(parsed.coeffs, [1.0, 2.0 - 1.0j, 0.5j])
 
 
