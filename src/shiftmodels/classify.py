@@ -79,25 +79,37 @@ class GeneratorConcavity:
     margin: float
 
 
-def _defect_range(stack: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of T*T*TT - 2 T*T + Id over a stack of T.
+def _defect_range(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalue of T*T*TT - 2 T*T + Id for each T of a stack.
 
-    ``stack`` has shape (..., n, n); one eigvalsh call covers every matrix.
+    ``stack`` has shape (..., n, n), and both results its leading shape (...); one eigvalsh
+    call covers every matrix.  The form is built in place on fresh products, which keeps a
+    large stack's working set small and gives the bits of the out-of-place expression.
     """
     n = stack.shape[-1]
     with _quiet():
-        adj = stack.conj().swapaxes(-1, -2)
         sq = stack @ stack
-        defect = sq.conj().swapaxes(-1, -2) @ sq - 2.0 * (adj @ stack) + np.eye(n)
-        herm = _finite((defect + defect.conj().swapaxes(-1, -2)) / 2.0, "defect form")
+        defect = sq.conj().mT @ sq
+        del sq
+        gram = stack.conj().mT @ stack
+        gram *= 2.0
+        defect -= gram
+        del gram
+        defect += np.eye(n)
+        herm = defect.conj().mT
+        herm += defect
+        del defect
+        herm /= 2.0
+        _finite(herm, "defect form")
     eigs = np.linalg.eigvalsh(herm)
-    return float(eigs[..., 0].min()), float(eigs[..., -1].max())
+    return eigs[..., 0], eigs[..., -1]
 
 
 def _defect_bounds(T: StructuredOperator) -> tuple[float, float]:
     """(inf, sup) of the defect form: eigenvalues for a matrix, the weight law for a shift."""
     if isinstance(T, Dense):
-        return _defect_range(T.matrix.array)
+        low, high = _defect_range(T.matrix.array)
+        return float(low), float(high)
     if isinstance(T, Shift):
         return T.weights.defect_range()
     if isinstance(T, DirectSum):

@@ -118,7 +118,17 @@ class FiniteSupportVector:
         return tuple(zip(self.indices.tolist(), self.values.tolist()))
 
     def norm(self) -> float:
-        return math.sqrt(sum(abs(v) ** 2 for v in self.values.tolist()))
+        """The 2-norm; past the float range of its square, scaled by the largest modulus m as
+        m sqrt(sum |v/m|^2), the rule of the reference BLAS nrm2."""
+        values = self.values.tolist()
+        try:
+            square = sum(abs(v) ** 2 for v in values)
+        except OverflowError:  # a float power past the range raises; a sum past it is inf
+            square = math.inf
+        if square < math.inf:
+            return math.sqrt(square)
+        top = max(abs(v) for v in values)
+        return top * math.sqrt(sum((abs(v) / top) ** 2 for v in values))
 
     def scale(self, c: complex) -> "FiniteSupportVector":
         with _quiet():

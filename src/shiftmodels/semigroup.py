@@ -16,11 +16,18 @@ directly.  The grid t_k = k/10 needs one matrix exponential: with h = 0.05,
 e^{t_k A} is the k-th power of e^{2hA} = (e^{hA})^2, the semigroup law that
 scaling and squaring itself rests on.  The generator form and the cogenerator
 never feed the grid, so the four routes stay independent.
+
+The suite runs over a (k, n, n) stack of generators, and the public
+``concavity_equivalence_suite`` is its stack of one.  One ``expm_stack`` call, one
+batched doubling, one eigvalsh over the grid's defect forms, one norm-path pass and
+one batched Cayley transform serve the whole stack; each member's report holds the
+bits its own suite would.  Acceptance criterion 2 makes one call per generator family.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +35,7 @@ import numpy as np
 from .classify import _defect_range, generator_concavity_criterion
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NonFinite, OneInSpectrum
-from .numkit import ComplexMatrix, _finite, _quiet, _time, expm_stack, rank
+from .numkit import ComplexMatrix, _finite, _quiet, _time, expm_stack, singular_values
 
 __all__ = [
     "SemigroupSpec",
@@ -102,25 +109,29 @@ def evolve(S: SemigroupSpec, t: float) -> np.ndarray:
     return evolved[0]
 
 
-def _cayley(arr: np.ndarray, tol: ToleranceConfig, what: str) -> ComplexMatrix:
-    n = arr.shape[0]
-    shifted = arr - np.eye(n, dtype=np.complex128)
-    if rank(shifted, tol) < n:
+def _cayley(stack: np.ndarray, tol: ToleranceConfig, what: str) -> np.ndarray:
+    """(A + Id)(A - Id)^{-1} for each A of a (k, n, n) stack, from one batched SVD and one
+    batched solve; OneInSpectrum when 1 lies in the spectrum of any member."""
+    ident = np.eye(stack.shape[-1], dtype=np.complex128)
+    shifted = stack - ident
+    s = singular_values(shifted)
+    # rank below n: the smallest singular value is at most the cutoff rank_tol s_max
+    if np.count_nonzero(s[:, -1] <= tol.rank_tol * s[:, 0]):
         raise OneInSpectrum(f"1 lies in the spectrum of the {what} at rank_tol={tol.rank_tol:g}")
-    plus = arr + np.eye(n, dtype=np.complex128)
+    plus = stack + ident
     # right division: X (A - Id) = (A + Id) solved through the adjoint system
-    X = np.linalg.solve(shifted.conj().T, plus.conj().T).conj().T
-    return ComplexMatrix(_finite(X, f"Cayley transform of the {what}"))
+    adjoint = np.linalg.solve(shifted.conj().mT, plus.conj().mT)
+    return _finite(adjoint.conj().mT, f"Cayley transform of the {what}")
 
 
 def cogenerator(S: SemigroupSpec, tol: ToleranceConfig = DEFAULT_TOL) -> ComplexMatrix:
     """Cayley transform V = (A + Id)(A - Id)^{-1} of the generator."""
-    return _cayley(S.generator.array, tol, "generator")
+    return ComplexMatrix(_cayley(S.generator.array[None], tol, "generator")[0])
 
 
 def inverse_cayley(V: ComplexMatrix) -> ComplexMatrix:
     """Recover the generator A = (V + Id)(V - Id)^{-1} from a cogenerator."""
-    return _cayley(V.array, DEFAULT_TOL, "cogenerator")
+    return ComplexMatrix(_cayley(V.array[None], DEFAULT_TOL, "cogenerator")[0])
 
 
 def growth_bound(S: SemigroupSpec) -> GrowthBound:
@@ -154,46 +165,50 @@ def quasicontractive_rescale(S: SemigroupSpec, lam: float) -> SemigroupSpec:
     return SemigroupSpec(ComplexMatrix(shifted))
 
 
-def _grid_exponentials(S: SemigroupSpec) -> tuple[np.ndarray, np.ndarray]:
-    """e^{t_k A} on the grid t_k = 2k h (k = 1..20) and e^{hA}, h = _STEP, from one exponential.
+def _grid_exponentials(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e^{t_k A} on the grid t_k = 2k h (k = 1..20) and e^{hA}, h = _STEP, for each A of a
+    (m, n, n) stack, from one exponential each: a (m, 20, n, n) grid and a (m, n, n) step.
 
-    Only H = e^{hA} is a matrix exponential; by the semigroup law e^{t_k A} = E^k with
-    E = H^2, and E^1..E^20 come from batched doubling: [E] -> [E, E^2] -> [E..E^4] ->
-    [E..E^8] -> [E..E^16], and E^17..E^20 as E^1..E^4 times E^16.  A power that overflows
-    is refused as a non-finite matrix exponential.
+    Only H = e^{hA} is a matrix exponential, and one ``expm_stack`` call takes all of them.
+    By the semigroup law e^{t_k A} = E^k with E = H^2, and E^1..E^20 come from batched
+    doubling over the stack: [E] -> [E, E^2] -> [E..E^4] -> [E..E^8] -> [E..E^16], and
+    E^17..E^20 as E^1..E^4 times E^16.  A power that overflows is refused as a non-finite
+    matrix exponential.
     """
-    exponentials, refusal = _evolve_stack(S, (_STEP,))
+    half, refusal = expm_stack(_STEP * stack)
     if refusal is not None:
         raise refusal
-    half = exponentials[0]
     k = len(_GRID)
-    powers = np.empty((k, *half.shape), dtype=half.dtype)
+    powers = np.empty((half.shape[0], k, *half.shape[1:]), dtype=half.dtype)
     with _quiet():
-        np.matmul(half, half, out=powers[0])
-        m = 1  # powers[:m] holds E^1..E^m
+        np.matmul(half, half, out=powers[:, 0])
+        m = 1  # powers[:, :m] holds E^1..E^m
         while m < k:  # [E..E^j] E^m = [E^{m+1}..E^{m+j}]
             j = min(m, k - m)
-            np.matmul(powers[:j], powers[m - 1], out=powers[m : m + j])
+            np.matmul(powers[:, :j], powers[:, m - 1 : m], out=powers[:, m : m + j])
             m += j
     return _finite(powers, "matrix exponential"), half
 
 
-def concavity_equivalence_suite(
-    S: SemigroupSpec, tol: ToleranceConfig = DEFAULT_TOL
-) -> EquivalenceSuiteReport:
-    """Evaluate the four equivalent concavity conditions and compare verdicts.
+def _concavity_suites(
+    specs: Sequence[SemigroupSpec], tol: ToleranceConfig
+) -> list[EquivalenceSuiteReport]:
+    """The four-way concavity check of each semigroup of ``specs``, over one stack of their
+    generators.
 
-    The grid of (i) and (ii) is built as powers of e^{2hA} from the one exponential
-    e^{hA} (see ``_grid_exponentials``); its refusals are those of that exponential,
-    and a power that overflows is a non-finite matrix exponential.
+    Legs (i), (ii) and (iv) each run once over the whole (k, n, n) stack; the generator form
+    (iii) is the public criterion of each member.  Batched products, eigenvalues, SVDs and
+    solves treat each member alone, so each report holds the bits that member's own suite
+    would.  A refusal is raised for the stack, in the order of the legs, so a stack of one
+    refuses exactly as ``concavity_equivalence_suite`` does.
     """
+    stack = np.stack([S.generator.array for S in specs])
     slack = 10.0 * tol.residual_tol
-    n = S.generator.array.shape[0]
+    n = stack.shape[-1]
 
     # (i) concavity of each evolved operator on the grid
-    evolved, half = _grid_exponentials(S)
-    _, max_defect = _defect_range(evolved)
-    semigroup_concave = max_defect <= slack
+    evolved, half = _grid_exponentials(stack)
+    max_defects = _defect_range(evolved)[1].max(axis=1)
 
     # (ii) second differences of t -> ||e^{tA} x||^2 at t_k - h, t_k, t_k + h: with
     # y = e^{hA} x the outer points are e^{t_{k-1} A} y and e^{t_k A} y (e^{0A} = Id)
@@ -201,38 +216,53 @@ def concavity_equivalence_suite(
     xs = rng.standard_normal((_SAMPLES, n)) + 1j * rng.standard_normal((_SAMPLES, n))
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
     with _quiet():
-        ys = half @ xs.T
-        mid = np.linalg.norm(evolved @ xs.T, axis=1) ** 2
-        outer = np.linalg.norm(np.concatenate((ys[None], evolved @ ys)), axis=1) ** 2
-        second = _finite(outer[1:] - 2.0 * mid + outer[:-1], "norm path ||e^{tA} x||^2 on the grid")
-    max_second = float(second.max())
-    norm_path_concave = max_second <= slack
+        ys = (half @ xs.T)[:, None]
+        mid = np.linalg.norm(evolved @ xs.T, axis=-2) ** 2
+        outer = np.linalg.norm(np.concatenate((ys, evolved @ ys), axis=1), axis=-2) ** 2
+        second = outer[:, 1:] - 2.0 * mid + outer[:, :-1]
+        _finite(second, "norm path ||e^{tA} x||^2 on the grid")
+    max_seconds = second.max(axis=(1, 2))
 
     # (iii) the generator-side Hermitian form
-    gen = generator_concavity_criterion(S.generator, tol)
+    generator_forms = [generator_concavity_criterion(S.generator, tol) for S in specs]
 
     # (iv) concavity of the cogenerator
-    _, cog_defect = _defect_range(cogenerator(S, tol).array)
-    cog_concave = cog_defect <= tol.psd_tol
+    cog_defects = _defect_range(_cayley(stack, tol, "generator"))[1]
 
-    values = (
-        semigroup_concave,
-        norm_path_concave,
-        gen.satisfied,
-        cog_concave,
-    )
-    agree = len(set(values)) == 1
-    return EquivalenceSuiteReport(
-        semigroup_concave=semigroup_concave,
-        semigroup_max_defect=max_defect,
-        norm_path_concave=norm_path_concave,
-        norm_path_max_second_difference=max_second,
-        generator_form=gen.satisfied,
-        generator_margin=gen.margin,
-        cogenerator_concave=cog_concave,
-        cogenerator_defect=cog_defect,
-        agree=agree,
-        verdict=values[0] if agree else None,
-        t_grid=_GRID,
-        grid_slack=slack,
-    )
+    reports = []
+    for max_defect, max_second, gen, cog_defect in zip(
+        max_defects.tolist(), max_seconds.tolist(), generator_forms, cog_defects.tolist()
+    ):
+        cog_concave = cog_defect <= tol.psd_tol
+        values = (max_defect <= slack, max_second <= slack, gen.satisfied, cog_concave)
+        agree = len(set(values)) == 1
+        reports.append(
+            EquivalenceSuiteReport(
+                semigroup_concave=values[0],
+                semigroup_max_defect=max_defect,
+                norm_path_concave=values[1],
+                norm_path_max_second_difference=max_second,
+                generator_form=gen.satisfied,
+                generator_margin=gen.margin,
+                cogenerator_concave=cog_concave,
+                cogenerator_defect=cog_defect,
+                agree=agree,
+                verdict=values[0] if agree else None,
+                t_grid=_GRID,
+                grid_slack=slack,
+            )
+        )
+    return reports
+
+
+def concavity_equivalence_suite(
+    S: SemigroupSpec, tol: ToleranceConfig = DEFAULT_TOL
+) -> EquivalenceSuiteReport:
+    """Evaluate the four equivalent concavity conditions and compare verdicts.
+
+    This is the stack of one generator (see ``_concavity_suites``).  The grid of (i) and
+    (ii) is built as powers of e^{2hA} from the one exponential e^{hA} (see
+    ``_grid_exponentials``); its refusals are those of that exponential, and a power that
+    overflows is a non-finite matrix exponential.
+    """
+    return _concavity_suites((S,), tol)[0]

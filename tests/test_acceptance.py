@@ -7,12 +7,14 @@ the criterion implementations; the tests only assert the verdicts.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from shiftmodels import acceptance, hardy
+from shiftmodels import acceptance, hardy, semigroup
 from shiftmodels.acceptance import ALL_CRITERIA
+from shiftmodels.classify import GeneratorConcavity
 from shiftmodels.series import PowerSeries
 
 
@@ -33,6 +35,69 @@ def test_criterion_01_cayley_round_trip():
 
 def test_criterion_02_concavity_equivalence():
     _check(acceptance.criterion_2_concavity_equivalence())
+
+
+def _raise_the_grid_defect(monkeypatch):
+    # the grid of leg (i) is the one 4-D stack whose defect form the suite takes
+    original = semigroup._defect_range
+
+    def raised(stack):
+        low, high = original(stack)
+        return low, high + (1.0 if stack.ndim == 4 else 0.0)
+
+    monkeypatch.setattr(semigroup, "_defect_range", raised)
+
+
+def _stretch_the_step(monkeypatch):
+    # e^{hA} only feeds the outer points of the norm path
+    original = semigroup._grid_exponentials
+
+    def stretched(stack):
+        evolved, half = original(stack)
+        return evolved, 1.1 * half
+
+    monkeypatch.setattr(semigroup, "_grid_exponentials", stretched)
+
+
+def _flip_the_generator_form(monkeypatch):
+    original = semigroup.generator_concavity_criterion
+
+    def flipped(A, tol):
+        form = original(A, tol)
+        return GeneratorConcavity(not form.satisfied, form.margin)
+
+    monkeypatch.setattr(semigroup, "generator_concavity_criterion", flipped)
+
+
+def _stretch_the_cogenerator(monkeypatch):
+    # 1.5 V has defect (1.5^2 - 1)^2 > 0 where V is unitary
+    original = semigroup._cayley
+    monkeypatch.setattr(semigroup, "_cayley", lambda *args: 1.5 * original(*args))
+
+
+@pytest.mark.parametrize(
+    "perturb",
+    [_raise_the_grid_defect, _stretch_the_step, _flip_the_generator_form, _stretch_the_cogenerator],
+    ids=["semigroup-grid", "norm-path", "generator-form", "cogenerator"],
+)
+def test_criterion_2_fails_when_one_leg_is_perturbed(monkeypatch, perturb):
+    perturb(monkeypatch)
+    result = acceptance.criterion_2_concavity_equivalence()
+    assert result.passed is False
+    disagreements = re.search(r"(\d+) disagreements", result.detail).group(1)
+    assert int(disagreements) > 0
+
+
+def test_criterion_2_traces_at_most_2_5_mb():
+    # one stack per family, not one of all 100 generators, keeps the verify-all peak small
+    acceptance.criterion_2_concavity_equivalence()
+    tracemalloc.start()
+    try:
+        acceptance.criterion_2_concavity_equivalence()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6, peak
 
 
 def test_criterion_03_model_projection():

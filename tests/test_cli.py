@@ -476,6 +476,21 @@ def test_overflowing_shift_model_is_refused_without_warnings(tmp_path, argv):
     _assert_single_error_line(proc, 3)
 
 
+def test_reproduce_reports_a_vector_whose_squared_norm_overflows(tmp_path):
+    # |1e200|^2 is past the float range; the norm is 1e200, scaled by its largest modulus
+    (tmp_path / "big.json").write_text(json.dumps({"entries": [[0, 1e200, 0.0]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        proc = _run_captured(
+            ["model", "--operator", _fixture("dirichlet.json"), "--coeffs",
+             str(tmp_path / "big.json"), "--verify", "reproduce", "--lam", "0.6"]
+        )
+    assert proc.returncode in (0, 1), proc.stderr
+    assert proc.stderr == ""
+    (check,) = json.loads(proc.stdout)["checks"]
+    assert check["name"] == "reproduce" and math.isfinite(check["residual"])
+
+
 def test_kernel_inside_the_disc_is_reported_where_the_dual_products_overflow(capsys, tmp_path):
     # |lam| ||L|| = 0.9 needs 240 dual Neumann terms, and beta'_n = 1e3^n overflows from n = 103
     # on; each term is (z conj(lam) 1e6)^m = 0.09^m through m = 120

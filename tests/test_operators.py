@@ -140,6 +140,18 @@ def test_vector_algebra():
     assert x.norm() == pytest.approx(SQRT2, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "entries, expected",
+    [
+        # a square past the float range raises in the power, a sum past it is inf
+        (((0, 1e200), (3, 1e200j)), 1e200 * SQRT2),
+        (((0, 1e154), (1, -1e154)), 1e154 * SQRT2),
+    ],
+)
+def test_vector_norm_is_scaled_where_its_square_overflows(entries, expected):
+    assert FiniteSupportVector(entries).norm() == pytest.approx(expected, rel=1e-15)
+
+
 def _assert_same_operator(S, T) -> None:
     assert type(S) is type(T)
     if isinstance(S, Shift):

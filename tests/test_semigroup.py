@@ -2,11 +2,12 @@
 
 import cmath
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from shiftmodels import semigroup
+from shiftmodels import acceptance, semigroup
 from shiftmodels.config import DEFAULT_TOL, ToleranceConfig
 from shiftmodels.errors import NonFinite, OneInSpectrum
 from shiftmodels.numkit import ComplexMatrix, expm_stack, two_norm
@@ -69,8 +70,8 @@ def test_suite_exponentials_of_triangular_generators_match_the_closed_form(a, c,
     # so the large-|b| pins wait for the Al-Mohy-Higham choice of degree and squarings.
     S = SemigroupSpec(ComplexMatrix([[a, b], [0.0, c]]))
     times = (*semigroup._GRID, semigroup._STEP)
-    evolved, half = semigroup._grid_exponentials(S)  # the suite's grid: powers of e^{2hA}
-    for t, E in zip(times, (*evolved, half)):
+    evolved, half = semigroup._grid_exponentials(S.generator.array[None])  # powers of e^{2hA}
+    for t, E in zip(times, (*evolved[0], half[0])):
         ta, tc = cmath.exp(t * a), cmath.exp(t * c)
         corner = t * b * ta if a == c else b * (tc - ta) / (c - a)
         for value, exact in ((E[0, 0], ta), (E[1, 1], tc), (E[0, 1], corner)):
@@ -89,11 +90,11 @@ def test_suite_grid_matches_one_exponential_per_time(n):
             B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             A = ((B - B.conj().T) / 2.0, -(B.conj().T @ B + np.eye(n)), B)[family]
             S = SemigroupSpec(ComplexMatrix(A))
-            evolved, half = semigroup._grid_exponentials(S)
-            assert evolved.shape == (len(semigroup._GRID), n, n)
+            evolved, half = semigroup._grid_exponentials(S.generator.array[None])
+            assert evolved.shape == (1, len(semigroup._GRID), n, n)
             independent, refusal = semigroup._evolve_stack(S, times)
             assert refusal is None
-            for t, E, exact in zip(times, (*evolved, half), independent):
+            for t, E, exact in zip(times, (*evolved[0], half[0]), independent):
                 scale = max(1.0, float(np.max(np.abs(exact))))
                 assert np.max(np.abs(E - exact)) <= 1e-12 * scale, (family, t)
 
@@ -113,14 +114,44 @@ def test_suite_takes_one_matrix_exponential(monkeypatch):
     assert shapes == [(1, 5, 5)]
 
 
+def test_suite_stack_is_bit_identical_to_one_suite_per_generator(monkeypatch):
+    # criterion 2's three family stacks, and the n = 4, 16 and 32 families above as one
+    # mixed stack each: every leg value, verdict, agree and grid_slack keeps its bits
+    stacks = []
+    stacked = semigroup._concavity_suites
+
+    def recording(specs, tol):
+        stacks.append((specs, stacked(specs, tol)))
+        return stacks[-1][1]
+
+    monkeypatch.setattr(acceptance, "_concavity_suites", recording)
+    assert acceptance.criterion_2_concavity_equivalence().passed
+    assert [len(specs) for specs, _ in stacks] == [34, 33, 33]
+    for n in (4, 16, 32):
+        rng = np.random.default_rng(300 + n)
+        specs = []
+        for family in range(3):
+            for _ in range(2):
+                B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                A = ((B - B.conj().T) / 2.0, -(B.conj().T @ B + np.eye(n)), B)[family]
+                specs.append(SemigroupSpec(ComplexMatrix(A)))
+        stacks.append((specs, stacked(specs, DEFAULT_TOL)))
+    for specs, reports in stacks:
+        assert len(reports) == len(specs)
+        for S, report in zip(specs, reports):
+            # repr tells -0.0 from 0.0, so equal reprs are equal bits
+            assert repr(astuple(report)) == repr(astuple(concavity_equivalence_suite(S)))
+
+
 def test_suite_refuses_an_overflowing_power():
     # A = 400 Id: e^{hA} = e^20 Id and e^{1.7 A} = e^680 Id are finite, e^{1.8 A} is not
     S = SemigroupSpec(ComplexMatrix(np.diag([400.0, 400.0])))
     evolved, refusal = semigroup._evolve_stack(S, (semigroup._STEP, 1.7))
     assert refusal is None and np.isfinite(evolved).all()
-    for call in (semigroup._grid_exponentials, concavity_equivalence_suite):
-        with pytest.raises(NonFinite, match="^non-finite matrix exponential$"):
-            call(S)
+    with pytest.raises(NonFinite, match="^non-finite matrix exponential$"):
+        semigroup._grid_exponentials(S.generator.array[None])
+    with pytest.raises(NonFinite, match="^non-finite matrix exponential$"):
+        concavity_equivalence_suite(S)
 
 
 def test_suite_refuses_an_overscaled_step_exponential():
@@ -219,7 +250,9 @@ def test_suite_norm_path_refuses_its_own_overflow(monkeypatch):
     # e^{2A} = e^600 Id is finite and ||e^{2A} x||^2 = e^1200 is not. On real input the
     # defect form of stage (i), which holds ||e^{4A}||^2, overflows first, so stage (i)
     # is stubbed out to reach the norm path
-    monkeypatch.setattr(semigroup, "_defect_range", lambda stack: (0.0, 0.0))
+    monkeypatch.setattr(
+        semigroup, "_defect_range", lambda stack: (np.zeros(stack.shape[:-2]),) * 2
+    )
     with pytest.raises(NonFinite, match="norm path"):
         concavity_equivalence_suite(SemigroupSpec(ComplexMatrix(np.diag([300.0, 300.0]))))
 
