@@ -48,10 +48,8 @@ from .operators import (
 )
 from .classify import (
     ClassificationReport,
-    GeneratorConcavity,
     classify_operator,
     concave_power_growth_check,
-    generator_concavity_criterion,
 )
 from .semigroup import (
     EquivalenceSuiteReport,

@@ -12,6 +12,14 @@ The criteria deliberately cross independent code paths: closed forms against
 brute-force series, generator-side against semigroup-side concavity, the
 Laguerre multiplier against the symbol-algebra and exponential-recurrence
 multipliers, and measured ranks against structural predictions.
+
+A criterion that loops over small random matrices draws its whole population
+first, in its one rng order, and then makes one LAPACK call per matrix size:
+criterion 1 runs the Cayley transform both ways over one stack per size,
+criterion 2 the concavity suite over one stack per generator family, criterion
+10 the growth pass over one stack, and criteria 8 and 12 take their random
+unitaries from one QR per size.  Batched LAPACK calls treat each member alone,
+so every detail string keeps the bits of one call per matrix.
 """
 
 from __future__ import annotations
@@ -45,11 +53,9 @@ from .operators import (
 )
 from .semigroup import (
     SemigroupSpec,
+    _cayley,
     _concavity_suites,
-    cogenerator,
-    growth_bound,
-    growth_bound_consistency,
-    inverse_cayley,
+    _growth_consistencies,
 )
 from .series import PowerSeries, series_exp, series_mul
 from .shimorin import (
@@ -96,9 +102,18 @@ def _random_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, _ = np.linalg.qr(_random_complex(rng, (n, n)))
-    return q
+def _unitaries(gaussians: list[np.ndarray]) -> list[np.ndarray]:
+    """The unitary QR factor of each square matrix of ``gaussians``, in order, from one
+    batched QR per size."""
+    sizes: dict[int, list[int]] = {}
+    for j, g in enumerate(gaussians):
+        sizes.setdefault(len(g), []).append(j)
+    out = [None] * len(gaussians)
+    for members in sizes.values():
+        q, _ = np.linalg.qr(np.stack([gaussians[j] for j in members]))
+        for j, u in zip(members, q):
+            out[j] = u
+    return out
 
 
 def _random_vector(rng: np.random.Generator, max_support: int, max_index: int) -> FiniteSupportVector:
@@ -116,19 +131,28 @@ def _random_vector(rng: np.random.Generator, max_support: int, max_index: int) -
 
 @_criterion
 def criterion_1_cayley_round_trip() -> tuple[bool, str]:
-    """inverse_cayley(cogenerator(A)) returns A to 1e-9 for 50 random generators."""
+    """The Cayley transform and its inverse return A to 1e-9 for 50 random generators.
+
+    Each generator A = B - shift Id has max Re(spectrum) = -margin, margin in [0.5, 2.5),
+    so 1 stays off its spectrum.  The generators are drawn in one sequence and grouped by
+    size (n = 2..8): each group takes one batched eigvals for its shifts and one stacked
+    Cayley transform each way.
+    """
     tolerance = 1e-9
     rng = np.random.default_rng(101)
-    worst = 0.0
+    groups: dict[int, list[tuple[np.ndarray, float]]] = {}
     for _ in range(50):
         n = int(rng.integers(2, 9))
         B = _random_complex(rng, (n, n))
-        margin = 0.5 + float(rng.uniform(0.0, 2.0))
-        shift = float(np.max(np.linalg.eigvals(B).real)) + margin
-        A = ComplexMatrix(B - shift * np.eye(n, dtype=np.complex128))
-        S = SemigroupSpec(A)
-        recovered = inverse_cayley(cogenerator(S))
-        worst = max(worst, float(np.max(np.abs(recovered.array - A.array))))
+        groups.setdefault(n, []).append((B, 0.5 + float(rng.uniform(0.0, 2.0))))
+    worst = 0.0
+    for n, draws in groups.items():
+        B = np.stack([b for b, _ in draws])
+        shift = np.linalg.eigvals(B).real.max(axis=-1) + [margin for _, margin in draws]
+        A = B - shift[:, None, None] * np.eye(n, dtype=np.complex128)
+        V = _cayley(A, DEFAULT_TOL, "generator")
+        recovered = _cayley(V, DEFAULT_TOL, "cogenerator")
+        worst = max(worst, float(np.max(np.abs(recovered - A))))
     return worst <= tolerance, (
         f"max entry residual {worst:.3e} over 50 generators (tolerance {tolerance:.0e})"
     )
@@ -382,14 +406,22 @@ def criterion_8_wold_split() -> tuple[bool, str]:
     unitary_tolerance = 1e-10
     rigidity_tolerance = 1e-8
     rng = np.random.default_rng(808)
+    gaussians, nilpotents = [], []
+    for _ in range(20):
+        n_u = int(rng.integers(1, 6))
+        n_n = int(rng.integers(1, 6))
+        gaussians.append(_random_complex(rng, (n_u, n_u)))
+        nilpotents.append(np.triu(_random_complex(rng, (n_n, n_n)), 1))
+    for _ in range(50):  # the unitaries of the rigidity check
+        n = int(rng.integers(2, 11))
+        gaussians.append(_random_complex(rng, (n, n)))
+    unitaries = _unitaries(gaussians)
+
     dim_errors = 0
     worst_unitary = 0.0
     span_failures = 0
-    for i in range(20):
-        n_u = int(rng.integers(1, 6))
-        n_n = int(rng.integers(1, 6))
-        U = _random_unitary(rng, n_u)
-        Nilp = np.triu(_random_complex(rng, (n_n, n_n)), 1)
+    for i, (U, Nilp) in enumerate(zip(unitaries[:20], nilpotents)):
+        n_u, n_n = len(U), len(Nilp)
         if i % 2 == 0:
             V = DirectSum((Dense(ComplexMatrix(U)), Dense(ComplexMatrix(Nilp))))
         else:
@@ -407,9 +439,8 @@ def criterion_8_wold_split() -> tuple[bool, str]:
     # rigidity: concave and invertible in finite dimension forces unitarity
     worst_rigidity = 0.0
     misclassified = 0
-    for _ in range(50):
-        n = int(rng.integers(2, 11))
-        U = _random_unitary(rng, n)
+    for U in unitaries[20:]:
+        n = len(U)
         rep = classify_operator(Dense(ComplexMatrix(U)))
         if not (rep.concave and rep.bounded_below and rep.two_isometry):
             misclassified += 1
@@ -477,29 +508,31 @@ def criterion_9_ladder_decomposition() -> tuple[bool, str]:
 
 @_criterion
 def criterion_10_growth_bound() -> tuple[bool, str]:
-    """omega matches closed-form oracles to 1e-10 and the evolved radius to 1e-8."""
+    """omega matches closed-form oracles to 1e-10 and the evolved radius to 1e-8.
+
+    The 30 generators are drawn in one sequence, by index mod 3 skew-adjoint (omega = 0),
+    dissipative -(B*B + Id) (omega = -1 - the least eigenvalue of B*B) and general, and
+    go through one stacked growth pass; the B*B oracle is one batched eigvalsh.
+    """
     oracle_tolerance = 1e-10
     consistency_tolerance = 1e-8
     rng = np.random.default_rng(1010)
     n = 6
-    worst_oracle = 0.0
-    worst_consistency = 0.0
+    generators, grams = [], []
     for i in range(30):
         B = _random_complex(rng, (n, n))
         if i % 3 == 0:
             A = (B - B.conj().T) / 2.0
-            oracle = 0.0
         elif i % 3 == 1:
-            A = -(B.conj().T @ B + np.eye(n, dtype=np.complex128))
-            oracle = -1.0 - float(np.min(np.linalg.eigvalsh(B.conj().T @ B)))
+            grams.append(B.conj().T @ B)
+            A = -(grams[-1] + np.eye(n, dtype=np.complex128))
         else:
             A = B
-            oracle = None
-        S = SemigroupSpec(ComplexMatrix(A))
-        omega = growth_bound(S).omega
-        if oracle is not None:
-            worst_oracle = max(worst_oracle, abs(omega - oracle))
-        worst_consistency = max(worst_consistency, growth_bound_consistency(S))
+        generators.append(A)
+    omegas, consistencies = _growth_consistencies(np.stack(generators))
+    oracles = -1.0 - np.linalg.eigvalsh(np.stack(grams)).min(axis=-1)
+    worst_oracle = float(max(np.abs(omegas[0::3]).max(), np.abs(omegas[1::3] - oracles).max()))
+    worst_consistency = float(consistencies.max())
     passed = worst_oracle <= oracle_tolerance and worst_consistency <= consistency_tolerance
     return passed, (
         f"max oracle deviation {worst_oracle:.3e} (<={oracle_tolerance:.0e}), max "
@@ -555,10 +588,13 @@ def criterion_12_concave_power_growth() -> tuple[bool, str]:
         checks += 1
         if not concave_power_growth_check(T, x, N=50, tol=slack):
             failures += 1
+    gaussians, amplitudes = [], []
     for _ in range(6):
         n = int(rng.integers(2, 9))
-        U = _random_unitary(rng, n)
-        x_values = _random_complex(rng, n)
+        gaussians.append(_random_complex(rng, (n, n)))
+        amplitudes.append(_random_complex(rng, n))
+    for U, x_values in zip(_unitaries(gaussians), amplitudes):
+        n = len(U)
         x = FiniteSupportVector(tuple(enumerate(x_values / np.linalg.norm(x_values))), n)
         checks += 1
         if not concave_power_growth_check(Dense(ComplexMatrix(U)), x, N=50, tol=slack):

@@ -104,14 +104,16 @@ class ComplexMatrix:
         object.__setattr__(self, "array", arr)
 
 
-def hermitian_max_eig(arr: np.ndarray) -> float:
-    """Largest eigenvalue of the Hermitian part (M + M*)/2.
+def hermitian_max_eig(arr: np.ndarray) -> float | np.ndarray:
+    """Largest eigenvalue of the Hermitian part (M + M*)/2 of M, or of each M of a
+    (..., n, n) stack: a float for one matrix, an array of the leading shape for a stack.
 
     Callers promise M is Hermitian up to residual_tol; symmetrizing first
-    makes the result insensitive to that residual.
+    makes the result insensitive to that residual.  One eigvalsh call covers a stack.
     """
-    herm = arr / 2.0 + arr.conj().T / 2.0  # halving first cannot overflow
-    return float(np.linalg.eigvalsh(herm)[-1])
+    herm = arr / 2.0 + arr.conj().mT / 2.0  # halving first cannot overflow
+    top = np.linalg.eigvalsh(herm)[..., -1]
+    return float(top) if arr.ndim == 2 else top
 
 
 def expm_stack(stack: np.ndarray) -> tuple[np.ndarray, NonFinite | None]:

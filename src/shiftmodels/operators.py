@@ -39,6 +39,8 @@ import numpy as np
 from .errors import AmbientMismatch, NonFinite, UnsupportedRegime
 from .numkit import ComplexMatrix, _finite, _quiet
 
+_NORMAL_MIN = float(np.finfo(np.float64).tiny)  # the smallest normal double
+
 __all__ = [
     "FiniteSupportVector",
     "EventuallyConstantWeights",
@@ -118,16 +120,19 @@ class FiniteSupportVector:
         return tuple(zip(self.indices.tolist(), self.values.tolist()))
 
     def norm(self) -> float:
-        """The 2-norm; past the float range of its square, scaled by the largest modulus m as
-        m sqrt(sum |v/m|^2), the rule of the reference BLAS nrm2."""
+        """The 2-norm; where its square leaves the normal float range (past the largest
+        double, or below the smallest normal one for a nonzero vector), scaled by the largest
+        modulus m as m sqrt(sum |v/m|^2), the rule of the reference BLAS nrm2."""
         values = self.values.tolist()
         try:
             square = sum(abs(v) ** 2 for v in values)
         except OverflowError:  # a float power past the range raises; a sum past it is inf
             square = math.inf
-        if square < math.inf:
+        if _NORMAL_MIN <= square < math.inf:
             return math.sqrt(square)
-        top = max(abs(v) for v in values)
+        top = max(map(abs, values), default=0.0)
+        if top == 0.0:
+            return 0.0
         return top * math.sqrt(sum((abs(v) / top) ** 2 for v in values))
 
     def scale(self, c: complex) -> "FiniteSupportVector":

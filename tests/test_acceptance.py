@@ -14,7 +14,9 @@ import pytest
 
 from shiftmodels import acceptance, hardy, semigroup
 from shiftmodels.acceptance import ALL_CRITERIA
-from shiftmodels.classify import GeneratorConcavity
+from shiftmodels.config import DEFAULT_TOL
+from shiftmodels.numkit import ComplexMatrix
+from shiftmodels.semigroup import SemigroupSpec, cogenerator, inverse_cayley
 from shiftmodels.series import PowerSeries
 
 
@@ -31,6 +33,87 @@ def test_criterion_registry_is_complete():
 
 def test_criterion_01_cayley_round_trip():
     _check(acceptance.criterion_1_cayley_round_trip())
+
+
+def test_criterion_1_round_trip_is_bit_identical_to_the_public_pair(monkeypatch):
+    # one stack per size each way; every member comes back with the bits of
+    # inverse_cayley(cogenerator(S)) on its own
+    calls = []
+    original = acceptance._cayley
+
+    def recording(stack, tol, what):
+        calls.append((what, stack, original(stack, tol, what)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(acceptance, "_cayley", recording)
+    assert acceptance.criterion_1_cayley_round_trip().passed
+    forward, back = calls[0::2], calls[1::2]
+    assert [what for what, _, _ in forward] == ["generator"] * 7
+    assert [what for what, _, _ in back] == ["cogenerator"] * 7
+    assert sorted(stack.shape[-1] for _, stack, _ in forward) == list(range(2, 9))
+    assert sum(len(stack) for _, stack, _ in forward) == 50
+    for (_, generators, cogenerators), (_, stacked, recovered) in zip(forward, back):
+        assert stacked is cogenerators
+        for A, R in zip(generators, recovered):
+            one = inverse_cayley(cogenerator(SemigroupSpec(ComplexMatrix(A)))).array
+            assert one.tobytes() == np.ascontiguousarray(R).tobytes()
+
+
+def test_criterion_1_fails_when_the_inverse_transform_is_stretched(monkeypatch):
+    original = acceptance._cayley
+
+    def stretched(stack, tol, what):
+        out = original(stack, tol, what)
+        return out * (1.0 + 1e-8) if what == "cogenerator" else out
+
+    monkeypatch.setattr(acceptance, "_cayley", stretched)
+    result = acceptance.criterion_1_cayley_round_trip()
+    assert not result.passed
+    assert float(re.search(r"max entry residual (\S+)", result.detail).group(1)) > 1e-9
+
+
+def _move_omega(monkeypatch):
+    original = acceptance._growth_consistencies
+
+    def moved(stack):
+        omegas, consistencies = original(stack)
+        return omegas + 1e-6, consistencies
+
+    monkeypatch.setattr(acceptance, "_growth_consistencies", moved)
+
+
+def _move_one_radius(monkeypatch):
+    # e^{tA} of one member and one time, scaled by 1 + 1e-6, has its radius moved as much
+    original = semigroup.expm_stack
+
+    def moved(stack):
+        evolved, refusal = original(stack)
+        evolved[4] *= 1.0 + 1e-6
+        return evolved, refusal
+
+    monkeypatch.setattr(semigroup, "expm_stack", moved)
+
+
+@pytest.mark.parametrize(
+    "perturb, measured, at_least",
+    [
+        (_move_omega, "max oracle deviation", 0.9e-6),
+        (_move_one_radius, "max radius consistency", 0.9e-6 / 2.0),
+    ],
+    ids=["omega", "evolved-radius"],
+)
+def test_criterion_10_fails_when_omega_or_a_radius_moves(monkeypatch, perturb, measured, at_least):
+    perturb(monkeypatch)
+    result = acceptance.criterion_10_growth_bound()
+    assert not result.passed
+    assert float(re.search(rf"{measured} (\S+)", result.detail).group(1)) >= at_least
+
+
+def test_random_unitaries_are_bit_identical_to_one_qr_per_matrix():
+    rng = np.random.default_rng(8)
+    gaussians = [acceptance._random_complex(rng, (n, n)) for n in (3, 1, 3, 5, 1, 10, 3)]
+    for G, U in zip(gaussians, acceptance._unitaries(gaussians)):
+        assert U.tobytes() == np.linalg.qr(G)[0].tobytes()
 
 
 def test_criterion_02_concavity_equivalence():
@@ -60,13 +143,14 @@ def _stretch_the_step(monkeypatch):
 
 
 def _flip_the_generator_form(monkeypatch):
-    original = semigroup.generator_concavity_criterion
+    # a margin on the other side of psd_tol flips each member's generator verdict; the
+    # generator forms are the one stack whose largest eigenvalues the suite takes
+    original = semigroup.hermitian_max_eig
 
-    def flipped(A, tol):
-        form = original(A, tol)
-        return GeneratorConcavity(not form.satisfied, form.margin)
+    def flipped(forms):
+        return np.where(original(forms) <= DEFAULT_TOL.psd_tol, 1.0, -1.0)
 
-    monkeypatch.setattr(semigroup, "generator_concavity_criterion", flipped)
+    monkeypatch.setattr(semigroup, "hermitian_max_eig", flipped)
 
 
 def _stretch_the_cogenerator(monkeypatch):

@@ -6,11 +6,7 @@ from scipy.linalg import block_diag
 
 from shiftmodels import classify
 from shiftmodels.config import DEFAULT_TOL, ToleranceConfig
-from shiftmodels.classify import (
-    classify_operator,
-    concave_power_growth_check,
-    generator_concavity_criterion,
-)
+from shiftmodels.classify import classify_operator, concave_power_growth_check
 from shiftmodels.errors import NotConcave
 from shiftmodels.numkit import ComplexMatrix
 from shiftmodels.operators import (
@@ -22,6 +18,7 @@ from shiftmodels.operators import (
     dirichlet_shift,
     isometric_shift,
 )
+from shiftmodels.semigroup import SemigroupSpec, concavity_equivalence_suite
 from shiftmodels.shimorin import wold_decompose
 
 
@@ -92,19 +89,20 @@ def test_two_isometry_is_intersection_flag():
 
 
 def test_generator_criterion_pinned_values():
+    # the generator form sym(A^2) + A*A is leg (iii) of the equivalence suite
     skew = ComplexMatrix([[0.0, 1.0], [-1.0, 0.0]])
-    res = generator_concavity_criterion(skew, DEFAULT_TOL)
-    assert res.satisfied
-    assert abs(res.margin) <= 1e-14
+    res = concavity_equivalence_suite(SemigroupSpec(skew), DEFAULT_TOL)
+    assert res.generator_form
+    assert abs(res.generator_margin) <= 1e-14
 
-    res = generator_concavity_criterion(ComplexMatrix(np.diag([-1.0])), DEFAULT_TOL)
-    assert not res.satisfied
-    assert res.margin == pytest.approx(2.0, abs=1e-12)
+    res = concavity_equivalence_suite(SemigroupSpec(ComplexMatrix(np.diag([-1.0]))), DEFAULT_TOL)
+    assert not res.generator_form
+    assert res.generator_margin == pytest.approx(2.0, abs=1e-12)
 
     nilpotent = ComplexMatrix([[0.0, 1.0], [0.0, 0.0]])
-    res = generator_concavity_criterion(nilpotent, DEFAULT_TOL)
-    assert not res.satisfied
-    assert res.margin == pytest.approx(1.0, abs=1e-12)
+    res = concavity_equivalence_suite(SemigroupSpec(nilpotent), DEFAULT_TOL)
+    assert not res.generator_form
+    assert res.generator_margin == pytest.approx(1.0, abs=1e-12)
 
 
 def test_concave_flag_implies_sampled_form_nonnegative():
@@ -161,6 +159,22 @@ def test_power_growth_check_pinned_cases():
     T = Dense(ComplexMatrix(np.diag([2.0, 0.5])))
     loose = ToleranceConfig(psd_tol=10.0)
     assert not concave_power_growth_check(T, FiniteSupportVector.basis(0, 2), 5, loose)
+
+
+@pytest.mark.parametrize("c", [1e-200, 1.0, 1e200])
+def test_power_growth_verdict_does_not_depend_on_the_scale_of_the_vector(c):
+    # the check compares ||T^n x||^2 / ||x||^2, so c e_0 gives the verdict of e_0: the
+    # Dirichlet shift meets the bound, and diag(2, 0.5) through a loose gate breaks it
+    assert concave_power_growth_check(dirichlet_shift(), FiniteSupportVector(((0, c),)), 50)
+    T = Dense(ComplexMatrix(np.diag([2.0, 0.5])))
+    loose = ToleranceConfig(psd_tol=10.0)
+    x = FiniteSupportVector(((0, c),), 2)
+    assert not concave_power_growth_check(T, x, 5, loose)
+
+
+def test_power_growth_check_of_the_zero_vector_holds():
+    assert concave_power_growth_check(dirichlet_shift(), FiniteSupportVector(()), 10)
+    assert concave_power_growth_check(isometric_shift(), FiniteSupportVector(((3, 0.0),)), 10)
 
 
 def test_power_growth_check_requires_concave():

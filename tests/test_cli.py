@@ -1042,11 +1042,17 @@ _NOT_A_NUMBER = st.one_of(st.booleans(), _WIRE_NUMBER.map(str))
 _NOT_A_LIST = st.sampled_from(("12", {"2.0": 1}))
 
 
-# the command that reads each format
+# the command that reads each format; a vector file also goes through each model --verify
 _WIRE_COMMANDS = {
     "dense": ["classify", "--operator"],
     "shift": ["classify", "--operator"],
     "vector": _COEFFS,
+    **{
+        f"vector-{check}": [
+            "model", "--operator", _fixture("dirichlet.json"), "--verify", check, "--coeffs"
+        ]
+        for check in ("intertwine", "reproduce", "semigroup")
+    },
     "series": ["hardy", "--inner-check", "--symbol-file"],
     "blaschke": ["hardy", "--inner-check", "--blaschke-file"],
 }
@@ -1071,7 +1077,7 @@ def _wire_file(kind: str, rows: list) -> tuple[dict, list]:
         weights = [x for row in rows for x in row]
         holder["file"] = {"kind": "shift", "head_weights": weights[:-1], "tail_weight": weights[-1]}
         places = [(holder, "file"), (holder["file"], "head_weights")]
-    elif kind == "vector":
+    elif kind.startswith("vector"):
         entries = [[k, *row] for k, row in enumerate(rows)]
         holder["file"] = {"entries": entries}
         places = [(holder, "file"), (holder["file"], "entries")]

@@ -61,6 +61,17 @@ def test_hermitian_max_eig_pinned_values():
     assert hermitian_max_eig(_diag([-2.0, -5.0])) == pytest.approx(-2.0, abs=1e-12)
 
 
+def test_hermitian_max_eig_of_a_stack_is_that_of_each_matrix():
+    # one eigvalsh call over any leading shape; each member keeps its 2-D bits
+    rng = np.random.default_rng(12)
+    stack = rng.standard_normal((2, 3, 5, 5)) + 1j * rng.standard_normal((2, 3, 5, 5))
+    tops = hermitian_max_eig(stack)
+    assert tops.shape == (2, 3)
+    for M, top in zip(stack.reshape(6, 5, 5), tops.ravel().tolist()):
+        assert type(hermitian_max_eig(M)) is float
+        assert repr(top) == repr(hermitian_max_eig(M))
+
+
 def test_the_package_root_kernels_take_the_checked_array():
     # the root re-exports numkit's kernels, which take an array and neither convert nor
     # scan it: a caller's matrix is checked by ComplexMatrix first and passed as its .array

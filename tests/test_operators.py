@@ -152,6 +152,18 @@ def test_vector_norm_is_scaled_where_its_square_overflows(entries, expected):
     assert FiniteSupportVector(entries).norm() == pytest.approx(expected, rel=1e-15)
 
 
+def test_vector_norm_is_scaled_where_its_square_underflows():
+    # each square is below the smallest double, so the plain sum reads 0 for a nonzero vector
+    assert FiniteSupportVector(((0, 1e-200),)).norm() == 1e-200
+    assert abs(FiniteSupportVector(((0, 3e-200), (5, 4e-200j))).norm() - 5e-200) <= math.ulp(5e-200)
+    # a square below the normal range but not 0: sqrt of a subnormal sum loses digits
+    assert FiniteSupportVector(((0, 1e-160),)).norm() == 1e-160
+    assert FiniteSupportVector(((0, 0.0), (2, 0.0))).norm() == 0.0
+    # where the sum of squares is normal, the plain sum stays: bits unchanged
+    x = FiniteSupportVector(((0, 3.0), (1, 4.0j), (7, 1e-150)))
+    assert x.norm() == math.sqrt(sum(abs(v) ** 2 for v in x.values.tolist()))
+
+
 def _assert_same_operator(S, T) -> None:
     assert type(S) is type(T)
     if isinstance(S, Shift):

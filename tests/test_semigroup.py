@@ -10,8 +10,7 @@ import pytest
 from shiftmodels import acceptance, semigroup
 from shiftmodels.config import DEFAULT_TOL, ToleranceConfig
 from shiftmodels.errors import NonFinite, OneInSpectrum
-from shiftmodels.numkit import ComplexMatrix, expm_stack, two_norm
-from shiftmodels.classify import generator_concavity_criterion
+from shiftmodels.numkit import ComplexMatrix, expm_stack, hermitian_max_eig, two_norm
 from shiftmodels.semigroup import (
     SemigroupSpec,
     cogenerator,
@@ -27,6 +26,32 @@ from shiftmodels.semigroup import (
 def _random_skew(rng: np.random.Generator, n: int) -> np.ndarray:
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (raw - raw.conj().T) / 2.0
+
+
+def _families(n: int) -> np.ndarray:
+    """Two skew-adjoint, two dissipative and two general n x n generators, seeded by n."""
+    rng = np.random.default_rng(300 + n)
+    members = []
+    for family in range(3):
+        for _ in range(2):
+            B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            members.append(((B - B.conj().T) / 2.0, -(B.conj().T @ B + np.eye(n)), B)[family])
+    return np.stack(members)
+
+
+def _criterion_2_stacks(monkeypatch) -> list:
+    """(specs, reports) of each stacked suite call criterion 2 makes, recorded by a spy."""
+    stacks = []
+    stacked = semigroup._concavity_suites
+
+    def recording(specs, tol):
+        stacks.append((specs, stacked(specs, tol)))
+        return stacks[-1][1]
+
+    monkeypatch.setattr(acceptance, "_concavity_suites", recording)
+    assert acceptance.criterion_2_concavity_equivalence().passed
+    monkeypatch.undo()
+    return stacks
 
 
 def test_evolve_pinned_values():
@@ -83,20 +108,16 @@ def test_suite_exponentials_of_triangular_generators_match_the_closed_form(a, c,
 def test_suite_grid_matches_one_exponential_per_time(n):
     # the three generator families of acceptance criterion 2; the per-time stack takes
     # each e^{tA} by its own scaling and squaring, with no product of grid members
-    rng = np.random.default_rng(300 + n)
     times = (*semigroup._GRID, semigroup._STEP)
-    for family in range(3):
-        for _ in range(2):
-            B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            A = ((B - B.conj().T) / 2.0, -(B.conj().T @ B + np.eye(n)), B)[family]
-            S = SemigroupSpec(ComplexMatrix(A))
-            evolved, half = semigroup._grid_exponentials(S.generator.array[None])
-            assert evolved.shape == (1, len(semigroup._GRID), n, n)
-            independent, refusal = semigroup._evolve_stack(S, times)
-            assert refusal is None
-            for t, E, exact in zip(times, (*evolved[0], half[0]), independent):
-                scale = max(1.0, float(np.max(np.abs(exact))))
-                assert np.max(np.abs(E - exact)) <= 1e-12 * scale, (family, t)
+    for member, A in enumerate(_families(n)):
+        S = SemigroupSpec(ComplexMatrix(A))
+        evolved, half = semigroup._grid_exponentials(S.generator.array[None])
+        assert evolved.shape == (1, len(semigroup._GRID), n, n)
+        independent, refusal = semigroup._evolve_stack(S, times)
+        assert refusal is None
+        for t, E, exact in zip(times, (*evolved[0], half[0]), independent):
+            scale = max(1.0, float(np.max(np.abs(exact))))
+            assert np.max(np.abs(E - exact)) <= 1e-12 * scale, (member // 2, t)
 
 
 def test_suite_takes_one_matrix_exponential(monkeypatch):
@@ -117,25 +138,11 @@ def test_suite_takes_one_matrix_exponential(monkeypatch):
 def test_suite_stack_is_bit_identical_to_one_suite_per_generator(monkeypatch):
     # criterion 2's three family stacks, and the n = 4, 16 and 32 families above as one
     # mixed stack each: every leg value, verdict, agree and grid_slack keeps its bits
-    stacks = []
-    stacked = semigroup._concavity_suites
-
-    def recording(specs, tol):
-        stacks.append((specs, stacked(specs, tol)))
-        return stacks[-1][1]
-
-    monkeypatch.setattr(acceptance, "_concavity_suites", recording)
-    assert acceptance.criterion_2_concavity_equivalence().passed
+    stacks = _criterion_2_stacks(monkeypatch)
     assert [len(specs) for specs, _ in stacks] == [34, 33, 33]
     for n in (4, 16, 32):
-        rng = np.random.default_rng(300 + n)
-        specs = []
-        for family in range(3):
-            for _ in range(2):
-                B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                A = ((B - B.conj().T) / 2.0, -(B.conj().T @ B + np.eye(n)), B)[family]
-                specs.append(SemigroupSpec(ComplexMatrix(A)))
-        stacks.append((specs, stacked(specs, DEFAULT_TOL)))
+        specs = [SemigroupSpec(ComplexMatrix(A)) for A in _families(n)]
+        stacks.append((specs, semigroup._concavity_suites(specs, DEFAULT_TOL)))
     for specs, reports in stacks:
         assert len(reports) == len(specs)
         for S, report in zip(specs, reports):
@@ -218,6 +225,87 @@ def test_growth_bound_consistency_invariant():
         n = int(rng.integers(2, 6))
         A = ComplexMatrix(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         assert growth_bound_consistency(SemigroupSpec(A)) <= 1e-8
+
+
+def _criterion_10_stack(monkeypatch) -> np.ndarray:
+    # the generators criterion 10 passes to the growth pass, recorded by a spy
+    stacks = []
+    stacked = acceptance._growth_consistencies
+    monkeypatch.setattr(
+        acceptance, "_growth_consistencies", lambda stack: stacks.append(stack) or stacked(stack)
+    )
+    assert acceptance.criterion_10_growth_bound().passed
+    monkeypatch.undo()
+    (stack,) = stacks
+    return stack
+
+
+def _one_consistency(A: np.ndarray) -> float:
+    """The radius consistency of one generator, one exponential and one eigvals per time."""
+    S = SemigroupSpec(ComplexMatrix(A))
+    omega = growth_bound(S).omega
+    worst = 0.0
+    for t in (0.5, 1.0, 2.0):
+        radius = float(np.abs(np.linalg.eigvals(evolve(S, t))).max())
+        worst = max(worst, abs(np.log(radius) / t - omega))
+    return float(worst)
+
+
+def test_growth_pass_is_bit_identical_to_one_call_per_generator(monkeypatch):
+    # criterion 10's 30 generators and the n = 4, 16 and 32 families: omega and the radius
+    # consistency of each member keep the bits of the public calls and of a per-time oracle
+    stacks = [_criterion_10_stack(monkeypatch), *(_families(n) for n in (4, 16, 32))]
+    assert stacks[0].shape == (30, 6, 6)
+    for stack in stacks:
+        omegas, consistencies = semigroup._growth_consistencies(stack)
+        for A, omega, consistency in zip(stack, omegas.tolist(), consistencies.tolist()):
+            S = SemigroupSpec(ComplexMatrix(A))
+            assert repr(omega) == repr(growth_bound(S).omega)
+            assert repr(consistency) == repr(growth_bound_consistency(S))
+            assert repr(consistency) == repr(_one_consistency(A))
+
+
+def test_criterion_10_takes_one_matrix_exponential(monkeypatch):
+    shapes = []
+
+    def recording(stack):
+        shapes.append(stack.shape)
+        return expm_stack(stack)
+
+    monkeypatch.setattr(semigroup, "expm_stack", recording)
+    assert acceptance.criterion_10_growth_bound().passed
+    assert shapes == [(90, 6, 6)]  # t A for the three times of each of the 30 generators
+
+
+def test_growth_pass_refuses_for_the_stack_in_order():
+    # a radius that underflows before the first refused exponential comes first, then that
+    # refusal: e^{tA} for A = -800 Id underflows to 0 from t = 1 on, e^{0.5 A} for
+    # A = 1e308 Id is not finite, and nothing after the first refused one is computed
+    decaying = -800.0 * np.eye(2, dtype=np.complex128)
+    huge = 1e308 * np.eye(2, dtype=np.complex128)
+    with pytest.raises(NonFinite, match="underflows to 0 at t = 1$"):
+        semigroup._growth_consistencies(np.stack([decaying, huge]))
+    for first in (np.zeros((2, 2), complex), huge):
+        with pytest.raises(NonFinite, match="^non-finite matrix exponential$"):
+            semigroup._growth_consistencies(np.stack([first, huge, decaying]))
+    with pytest.raises(NonFinite, match="underflows to 0 at t = 1$"):
+        growth_bound_consistency(SemigroupSpec(ComplexMatrix(decaying)))
+
+
+def test_generator_leg_is_bit_identical_to_the_form_of_each_matrix(monkeypatch):
+    # criterion 2's three family stacks and the n = 4, 16, 32 families: the stacked leg
+    # (iii) keeps the bits of the form sym(A^2) + A*A formed and reduced one matrix at a time
+    stacks = _criterion_2_stacks(monkeypatch)
+    for n in (4, 16, 32):
+        specs = [SemigroupSpec(ComplexMatrix(A)) for A in _families(n)]
+        stacks.append((specs, semigroup._concavity_suites(specs, DEFAULT_TOL)))
+    for specs, reports in stacks:
+        for S, report in zip(specs, reports):
+            a = S.generator.array
+            sq = a @ a
+            margin = hermitian_max_eig((sq + sq.conj().T) / 2.0 + a.conj().T @ a)
+            assert repr(report.generator_margin) == repr(margin)
+            assert report.generator_form == (margin <= DEFAULT_TOL.psd_tol)
 
 
 def test_quasicontractive_rescale():
@@ -377,8 +465,8 @@ def test_criterion_margin_nonpositive_gives_contractive_cogenerator():
         else:
             B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             A = ComplexMatrix(-(B.conj().T @ B) - 0.5 * np.eye(n))
-        res = generator_concavity_criterion(A, DEFAULT_TOL)
-        if res.margin <= DEFAULT_TOL.psd_tol:
+        res = concavity_equivalence_suite(SemigroupSpec(A), DEFAULT_TOL)
+        if res.generator_margin <= DEFAULT_TOL.psd_tol:
             hits += 1
             assert two_norm(cogenerator(SemigroupSpec(A)).array) <= 1.0 + 1e-8
     assert hits >= 10
