@@ -15,6 +15,7 @@ named laws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .operators import (
     FiniteSupportVector,
     Shift,
     StructuredOperator,
+    _vector,
 )
 
 __all__ = [
@@ -212,8 +214,9 @@ def concave_power_growth_check(
     its increments are dominated by the first one); checked for n = 1 .. N
     on the ratios r_n = ||T^n x||^2 / ||x||^2, r_n <= 1 + n (r_1 - 1), with
     residual_tol slack (so relative to ||x||^2).  The ratios do not depend on the scale
-    of x, so the verdict for c x is that for x at any c != 0 whose amplitudes stay
-    normal doubles; the zero vector meets the bound.
+    of x, and T is linear, so x is first scaled to unit size by an exact power of two:
+    the verdict for c x is that for x at any c != 0, subnormal amplitudes included;
+    the zero vector meets the bound.
     """
     _, d_sup = _defect_bounds(T)
     if d_sup > tol.psd_tol:
@@ -221,6 +224,10 @@ def concave_power_growth_check(
     size = x.norm()
     if size == 0.0:
         return True
+    exponent = math.frexp(size)[1]
+    parts = np.ldexp(x.values.view(np.float64), -exponent)  # exact, but where a part underflows
+    x = _vector(x.indices, parts.view(np.complex128), x.ambient)
+    size = x.norm()
     current = T.apply(x)
     ratio = current.norm() / size
     slope = ratio * ratio - 1.0  # a product past the float range is inf, where ** raises

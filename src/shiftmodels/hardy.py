@@ -3,21 +3,24 @@
 This module works with concrete power-series representatives of analytic
 functions on the unit disc.  It provides:
 
-* Blaschke products (closed-form Taylor coefficients, rational evaluation);
-  their series remember the zeros (``BlaschkeSeries``);
+* Blaschke products (Taylor coefficients by one doubling scan per factor,
+  O(N log N) each; rational evaluation); their series remember the zeros
+  (``BlaschkeSeries``);
 * the inner symbol ``exp(t * (phi + 1) / (phi - 1))`` attached to an inner
   ``phi``, on two independent routes: a Blaschke series whose zeros are
   known gets the O(N d) coefficient recurrence of the symbol's differential
   equation, built from the zeros alone; any other series gets series algebra
   (inversion then exponential).  Neither calls the Laguerre recurrence of
   the analytic-model module, so the three routes cross-check each other;
-* a boundary-circle innerness check;
+* a boundary-circle innerness check, one inverse FFT per circle;
 * analytic Toeplitz truncations and model-space bases ``K_B = H^2 ⊖ B H^2``
   on two independent routes: the Takenaka-Malmquist-Walsh closed form for a
-  Blaschke series whose zeros are known, and the orthogonal complement of
-  the shifted-symbol columns (an SVD) for any other series;
+  Blaschke series whose zeros are known (built by the same factor scans),
+  and the orthogonal complement of the shifted-symbol columns (an SVD) for
+  any other series;
 * ladder decompositions ``K, phi*K, phi^2*K, ...`` with orthogonality
-  certificates;
+  certificates, whose levels a Blaschke series on the TMW route takes by
+  factor scans and any other series by convolution;
 * Caradus certificates (surjective with a kernel) read from the measured
   rank of rectangular block-shift truncations.
 
@@ -125,33 +128,41 @@ class BlaschkeSpec:
         return len(self.zeros)
 
 
-def _conj_powers(a: complex, count: int) -> np.ndarray:
-    """``conj(a)^0, ..., conj(a)^(count - 1)``, each one multiplication after the last."""
-    steps = np.full(count, np.conj(a), dtype=np.complex128)
-    steps[:1] = 1.0
-    return np.cumprod(steps)
+def _divide_by_kernel(u: np.ndarray, a: complex) -> np.ndarray:
+    """``u / (1 - conj(a) z)`` truncated to ``len(u)``, in place along the first axis.
 
-
-def _factor_series(a: complex, N: int) -> np.ndarray:
-    """Taylor coefficients of one normalised Blaschke factor through degree N.
-
-    For ``a != 0`` the closed form is ``c_0 = |a|`` and
-    ``c_k = (|a|/a) * conj(a)^(k-1) * (|a|^2 - 1)`` for ``k >= 1``.
+    The quotient solves ``h_k = u_k + conj(a) h_{k-1}``, a first-order recurrence that
+    the doubling scan of Hillis and Steele runs in ceil(log2 n) vectorized steps
+    ``h[s:] += p h[:-s]`` with ``p = conj(a)^s``, s = 1, 2, 4, ... (G. E. Blelloch,
+    *Prefix sums and their applications*, CMU-CS-90-190, 1990).  Each right-hand side
+    is formed before its sum, so every step reads the previous step's values.  Once
+    ``p`` underflows to 0 the remaining steps add nothing.
     """
-    coeffs = np.zeros(N + 1, dtype=np.complex128)
+    p = a.conjugate()
+    s = 1
+    while s < u.shape[0] and p != 0:
+        u[s:] += p * u[:-s]
+        p *= p
+        s *= 2
+    return u
+
+
+def _times_factor(h: np.ndarray, a: complex) -> np.ndarray:
+    """``h`` times the normalised factor ``(|a|/a) (a - z)/(1 - conj(a) z)``, truncated.
+
+    ``h`` holds coefficients along its first axis, shape (n,) or (n, m); the result is
+    a new array of the same shape.  The numerator is one O(n) step,
+    ``u = |a| h - (|a|/a) z h`` (just the shift ``z h`` for ``a = 0``); the denominator
+    is the doubling scan of ``_divide_by_kernel``.
+    """
     if a == 0:
-        coeffs[1:2] = 1.0
-        return coeffs
+        out = np.zeros_like(h)
+        out[1:] = h[:-1]
+        return out
     mod = abs(a)
-    lead = mod / a
-    drop = mod * mod - 1.0
-    coeffs[0] = mod
-    power = _conj_powers(a, N)
-    # the product by parts: numpy's array complex multiply rounds differently from
-    # the scalar one, and these are the scalar product's roundings
-    coeffs.real[1:] = (lead.real * power.real - lead.imag * power.imag) * drop
-    coeffs.imag[1:] = (lead.real * power.imag + lead.imag * power.real) * drop
-    return coeffs
+    out = mod * h
+    out[1:] -= (mod / a) * h[:-1]
+    return _divide_by_kernel(out, a)
 
 
 @dataclass(frozen=True)
@@ -167,13 +178,15 @@ class BlaschkeSeries(PowerSeries):
 
 
 def blaschke_series(spec: BlaschkeSpec, N: int) -> BlaschkeSeries:
-    """Taylor coefficients of the Blaschke product through degree ``N``."""
+    """Taylor coefficients of the Blaschke product through degree ``N``.
+
+    The constant times ``e_0`` is multiplied by one factor after another
+    (``_times_factor``), in O(N log N) per zero.
+    """
     _order(N)
-    if not spec.zeros:
-        return BlaschkeSeries(PowerSeries.constant(spec.constant, N).coeffs, spec)
-    coeffs = np.array([spec.constant])  # a length-1 start: the first product is a scaling
+    coeffs = PowerSeries.constant(spec.constant, N).coeffs
     for a in spec.zeros:
-        coeffs = np.convolve(coeffs, _factor_series(a, N))[: N + 1]
+        coeffs = _times_factor(coeffs, a)
     return BlaschkeSeries(coeffs, spec)
 
 
@@ -354,10 +367,12 @@ def inner_check(f: PowerSeries, tol: ToleranceConfig = DEFAULT_TOL) -> InnerChec
     unresolved coefficient mass at these radii.
 
     Both tail estimates are judged before anything is evaluated, so a
-    refused series costs no evaluation.  One in-place Horner sweep then
-    covers the points of both circles; it performs the operations of
-    ``np.polynomial.polynomial.polyval`` in the same order, so the moduli
-    are the same bits as one ``polyval`` call per circle.
+    refused series costs no evaluation.  The 256 points of a circle of
+    radius rho are rho w^j with w = exp(2 pi i / 256), so
+    ``f(rho w^j) = sum_r b_r w^(jr)`` with the bins ``b_r`` summing
+    ``c_k rho^k`` over k = r mod 256: each circle is one inverse FFT of its
+    256 bins, unscaled (``norm="forward"``), in O(N + 256 log 256).  The
+    moduli agree with Horner's rule on the same points to rounding.
     """
     coeffs = np.asarray(f.coeffs, dtype=np.complex128)
     magnitudes = np.abs(coeffs)
@@ -371,14 +386,13 @@ def inner_check(f: PowerSeries, tol: ToleranceConfig = DEFAULT_TOL) -> InnerChec
                 f"tolerance {tol.tail_tol:.1e}; increase the truncation order"
             )
         tails.append(estimate)
-    angles = 2.0 * np.pi * np.arange(_INNER_GRID) / _INNER_GRID
-    circle = np.exp(1j * angles)
-    zs = np.concatenate([rho * circle for rho in _CHECK_RADII])
-    values = coeffs[-1] + zs * 0
-    for c in coeffs[-2::-1].tolist():
-        values *= zs
-        values += c
-    moduli = np.abs(values).reshape(len(_CHECK_RADII), _INNER_GRID)
+    width = -(-coeffs.size // _INNER_GRID) * _INNER_GRID  # whole rows of 256 bins
+    bins = np.zeros((len(_CHECK_RADII), width), dtype=np.complex128)
+    with _quiet():  # the powers of the radii, and their products, underflow far out
+        weights = np.power.outer(_CHECK_RADII, np.arange(coeffs.size))
+        np.multiply(coeffs, weights, out=bins[:, : coeffs.size])
+        folded = bins.reshape(len(_CHECK_RADII), -1, _INNER_GRID).sum(axis=1)
+        moduli = np.abs(np.fft.ifft(folded, norm="forward"))
     maxima = [float(row.max()) for row in moduli]
     means = [float(row.mean()) for row in moduli]
     bounded = all(m <= 1.0 + tol.residual_tol for m in maxima)
@@ -442,17 +456,23 @@ def _tmw_basis(zeros: tuple[complex, ...], n: int) -> np.ndarray:
     with ``b_j`` the normalised factor of zero ``a_j``.  These functions are
     orthonormal in H^2 and span ``K_B`` (Garcia, Mashreghi and Ross,
     *Introduction to Model Spaces and their Operators*, 2016), so the
-    truncation drops only their tails.  One running product of the factor
-    series serves every column.
+    truncation drops only their tails.  One running product, started from
+    ``e_0`` and taken one factor further per column by ``_times_factor``, serves
+    every column; each column divides it by its kernel's denominator.
     """
     basis = np.empty((n, len(zeros)), dtype=np.complex128)
-    product = np.ones(1, dtype=np.complex128)
+    product = np.zeros(n, dtype=np.complex128)
+    product[0] = 1.0
     for k, a in enumerate(zeros):
         if k:
-            product = np.convolve(product, _factor_series(zeros[k - 1], n - 1))[:n]
-        kernel = math.sqrt(1.0 - abs(a) ** 2) * _conj_powers(a, n)
-        basis[:, k] = np.convolve(product, kernel)[:n]
+            product = _times_factor(product, zeros[k - 1])
+        basis[:, k] = _divide_by_kernel(math.sqrt(1.0 - abs(a) ** 2) * product, a)
     return basis
+
+
+def _has_tmw_basis(phi: PowerSeries, n: int, degree: int) -> bool:
+    """Whether ``phi`` is a Blaschke series of this degree that holds ``n`` coefficients."""
+    return isinstance(phi, BlaschkeSeries) and phi.spec.degree == degree and phi.order >= n - 1
 
 
 def model_space_basis(
@@ -495,7 +515,7 @@ def model_space_basis(
             f"{trailing:.3e}, above the tail tolerance {tol.tail_tol:.1e}; "
             "increase the truncation"
         )
-    if isinstance(phi, BlaschkeSeries) and phi.spec.degree == degree and phi.order >= n - 1:
+    if _has_tmw_basis(phi, n, degree):
         return _tmw_basis(phi.spec.zeros, n)
     T = analytic_toeplitz_trunc(phi, n)
     columns = T[:, : n - degree]
@@ -528,6 +548,29 @@ class LadderReport:
     passed: bool
 
 
+def _ladder_blocks(phi: PowerSeries, K: np.ndarray, levels: int) -> list[np.ndarray]:
+    """``K, phi K, ..., phi^levels K``, each truncated to the ``n`` rows of ``K``.
+
+    A Blaschke series that has the TMW basis takes each level as the last one times
+    every factor (``_times_factor`` on the whole block) and the constant; any other
+    series convolves each column of ``K`` with its running power.
+    """
+    n, degree = K.shape
+    blocks = [K]
+    if _has_tmw_basis(phi, n, degree):
+        for _ in range(levels):
+            block = blocks[-1]
+            for a in phi.spec.zeros:
+                block = _times_factor(block, a)
+            blocks.append(phi.spec.constant * block)
+        return blocks
+    power = PowerSeries.constant(1.0)
+    for _ in range(levels):
+        power = series_mul(power, phi, N=n - 1)
+        blocks.append(np.stack([np.convolve(power.coeffs, column)[:n] for column in K.T], axis=1))
+    return blocks
+
+
 def verify_ladder_decomposition(
     phi: PowerSeries,
     degree: int,
@@ -538,11 +581,13 @@ def verify_ladder_decomposition(
     """Certify that K, phi K, ..., phi^levels K are mutually orthogonal.
 
     ``K`` is the model-space basis of ``phi`` at truncation ``n``; each level
-    multiplies by one more copy of the symbol (series convolution, truncated
-    to length ``n``).  The report records the largest off-block Gram entry,
-    the largest within-block deviation from the identity (multiplication by
-    an inner symbol is isometric), and the numerical rank of all the stacked
-    columns, which must equal ``(levels + 1) * degree``.
+    multiplies by one more copy of the symbol, truncated to length ``n``: by
+    factor scans for a Blaschke series on the TMW route, by series
+    convolution otherwise (``_ladder_blocks``).  The report records the
+    largest off-block Gram entry, the largest within-block deviation from the
+    identity (multiplication by an inner symbol is isometric), and the
+    numerical rank of all the stacked columns, which must equal
+    ``(levels + 1) * degree``.
     """
     if levels < 1:
         raise ValueError("need at least one ladder level")
@@ -553,12 +598,7 @@ def verify_ladder_decomposition(
             f"{levels} ladder levels at degree {degree}"
         )
     K = model_space_basis(phi, n, degree, tol)
-    blocks: list[np.ndarray] = []
-    power = PowerSeries.constant(1.0)
-    for _ in range(levels + 1):
-        blocks.append(np.stack([np.convolve(power.coeffs, column)[:n] for column in K.T], axis=1))
-        power = series_mul(power, phi, N=n - 1)
-    stacked = np.hstack(blocks)
+    stacked = np.hstack(_ladder_blocks(phi, K, levels))
     gram = stacked.conj().T @ stacked
     # block (j, k) of |Gram - Id| is entry [j, :, k, :]: the identity off its diagonal
     # blocks subtracts exact zeros

@@ -112,8 +112,14 @@ def series_inv(f: PowerSeries, N: int) -> PowerSeries:
 
 
 def series_eval(f: PowerSeries, z: complex) -> complex:
-    """Evaluate by Horner's rule at a point."""
+    """Evaluate by Horner's rule at a point, in Python complex arithmetic.
+
+    Python's complex product and sum round as numpy's complex128 ones do, so
+    this gives the bits of the same loop over numpy scalars, without their
+    per-operation cost.
+    """
+    z = complex(z)
     acc = 0.0 + 0.0j
-    for c in f.coeffs[::-1]:
+    for c in f.coeffs[::-1].tolist():
         acc = acc * z + c
-    return complex(acc)
+    return acc

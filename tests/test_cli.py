@@ -1055,6 +1055,8 @@ _WIRE_COMMANDS = {
     },
     "series": ["hardy", "--inner-check", "--symbol-file"],
     "blaschke": ["hardy", "--inner-check", "--blaschke-file"],
+    # the factor scans of the model-space basis and the ladder levels
+    "blaschke-ladder": ["hardy", "--model-space", "--ladder", "2", "--N", "64", "--blaschke-file"],
 }
 
 
@@ -1064,6 +1066,8 @@ def _wire_file(kind: str, rows: list) -> tuple[dict, list]:
 
     Each file holds ``rows[0]``: a dense file keeps the first n^2 rows for the largest n, a
     shift file takes the numbers as its weights, and a Blaschke file its last row as constant.
+    The ladder's Blaschke file has no constant (a drawn one is almost never unimodular), so
+    its zeros reach the factor scans.
     """
     holder = {}
     places = [(holder, "file"), *((rows, k) for k in range(len(rows)))]
@@ -1084,6 +1088,9 @@ def _wire_file(kind: str, rows: list) -> tuple[dict, list]:
         places += [(entries, k) for k in range(len(entries))]
     elif kind == "series":
         holder["file"] = rows
+    elif kind == "blaschke-ladder":
+        holder["file"] = {"zeros": rows}
+        places.insert(1, (holder["file"], "zeros"))
     else:
         holder["file"] = {"zeros": rows[:-1], "constant": rows[-1]}
         places = [(holder, "file"), (holder["file"], "zeros"), (holder["file"], "constant")]

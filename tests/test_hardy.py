@@ -288,6 +288,20 @@ def _inner_check_per_circle(f, tol=DEFAULT_TOL):
     )
 
 
+def _assert_agrees_with_one_polyval_per_circle(report, f):
+    # the FFT and Horner's rule sum in different orders, so the moduli agree to rounding
+    oracle = _inner_check_per_circle(f)
+    for field in ("max_modulus", "mean_modulus"):
+        got, expected = getattr(report, field), getattr(oracle, field)
+        assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-14, field
+    assert report.tail_estimates == oracle.tail_estimates
+    assert report.passed == oracle.passed
+    assert (report.radii, report.grid, report.boundary_floor) == (
+        oracle.radii, oracle.grid, oracle.boundary_floor
+    )
+
+
+# the names are kept from the bit-for-bit pins against the former Horner sweep
 @pytest.mark.parametrize("N", [64, 256])
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_inner_check_is_bit_identical_to_one_polyval_per_circle(degree, N):
@@ -296,14 +310,14 @@ def test_inner_check_is_bit_identical_to_one_polyval_per_circle(degree, N):
         radii = 0.6 * np.sqrt(rng.uniform(size=degree))
         zeros = tuple(complex(v) for v in radii * np.exp(2j * np.pi * rng.uniform(size=degree)))
         f = blaschke_series(BlaschkeSpec(zeros), N)
-        assert inner_check(f) == _inner_check_per_circle(f), zeros
+        _assert_agrees_with_one_polyval_per_circle(inner_check(f), f)
 
 
 def test_inner_check_of_the_semigroup_symbol_is_bit_identical_to_one_polyval_per_circle():
     symbol = inner_semigroup_symbol(PowerSeries([0.0, 1.0]), 1.0, 4095)
     report = inner_check(symbol)
     assert report.passed
-    assert report == _inner_check_per_circle(symbol)
+    _assert_agrees_with_one_polyval_per_circle(report, symbol)
 
 
 def test_inner_check_refusal_text_is_unchanged():
@@ -350,7 +364,8 @@ def test_model_space_degree_two_dimension():
 
 
 def _factor_series_loop(a, N):
-    """The scalar loop the vectorized factor coefficients must reproduce bit for bit."""
+    """One factor's closed form, c_0 = |a| and c_k = (|a|/a) conj(a)^(k-1) (|a|^2 - 1) for k >= 1,
+    by a scalar loop."""
     coeffs = np.zeros(N + 1, dtype=np.complex128)
     if a == 0:
         if N >= 1:
@@ -367,39 +382,87 @@ def _factor_series_loop(a, N):
     return coeffs
 
 
+# the name is kept from the bit-for-bit pin of the deleted factor series against this loop
 @pytest.mark.parametrize("N", [0, 1, 5, 256, 4095])
 def test_factor_series_is_bit_identical_to_the_scalar_loop(N):
+    # the doubling scan forms conj(a)^k from squarings, the loop by k products, so both
+    # carry about k ulps; with |a| near 1 the first term |a|^2 - 1 also cancels
     rng = np.random.default_rng(20261018)
     radii = 0.999 * np.sqrt(rng.uniform(size=300))
     zeros = radii * np.exp(2j * np.pi * rng.uniform(size=300))
-    for a in (0.0, 0.5, -0.4, 0.3j, *zeros):
+    for a in (0.0, 0.5, -0.4, 0.3j, 0.999, -0.999j, *zeros):
         a = complex(a)
-        assert np.array_equal(hardy._factor_series(a, N), _factor_series_loop(a, N)), a
+        got, closed = blaschke_series(BlaschkeSpec((a,)), N).coeffs, _factor_series_loop(a, N)
+        error = np.abs(got - closed)
+        assert error.max() <= 1e-15, a
+        normal = np.abs(closed) > 1e-290
+        assert (error[normal] <= 1e-12 * np.abs(closed[normal])).all(), a
 
 
-def _blaschke_series_from_full_constant(spec, N):
-    """The product started from the constant as a full length-(N + 1) series."""
-    coeffs = PowerSeries.constant(spec.constant, N).coeffs
-    for a in spec.zeros:
-        coeffs = np.convolve(coeffs, hardy._factor_series(a, N))[: N + 1]
-    return coeffs
+def _blaschke_series_by_mpmath(spec, N):
+    """The product started from the constant, one factor at a time, in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        h = [mpmath.mpc(spec.constant)] + [mpmath.mpc(0)] * N
+        for a in spec.zeros:
+            if a == 0:
+                h = [mpmath.mpc(0)] + h[:-1]
+                continue
+            a = mpmath.mpc(a)
+            mod, back = abs(a), mpmath.conj(a)
+            # times (|a|/a)(a - z), then divided by 1 - conj(a) z
+            u = [mod * h[0]] + [mod * h[k] - mod / a * h[k - 1] for k in range(1, N + 1)]
+            for k in range(1, N + 1):
+                u[k] += back * u[k - 1]
+            h = u
+        return np.array([complex(c) for c in h])
 
 
+# the name is kept from the bit-for-bit pin against the product started from the full constant
 @pytest.mark.parametrize("N", [0, 1, 5, 64, 256, 4095])
 def test_blaschke_series_from_the_constant_alone_is_bit_identical(N):
-    # scaling the first factor by the constant (c * f) rounds differently; convolving
-    # [c] with it does not, for c = 1 and for unimodular c.  Only the first convolution
-    # differs between the routes, so most cases have one zero.
+    # the scan starts from c e_0; at N = 4095 every fifth case and one with two zeros keep
+    # the 40-digit reference near half a second
     rng = np.random.default_rng(20261018 + N)
+    checked = range(40) if N < 4095 else (*range(0, 40, 5), 21)
     for case in range(40):
         constant = 1.0 if case % 2 else complex(np.exp(2j * np.pi * rng.uniform()))
         radius, angle = 0.95 * np.sqrt(rng.uniform()), 2.0 * np.pi * rng.uniform()
         a = 0.0 if case % 10 == 0 else complex(radius * np.exp(1j * angle))
         spec = BlaschkeSpec((a, 0.5j) if case % 20 == 1 else (a,), constant)
-        coeffs, full = blaschke_series(spec, N).coeffs, _blaschke_series_from_full_constant(spec, N)
-        assert np.array_equal(coeffs, full) and coeffs.tobytes() == full.tobytes(), spec
+        if case in checked:
+            error = np.abs(blaschke_series(spec, N).coeffs - _blaschke_series_by_mpmath(spec, N))
+            assert error.max() <= 1e-15, spec
     constant = BlaschkeSpec((), 1j)  # no zeros: the full constant series, length N + 1
     assert np.array_equal(blaschke_series(constant, N).coeffs, [1j] + [0.0] * N)
+
+
+@pytest.mark.parametrize(
+    "zeros",
+    [(0.5,), (0.3, -0.4), (0.6, 0.35), (0.2 + 0.3j, -0.5, 0.6j), (0.9, 0.9, 0.89j, -0.95),
+     (0.999,), (0.99j, -0.995)],
+)
+def test_blaschke_series_matches_a_40_digit_product(zeros):
+    spec = BlaschkeSpec(zeros)
+    error = np.abs(blaschke_series(spec, 600).coeffs - _blaschke_series_by_mpmath(spec, 600))
+    assert error.max() <= 1e-15
+
+
+def test_the_blaschke_routes_never_convolve(monkeypatch):
+    # blaschke_series, the TMW basis and the ladder of a Blaschke series run factor scans;
+    # a plain series of the same coefficients still convolves, in the ladder and the SVD route
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.convolve ran")
+
+    n = 64
+    spec = BlaschkeSpec((0.3, -0.4j))
+    plain = PowerSeries(blaschke_series(spec, n - 1).coeffs)
+    monkeypatch.setattr(np, "convolve", refuse)
+    phi = blaschke_series(spec, n - 1)
+    assert model_space_basis(phi, n, 2).shape == (n, 2)
+    assert verify_ladder_decomposition(phi, 2, 3, n).passed
+    with pytest.raises(AssertionError, match="np.convolve ran"):
+        verify_ladder_decomposition(plain, 2, 3, n)
 
 
 def test_blaschke_series_keeps_its_spec_and_operations_drop_it():
@@ -504,6 +567,19 @@ def test_ladder_blaschke_levels():
     assert report.passed
     assert report.expected_dim == 8
     assert report.total_dim == 8
+
+
+@pytest.mark.parametrize("zeros", [(0.5,), (0.3, -0.4j), (0.0, 0.6 + 0.2j, -0.5)])
+def test_ladder_levels_by_factor_scans_match_the_convolution(zeros):
+    # a constant other than 1 too: the Gram residuals cannot see a phase per level
+    n = 128
+    spec = BlaschkeSpec(zeros, complex(math.cos(2.0), math.sin(2.0)))
+    phi = blaschke_series(spec, n - 1)
+    K = model_space_basis(phi, n, len(zeros))
+    by_scan = hardy._ladder_blocks(phi, K, 4)
+    by_convolution = hardy._ladder_blocks(PowerSeries(phi.coeffs), K, 4)
+    for level, (a, b) in enumerate(zip(by_scan, by_convolution)):
+        assert np.abs(a - b).max() <= 1e-14, level
 
 
 def test_toeplitz_truncation_multiplies_exactly():

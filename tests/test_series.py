@@ -207,3 +207,25 @@ def test_a_huge_series_keeps_its_outcome_and_refusal_text(N):
         assert _outcome(fast, f, N) == _outcome(slow, f, N), fast.__name__
     assert _outcome(series_exp, f, N) == (NonFinite, "non-finite series coefficients")
     assert isinstance(_outcome(series_inv, f, N), bytes)
+
+
+def _eval_over_numpy_scalars(f, z):
+    """Horner's rule over the numpy scalars of the coefficient array."""
+    acc = 0.0 + 0.0j
+    for c in f.coeffs[::-1]:
+        acc = acc * z + c
+    return complex(acc)
+
+
+@pytest.mark.parametrize("kind", [float, complex, np.complex128])
+def test_eval_is_bit_identical_to_horner_over_numpy_scalars(kind):
+    # Python complex arithmetic rounds as numpy's complex128 does, for z given in any of these types
+    rng = np.random.default_rng(20261020)
+    for case in range(100):
+        N = int(rng.integers(0, 257))
+        f = PowerSeries(rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1))
+        radius, angle = 1.1 * rng.uniform(), 2.0 * np.pi * rng.uniform()
+        z = kind(radius * (np.cos(angle) if kind is float else np.exp(1j * angle)))
+        got, expected = series_eval(f, z), _eval_over_numpy_scalars(f, z)
+        assert type(got) is complex, case
+        assert np.array([got]).tobytes() == np.array([expected]).tobytes(), case  # signed zeros too
