@@ -691,9 +691,14 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+_PARSER: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
+    global _PARSER
+    if _PARSER is None:  # parsing leaves the parser as it was, so one serves every call
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         tol = ToleranceConfig(args.tol_rank, args.tol_psd, args.tol_residual, args.tol_tail)
         run = _Run(args.command, tol)

@@ -9,9 +9,10 @@ functions on the unit disc.  It provides:
 * the inner symbol ``exp(t * (phi + 1) / (phi - 1))`` attached to an inner
   ``phi``, on two independent routes: a Blaschke series whose zeros are
   known gets the O(N d) coefficient recurrence of the symbol's differential
-  equation, built from the zeros alone; any other series gets series algebra
-  (inversion then exponential).  Neither calls the Laguerre recurrence of
-  the analytic-model module, so the three routes cross-check each other;
+  equation, built from the zeros alone and run in blocks past its head; any
+  other series gets series algebra (inversion then exponential).  Neither
+  calls the Laguerre recurrence of the analytic-model module, so the three
+  routes cross-check each other;
 * a boundary-circle innerness check, one inverse FFT per circle;
 * analytic Toeplitz truncations and model-space bases ``K_B = H^2 ⊖ B H^2``
   on two independent routes: the Takenaka-Malmquist-Walsh closed form for a
@@ -57,6 +58,7 @@ from .numkit import (
 )
 from .series import (
     PowerSeries,
+    _head,
     series_add,
     series_exp,
     series_inv,
@@ -86,6 +88,7 @@ __all__ = [
 _CHECK_RADII = (0.9, 0.99)
 _INNER_GRID = 256
 _BOUNDARY_FLOOR = 0.95
+_ZEROS_BLOCK = 16  # steps of the zeros route's recurrence per block past the head
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +222,16 @@ def inner_semigroup_symbol(phi: PowerSeries, t: float, N: int) -> PowerSeries:
 
     * a ``BlaschkeSeries`` of order at least ``N`` takes the coefficient
       recurrence of the symbol's differential equation, built from the
-      zeros alone (``_symbol_from_zeros``), in O(N d) for d zeros;
+      zeros alone (``_symbol_from_zeros``), in O(N d) for d zeros, one step
+      per coefficient in the head (``series._head``) and blocks of steps
+      past it;
     * any other series, a plain ``PowerSeries`` of Blaschke coefficients
       included, takes series algebra: invert ``phi - 1``, multiply by
-      ``phi + 1``, scale by ``t``, exponentiate, in O(N^2).
+      ``phi + 1``, scale by ``t``, exponentiate, in O(N^2), whose two
+      recurrences go by blocks past the same head.
+
+    Below order ``series._HEAD + series._TAIL`` both routes return the bits of
+    their sequential loops.
 
     Neither route calls the Laguerre recurrence of the coordinate symbol, so
     each is an oracle for the other and for ``shimorin.semigroup_multiplier``.
@@ -261,8 +270,14 @@ def _symbol_from_zeros(spec: BlaschkeSpec, t: float, N: int) -> PowerSeries:
     not by ``D_0^2`` once, keeps the rounding error at N = 4095 near 1e-14:
     the one recurrence of order 2d for ``D^2 g' = B g`` drifted to 2.6e-13 on
     a degree-4 product with two close zeros.  ``D_0`` is nonzero because the
-    caller refused ``phi(0) = 1``.  The windows of recent values are Python
-    numbers; the results go to one buffer.
+    caller refused ``phi(0) = 1``.
+
+    The sequential loop, whose windows of recent values are Python numbers,
+    gives the head of the series (``series._head``: every coefficient below
+    order ``_HEAD + _TAIL``, the first ``_HEAD`` from it on); past it each
+    block of steps is one product with its matrix from ``_zeros_block_maps``,
+    which also gives the next block's window.  Where a matrix is not finite
+    (at a huge t) the loop runs on to N.  The results go to one buffer.
     """
     P = np.array([spec.constant])
     Q = np.ones(1, dtype=np.complex128)
@@ -281,11 +296,19 @@ def _symbol_from_zeros(spec: BlaschkeSpec, t: float, N: int) -> PowerSeries:
     lead = complex(D[0])
     tail = D[1:].tolist()
     weighted = (np.arange(1, d + 1) * D[1:]).tolist()  # k D_k
+    head = _head(N)
+    if head <= N:
+        b = max(_ZEROS_BLOCK, 2 * d)  # each block's values hold the next window
+        starts = range(head - 1, N, b)
+        with _quiet():
+            maps = _zeros_block_maps(np.array(B), D, starts, b)
+        if not np.isfinite(maps).all():  # a huge t: the loop alone needs no such maps
+            head = N + 1
     out = np.empty(N + 1, dtype=np.complex128)
     out[0] = start
     g = deque([start], maxlen=2 * d)  # g_n, g_{n-1}, ..., newest first
     w = deque(maxlen=d)  # w_{n-1}, w_{n-2}, ...
-    for n in range(N):
+    for n in range(head - 1):
         w_n = (sum(map(mul, B, g), 0j) - sum(map(mul, tail, w), 0j)) / lead
         # sum_k D_k (n + 1 - k) g_{n+1-k}, as (n + 1) sum D_k g - sum k D_k g
         lowered = (n + 1) * sum(map(mul, tail, g), 0j) - sum(map(mul, weighted, g), 0j)
@@ -293,8 +316,52 @@ def _symbol_from_zeros(spec: BlaschkeSpec, t: float, N: int) -> PowerSeries:
         w.appendleft(w_n)
         g.appendleft(value)
         out[n + 1] = value
+    if head <= N:
+        # the window at step head - 1, oldest first, with zeros before g_0 and w_0
+        window = np.zeros(3 * d, dtype=np.complex128)
+        window[2 * d - len(g) : 2 * d] = list(reversed(g))
+        window[3 * d - len(w) :] = list(reversed(w))
+        kept = np.r_[b - 2 * d : b, 2 * b - d : 2 * b]  # where the values hold the next window
+        with _quiet():  # an overflowing coefficient is refused by PowerSeries
+            for m, block in zip(starts, maps):
+                values = block @ window
+                out[m + 1 : m + 1 + b] = values[: min(b, N - m)]
+                window = values[kept]
     out += 0.0  # clears negative zeros, which the report would print as -0.0
     return PowerSeries(out)
+
+
+def _zeros_block_maps(B: np.ndarray, D: np.ndarray, starts: range, b: int) -> np.ndarray:
+    """The b steps of ``_symbol_from_zeros``' recurrence from each block start, as matrices.
+
+    The recurrence is linear in its window (g_{m-2d+1}, ..., g_m, w_{m-d}, ..., w_{m-1})
+    at step m, so the b steps from a block start m are a (2b, 3d) matrix that maps the
+    window at m to (g_{m+1}, ..., g_{m+b}, w_m, ..., w_{m+b-1}).  Running the recurrence
+    once, for every start at once, on the 3d unit windows gives them all; the result has
+    shape (blocks, 2b, 3d).
+    """
+    d = D.size - 1
+    columns = len(starts) * 3 * d
+    g = np.zeros((2 * d + b, columns), dtype=np.complex128)  # g_{m-2d+1}, ... down rows
+    w = np.zeros((d + b, columns), dtype=np.complex128)  # w_{m-d}, ...
+    unit = np.eye(3 * d, dtype=np.complex128)
+    g[: 2 * d] = np.tile(unit[: 2 * d], len(starts))
+    w[:d] = np.tile(unit[2 * d :], len(starts))
+    # the windows are oldest first, so the coefficients go newest last
+    b_taps = B[::-1]  # B_{2d-1}, ..., B_0
+    d_taps = D[:0:-1]  # D_d, ..., D_1
+    weighted_taps = np.arange(d, 0, -1) * d_taps  # k D_k
+    lead = D[0]
+    steps = np.repeat(starts, 3 * d)  # n at the block's first step, per column
+    for i in range(b):
+        n1 = steps + (i + 1)  # n + 1
+        recent = g[i + d : i + 2 * d]  # g_{n-d+1}, ..., g_n
+        w_n = (b_taps @ g[i : i + 2 * d] - d_taps @ w[i : i + d]) / lead
+        lowered = n1 * (d_taps @ recent) - weighted_taps @ recent
+        g[2 * d + i] = (w_n - lowered) / (lead * n1)
+        w[d + i] = w_n
+    maps = np.concatenate((g[2 * d :], w[d:])).reshape(2 * b, len(starts), 3 * d)
+    return np.ascontiguousarray(maps.transpose(1, 0, 2))
 
 
 # ---------------------------------------------------------------------------

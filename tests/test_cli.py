@@ -1307,3 +1307,34 @@ _EDGES = {
 @example(_EDGES)
 def test_report_writer_matches_the_stdlib_on_generated_values(value):
     assert cli._write(value) == _stdlib(value)
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    argv = ["hardy", "--blaschke", "0.5", "--N", "8"]
+    assert main(argv) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(argv) == 0
+    assert built == []
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["no-such-command"], ["hardy", "--N", "x"], ["classify"], ["hardy", "--no-such-flag"]],
+)
+def test_a_usage_error_reads_as_from_a_new_parser(capsys, argv):
+    with pytest.raises(SystemExit) as fresh:
+        cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    for _ in range(2):  # the second call reuses the parser the first one built
+        with pytest.raises(SystemExit) as reused:
+            main(argv)
+        assert reused.value.code == fresh.value.code == 2
+        assert capsys.readouterr() == expected

@@ -32,7 +32,7 @@ from shiftmodels.hardy import (
     model_space_basis,
     verify_ladder_decomposition,
 )
-from shiftmodels.series import PowerSeries, series_mul
+from shiftmodels.series import _HEAD, _TAIL, PowerSeries, series_mul
 from shiftmodels.shimorin import semigroup_multiplier
 
 
@@ -219,10 +219,127 @@ def test_symbol_from_zeros_keeps_the_refusals():
         inner_semigroup_symbol(phi, -1.0, 8)
     with pytest.raises(ValueError, match="nonnegative"):
         inner_semigroup_symbol(phi, 1.0, -1)
-    # 2t (P Q' - Q P') overflows; so does t (phi + 1)/(phi - 1) on the series route
+    # 2t (P Q' - Q P') overflows; so does t (phi + 1)/(phi - 1) on the series route; the
+    # same refusal below the head and past it
+    for N in (8, _HEAD + _TAIL):
+        phi = blaschke_series(BlaschkeSpec((0.5,)), N)
+        for route in (phi, PowerSeries(phi.coeffs)):
+            with pytest.raises(NonFinite, match="^non-finite series coefficients$"):
+                inner_semigroup_symbol(route, 1e308, N)
+
+
+def _two_stage_recurrence(B, D, start, N):
+    """The zeros route's recurrence, one step per coefficient, in its inputs' arithmetic."""
+    d = len(D) - 1
+    g, w = [start], []
+    for n in range(N):
+        w_n = sum(B[j] * g[n - j] for j in range(min(2 * d, n + 1)))
+        w_n = (w_n - sum(D[k] * w[n - k] for k in range(1, min(d, n) + 1))) / D[0]
+        recent = range(1, min(d, n + 1) + 1)
+        lowered = (n + 1) * sum(D[k] * g[n + 1 - k] for k in recent) - sum(
+            k * D[k] * g[n + 1 - k] for k in recent
+        )
+        g.append((w_n - lowered) / (D[0] * (n + 1)))
+        w.append(w_n)
+    return g
+
+
+def _symbol_by_the_scalar_loop(spec, t, N):
+    """``_symbol_from_zeros``' sequential loop, from P, Q and B built as it builds them."""
+    P, Q = np.array([spec.constant]), np.ones(1, dtype=np.complex128)
+    for a in spec.zeros:
+        P = np.convolve(P, (0.0, 1.0) if a == 0 else (abs(a), -abs(a) / a))
+        Q = np.convolve(Q, (1.0, -a.conjugate()))
+    dP = np.append(np.arange(1, P.size) * P[1:], 0.0)
+    dQ = np.append(np.arange(1, Q.size) * Q[1:], 0.0)
+    B = (2.0 * t * (np.convolve(P, dQ) - np.convolve(Q, dP)))[: 2 * spec.degree].tolist()
+    start = complex(np.exp(t * (P[0] + 1.0) / (P[0] - 1.0)))
+    return np.array(_two_stage_recurrence(B, (P - Q).tolist(), start, N)) + 0.0
+
+
+def _symbol_by_mpmath(spec, t, N):
+    """The same recurrence in 40-digit arithmetic, from the zeros."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def times(p, q):
+        out = [mpmath.mpc(0)] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+        return out
+
+    with mpmath.workdps(40):
+        P, Q = [mpmath.mpc(spec.constant)], [mpmath.mpc(1)]
+        for a in map(mpmath.mpc, spec.zeros):
+            P = times(P, [mpmath.mpc(0), mpmath.mpc(1)] if a == 0 else [abs(a), -abs(a) / a])
+            Q = times(Q, [mpmath.mpc(1), -mpmath.conj(a)])
+        d = spec.degree
+        PdQ = times(P, [k * Q[k] for k in range(1, d + 1)] + [mpmath.mpc(0)])
+        QdP = times(Q, [k * P[k] for k in range(1, d + 1)] + [mpmath.mpc(0)])
+        B = [2 * t * (PdQ[j] - QdP[j]) for j in range(2 * d)]
+        D = [p - q for p, q in zip(P, Q)]
+        start = mpmath.exp(t * (P[0] + 1) / (P[0] - 1))
+        return np.array([complex(c) for c in _two_stage_recurrence(B, D, start, N)])
+
+
+_ZERO_SETS = [
+    (0.5,), (0.3, -0.4), (0.6, 0.35), (0.2 + 0.3j, -0.5, 0.6j), (0.9, 0.9, 0.89j, -0.95)
+]
+
+
+@pytest.mark.parametrize("t", [0.25, 1.0])
+@pytest.mark.parametrize("zeros", _ZERO_SETS)
+def test_symbol_from_zeros_matches_a_40_digit_recurrence(zeros, t):
+    # N = 1023 runs 832 of its coefficients in blocks
+    spec = BlaschkeSpec(zeros)
+    symbol = inner_semigroup_symbol(blaschke_series(spec, 1023), t, 1023).coeffs
+    assert np.max(np.abs(symbol - _symbol_by_mpmath(spec, t, 1023))) <= 1e-13
+
+
+_FIRST_BLOCKED = _HEAD + _TAIL  # the lowest order that goes by blocks
+
+
+@pytest.mark.parametrize(
+    "N", [_FIRST_BLOCKED + k for k in (-1, 0, 1, hardy._ZEROS_BLOCK - 1, hardy._ZEROS_BLOCK)]
+)
+@pytest.mark.parametrize("zeros", [(0.0,), (0.3, -0.4), (0.9, 0.9, 0.89j, -0.95)])
+def test_symbol_from_zeros_keeps_the_head_bits_and_the_blocks_agree(monkeypatch, zeros, N):
+    # below the first blocked order every coefficient is the sequential loop's bits, and
+    # from it on the first _HEAD are; past them the blocks agree with 40 digits
+    runs = []
+    maps = hardy._zeros_block_maps
+    monkeypatch.setattr(hardy, "_zeros_block_maps", lambda *args: runs.append(args) or maps(*args))
+    spec = BlaschkeSpec(zeros)
+    symbol = inner_semigroup_symbol(blaschke_series(spec, N), 1.0, N).coeffs
+    assert len(runs) == (N >= _FIRST_BLOCKED)
+    loop = _symbol_by_the_scalar_loop(spec, 1.0, N)
+    head = _HEAD if N >= _FIRST_BLOCKED else N + 1
+    assert symbol[:head].tobytes() == loop[:head].tobytes()
+    assert np.max(np.abs(symbol - _symbol_by_mpmath(spec, 1.0, N))) <= 1e-13
+
+
+@pytest.mark.parametrize("zeros", [(0.0,), (0.5, 0.3), (0.9, 0.9, 0.89j, -0.95)])
+def test_a_huge_time_past_the_head_gives_the_loops_symbol(zeros):
+    # at t = 1e300 every coefficient is 0, but the block maps overflow: both routes run
+    # their loops on instead, as they do below the head
+    spec, N = BlaschkeSpec(zeros), 1000
+    phi = blaschke_series(spec, N)
+    loop = _symbol_by_the_scalar_loop(spec, 1e300, N)
+    assert not loop.any()
     for route in (phi, PowerSeries(phi.coeffs)):
-        with pytest.raises(NonFinite):
-            inner_semigroup_symbol(route, 1e308, 8)
+        assert inner_semigroup_symbol(route, 1e300, N).coeffs.tobytes() == loop.tobytes()
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("largest", [0.85, 0.9])
+def test_series_algebra_symbol_matches_the_clark_point_closed_form_near_the_circle(degree, largest):
+    # near the circle at large t the series-algebra route is the less accurate one (CHANGES.md)
+    rng = np.random.default_rng(20261019 + degree)
+    spec = BlaschkeSpec(_zeros_with_largest_modulus(rng, degree, largest))
+    N, t = 4095, 4.0
+    phi = PowerSeries(blaschke_series(spec, N).coeffs)
+    symbol = inner_semigroup_symbol(phi, t, N).coeffs
+    assert np.max(np.abs(symbol - _symbol_by_clark_points(spec, t, N))) <= 2.5e-12
 
 
 def test_inner_check_coordinate_passes():

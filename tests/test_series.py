@@ -1,8 +1,12 @@
 """Truncated power-series arithmetic tests."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
+from shiftmodels import series
 from shiftmodels.cli import _complex
 from shiftmodels.errors import NonFinite, ZeroConstantTerm
 from shiftmodels.series import (
@@ -147,26 +151,26 @@ def test_truncate_and_json_round_trip():
     np.testing.assert_array_equal(parsed.coeffs, [1.0, 2.0 - 1.0j, 0.5j])
 
 
-def _exp_by_the_forward_buffer(f, N):
+def _exp_by_the_forward_buffer(f, N, dtype=np.complex128):
     """The recurrence on a forward buffer, whose reversed view np.dot copies each step."""
-    fc = f.truncate(N).coeffs
-    out = np.zeros(N + 1, dtype=np.complex128)
+    fc = f.truncate(N).coeffs.astype(dtype)
+    out = np.zeros(N + 1, dtype=dtype)
     with np.errstate(all="ignore"):
         out[0] = np.exp(fc[0])
         kf = np.arange(N + 1) * fc
         for n in range(1, N + 1):
             out[n] = np.dot(kf[1 : n + 1], out[n - 1 :: -1]) / n
-    return PowerSeries(out)
+    return out
 
 
-def _inv_by_the_forward_buffer(f, N):
-    fc = f.truncate(N).coeffs
-    out = np.zeros(N + 1, dtype=np.complex128)
+def _inv_by_the_forward_buffer(f, N, dtype=np.complex128):
+    fc = f.truncate(N).coeffs.astype(dtype)
+    out = np.zeros(N + 1, dtype=dtype)
     with np.errstate(all="ignore"):
         out[0] = 1.0 / fc[0]
         for n in range(1, N + 1):
             out[n] = -np.dot(fc[1 : n + 1], out[n - 1 :: -1]) / fc[0]
-    return PowerSeries(out)
+    return out
 
 
 def _outcome(route, f, N):
@@ -186,27 +190,138 @@ def _decaying_series(N, scale=1.0):
     return PowerSeries(scale * coeffs)
 
 
-_ROUTES = ((series_exp, _exp_by_the_forward_buffer), (series_inv, _inv_by_the_forward_buffer))
+_LOOPS = {series_exp: _exp_by_the_forward_buffer, series_inv: _inv_by_the_forward_buffer}
 
 
+def _outcomes(route, f, N):
+    """The route's outcome and the forward-buffer loop's, refused as PowerSeries refuses."""
+    return _outcome(route, f, N), _outcome(lambda f, N: PowerSeries(_LOOPS[route](f, N)), f, N)
+
+
+def _error_to_long_double(route, f, N):
+    # the loop in np.clongdouble, a reference with more digits
+    reference = _LOOPS[route](f, N, np.clongdouble)
+    return float(np.max(np.abs(route(f, N).coeffs - reference)))
+
+
+# the lowest order that goes by blocks: every order below it is the loop's alone
+_FIRST_BLOCKED = series._HEAD + series._TAIL
+
+
+# the name is kept from the bit-for-bit pin of the whole recurrence: orders below the
+# first blocked one are still the loop's bits, and from it on the blocks agree with a
+# long-double run
 @pytest.mark.parametrize("N", [0, 1, 2, 7, 64, 257, 2047, 4095])
 def test_exp_and_inv_are_bit_identical_to_the_forward_buffer(N):
     f = _decaying_series(N)
     # the input's own order, a truncation and a zero-padded extension
     for order in sorted({N, N // 2, N + 3}):
-        for fast, slow in _ROUTES:
-            outcome = _outcome(fast, f, order)
-            assert isinstance(outcome, bytes), (fast.__name__, order)
-            assert outcome == _outcome(slow, f, order), (fast.__name__, order)
+        for route in _LOOPS:
+            outcome, loop = _outcomes(route, f, order)
+            assert isinstance(outcome, bytes), (route.__name__, order)
+            if order < _FIRST_BLOCKED:
+                assert outcome == loop, (route.__name__, order)
+            else:
+                assert _error_to_long_double(route, f, order) <= 1e-15, (route.__name__, order)
 
 
-@pytest.mark.parametrize("N", [7, 64, 257])
+@pytest.mark.parametrize("N", [7, 64, 257, 2047])
 def test_a_huge_series_keeps_its_outcome_and_refusal_text(N):
     f = _decaying_series(N, 1e150)
-    for fast, slow in _ROUTES:
-        assert _outcome(fast, f, N) == _outcome(slow, f, N), fast.__name__
+    if N < _FIRST_BLOCKED:
+        for route in _LOOPS:
+            outcome, loop = _outcomes(route, f, N)
+            assert outcome == loop, route.__name__
+    else:  # 1/f scales by 1e-150, and so does its rounding error
+        assert _error_to_long_double(series_inv, f, N) <= 1e-165
     assert _outcome(series_exp, f, N) == (NonFinite, "non-finite series coefficients")
     assert isinstance(_outcome(series_inv, f, N), bytes)
+
+
+def _boundaries(block):
+    # where the blocks start, and where the last block is one short of full, full, and one
+    # coefficient: the blocks start at coefficient _HEAD, so order N leaves
+    # (N + 1 - _HEAD) % block coefficients to the last one
+    first = _FIRST_BLOCKED
+    full = next(N for N in range(first, first + block) if (N + 1 - series._HEAD) % block == 0)
+    return (first - 1, first, first + 1, full - 1, full, full + 1)
+
+
+@pytest.mark.parametrize(
+    ("route", "N"),
+    [(series_exp, N) for N in (*_boundaries(series._EXP_BLOCK), 4095)]
+    + [(series_inv, N) for N in (*_boundaries(series._INV_BLOCK), 4095)],
+)
+def test_the_blocks_agree_with_a_long_double_run_across_their_boundaries(route, N):
+    assert _error_to_long_double(route, _decaying_series(N), N) <= 1e-15
+
+
+@pytest.mark.parametrize("t", [0.5, 3.0])
+def test_exp_of_the_coordinate_symbol_matches_a_long_double_run(t):
+    # t (z + 1)/(z - 1) = -t - 2t sum_{k>=1} z^k, perfbench's symbol jobs at N = 2047
+    explicit = np.full(2048, -2.0 * t)
+    explicit[0] = -t
+    assert _error_to_long_double(series_exp, PowerSeries(explicit), 2047) <= 5e-15
+
+
+def test_inv_of_cubed_one_minus_z_is_exact_at_large_order():
+    # 1/(1-z)^3 = sum C(n+2, 2) z^n: integers below 2^53 in every sum and product
+    out = series_inv(PowerSeries([1.0, -3.0, 3.0, -1.0]), _LARGE_ORDER)
+    n = np.arange(_LARGE_ORDER + 1)
+    assert np.array_equal(out.coeffs, (n + 2) * (n + 1) // 2)
+
+
+def test_an_exponential_whose_block_inverses_overflow_is_the_loops():
+    # t (z + 1)/(z - 1) at t = 1e300: exp(-t) is 0, so every coefficient is 0, but the
+    # blocks' inverses of diag(n) - L overflow; the loop runs on instead
+    explicit = np.full(1001, -2e300)
+    explicit[0] = -1e300
+    outcome, loop = _outcomes(series_exp, PowerSeries(explicit), 1000)
+    assert outcome == loop == np.zeros(1001, dtype=np.complex128).tobytes()
+
+
+def _block(route):
+    return series._EXP_BLOCK if route is series_exp else series._INV_BLOCK
+
+
+@pytest.mark.parametrize(
+    ("route", "f", "log_magnitude"),
+    [
+        # 1/(1 - 3z) = sum 3^n z^n
+        (series_inv, PowerSeries([1.0, -3.0]), lambda n: n * math.log(3.0)),
+        # exp(1000 z) = sum 1000^n / n! z^n
+        (
+            series_exp,
+            PowerSeries([0.0, 1000.0]),
+            lambda n: n * math.log(1000.0) - math.lgamma(n + 1),
+        ),
+    ],
+)
+def test_an_overflow_inside_a_block_is_refused_as_the_loop_refuses_it(route, f, log_magnitude):
+    first = next(n for n in range(10_000) if log_magnitude(n) > math.log(sys.float_info.max))
+    assert first > series._HEAD and (first - series._HEAD) % _block(route) != 0
+    N = max(first + 2 * _block(route), _FIRST_BLOCKED)
+    refusal = (NonFinite, "non-finite series coefficients")
+    assert _outcomes(route, f, N) == (refusal, refusal)
+
+
+@pytest.mark.parametrize("route", [series_exp, series_inv])
+def test_past_the_head_each_block_is_one_convolution(monkeypatch, route):
+    calls = {"dot": 0, "convolve": 0}
+    dot, convolve = np.dot, np.convolve
+
+    def counted(name, inner):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np, "dot", counted("dot", dot))
+    monkeypatch.setattr(np, "convolve", counted("convolve", convolve))
+    route(_decaying_series(_LARGE_ORDER), _LARGE_ORDER)
+    assert calls["dot"] <= series._HEAD
+    assert calls["convolve"] == -(-(_LARGE_ORDER + 1 - series._HEAD) // _block(route))
 
 
 def _eval_over_numpy_scalars(f, z):
