@@ -59,6 +59,7 @@ from .numkit import (
 from .series import (
     PowerSeries,
     _head,
+    _lower_toeplitz,
     series_add,
     series_exp,
     series_inv,
@@ -111,20 +112,21 @@ class BlaschkeSpec:
     def __post_init__(self) -> None:
         zeros = tuple(complex(a) for a in self.zeros)
         object.__setattr__(self, "zeros", zeros)
+        # moduli by hypot, which is inf past the float range where abs of a complex raises
         for a in zeros:
             if not (math.isfinite(a.real) and math.isfinite(a.imag)):
                 raise NonFinite("Blaschke zero must be a finite complex number")
-            if abs(a) >= 1.0:
+            modulus = math.hypot(a.real, a.imag)
+            if modulus >= 1.0:
                 raise ZeroOnBoundary(
-                    f"Blaschke zero {a} has modulus {abs(a):.6g} >= 1; "
+                    f"Blaschke zero {a} has modulus {modulus:.6g} >= 1; "
                     "zeros must lie strictly inside the unit disc"
                 )
         c = complex(self.constant)
         object.__setattr__(self, "constant", c)
-        if abs(abs(c) - 1.0) > 1e-12:
-            raise ValueError(
-                f"leading constant must be unimodular, got modulus {abs(c):.6g}"
-            )
+        modulus = math.hypot(c.real, c.imag)
+        if abs(modulus - 1.0) > 1e-12:
+            raise ValueError(f"leading constant must be unimodular, got modulus {modulus:.6g}")
 
     @property
     def degree(self) -> int:
@@ -445,7 +447,8 @@ def inner_check(f: PowerSeries, tol: ToleranceConfig = DEFAULT_TOL) -> InnerChec
     magnitudes = np.abs(coeffs)
     tails: list[float] = []
     for rho in _CHECK_RADII:
-        estimate = _tail_estimate(magnitudes, rho, tol.tail_tol)
+        with _quiet():  # near the float maximum a ratio or the bound overflows to inf: refused
+            estimate = _tail_estimate(magnitudes, rho, tol.tail_tol)
         if estimate > tol.tail_tol:
             raise TailNotConvergent(
                 f"coefficient tail beyond degree {f.order} contributes about "
@@ -455,13 +458,15 @@ def inner_check(f: PowerSeries, tol: ToleranceConfig = DEFAULT_TOL) -> InnerChec
         tails.append(estimate)
     width = -(-coeffs.size // _INNER_GRID) * _INNER_GRID  # whole rows of 256 bins
     bins = np.zeros((len(_CHECK_RADII), width), dtype=np.complex128)
-    with _quiet():  # the powers of the radii, and their products, underflow far out
+    # the powers of the radii, and their products, underflow far out; a sum of moduli near
+    # the float maximum overflows, and the report holding it is refused as non-finite
+    with _quiet():
         weights = np.power.outer(_CHECK_RADII, np.arange(coeffs.size))
         np.multiply(coeffs, weights, out=bins[:, : coeffs.size])
         folded = bins.reshape(len(_CHECK_RADII), -1, _INNER_GRID).sum(axis=1)
         moduli = np.abs(np.fft.ifft(folded, norm="forward"))
-    maxima = [float(row.max()) for row in moduli]
-    means = [float(row.mean()) for row in moduli]
+        maxima = [float(row.max()) for row in moduli]
+        means = [float(row.mean()) for row in moduli]
     bounded = all(m <= 1.0 + tol.residual_tol for m in maxima)
     approaching = maxima[-1] >= _BOUNDARY_FLOOR
     nondecreasing = means[-1] >= means[0] - tol.residual_tol
@@ -500,20 +505,18 @@ class ToeplitzTrunc:
             raise ValueError("dimension must be positive")
 
     def matrix(self) -> np.ndarray:
-        n = self.dimension
-        arr = np.zeros((n, n), dtype=np.complex128)
-        flat = arr.reshape(-1)  # a view: entry (i, i - d) sits at i * (n + 1) - d
-        for d, c in enumerate(self.coefficients):
-            flat[d * n :: n + 1] = c
+        """The read-only n x n matrix: coefficients past n are cut, missing ones are zero."""
+        taps = np.zeros(self.dimension, dtype=np.complex128)
+        kept = self.coefficients[: self.dimension]
+        taps[: len(kept)] = kept
+        arr = _lower_toeplitz(taps).copy()
         arr.flags.writeable = False
         return arr
 
 
 def analytic_toeplitz_trunc(phi: PowerSeries, n: int) -> np.ndarray:
     """The lower-triangular n x n truncation of multiplication by ``phi``, read-only."""
-    taps = list(phi.coeffs[:n])
-    taps += [0.0 + 0.0j] * (n - len(taps))
-    return ToeplitzTrunc(tuple(taps), n).matrix()
+    return ToeplitzTrunc(tuple(phi.coeffs[:n]), n).matrix()
 
 
 def _tmw_basis(zeros: tuple[complex, ...], n: int) -> np.ndarray:

@@ -50,8 +50,9 @@ _PADE13_B = (
 
 # Scale so the Pade argument has 1-norm at most this value.
 _EXPM_SCALE_TARGET = 0.5
+_NORMAL_MIN = float(np.finfo(np.float64).tiny)  # the smallest normal double
 # e^x falls below the smallest normal double for x under this value.
-_LOG_NORMAL_MIN = float(np.log(np.finfo(np.float64).tiny))
+_LOG_NORMAL_MIN = float(np.log(_NORMAL_MIN))
 
 
 def _quiet():

@@ -37,9 +37,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .errors import AmbientMismatch, NonFinite, UnsupportedRegime
-from .numkit import ComplexMatrix, _finite, _quiet
-
-_NORMAL_MIN = float(np.finfo(np.float64).tiny)  # the smallest normal double
+from .numkit import _NORMAL_MIN, ComplexMatrix, _finite, _quiet
 
 __all__ = [
     "FiniteSupportVector",

@@ -37,7 +37,6 @@ member alone, so every member gets the bits of its own public call.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,18 +223,14 @@ def _grid_exponentials(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _finite(powers, "matrix exponential"), half
 
 
-def _concavity_suites(
-    specs: Sequence[SemigroupSpec], tol: ToleranceConfig
-) -> list[EquivalenceSuiteReport]:
-    """The four-way concavity check of each semigroup of ``specs``, over one stack of their
-    generators.
+def _concavity_suites(stack: np.ndarray, tol: ToleranceConfig) -> list[EquivalenceSuiteReport]:
+    """The four-way concavity check of the semigroup of each generator of a (k, n, n) stack.
 
-    Each leg runs once over the whole (k, n, n) stack.  Batched products, eigenvalues, SVDs
-    and solves treat each member alone, so each report holds the bits that member's own
-    suite would.  A refusal is raised for the stack, in the order of the legs, so a stack of one
-    refuses exactly as ``concavity_equivalence_suite`` does.
+    Each leg runs once over the whole stack.  Batched products, eigenvalues, SVDs and solves
+    treat each member alone, so each report holds the bits that member's own suite would.  A
+    refusal is raised for the stack, in the order of the legs, so a stack of one refuses
+    exactly as ``concavity_equivalence_suite`` does.
     """
-    stack = np.stack([S.generator.array for S in specs])
     slack = 10.0 * tol.residual_tol
     n = stack.shape[-1]
 
@@ -303,4 +298,4 @@ def concavity_equivalence_suite(
     ``_grid_exponentials``); its refusals are those of that exponential, and a power that
     overflows is a non-finite matrix exponential.
     """
-    return _concavity_suites((S,), tol)[0]
+    return _concavity_suites(S.generator.array[None], tol)[0]

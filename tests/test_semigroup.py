@@ -40,12 +40,12 @@ def _families(n: int) -> np.ndarray:
 
 
 def _criterion_2_stacks(monkeypatch) -> list:
-    """(specs, reports) of each stacked suite call criterion 2 makes, recorded by a spy."""
+    """(generators, reports) of each stacked suite call criterion 2 makes, recorded by a spy."""
     stacks = []
     stacked = semigroup._concavity_suites
 
-    def recording(specs, tol):
-        stacks.append((specs, stacked(specs, tol)))
+    def recording(generators, tol):
+        stacks.append((generators, stacked(generators, tol)))
         return stacks[-1][1]
 
     monkeypatch.setattr(acceptance, "_concavity_suites", recording)
@@ -139,15 +139,15 @@ def test_suite_stack_is_bit_identical_to_one_suite_per_generator(monkeypatch):
     # criterion 2's three family stacks, and the n = 4, 16 and 32 families above as one
     # mixed stack each: every leg value, verdict, agree and grid_slack keeps its bits
     stacks = _criterion_2_stacks(monkeypatch)
-    assert [len(specs) for specs, _ in stacks] == [34, 33, 33]
+    assert [generators.shape for generators, _ in stacks] == [(34, 6, 6), (33, 6, 6), (33, 6, 6)]
     for n in (4, 16, 32):
-        specs = [SemigroupSpec(ComplexMatrix(A)) for A in _families(n)]
-        stacks.append((specs, semigroup._concavity_suites(specs, DEFAULT_TOL)))
-    for specs, reports in stacks:
-        assert len(reports) == len(specs)
-        for S, report in zip(specs, reports):
+        stacks.append((_families(n), semigroup._concavity_suites(_families(n), DEFAULT_TOL)))
+    for generators, reports in stacks:
+        assert len(reports) == len(generators)
+        for A, report in zip(generators, reports):
+            one = concavity_equivalence_suite(SemigroupSpec(ComplexMatrix(A)))
             # repr tells -0.0 from 0.0, so equal reprs are equal bits
-            assert repr(astuple(report)) == repr(astuple(concavity_equivalence_suite(S)))
+            assert repr(astuple(report)) == repr(astuple(one))
 
 
 def test_suite_refuses_an_overflowing_power():
@@ -297,11 +297,9 @@ def test_generator_leg_is_bit_identical_to_the_form_of_each_matrix(monkeypatch):
     # (iii) keeps the bits of the form sym(A^2) + A*A formed and reduced one matrix at a time
     stacks = _criterion_2_stacks(monkeypatch)
     for n in (4, 16, 32):
-        specs = [SemigroupSpec(ComplexMatrix(A)) for A in _families(n)]
-        stacks.append((specs, semigroup._concavity_suites(specs, DEFAULT_TOL)))
-    for specs, reports in stacks:
-        for S, report in zip(specs, reports):
-            a = S.generator.array
+        stacks.append((_families(n), semigroup._concavity_suites(_families(n), DEFAULT_TOL)))
+    for generators, reports in stacks:
+        for a, report in zip(generators, reports):
             sq = a @ a
             margin = hermitian_max_eig((sq + sq.conj().T) / 2.0 + a.conj().T @ a)
             assert repr(report.generator_margin) == repr(margin)

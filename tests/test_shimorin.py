@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from shiftmodels import shimorin
 from shiftmodels.config import DEFAULT_TOL, Check, ToleranceConfig
 from shiftmodels.errors import (
     AmbientMismatch,
@@ -457,10 +458,43 @@ def test_verify_semigroup_model_report():
     rep = verify_semigroup_model(0.7, N=64)
     assert rep.passed
     assert rep.generator_residual <= 1e-6
-    assert rep.commutation_residual <= 1e-12
-    assert rep.constant_term_residual <= 1e-12
     # the convention the command line prints with every semigroup check
     assert "e^{-t}" in MULTIPLIER_SIGN_NOTE and "exp" in MULTIPLIER_SIGN_NOTE
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.7, 2.0])
+def test_parseval_residual_is_the_energy_of_the_dropped_tail(t):
+    # through degree 1 the energy is e^{-2t} (1 + 4t^2) in closed form; it increases to
+    # ||e_t||^2 = 1 with N and never passes it
+    parseval = {N: verify_semigroup_model(t, N).checks[1] for N in (0, 1, 64, 1024)}
+    assert {c.name for c in parseval.values()} == {"semigroup_parseval"}
+    assert parseval[0].residual == pytest.approx(math.exp(-2.0 * t) - 1.0, abs=1e-15)
+    closed = math.exp(-2.0 * t) * (1.0 + 4.0 * t * t) - 1.0
+    assert parseval[1].residual == pytest.approx(closed, abs=1e-15)
+    residuals = [c.residual for c in parseval.values()]
+    assert residuals == sorted(residuals) and residuals[-1] <= 1e-15
+
+
+@pytest.mark.parametrize("N", [0, 1, 64, 65, 4096])
+def test_generator_leg_evaluates_only_the_degree_it_judges(monkeypatch, N):
+    calls = []
+    original = shimorin._multiplier_coeffs
+
+    def recording(t, n):
+        calls.append((t, n))
+        return original(t, n)
+
+    monkeypatch.setattr(shimorin, "_multiplier_coeffs", recording)
+    rep = verify_semigroup_model(0.7, N)
+    degree = min(N, 64)
+    assert calls == [(0.7, N), (1e-5, degree), (-1e-5, degree)]
+    # the difference of the two multipliers through N, cut to the degree judged, has the bits
+    h = 1e-5
+    derivative = (original(h, N) - original(-h, N)) / (2.0 * h)
+    symbol = np.full(N + 1, -2.0 + 0.0j)
+    symbol[0] = -1.0
+    full = float(np.max(np.abs(derivative[: degree + 1] - symbol[: degree + 1])))
+    assert repr(rep.generator_residual) == repr(full)
 
 
 def test_model_reports_are_judged_by_their_checks():
@@ -477,15 +511,12 @@ def test_model_reports_are_judged_by_their_checks():
         "intertwine": 1e-12,
         "reproduce": 1e-8,
         "semigroup_generator": 1e-6,
-        "semigroup_commutation": 1e-11,  # residual_tol
-        "semigroup_constant_term": 1e-12,
+        "semigroup_parseval": 1e-11,  # residual_tol
     }
-    assert [c.residual for rep in reports for c in rep.checks] == [
+    assert [c.residual for rep in reports for c in rep.checks][:3] == [
         intertwine.max_residual,
         reproduce.residual,
         semigroup.generator_residual,
-        semigroup.commutation_residual,
-        semigroup.constant_term_residual,
     ]
     for rep in reports:
         assert rep.passed == all(c.passed for c in rep.checks)
