@@ -335,9 +335,10 @@ def criterion_7_multiplier_semigroup() -> tuple[bool, str]:
 
     The Laguerre multiplier, the series-algebra symbol and the exponential
     recurrence of the explicit series must agree pairwise.  For Blaschke
-    symbols of degree 1-3, the symbol computed from the zeros must agree
-    with the series-algebra symbol of the same coefficients.  The model
-    report is judged by its own checks, at its own tolerances.
+    symbols of degree 1-3, the product over the Clark points (rotated
+    Laguerre multipliers) must agree with the series-algebra symbol of the
+    same coefficients; the two share no code.  The model report is judged
+    by its own checks, at its own tolerances.
     """
     cocycle_tolerance = 1e-10
     route_tolerance = 1e-12
@@ -366,9 +367,9 @@ def criterion_7_multiplier_semigroup() -> tuple[bool, str]:
     worst_blaschke = 0.0
     for zeros in ((0.5,), (0.3, -0.4), (0.2 + 0.3j, -0.5, 0.6j)):
         phi = blaschke_series(BlaschkeSpec(zeros), 64)
-        by_zeros = inner_semigroup_symbol(phi, 1.0, 64).coeffs
+        by_clark = inner_semigroup_symbol(phi, 1.0, 64).coeffs
         by_algebra = inner_semigroup_symbol(PowerSeries(phi.coeffs), 1.0, 64).coeffs
-        worst_blaschke = max(worst_blaschke, float(np.max(np.abs(by_zeros - by_algebra))))
+        worst_blaschke = max(worst_blaschke, float(np.max(np.abs(by_clark - by_algebra))))
 
     report = verify_semigroup_model(t=0.7, N=64)
     passed = (

@@ -8,11 +8,11 @@ functions on the unit disc.  It provides:
   (``BlaschkeSeries``);
 * the inner symbol ``exp(t * (phi + 1) / (phi - 1))`` attached to an inner
   ``phi``, on two independent routes: a Blaschke series whose zeros are
-  known gets the O(N d) coefficient recurrence of the symbol's differential
-  equation, built from the zeros alone and run in blocks past its head; any
-  other series gets series algebra (inversion then exponential).  Neither
-  calls the Laguerre recurrence of the analytic-model module, so the three
-  routes cross-check each other;
+  known gets Clark's closed form, a product of rotated Laguerre multipliers
+  of the analytic-model module, one per point of the circle where
+  ``phi = 1``; any other series gets series algebra (inversion then
+  exponential), which shares no code with it, so the two cross-check each
+  other;
 * a boundary-circle innerness check, one inverse FFT per circle;
 * analytic Toeplitz truncations and model-space bases ``K_B = H^2 ⊖ B H^2``
   on two independent routes: the Takenaka-Malmquist-Walsh closed form for a
@@ -32,9 +32,7 @@ residuals are reported, not hidden.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -58,7 +56,6 @@ from .numkit import (
 )
 from .series import (
     PowerSeries,
-    _head,
     _lower_toeplitz,
     series_add,
     series_exp,
@@ -66,6 +63,7 @@ from .series import (
     series_mul,
     series_scale,
 )
+from .shimorin import _multiplier_coeffs
 
 __all__ = [
     "BlaschkeSpec",
@@ -89,7 +87,6 @@ __all__ = [
 _CHECK_RADII = (0.9, 0.99)
 _INNER_GRID = 256
 _BOUNDARY_FLOOR = 0.95
-_ZEROS_BLOCK = 16  # steps of the zeros route's recurrence per block past the head
 
 
 # ---------------------------------------------------------------------------
@@ -222,21 +219,20 @@ def inner_semigroup_symbol(phi: PowerSeries, t: float, N: int) -> PowerSeries:
 
     Two independent routes compute it, chosen by the input's type:
 
-    * a ``BlaschkeSeries`` of order at least ``N`` takes the coefficient
-      recurrence of the symbol's differential equation, built from the
-      zeros alone (``_symbol_from_zeros``), in O(N d) for d zeros, one step
-      per coefficient in the head (``series._head``) and blocks of steps
-      past it;
+    * a ``BlaschkeSeries`` of order at least ``N`` takes Clark's closed form
+      from its zeros (``_symbol_by_clark_points``): the product over the d
+      points of the circle where ``phi = 1`` of Laguerre multipliers
+      ``shimorin._multiplier_coeffs``, each rotated, in O(N) for one zero and
+      O(d N log N) time and O(N) extra memory for d of them.  Each factor has
+      norm at most 1, so the symbol stays right at any t;
     * any other series, a plain ``PowerSeries`` of Blaschke coefficients
       included, takes series algebra: invert ``phi - 1``, multiply by
       ``phi + 1``, scale by ``t``, exponentiate, in O(N^2), whose two
-      recurrences go by blocks past the same head.
+      recurrences go by blocks past a head (``series._HEAD``).
 
-    Below order ``series._HEAD + series._TAIL`` both routes return the bits of
-    their sequential loops.
-
-    Neither route calls the Laguerre recurrence of the coordinate symbol, so
-    each is an oracle for the other and for ``shimorin.semigroup_multiplier``.
+    The two routes share no code, so each is an oracle for the other; the
+    series-algebra symbol of the coordinate is also one for
+    ``shimorin.semigroup_multiplier``.
     """
     _time(t)
     _order(N)
@@ -247,123 +243,59 @@ def inner_semigroup_symbol(phi: PowerSeries, t: float, N: int) -> PowerSeries:
             "the symbol has no Taylor expansion at the origin"
         )
     if isinstance(phi, BlaschkeSeries) and phi.order >= N:
-        return _symbol_from_zeros(phi.spec, t, N)
+        return _symbol_by_clark_points(phi.spec, t, N)
     numerator = series_add(phi, PowerSeries.constant(1.0))
     denominator = series_add(phi, PowerSeries.constant(-1.0))
     quotient = series_mul(numerator, series_inv(denominator, N=N), N=N)
     return series_exp(series_scale(quotient, complex(t)), N=N)
 
 
-def _symbol_from_zeros(spec: BlaschkeSpec, t: float, N: int) -> PowerSeries:
+def _symbol_by_clark_points(spec: BlaschkeSpec, t: float, N: int) -> PowerSeries:
     """Coefficients of ``exp(t (phi + 1)/(phi - 1))`` through ``N`` for a Blaschke ``phi``.
 
-    Write ``phi = P / Q`` with ``Q = prod (1 - conj(a) z)`` and ``P`` the
-    constant times the factors' numerators, and ``D = P - Q``.  Then
-    ``g = exp(t (P + Q)/D)`` satisfies ``D^2 g' = B g`` with
-    ``B = 2t (P Q' - Q P')``, of degree below 2d.  The squared factor is
-    taken as two stages, ``w = D g'`` and ``D w = B g``; coefficient n of each
-    gives, with ``D_0 = phi(0) - 1``,
-
-        D_0 w_n = sum_{j<2d} B_j g_{n-j} - sum_{1<=k<=d} D_k w_{n-k}
-        D_0 (n + 1) g_{n+1} = w_n - sum_{1<=k<=d} D_k (n + 1 - k) g_{n+1-k}
-
-    from ``g_0 = exp(t (phi(0) + 1)/(phi(0) - 1))``; for ``phi = z`` the two
-    stages combine into the Laguerre recurrence.  Dividing by ``D_0`` twice,
-    not by ``D_0^2`` once, keeps the rounding error at N = 4095 near 1e-14:
-    the one recurrence of order 2d for ``D^2 g' = B g`` drifted to 2.6e-13 on
-    a degree-4 product with two close zeros.  ``D_0`` is nonzero because the
-    caller refused ``phi(0) = 1``.
-
-    The sequential loop, whose windows of recent values are Python numbers,
-    gives the head of the series (``series._head``: every coefficient below
-    order ``_HEAD + _TAIL``, the first ``_HEAD`` from it on); past it each
-    block of steps is one product with its matrix from ``_zeros_block_maps``,
-    which also gives the next block's window.  Where a matrix is not finite
-    (at a huge t) the loop runs on to N.  The results go to one buffer.
+    On the circle ``phi = e^{i psi}`` with ``psi' = sum_k (1 - |a_k|^2)/|z - a_k|^2 > 0``,
+    so ``phi = 1`` at exactly d simple Clark points ``zeta_j``, the roots of ``P - Q`` for
+    ``phi = P / Q`` (``np.roots``, then one Newton step along the circle), and
+    ``F = (phi + 1)/(phi - 1) = i Im F(0) + sum_j lam_j (z + zeta_j)/(z - zeta_j)`` with
+    ``lam_j = 1/psi'(zeta_j)`` (D. N. Clark, *One dimensional perturbations of restricted
+    shifts*, J. Analyse Math. 25, 1972).  Hence
+    ``exp(t F) = e^{i t Im F(0)} prod_j e_{lam_j t}(conj(zeta_j) z)``: factor j has the
+    coefficients ``_multiplier_coeffs(lam_j t, N)`` times ``conj(zeta_j)^n`` and an l^2
+    norm of at most 1.  The factors are multiplied in one at a time, each product by FFTs
+    of one length, the power of two at or above 2N + 1, cut back to N + 1 coefficients:
+    O(d N log N) time, and O(d^2 + N) memory beyond the result.
     """
+    units = [abs(a) / a if a else -1.0 for a in spec.zeros]  # the factor z of a = 0 is -(0 - z)
     P = np.array([spec.constant])
     Q = np.ones(1, dtype=np.complex128)
-    for a in spec.zeros:
-        mod = abs(a)
-        P = np.convolve(P, (0.0, 1.0) if a == 0 else (mod, -mod / a))
+    for a, unit in zip(spec.zeros, units):
+        P = np.convolve(P, (abs(a), -unit))
         Q = np.convolve(Q, (1.0, -a.conjugate()))
-    d = spec.degree
-    with _quiet():  # an overflowing coefficient is refused by PowerSeries
-        # derivatives padded to length d + 1, so degree 0 needs no branch
-        dP = np.append(np.arange(1, P.size) * P[1:], 0.0)
-        dQ = np.append(np.arange(1, Q.size) * Q[1:], 0.0)
-        B = (2.0 * t * (np.convolve(P, dQ) - np.convolve(Q, dP)))[: 2 * d].tolist()
-        start = complex(np.exp(t * (P[0] + 1.0) / (P[0] - 1.0)))
-    D = P - Q
-    lead = complex(D[0])
-    tail = D[1:].tolist()
-    weighted = (np.arange(1, d + 1) * D[1:]).tolist()  # k D_k
-    head = _head(N)
-    if head <= N:
-        b = max(_ZEROS_BLOCK, 2 * d)  # each block's values hold the next window
-        starts = range(head - 1, N, b)
-        with _quiet():
-            maps = _zeros_block_maps(np.array(B), D, starts, b)
-        if not np.isfinite(maps).all():  # a huge t: the loop alone needs no such maps
-            head = N + 1
-    out = np.empty(N + 1, dtype=np.complex128)
-    out[0] = start
-    g = deque([start], maxlen=2 * d)  # g_n, g_{n-1}, ..., newest first
-    w = deque(maxlen=d)  # w_{n-1}, w_{n-2}, ...
-    for n in range(head - 1):
-        w_n = (sum(map(mul, B, g), 0j) - sum(map(mul, tail, w), 0j)) / lead
-        # sum_k D_k (n + 1 - k) g_{n+1-k}, as (n + 1) sum D_k g - sum k D_k g
-        lowered = (n + 1) * sum(map(mul, tail, g), 0j) - sum(map(mul, weighted, g), 0j)
-        value = (w_n - lowered) / (lead * (n + 1))
-        w.appendleft(w_n)
-        g.appendleft(value)
-        out[n + 1] = value
-    if head <= N:
-        # the window at step head - 1, oldest first, with zeros before g_0 and w_0
-        window = np.zeros(3 * d, dtype=np.complex128)
-        window[2 * d - len(g) : 2 * d] = list(reversed(g))
-        window[3 * d - len(w) :] = list(reversed(w))
-        kept = np.r_[b - 2 * d : b, 2 * b - d : 2 * b]  # where the values hold the next window
-        with _quiet():  # an overflowing coefficient is refused by PowerSeries
-            for m, block in zip(starts, maps):
-                values = block @ window
-                out[m + 1 : m + 1 + b] = values[: min(b, N - m)]
-                window = values[kept]
-    out += 0.0  # clears negative zeros, which the report would print as -0.0
-    return PowerSeries(out)
-
-
-def _zeros_block_maps(B: np.ndarray, D: np.ndarray, starts: range, b: int) -> np.ndarray:
-    """The b steps of ``_symbol_from_zeros``' recurrence from each block start, as matrices.
-
-    The recurrence is linear in its window (g_{m-2d+1}, ..., g_m, w_{m-d}, ..., w_{m-1})
-    at step m, so the b steps from a block start m are a (2b, 3d) matrix that maps the
-    window at m to (g_{m+1}, ..., g_{m+b}, w_m, ..., w_{m+b-1}).  Running the recurrence
-    once, for every start at once, on the 3d unit windows gives them all; the result has
-    shape (blocks, 2b, 3d).
-    """
-    d = D.size - 1
-    columns = len(starts) * 3 * d
-    g = np.zeros((2 * d + b, columns), dtype=np.complex128)  # g_{m-2d+1}, ... down rows
-    w = np.zeros((d + b, columns), dtype=np.complex128)  # w_{m-d}, ...
-    unit = np.eye(3 * d, dtype=np.complex128)
-    g[: 2 * d] = np.tile(unit[: 2 * d], len(starts))
-    w[:d] = np.tile(unit[2 * d :], len(starts))
-    # the windows are oldest first, so the coefficients go newest last
-    b_taps = B[::-1]  # B_{2d-1}, ..., B_0
-    d_taps = D[:0:-1]  # D_d, ..., D_1
-    weighted_taps = np.arange(d, 0, -1) * d_taps  # k D_k
-    lead = D[0]
-    steps = np.repeat(starts, 3 * d)  # n at the block's first step, per column
-    for i in range(b):
-        n1 = steps + (i + 1)  # n + 1
-        recent = g[i + d : i + 2 * d]  # g_{n-d+1}, ..., g_n
-        w_n = (b_taps @ g[i : i + 2 * d] - d_taps @ w[i : i + d]) / lead
-        lowered = n1 * (d_taps @ recent) - weighted_taps @ recent
-        g[2 * d + i] = (w_n - lowered) / (lead * n1)
-        w[d + i] = w_n
-    maps = np.concatenate((g[2 * d :], w[d:])).reshape(2 * b, len(starts), 3 * d)
-    return np.ascontiguousarray(maps.transpose(1, 0, 2))
+    zetas = np.roots((P - Q)[::-1])  # the Clark points; P - Q has degree d, as |P_d| = 1 > |Q_d|
+    zetas /= np.abs(zetas)
+    zeros = np.array(spec.zeros, dtype=np.complex128)
+    weights = 1.0 - np.abs(zeros) ** 2
+    # np.roots of the monomial P - Q loses digits as d grows (7.5e-10 in the symbol at d = 64),
+    # so one Newton step on arg phi(e^{i theta}), whose derivative is psi', polishes the points
+    phis = spec.constant * np.prod(
+        np.array(units) * (zeros - zetas[:, None]) / (1.0 - zeros.conj() * zetas[:, None]), axis=1
+    )
+    psi_prime = (weights / np.abs(zetas[:, None] - zeros) ** 2).sum(axis=1)
+    zetas = zetas * np.exp(-1j * np.angle(phis) / psi_prime)
+    lams = 1.0 / (weights / np.abs(zetas[:, None] - zeros) ** 2).sum(axis=1)
+    size = 1 << (2 * N).bit_length()  # holds the 2N + 1 coefficients of a product of two
+    unit = np.zeros(N + 1, dtype=np.complex128)
+    unit[0] = 1.0
+    product = unit
+    with _quiet():  # an overflowing time or coefficient is refused by PowerSeries
+        for j, (zeta, lam) in enumerate(zip(zetas.tolist(), lams.tolist())):
+            factor = _divide_by_kernel(unit.copy(), zeta)  # conj(zeta)^n by squarings
+            factor *= _multiplier_coeffs(lam * t, N)  # e_{lam t}(conj(zeta) z)
+            product = factor if j == 0 else np.fft.ifft(
+                np.fft.fft(product, size) * np.fft.fft(factor, size)
+            )[: N + 1]
+        out = np.exp(1j * t * ((P[0] + 1.0) / (P[0] - 1.0)).imag) * product
+    return PowerSeries(out + 0.0)  # + 0.0 clears negative zeros, which the report would print
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +381,7 @@ def inner_check(f: PowerSeries, tol: ToleranceConfig = DEFAULT_TOL) -> InnerChec
     for rho in _CHECK_RADII:
         with _quiet():  # near the float maximum a ratio or the bound overflows to inf: refused
             estimate = _tail_estimate(magnitudes, rho, tol.tail_tol)
-        if estimate > tol.tail_tol:
+        if not estimate <= tol.tail_tol:  # a NaN estimate (inf / inf block means) bounds nothing
             raise TailNotConvergent(
                 f"coefficient tail beyond degree {f.order} contributes about "
                 f"{estimate:.3e} on the circle |z| = {rho}, above the tail "

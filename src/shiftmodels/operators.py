@@ -128,10 +128,13 @@ class FiniteSupportVector:
             square = math.inf
         if _NORMAL_MIN <= square < math.inf:
             return math.sqrt(square)
-        top = max(map(abs, values), default=0.0)
-        if top == 0.0:
-            return 0.0
-        return top * math.sqrt(sum((abs(v) / top) ** 2 for v in values))
+        # moduli by hypot, which has the bits of abs and is inf past the float range where
+        # abs of a complex raises; a modulus past the range makes the norm inf
+        moduli = [math.hypot(v.real, v.imag) for v in values]
+        top = max(moduli, default=0.0)
+        if top in (0.0, math.inf):
+            return top
+        return top * math.sqrt(sum((m / top) ** 2 for m in moduli))
 
     def scale(self, c: complex) -> "FiniteSupportVector":
         with _quiet():

@@ -30,11 +30,12 @@ from .errors import ZeroConstantTerm
 from .numkit import _finite, _quiet
 
 # Past the head the recurrences go by blocks, but only where at least _TAIL
-# coefficients follow it: below that their set-up costs more than the loop saves
-# (the zeros route of ``hardy`` breaks even there; ``series_exp`` and
-# ``series_inv`` earlier).  _HEAD is at least 129, so that acceptance criterion
-# 7's orders 64 and 128 keep the loop's bits, and the inverse's blocks use the
-# Toeplitz matrix of its head, so _INV_BLOCK <= _HEAD and _INV_BLOCK <= _TAIL.
+# coefficients follow it, so that the blocks' set-up always costs less than the
+# loop it saves (``series_exp`` and ``series_inv`` break even with fewer; below
+# order _HEAD + _TAIL every coefficient keeps the loop's bits).  _HEAD is at least
+# 129, so that acceptance criterion 7's orders 64 and 128 keep the loop's bits,
+# and the inverse's blocks use the Toeplitz matrix of its head, so
+# _INV_BLOCK <= _HEAD and _INV_BLOCK <= _TAIL.
 _HEAD = 192
 _TAIL = 192
 _EXP_BLOCK = 16

@@ -247,9 +247,11 @@ def test_criterion_11_fails_when_the_blocks_are_swapped(monkeypatch):
         pytest.param(acceptance, "semigroup_multiplier", "route agreement", id="semigroup_multiplier"),
         pytest.param(acceptance, "inner_semigroup_symbol", "route agreement", id="inner_semigroup_symbol"),
         pytest.param(acceptance, "series_exp", "route agreement", id="series_exp"),
-        # the two Blaschke routes: the recurrence from the zeros, and the series algebra
+        # the two Blaschke routes: the product over the Clark points, and the series algebra
         # (whose last step also feeds the coordinate symbol)
-        pytest.param(hardy, "_symbol_from_zeros", "Blaschke route agreement", id="blaschke-zeros"),
+        pytest.param(
+            hardy, "_symbol_by_clark_points", "Blaschke route agreement", id="blaschke-clark"
+        ),
         pytest.param(hardy, "series_exp", "Blaschke route agreement", id="blaschke-series-algebra"),
     ],
 )

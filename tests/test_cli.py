@@ -576,6 +576,33 @@ def test_overflowing_symbol_series_is_refused_without_warnings(tmp_path, symbol,
     _assert_single_error_line(proc, 3)
 
 
+# a Blaschke zero of modulus up to 0.99, and a time from 0 to 1e3
+_ZERO = st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 2.0 * math.pi)).map(
+    lambda p: complex(p[0] * math.cos(p[1]), p[0] * math.sin(p[1]))
+)
+_TIME = st.floats(0.0, 1e3)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(zeros=st.lists(_ZERO, min_size=1, max_size=4), t=_TIME, n=st.integers(1, 1100))
+@example(zeros=[2.225073858507203e-309 + 0j], t=1.0, n=8)  # a subnormal zero: |a|/a is 1
+def test_any_blaschke_semigroup_symbol_is_inner_or_refused(zeros, t, n):
+    # e_t o phi is inner, so its coefficients through any degree carry at most its norm 1
+    argv = ["hardy", "--blaschke", ",".join(map(str, zeros)), "--semigroup-t", repr(t)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        proc = _run_captured([*argv, "--N", str(n)])
+    assert not caught, [str(w.message) for w in caught]
+    assert proc.returncode in (0, 3), proc.stderr
+    if proc.returncode == 3:
+        _assert_single_error_line(proc, 3)
+        return
+    assert proc.stderr == ""
+    series = np.array(json.loads(proc.stdout)["results"]["semigroup_symbol"]["series"])
+    assert series.shape == (n, 2)
+    assert np.sum(series**2) <= 1.0 + 1e-12
+
+
 @pytest.mark.parametrize(
     "vector",
     [
@@ -758,6 +785,7 @@ _REFUSAL_FILES = {
     "subnormal_weight.json": {"kind": "shift", "head_weights": [1e-320, 1.0], "tail_weight": 1.0},
     "huge_head.json": {"kind": "shift", "head_weights": [1e200], "tail_weight": 1.0},
     "huge_tail.json": {"kind": "shift", "head_weights": [], "tail_weight": 1e200},
+    "huge_series.json": [[1e308, 0.0]] * 40,
     "nested.json": {
         "kind": "direct_sum",
         "parts": [{"kind": "direct_sum", "parts": [{"kind": "shift", "law": "dirichlet"}]}],
@@ -860,6 +888,13 @@ _MODEL = ["model", "--operator", "isometric.json"]
         # w^2 overflows in the defect w_k^2 w_{k+1}^2 - 2 w_k^2 + 1, at the head or in the tail
         (["classify", "--operator", "huge_head.json"], 3, "non-finite shift defect range"),
         (["classify", "--operator", "huge_tail.json"], 3, "non-finite shift defect range"),
+        # both block means of the tail window overflow: their ratio is NaN, which bounds nothing
+        (
+            ["hardy", "--symbol-file", "huge_series.json", "--inner-check"],
+            3,
+            "coefficient tail beyond degree 39 contributes about nan on the circle |z| = 0.9, "
+            "above the tail tolerance 1.0e-10; increase the truncation order",
+        ),
     ],
 )
 def test_each_refusal_names_its_cause(tmp_path, argv, code, text):

@@ -169,9 +169,9 @@ def test_symbol_routes_agree_on_blaschke_data(degree, t):
     rng = np.random.default_rng(20261020 + degree)
     N = 1023
     phi = blaschke_series(BlaschkeSpec(_zeros_with_largest_modulus(rng, degree, 0.6)), N)
-    by_zeros = inner_semigroup_symbol(phi, t, N).coeffs
+    by_clark = inner_semigroup_symbol(phi, t, N).coeffs
     by_algebra = inner_semigroup_symbol(PowerSeries(phi.coeffs), t, N).coeffs
-    assert np.max(np.abs(by_zeros - by_algebra)) <= 1e-13
+    assert np.max(np.abs(by_clark - by_algebra)) <= 1e-13
 
 
 @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
@@ -219,8 +219,8 @@ def test_symbol_from_zeros_keeps_the_refusals():
         inner_semigroup_symbol(phi, -1.0, 8)
     with pytest.raises(ValueError, match="nonnegative"):
         inner_semigroup_symbol(phi, 1.0, -1)
-    # 2t (P Q' - Q P') overflows; so does t (phi + 1)/(phi - 1) on the series route; the
-    # same refusal below the head and past it
+    # lam t overflows on the Clark route (lam = 3 for the zero 0.5), so its Laguerre factor is
+    # non-finite; t (phi + 1)/(phi - 1) overflows on the series route, below its head and past it
     for N in (8, _HEAD + _TAIL):
         phi = blaschke_series(BlaschkeSpec((0.5,)), N)
         for route in (phi, PowerSeries(phi.coeffs)):
@@ -229,7 +229,13 @@ def test_symbol_from_zeros_keeps_the_refusals():
 
 
 def _two_stage_recurrence(B, D, start, N):
-    """The zeros route's recurrence, one step per coefficient, in its inputs' arithmetic."""
+    """The symbol's differential equation solved one coefficient at a time, in its inputs'
+    arithmetic.
+
+    With ``D = P - Q`` and ``B = 2t (P Q' - Q P')`` for ``phi = P / Q``, the symbol g solves
+    ``D^2 g' = B g``, taken as the two stages ``w = D g'`` and ``D w = B g`` from
+    g_0 = exp(t F(0)).
+    """
     d = len(D) - 1
     g, w = [start], []
     for n in range(N):
@@ -244,21 +250,8 @@ def _two_stage_recurrence(B, D, start, N):
     return g
 
 
-def _symbol_by_the_scalar_loop(spec, t, N):
-    """``_symbol_from_zeros``' sequential loop, from P, Q and B built as it builds them."""
-    P, Q = np.array([spec.constant]), np.ones(1, dtype=np.complex128)
-    for a in spec.zeros:
-        P = np.convolve(P, (0.0, 1.0) if a == 0 else (abs(a), -abs(a) / a))
-        Q = np.convolve(Q, (1.0, -a.conjugate()))
-    dP = np.append(np.arange(1, P.size) * P[1:], 0.0)
-    dQ = np.append(np.arange(1, Q.size) * Q[1:], 0.0)
-    B = (2.0 * t * (np.convolve(P, dQ) - np.convolve(Q, dP)))[: 2 * spec.degree].tolist()
-    start = complex(np.exp(t * (P[0] + 1.0) / (P[0] - 1.0)))
-    return np.array(_two_stage_recurrence(B, (P - Q).tolist(), start, N)) + 0.0
-
-
-def _symbol_by_mpmath(spec, t, N):
-    """The same recurrence in 40-digit arithmetic, from the zeros."""
+def _symbol_by_mpmath(spec, t, N, digits=40):
+    """``_two_stage_recurrence`` in ``digits``-digit arithmetic, from the zeros."""
     mpmath = pytest.importorskip("mpmath")
 
     def times(p, q):
@@ -268,7 +261,7 @@ def _symbol_by_mpmath(spec, t, N):
                 out[i + j] += x * y
         return out
 
-    with mpmath.workdps(40):
+    with mpmath.workdps(digits):
         P, Q = [mpmath.mpc(spec.constant)], [mpmath.mpc(1)]
         for a in map(mpmath.mpc, spec.zeros):
             P = times(P, [mpmath.mpc(0), mpmath.mpc(1)] if a == 0 else [abs(a), -abs(a) / a])
@@ -290,44 +283,63 @@ _ZERO_SETS = [
 @pytest.mark.parametrize("t", [0.25, 1.0])
 @pytest.mark.parametrize("zeros", _ZERO_SETS)
 def test_symbol_from_zeros_matches_a_40_digit_recurrence(zeros, t):
-    # N = 1023 runs 832 of its coefficients in blocks
+    # a Blaschke series takes the Clark route from its zeros
     spec = BlaschkeSpec(zeros)
     symbol = inner_semigroup_symbol(blaschke_series(spec, 1023), t, 1023).coeffs
     assert np.max(np.abs(symbol - _symbol_by_mpmath(spec, t, 1023))) <= 1e-13
 
 
-_FIRST_BLOCKED = _HEAD + _TAIL  # the lowest order that goes by blocks
+def test_symbol_near_the_circle_matches_a_40_digit_recurrence_through_4095():
+    # two equal zeros and two near the circle, where the recurrence in floating point drifts
+    # to 4e-11
+    spec, N = BlaschkeSpec(_ZERO_SETS[-1]), 4095
+    symbol = inner_semigroup_symbol(blaschke_series(spec, N), 4.0, N).coeffs
+    assert np.max(np.abs(symbol - _symbol_by_mpmath(spec, 4.0, N))) <= 1e-13
 
 
-@pytest.mark.parametrize(
-    "N", [_FIRST_BLOCKED + k for k in (-1, 0, 1, hardy._ZEROS_BLOCK - 1, hardy._ZEROS_BLOCK)]
-)
-@pytest.mark.parametrize("zeros", [(0.0,), (0.3, -0.4), (0.9, 0.9, 0.89j, -0.95)])
-def test_symbol_from_zeros_keeps_the_head_bits_and_the_blocks_agree(monkeypatch, zeros, N):
-    # below the first blocked order every coefficient is the sequential loop's bits, and
-    # from it on the first _HEAD are; past them the blocks agree with 40 digits
-    runs = []
-    maps = hardy._zeros_block_maps
-    monkeypatch.setattr(hardy, "_zeros_block_maps", lambda *args: runs.append(args) or maps(*args))
+@pytest.mark.parametrize("N", [254, 255, 256])
+@pytest.mark.parametrize("zeros", [(0.3, -0.4), (0.2 + 0.3j, -0.5, 0.6j), (0.9, 0.9, 0.89j, -0.95)])
+def test_symbol_by_clark_points_holds_where_the_fft_length_doubles(zeros, N):
+    # each product of two factors has 2N + 1 coefficients: 511 at N = 255 fill a transform of
+    # 512, and 513 at N = 256 need 1024; a shorter one folds the top coefficients onto the bottom
     spec = BlaschkeSpec(zeros)
     symbol = inner_semigroup_symbol(blaschke_series(spec, N), 1.0, N).coeffs
-    assert len(runs) == (N >= _FIRST_BLOCKED)
-    loop = _symbol_by_the_scalar_loop(spec, 1.0, N)
-    head = _HEAD if N >= _FIRST_BLOCKED else N + 1
-    assert symbol[:head].tobytes() == loop[:head].tobytes()
     assert np.max(np.abs(symbol - _symbol_by_mpmath(spec, 1.0, N))) <= 1e-13
 
 
+@pytest.mark.parametrize("degree", [32, 64])
+def test_clark_route_of_many_zeros_matches_the_series_algebra(degree):
+    # np.roots of P - Q alone, without the Newton step, leaves the d = 64 symbol 7.5e-10 off
+    rng = np.random.default_rng(degree)
+    zeros = 0.6 * np.sqrt(rng.uniform(size=degree)) * np.exp(2j * np.pi * rng.uniform(size=degree))
+    phi, N = blaschke_series(BlaschkeSpec(tuple(zeros)), 1023), 1023
+    symbol = inner_semigroup_symbol(phi, 1.0, N).coeffs
+    by_algebra = inner_semigroup_symbol(PowerSeries(phi.coeffs), 1.0, N).coeffs
+    assert np.max(np.abs(symbol - by_algebra)) <= 1e-12
+
+
+# four zeros spread over the disc, on which the recurrence in floating point loses every
+# digit by t = 30 (Sum |c_n|^2 reads 9000.9 there, where the symbol's is 0.828)
+_SPREAD_ZEROS = (0.2212 - 0.6419j, 0.4861 + 0.6376j, 0.0750 - 0.2075j, -0.8465 + 0.3498j)
+
+
+@pytest.mark.parametrize("t", [10.0, 30.0, 60.0])
+def test_symbol_by_clark_points_matches_a_60_digit_recurrence_at_large_times(t):
+    # 60 digits hold the recurrence through N = 981 at t = 60: an 80-digit run reads the same
+    spec, N = BlaschkeSpec(_SPREAD_ZEROS), 981
+    symbol = inner_semigroup_symbol(blaschke_series(spec, N), t, N).coeffs
+    assert np.max(np.abs(symbol - _symbol_by_mpmath(spec, t, N, digits=60))) <= 1e-12
+    assert np.vdot(symbol, symbol).real <= 1.0
+
+
 @pytest.mark.parametrize("zeros", [(0.0,), (0.5, 0.3), (0.9, 0.9, 0.89j, -0.95)])
-def test_a_huge_time_past_the_head_gives_the_loops_symbol(zeros):
-    # at t = 1e300 every coefficient is 0, but the block maps overflow: both routes run
-    # their loops on instead, as they do below the head
+def test_a_huge_time_gives_the_zero_symbol(zeros):
+    # at t = 1e300 every coefficient underflows to 0 on both routes, none of them negative
     spec, N = BlaschkeSpec(zeros), 1000
     phi = blaschke_series(spec, N)
-    loop = _symbol_by_the_scalar_loop(spec, 1e300, N)
-    assert not loop.any()
     for route in (phi, PowerSeries(phi.coeffs)):
-        assert inner_semigroup_symbol(route, 1e300, N).coeffs.tobytes() == loop.tobytes()
+        coeffs = inner_semigroup_symbol(route, 1e300, N).coeffs
+        assert not coeffs.any() and not np.signbit(coeffs.view(np.float64)).any()
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])

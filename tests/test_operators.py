@@ -152,6 +152,12 @@ def test_vector_norm_is_scaled_where_its_square_overflows(entries, expected):
     assert FiniteSupportVector(entries).norm() == pytest.approx(expected, rel=1e-15)
 
 
+def test_vector_norm_past_the_float_range_is_inf():
+    # both parts are finite, but the modulus is not: abs of the complex would raise
+    assert FiniteSupportVector(((0, 1.7e308 + 1.7e308j),)).norm() == math.inf
+    assert FiniteSupportVector(((0, 1e-300), (4, -1.7e308 + 1.7e308j))).norm() == math.inf
+
+
 def test_vector_norm_is_scaled_where_its_square_underflows():
     # each square is below the smallest double, so the plain sum reads 0 for a nonzero vector
     assert FiniteSupportVector(((0, 1e-200),)).norm() == 1e-200
