@@ -101,6 +101,26 @@ def _random_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _generator_families(
+    rng: np.random.Generator, count: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` n x n generators drawn in one sequence, by index mod 3 skew-adjoint (B - B*)/2,
+    dissipative -(B*B + Id) and general B, as a (count, n, n) stack, with the stack of the
+    dissipative members' Gram matrices B*B."""
+    generators, grams = [], []
+    for i in range(count):
+        B = _random_complex(rng, (n, n))
+        if i % 3 == 0:
+            A = (B - B.conj().T) / 2.0
+        elif i % 3 == 1:
+            grams.append(B.conj().T @ B)
+            A = -(grams[-1] + np.eye(n, dtype=np.complex128))
+        else:
+            A = B
+        generators.append(A)
+    return np.stack(generators), np.stack(grams)
+
+
 def _unitaries(gaussians: list[np.ndarray]) -> list[np.ndarray]:
     """The unitary QR factor of each square matrix of ``gaussians``, in order, from one
     batched QR per size."""
@@ -172,22 +192,12 @@ def criterion_2_concavity_equivalence() -> tuple[bool, str]:
     grid rather than of all 100.
     """
     tol = DEFAULT_TOL
-    rng = np.random.default_rng(202)
-    n = 6
-    families = ([], [], [])  # skew-adjoint, dissipative, general
-    for i in range(100):
-        B = _random_complex(rng, (n, n))
-        if i % 3 == 0:
-            A = (B - B.conj().T) / 2.0
-        elif i % 3 == 1:
-            A = -(B.conj().T @ B + np.eye(n, dtype=np.complex128))
-        else:
-            A = B
-        families[i % 3].append(A)
+    generators, _ = _generator_families(np.random.default_rng(202), 100, 6)
     disagreements = 0
     wrong_verdicts = 0
-    for family, expected in zip(families, (True, False, False)):
-        for suite in _concavity_suites(np.stack(family), tol):
+    # skew-adjoint, dissipative and general members, each family with one expected verdict
+    for family, expected in enumerate((True, False, False)):
+        for suite in _concavity_suites(generators[family::3], tol):
             if not suite.agree:
                 disagreements += 1
             elif suite.verdict is not expected:
@@ -508,21 +518,9 @@ def criterion_10_growth_bound() -> tuple[bool, str]:
     """
     oracle_tolerance = 1e-10
     consistency_tolerance = 1e-8
-    rng = np.random.default_rng(1010)
-    n = 6
-    generators, grams = [], []
-    for i in range(30):
-        B = _random_complex(rng, (n, n))
-        if i % 3 == 0:
-            A = (B - B.conj().T) / 2.0
-        elif i % 3 == 1:
-            grams.append(B.conj().T @ B)
-            A = -(grams[-1] + np.eye(n, dtype=np.complex128))
-        else:
-            A = B
-        generators.append(A)
-    omegas, consistencies = _growth_consistencies(np.stack(generators))
-    oracles = -1.0 - np.linalg.eigvalsh(np.stack(grams)).min(axis=-1)
+    generators, grams = _generator_families(np.random.default_rng(1010), 30, 6)
+    omegas, consistencies = _growth_consistencies(generators)
+    oracles = -1.0 - np.linalg.eigvalsh(grams).min(axis=-1)
     worst_oracle = float(max(np.abs(omegas[0::3]).max(), np.abs(omegas[1::3] - oracles).max()))
     worst_consistency = float(consistencies.max())
     passed = worst_oracle <= oracle_tolerance and worst_consistency <= consistency_tolerance

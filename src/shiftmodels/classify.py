@@ -214,18 +214,18 @@ def concave_power_growth_check(
     its increments are dominated by the first one); checked for n = 1 .. N
     on the ratios r_n = ||T^n x||^2 / ||x||^2, r_n <= 1 + n (r_1 - 1), with
     residual_tol slack (so relative to ||x||^2).  The ratios do not depend on the scale
-    of x, and T is linear, so x is first scaled to unit size by an exact power of two:
-    the verdict for c x is that for x at any c != 0, subnormal amplitudes included;
-    the zero vector meets the bound.
+    of x, and T is linear, so x is first scaled by an exact power of two until its largest
+    part is in [1/2, 1): the verdict for c x is that for x at any c != 0, subnormal
+    amplitudes and norms past the float range included; the zero vector meets the bound.
     """
     _, d_sup = _defect_bounds(T)
     if d_sup > tol.psd_tol:
         raise NotConcave(f"power growth bound needs a concave operator (defect {d_sup:.3e})")
-    size = x.norm()
-    if size == 0.0:
+    parts = x.values.view(np.float64)
+    top = float(np.abs(parts).max(initial=0.0))
+    if top == 0.0:
         return True
-    exponent = math.frexp(size)[1]
-    parts = np.ldexp(x.values.view(np.float64), -exponent)  # exact, but where a part underflows
+    parts = np.ldexp(parts, -math.frexp(top)[1])  # exact, but where a part underflows
     x = _vector(x.indices, parts.view(np.complex128), x.ambient)
     size = x.norm()
     current = T.apply(x)

@@ -275,14 +275,17 @@ def _symbol_by_clark_points(spec: BlaschkeSpec, t: float, N: int) -> PowerSeries
     zetas /= np.abs(zetas)
     zeros = np.array(spec.zeros, dtype=np.complex128)
     weights = 1.0 - np.abs(zeros) ** 2
+
+    def psi_prime(points: np.ndarray) -> np.ndarray:
+        return (weights / np.abs(points[:, None] - zeros) ** 2).sum(axis=1)
+
     # np.roots of the monomial P - Q loses digits as d grows (7.5e-10 in the symbol at d = 64),
     # so one Newton step on arg phi(e^{i theta}), whose derivative is psi', polishes the points
     phis = spec.constant * np.prod(
         np.array(units) * (zeros - zetas[:, None]) / (1.0 - zeros.conj() * zetas[:, None]), axis=1
     )
-    psi_prime = (weights / np.abs(zetas[:, None] - zeros) ** 2).sum(axis=1)
-    zetas = zetas * np.exp(-1j * np.angle(phis) / psi_prime)
-    lams = 1.0 / (weights / np.abs(zetas[:, None] - zeros) ** 2).sum(axis=1)
+    zetas = zetas * np.exp(-1j * np.angle(phis) / psi_prime(zetas))
+    lams = 1.0 / psi_prime(zetas)
     size = 1 << (2 * N).bit_length()  # holds the 2N + 1 coefficients of a product of two
     unit = np.zeros(N + 1, dtype=np.complex128)
     unit[0] = 1.0
@@ -553,9 +556,10 @@ class LadderReport:
 def _ladder_blocks(phi: PowerSeries, K: np.ndarray, levels: int) -> list[np.ndarray]:
     """``K, phi K, ..., phi^levels K``, each truncated to the ``n`` rows of ``K``.
 
-    A Blaschke series that has the TMW basis takes each level as the last one times
-    every factor (``_times_factor`` on the whole block) and the constant; any other
-    series convolves each column of ``K`` with its running power.
+    Each level is the last one times ``phi``, truncated: a Blaschke series that has the
+    TMW basis multiplies by every factor (``_times_factor`` on the whole block) and the
+    constant, and any other series convolves each column with its coefficients.
+    Truncated lower-triangular products are associative, so both give ``phi^k K``.
     """
     n, degree = K.shape
     blocks = [K]
@@ -566,10 +570,10 @@ def _ladder_blocks(phi: PowerSeries, K: np.ndarray, levels: int) -> list[np.ndar
                 block = _times_factor(block, a)
             blocks.append(phi.spec.constant * block)
         return blocks
-    power = PowerSeries.constant(1.0)
-    for _ in range(levels):
-        power = series_mul(power, phi, N=n - 1)
-        blocks.append(np.stack([np.convolve(power.coeffs, column)[:n] for column in K.T], axis=1))
+    with _quiet():  # a level past the float range is refused
+        for _ in range(levels):
+            columns = [np.convolve(phi.coeffs[:n], c)[:n] for c in blocks[-1].T]
+            blocks.append(_finite(np.stack(columns, axis=1), "series coefficients"))
     return blocks
 
 

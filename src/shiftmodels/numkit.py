@@ -214,11 +214,12 @@ def singular_values(arr: np.ndarray) -> np.ndarray:
     return _svd(arr, compute_uv=False)
 
 
-def _rank_of(s: np.ndarray, tol: ToleranceConfig) -> int:
-    """Count of the descending singular values s above rank_tol relative to s[0]."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_tol * s[0]))
+def _rank_of(s: np.ndarray, tol: ToleranceConfig) -> int | np.ndarray:
+    """Count of the descending singular values along the last axis of s that lie above
+    rank_tol relative to the first: an int for one matrix's values, an array of the
+    leading shape for a stack."""
+    counts = np.count_nonzero(s > tol.rank_tol * s[..., :1], axis=-1)
+    return int(counts) if s.ndim == 1 else counts
 
 
 def rank(arr: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> int:

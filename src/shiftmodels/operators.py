@@ -37,7 +37,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .errors import AmbientMismatch, NonFinite, UnsupportedRegime
-from .numkit import _NORMAL_MIN, ComplexMatrix, _finite, _quiet
+from .numkit import ComplexMatrix, _finite, _quiet
 
 __all__ = [
     "FiniteSupportVector",
@@ -118,23 +118,10 @@ class FiniteSupportVector:
         return tuple(zip(self.indices.tolist(), self.values.tolist()))
 
     def norm(self) -> float:
-        """The 2-norm; where its square leaves the normal float range (past the largest
-        double, or below the smallest normal one for a nonzero vector), scaled by the largest
-        modulus m as m sqrt(sum |v/m|^2), the rule of the reference BLAS nrm2."""
-        values = self.values.tolist()
-        try:
-            square = sum(abs(v) ** 2 for v in values)
-        except OverflowError:  # a float power past the range raises; a sum past it is inf
-            square = math.inf
-        if _NORMAL_MIN <= square < math.inf:
-            return math.sqrt(square)
-        # moduli by hypot, which has the bits of abs and is inf past the float range where
-        # abs of a complex raises; a modulus past the range makes the norm inf
-        moduli = [math.hypot(v.real, v.imag) for v in values]
-        top = max(moduli, default=0.0)
-        if top in (0.0, math.inf):
-            return top
-        return top * math.sqrt(sum((m / top) ** 2 for m in moduli))
+        """The 2-norm, as ``math.hypot`` of the real and imaginary parts of every amplitude:
+        hypot scales by the largest part, so no square over- or underflows, and a norm past
+        the float range reads inf."""
+        return math.hypot(*self.values.view(np.float64).tolist())
 
     def scale(self, c: complex) -> "FiniteSupportVector":
         with _quiet():

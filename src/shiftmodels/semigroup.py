@@ -48,6 +48,7 @@ from .numkit import (
     ComplexMatrix,
     _finite,
     _quiet,
+    _rank_of,
     _time,
     expm_stack,
     hermitian_max_eig,
@@ -107,19 +108,13 @@ class EquivalenceSuiteReport:
     grid_slack: float = 0.0
 
 
-def _evolve_stack(S: SemigroupSpec, times) -> tuple[np.ndarray, NonFinite | None]:
-    """e^{tA} for each t of ``times`` up to the first one refused, and its refusal: t not
-    finite or below 0 is refused outright, and t = 0 gives the exact identity (t A is zero)."""
-    for t in times:
-        _time(t)
-    with _quiet():  # the core refuses a t A holding infinity or NaN: its 1-norm is not finite
-        scaled = np.asarray(times, dtype=np.float64)[:, None, None] * S.generator.array
-    return expm_stack(scaled)
-
-
 def evolve(S: SemigroupSpec, t: float) -> np.ndarray:
-    """e^{tA} as a read-only array; t = 0 returns the exact identity."""
-    evolved, refusal = _evolve_stack(S, (t,))
+    """e^{tA} as a read-only array: t not finite or below 0 is refused, and t = 0 gives the
+    exact identity (t A is zero)."""
+    _time(t)
+    with _quiet():  # the core refuses a t A holding infinity or NaN: its 1-norm is not finite
+        scaled = t * S.generator.array[None]
+    evolved, refusal = expm_stack(scaled)
     if refusal is not None:
         raise refusal
     evolved.flags.writeable = False
@@ -131,9 +126,7 @@ def _cayley(stack: np.ndarray, tol: ToleranceConfig, what: str) -> np.ndarray:
     batched solve; OneInSpectrum when 1 lies in the spectrum of any member."""
     ident = np.eye(stack.shape[-1], dtype=np.complex128)
     shifted = stack - ident
-    s = singular_values(shifted)
-    # rank below n: the smallest singular value is at most the cutoff rank_tol s_max
-    if np.count_nonzero(s[:, -1] <= tol.rank_tol * s[:, 0]):
+    if np.count_nonzero(_rank_of(singular_values(shifted), tol) < stack.shape[-1]):
         raise OneInSpectrum(f"1 lies in the spectrum of the {what} at rank_tol={tol.rank_tol:g}")
     plus = stack + ident
     # right division: X (A - Id) = (A + Id) solved through the adjoint system

@@ -473,8 +473,6 @@ def _multiplier_coeffs(t: float, N: int) -> np.ndarray:
             zeros[1::2] = -0.0
             return zeros
     head = math.exp(-t)
-    if not rescaled and head >= _NORMAL_MIN:
-        return head * laguerre
     exponents = _RESCALE_BITS * np.searchsorted(rescaled, np.arange(N + 1), side="right")
     if head < _NORMAL_MIN:
         # below -2^13 every entry underflows; the floor keeps the exponents in range of an int64

@@ -161,11 +161,14 @@ def test_power_growth_check_pinned_cases():
     assert not concave_power_growth_check(T, FiniteSupportVector.basis(0, 2), 5, loose)
 
 
-@pytest.mark.parametrize("c", [1e-320, 1e-310, 1e-200, 1.0, 1e200])
+@pytest.mark.parametrize(
+    "c", [1e-320, 1e-310, 1e-200, 1.0, 1e200, 1.7e308 + 1.7e308j, -1.3e308 + 1.3e308j]
+)
 def test_power_growth_verdict_does_not_depend_on_the_scale_of_the_vector(c):
     # the check compares ||T^n x||^2 / ||x||^2, so c e_0 gives the verdict of e_0: the
     # Dirichlet shift meets the bound, and diag(2, 0.5) through a loose gate breaks it; a
-    # subnormal c too, whose products w_k c would be rounded on the subnormal grid
+    # subnormal c too, whose products w_k c would be rounded on the subnormal grid, and a
+    # c whose parts are finite but whose modulus passes the float range
     assert concave_power_growth_check(dirichlet_shift(), FiniteSupportVector(((0, c),)), 50)
     T = Dense(ComplexMatrix(np.diag([2.0, 0.5])))
     loose = ToleranceConfig(psd_tol=10.0)

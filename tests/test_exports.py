@@ -325,10 +325,10 @@ def test_every_private_function_is_loaded_by_the_package():
     assert not unloaded, f"private functions no code of the package loads: {unloaded}"
 
 
-def test_one_function_reads_the_pade_coefficients():
-    # one Pade core serves single matrices and stacks alike: a second reader of the
-    # coefficient table would be a second scaling-and-squaring implementation
-    readers = []
+def _scopes_where(found) -> list[str]:
+    """The enclosing function (``module.name``, or ``module (module level)``) of each node
+    of the package source for which ``found(node)`` holds."""
+    scopes_found = []
     for path in sorted(Path(shiftmodels.__file__).parent.glob("*.py")):
         scopes = [f"{path.stem} (module level)"]
 
@@ -336,15 +336,42 @@ def test_one_function_reads_the_pade_coefficients():
             is_function = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
             if is_function:
                 scopes.append(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
-            loaded = (isinstance(node, ast.Name) and node.id == "_PADE13_B") or (
-                isinstance(node, ast.Attribute) and node.attr == "_PADE13_B"
-            )
-            if loaded and isinstance(node.ctx, ast.Load):
-                readers.append(scopes[-1])
+            if found(node):
+                scopes_found.append(scopes[-1])
             for child in ast.iter_child_nodes(node):
                 visit(child)
             if is_function:
                 scopes.pop()
 
         visit(ast.parse(path.read_text(encoding="utf-8")))
+    return scopes_found
+
+
+def _names(node, name: str) -> bool:
+    """Whether ``node`` is the name or attribute ``name``."""
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def test_one_function_reads_the_pade_coefficients():
+    # one Pade core serves single matrices and stacks alike: a second reader of the
+    # coefficient table would be a second scaling-and-squaring implementation
+    readers = _scopes_where(
+        lambda node: _names(node, "_PADE13_B") and isinstance(node.ctx, ast.Load)
+    )
     assert len(set(readers)) == 1 and not readers[0].endswith("(module level)"), readers
+
+
+def test_relative_rank_cutoffs_are_formed_in_two_places():
+    # numkit._rank_of is the one relative cutoff rank_tol s_max for a matrix or a stack;
+    # classify._core keeps its absolute cutoff rank_tol ||T||_2 for the range iteration.
+    # A product with rank_tol, or a comparison against it, anywhere else is a second rule.
+    def cutoff(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+            return _names(node.left, "rank_tol") or _names(node.right, "rank_tol")
+        if isinstance(node, ast.Compare):
+            return any(_names(side, "rank_tol") for side in (node.left, *node.comparators))
+        return False
+
+    assert set(_scopes_where(cutoff)) == {"numkit._rank_of", "classify._core"}

@@ -13,6 +13,7 @@ from shiftmodels.errors import NonFinite
 from shiftmodels.hardy import analytic_toeplitz_trunc
 from shiftmodels.numkit import (
     ComplexMatrix,
+    _rank_of,
     expm_stack,
     hermitian_max_eig,
     null_space_basis,
@@ -286,6 +287,20 @@ def test_rank_pinned_and_unitary_invariance():
         Q = _random_unitary(rng, n)
         assert rank(Q @ base, DEFAULT_TOL) == rank(base, DEFAULT_TOL)
         assert rank(base @ Q, DEFAULT_TOL) == rank(base, DEFAULT_TOL)
+
+
+def test_rank_of_a_stack_is_the_rank_of_each_member():
+    # planted ranks 0..5, and singular values on either side of the cutoff 1e-10 s_max
+    rng = np.random.default_rng(18)
+    members = [np.zeros((5, 5), dtype=complex), _diag([1.0, 1e-9, 1e-11, 0.0, 0.0])]
+    for r in range(6):
+        Q, W = _random_unitary(rng, 5), _random_unitary(rng, 5)
+        members.append(Q @ _diag([3.0] * r + [0.0] * (5 - r)) @ W)
+    stack = np.stack(members)
+    ranks = _rank_of(np.linalg.svd(stack, compute_uv=False), DEFAULT_TOL)
+    assert ranks.tolist() == [rank(M, DEFAULT_TOL) for M in members]
+    assert ranks.tolist()[:2] == [0, 2]
+    assert _rank_of(np.zeros((0, 5)), DEFAULT_TOL).shape == (0,)
 
 
 def test_null_space_basis_matches_rank():

@@ -1,7 +1,10 @@
 """Structured operator tests: shifts, dense blocks, direct sums, JSON formats."""
 
 import math
+import sys
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -165,9 +168,55 @@ def test_vector_norm_is_scaled_where_its_square_underflows():
     # a square below the normal range but not 0: sqrt of a subnormal sum loses digits
     assert FiniteSupportVector(((0, 1e-160),)).norm() == 1e-160
     assert FiniteSupportVector(((0, 0.0), (2, 0.0))).norm() == 0.0
-    # where the sum of squares is normal, the plain sum stays: bits unchanged
-    x = FiniteSupportVector(((0, 3.0), (1, 4.0j), (7, 1e-150)))
-    assert x.norm() == math.sqrt(sum(abs(v) ** 2 for v in x.values.tolist()))
+    # 5.0 is the correctly rounded norm: the part 1e-150 adds 1e-301 to 25
+    assert FiniteSupportVector(((0, 3.0), (1, 4.0j), (7, 1e-150))).norm() == 5.0
+
+
+def _exact_norm(parts: list[float]) -> Decimal:
+    """The 2-norm of ``parts`` to 60 digits: the exact sum of squares, then one square root."""
+    square = sum(Fraction(p) ** 2 for p in parts)
+    with localcontext() as context:
+        context.prec = 60
+        return (Decimal(square.numerator) / Decimal(square.denominator)).sqrt()
+
+
+def _norm_cases() -> list[list[complex]]:
+    """Amplitude lists whose parts run from 5e-324 to 1.7e308: fixed extremes, then seeded
+    vectors of one random scale each (norms from subnormal to past the float range) and of
+    parts spread over every scale."""
+    cases = [
+        [5e-324],
+        [5e-324 + 5e-324j],
+        [1.7e308 + 1.7e308j],
+        [1.7e308, 1e-300j, 5e-324],
+        [1.2e308 + 1.2e308j],  # just below the float maximum
+        [1.3e308 + 1.3e308j],  # just past it
+        [2.2250738585072014e-308 + 5e-324j, 1e-320],
+    ]
+    rng = np.random.default_rng(1701)
+    for _ in range(200):
+        size = int(rng.integers(1, 9))
+        signs = rng.choice((-1.0, 1.0), 2 * size)
+        center = rng.uniform(-1074.0, 1024.0)
+        spread = 4.0 if rng.random() < 0.5 else 2100.0
+        exponents = np.clip(rng.uniform(center - spread, center + spread, 2 * size), -1074, 1023.9)
+        parts = np.clip(signs * np.exp2(exponents), -1.7e308, 1.7e308).tolist()
+        parts = [math.copysign(max(abs(p), 5e-324), p) for p in parts]
+        cases.append([complex(re, im) for re, im in zip(parts[0::2], parts[1::2])])
+    return cases
+
+
+def test_vector_norm_is_within_one_ulp_of_the_exact_norm():
+    # inf only where the exact norm passes the float maximum; elsewhere at most 1 ulp off
+    largest = Decimal(sys.float_info.max)
+    for amplitudes in _norm_cases():
+        x = FiniteSupportVector(tuple(enumerate(amplitudes)))
+        parts = [part for v in amplitudes for part in (v.real, v.imag)]
+        exact, norm = _exact_norm(parts), x.norm()
+        if norm == math.inf:
+            assert exact > largest, amplitudes
+        else:
+            assert abs(Decimal(norm) - exact) <= Decimal(math.ulp(norm)), amplitudes
 
 
 def _assert_same_operator(S, T) -> None:

@@ -108,12 +108,12 @@ def test_suite_exponentials_of_triangular_generators_match_the_closed_form(a, c,
 def test_suite_grid_matches_one_exponential_per_time(n):
     # the three generator families of acceptance criterion 2; the per-time stack takes
     # each e^{tA} by its own scaling and squaring, with no product of grid members
-    times = (*semigroup._GRID, semigroup._STEP)
+    times = np.array((*semigroup._GRID, semigroup._STEP))
     for member, A in enumerate(_families(n)):
         S = SemigroupSpec(ComplexMatrix(A))
         evolved, half = semigroup._grid_exponentials(S.generator.array[None])
         assert evolved.shape == (1, len(semigroup._GRID), n, n)
-        independent, refusal = semigroup._evolve_stack(S, times)
+        independent, refusal = expm_stack(times[:, None, None] * A)
         assert refusal is None
         for t, E, exact in zip(times, (*evolved[0], half[0]), independent):
             scale = max(1.0, float(np.max(np.abs(exact))))
@@ -153,7 +153,8 @@ def test_suite_stack_is_bit_identical_to_one_suite_per_generator(monkeypatch):
 def test_suite_refuses_an_overflowing_power():
     # A = 400 Id: e^{hA} = e^20 Id and e^{1.7 A} = e^680 Id are finite, e^{1.8 A} is not
     S = SemigroupSpec(ComplexMatrix(np.diag([400.0, 400.0])))
-    evolved, refusal = semigroup._evolve_stack(S, (semigroup._STEP, 1.7))
+    times = np.array((semigroup._STEP, 1.7))
+    evolved, refusal = expm_stack(times[:, None, None] * S.generator.array)
     assert refusal is None and np.isfinite(evolved).all()
     with pytest.raises(NonFinite, match="^non-finite matrix exponential$"):
         semigroup._grid_exponentials(S.generator.array[None])
@@ -165,7 +166,7 @@ def test_suite_refuses_an_overscaled_step_exponential():
     # e^{hA} = e^{-10} [[1, 5e158], [0, 1]] at h = 0.05, but scaling and squaring
     # overscales it to zero; the grid is built from that one member, so it is refused
     S = SemigroupSpec(ComplexMatrix([[-200.0, 1e160], [0.0, -200.0]]))
-    _, refusal = semigroup._evolve_stack(S, (semigroup._STEP,))
+    _, refusal = expm_stack(semigroup._STEP * S.generator.array[None])
     assert "overscaled" in str(refusal)
     with pytest.raises(NonFinite, match="overscaled it to zero"):
         concavity_equivalence_suite(S)
@@ -191,6 +192,21 @@ def test_cogenerator_of_skew_generator_is_unitary():
 def test_cogenerator_rejects_one_in_spectrum():
     with pytest.raises(OneInSpectrum):
         cogenerator(SemigroupSpec(ComplexMatrix(np.eye(2))))
+
+
+def test_cayley_of_a_stack_refuses_exactly_a_member_with_one_in_its_spectrum():
+    # the middle member Id makes A - Id = 0; without it no member is refused, and each
+    # member keeps the transform of its own call
+    rng = np.random.default_rng(61)
+    first, last = _random_skew(rng, 4) - np.eye(4), _random_skew(rng, 4)
+    with pytest.raises(OneInSpectrum, match="at rank_tol=1e-10$"):
+        semigroup._cayley(np.stack([first, np.eye(4), last]), DEFAULT_TOL, "generator")
+    for middle in (-np.eye(4), _random_skew(rng, 4)):
+        stack = np.stack([first, middle, last])
+        out = semigroup._cayley(stack, DEFAULT_TOL, "generator")
+        for A, V in zip(stack, out):
+            assert np.array_equal(V, cogenerator(SemigroupSpec(ComplexMatrix(A))).array)
+    assert semigroup._cayley(np.stack([first, last]), DEFAULT_TOL, "generator").shape == (2, 4, 4)
 
 
 def test_inverse_cayley_round_trip():
