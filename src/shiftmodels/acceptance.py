@@ -17,9 +17,11 @@ A criterion that loops over small random matrices draws its whole population
 first, in its one rng order, and then makes one LAPACK call per matrix size:
 criterion 1 runs the Cayley transform both ways over one stack per size,
 criterion 2 the concavity suite over one stack per generator family, criterion
-10 the growth pass over one stack, and criteria 8 and 12 take their random
-unitaries from one QR per size.  Batched LAPACK calls treat each member alone,
-so every detail string keeps the bits of one call per matrix.
+8 the Wold split of its sums and the classification of its unitaries over one
+stack per size, criterion 10 the growth pass over one stack, and criteria 8 and
+12 take their random unitaries from one QR per size.  Batched LAPACK calls treat
+each member alone, so every detail string keeps the bits of one call per matrix.
+Criterion 12 takes each power orbit in one pass (``concave_power_growth_check``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .classify import classify_operator, concave_power_growth_check
+from .classify import _classify_stack, concave_power_growth_check
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import NotConcave
 from .hardy import (
@@ -50,6 +52,7 @@ from .operators import (
     FiniteSupportVector,
     dirichlet_shift,
     isometric_shift,
+    to_dense_matrix,
 )
 from .semigroup import (
     _cayley,
@@ -66,7 +69,7 @@ from .shimorin import (
     verify_intertwining,
     verify_reproducing,
     verify_semigroup_model,
-    wold_decompose,
+    _wold_split,
 )
 
 __all__ = ["CriterionResult", "run_all", "ALL_CRITERIA"]
@@ -98,7 +101,11 @@ def _criterion(fn):
 
 
 def _random_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """Real parts then imaginary parts drawn from ``rng``, written into one complex array."""
+    z = np.empty(shape, dtype=np.complex128)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    return z
 
 
 def _generator_families(
@@ -121,14 +128,19 @@ def _generator_families(
     return np.stack(generators), np.stack(grams)
 
 
+def _by_size(matrices: list[np.ndarray]) -> dict[int, list[int]]:
+    """The positions of the square matrices of each size, in order."""
+    sizes: dict[int, list[int]] = {}
+    for j, m in enumerate(matrices):
+        sizes.setdefault(len(m), []).append(j)
+    return sizes
+
+
 def _unitaries(gaussians: list[np.ndarray]) -> list[np.ndarray]:
     """The unitary QR factor of each square matrix of ``gaussians``, in order, from one
     batched QR per size."""
-    sizes: dict[int, list[int]] = {}
-    for j, g in enumerate(gaussians):
-        sizes.setdefault(len(g), []).append(j)
     out = [None] * len(gaussians)
-    for members in sizes.values():
+    for members in _by_size(gaussians).values():
         q, _ = np.linalg.qr(np.stack([gaussians[j] for j in members]))
         for j, u in zip(members, q):
             out[j] = u
@@ -404,7 +416,12 @@ def criterion_7_multiplier_semigroup() -> tuple[bool, str]:
 
 @_criterion
 def criterion_8_wold_split() -> tuple[bool, str]:
-    """Unitary-plus-nilpotent sums split exactly; finite 2-isometries are unitary."""
+    """Unitary-plus-nilpotent sums split exactly; finite 2-isometries are unitary.
+
+    The 20 sums, alternately direct sums of two dense parts and one block matrix, go
+    through the Wold split as one stack per size; the 50 unitaries through the
+    classification as one stack per size, their isometry residual one product per size.
+    """
     unitary_tolerance = 1e-10
     rigidity_tolerance = 1e-8
     rng = np.random.default_rng(808)
@@ -419,9 +436,7 @@ def criterion_8_wold_split() -> tuple[bool, str]:
         gaussians.append(_random_complex(rng, (n, n)))
     unitaries = _unitaries(gaussians)
 
-    dim_errors = 0
-    worst_unitary = 0.0
-    span_failures = 0
+    sums = []
     for i, (U, Nilp) in enumerate(zip(unitaries[:20], nilpotents)):
         n_u, n_n = len(U), len(Nilp)
         if i % 2 == 0:
@@ -431,24 +446,30 @@ def criterion_8_wold_split() -> tuple[bool, str]:
             block[:n_u, :n_u] = U
             block[n_u:, n_u:] = Nilp
             V = Dense(ComplexMatrix(block))
-        report = wold_decompose(V)
-        if report.dim_unitary != n_u or report.dim_wandering_dense != n_n:
-            dim_errors += 1
-        worst_unitary = max(worst_unitary, report.unitary_residual)
-        if not report.wandering_span_ok:
-            span_failures += 1
+        sums.append(to_dense_matrix(V))
+    dim_errors = 0
+    worst_unitary = 0.0
+    span_failures = 0
+    for members in _by_size(sums).values():
+        reports = _wold_split(np.stack([sums[j] for j in members]), DEFAULT_TOL)
+        for j, report in zip(members, reports):
+            n_u, n_n = len(unitaries[j]), len(nilpotents[j])
+            if report.dim_unitary != n_u or report.dim_wandering_dense != n_n:
+                dim_errors += 1
+            worst_unitary = max(worst_unitary, report.unitary_residual)
+            if not report.wandering_span_ok:
+                span_failures += 1
 
     # rigidity: concave and invertible in finite dimension forces unitarity
     worst_rigidity = 0.0
     misclassified = 0
-    for U in unitaries[20:]:
-        n = len(U)
-        rep = classify_operator(Dense(ComplexMatrix(U)))
-        if not (rep.concave and rep.bounded_below and rep.two_isometry):
-            misclassified += 1
-        worst_rigidity = max(
-            worst_rigidity, float(np.max(np.abs(U.conj().T @ U - np.eye(n))))
-        )
+    rigid = unitaries[20:]
+    for n, members in _by_size(rigid).items():
+        U = np.stack([rigid[j] for j in members])
+        for rep in _classify_stack(U, DEFAULT_TOL):
+            if not (rep.concave and rep.bounded_below and rep.two_isometry):
+                misclassified += 1
+        worst_rigidity = max(worst_rigidity, float(np.max(np.abs(U.conj().mT @ U - np.eye(n)))))
     passed = (
         dim_errors == 0
         and span_failures == 0

@@ -605,7 +605,8 @@ def verify_ladder_decomposition(
         )
     K = model_space_basis(phi, n, degree, tol)
     stacked = np.hstack(_ladder_blocks(phi, K, levels))
-    gram = stacked.conj().T @ stacked
+    with _quiet():
+        gram = _finite(stacked.conj().T @ stacked, "ladder Gram matrix")
     # block (j, k) of |Gram - Id| is entry [j, :, k, :]: the identity off its diagonal
     # blocks subtracts exact zeros
     m = levels + 1

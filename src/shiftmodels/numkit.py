@@ -218,7 +218,7 @@ def _rank_of(s: np.ndarray, tol: ToleranceConfig) -> int | np.ndarray:
     """Count of the descending singular values along the last axis of s that lie above
     rank_tol relative to the first: an int for one matrix's values, an array of the
     leading shape for a stack."""
-    counts = np.count_nonzero(s > tol.rank_tol * s[..., :1], axis=-1)
+    counts = (s > tol.rank_tol * s[..., :1]).sum(axis=-1)
     return int(counts) if s.ndim == 1 else counts
 
 

@@ -355,17 +355,23 @@ class DirectSum(_Acting):
     def ambient(self) -> int | None:
         return None if np.isinf(self._dims).any() else int(self._dims.sum())
 
-    def _map(self, k: np.ndarray, v: np.ndarray, adjoint: bool) -> tuple[np.ndarray, np.ndarray]:
-        if self.ambient is not None:
-            return _matvec(to_dense_matrix(self), k, v, adjoint)
-        p = len(self.parts)
-        r, q = _round_robin(p, k)
+    def _split(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Part r and local index q of the global indices k of an infinite sum; AmbientMismatch
+        where a local index lands outside its part."""
+        r, q = _round_robin(len(self.parts), k)
         outside = (q >= self._dims[r]).nonzero()[0]
         if outside.size:
             i = outside[0]
             raise AmbientMismatch(
                 f"global index {k[i]} lands outside part {r[i]} (dimension {int(self._dims[r[i]])})"
             )
+        return r, q
+
+    def _map(self, k: np.ndarray, v: np.ndarray, adjoint: bool) -> tuple[np.ndarray, np.ndarray]:
+        if self.ambient is not None:
+            return _matvec(to_dense_matrix(self), k, v, adjoint)
+        p = len(self.parts)
+        r, q = self._split(k)
         keys, images = [k[:0]], [v[:0]]  # so that a vector without entries maps to one
         for i, part in enumerate(self.parts):
             mine = r == i

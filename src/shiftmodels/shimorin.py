@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import _core, _wandering_span_dim
+from .classify import _core, _positions, _wandering_span_dim
 from .config import DEFAULT_TOL, Check, ToleranceConfig
 from .errors import NonFinite, OutsideDisc, TailNotConvergent, UnsupportedRegime
 from .numkit import (
@@ -36,7 +36,7 @@ from .numkit import (
     _order,
     _quiet,
     _time,
-    two_norm,
+    singular_values,
 )
 from .operators import (
     Dense,
@@ -534,12 +534,44 @@ def verify_semigroup_model(
 # the splitting into unitary and wandering parts
 
 
+def _wold_split(
+    stack: np.ndarray, tol: ToleranceConfig, wandering_infinite: bool = False
+) -> list[WoldReport]:
+    """``WoldReport`` of each V of a (k, n, n) stack: the batched core and wandering span,
+    then one product and one SVD per dimension of the unitary part for its residual."""
+    n = stack.shape[-1]
+    _, defects, cores, steps = _core(stack, tol)
+    residuals = [0.0] * len(stack)  # taken before the span, whose refusals come second
+    for width, members in _positions([c.shape[1] for c in cores], n + 1).items():
+        core = np.stack([cores[i] for i in members])
+        with _quiet():
+            restricted = core.conj().mT @ stack[members] @ core
+            gram = restricted.conj().mT @ restricted - np.eye(width)
+        tops = singular_values(_finite(gram, "restricted V*V - Id"))[:, 0]
+        for i, top in zip(members, tops.tolist()):
+            residuals[i] = top
+    spans = _wandering_span_dim(stack, defects, tol)
+    return [
+        WoldReport(
+            dim_unitary=core.shape[1],
+            dim_wandering_dense=n - core.shape[1],
+            wandering_infinite=wandering_infinite,
+            unitary_residual=residual,
+            wandering_span_dim=span_dim,
+            wandering_span_ok=span_dim == n - core.shape[1],
+            steps_used=k,
+        )
+        for core, residual, span_dim, k in zip(cores, residuals, spans, steps)
+    ]
+
+
 def wold_decompose(V: StructuredOperator, tol: ToleranceConfig = DEFAULT_TOL) -> WoldReport:
     """Split off the largest invariant part on which V acts unitarily.
 
     The unitary part is the stabilized range of powers; the rest is checked
     against the span of the defect-space iterates.  Shift summands are pure
     by structure and contribute only to the (then infinite) wandering part.
+    The matrix of the dense parts is a stack of one for ``_wold_split``.
     """
     wandering_infinite = False
     dense_parts = []
@@ -557,26 +589,4 @@ def wold_decompose(V: StructuredOperator, tol: ToleranceConfig = DEFAULT_TOL) ->
         return WoldReport(0, 0, wandering_infinite, 0.0, 0, True, 0)
     # a lone dense part hands over its own matrix, without a block copy
     arr = to_dense_matrix(DirectSum(tuple(dense_parts)) if len(dense_parts) > 1 else dense_parts[0])
-
-    n = arr.shape[0]
-    _, defect, core, steps_used = _core(arr, tol)
-    dim_unitary = core.shape[1]
-    if dim_unitary > 0:
-        with _quiet():
-            restricted = core.conj().T @ arr @ core
-            gram = restricted.conj().T @ restricted - np.eye(dim_unitary)
-        unitary_residual = two_norm(_finite(gram, "restricted V*V - Id"))
-    else:
-        unitary_residual = 0.0
-
-    span_dim = _wandering_span_dim(arr, defect, tol)
-
-    return WoldReport(
-        dim_unitary=dim_unitary,
-        dim_wandering_dense=n - dim_unitary,
-        wandering_infinite=wandering_infinite,
-        unitary_residual=unitary_residual,
-        wandering_span_dim=span_dim,
-        wandering_span_ok=span_dim == n - dim_unitary,
-        steps_used=steps_used,
-    )
+    return _wold_split(arr[None], tol, wandering_infinite)[0]

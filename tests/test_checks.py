@@ -81,9 +81,9 @@ def _stretch_the_unitary_core(monkeypatch):
     # V restricted to a core stretched by 1 + 1e-6 is no longer isometric
     original = shimorin._core
 
-    def stretched(arr, tol):
-        x, defect, core, steps = original(arr, tol)
-        return x, defect, core * (1.0 + 1e-6), steps
+    def stretched(stack, tol):
+        x, defects, cores, steps = original(stack, tol)
+        return x, defects, [core * (1.0 + 1e-6) for core in cores], steps
 
     monkeypatch.setattr(shimorin, "_core", stretched)
 

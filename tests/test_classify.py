@@ -1,17 +1,21 @@
 """Classification tests: concavity, 2-isometry, 2-contraction, purity."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from shiftmodels import classify
+from shiftmodels import classify, shimorin
+from shiftmodels.acceptance import _random_complex, _unitaries
 from shiftmodels.config import DEFAULT_TOL, ToleranceConfig
 from shiftmodels.classify import classify_operator, concave_power_growth_check
-from shiftmodels.errors import NotConcave
+from shiftmodels.errors import NonFinite, NotConcave
 from shiftmodels.numkit import ComplexMatrix
 from shiftmodels.operators import (
     Dense,
     DirectSum,
+    DirichletWeights,
     EventuallyConstantWeights,
     FiniteSupportVector,
     Shift,
@@ -304,3 +308,152 @@ def test_direct_sum_report_closed_forms(monkeypatch):
     assert rep.bounded_below and rep.lower_bound == pytest.approx(0.5, abs=1e-15)
     assert (rep.pure, rep.pure_method) == (False, "some part is not pure")
     assert (rep.wandering, rep.wandering_method) == (False, "some part is not wandering")
+
+
+# ---------------------------------------------------------------------------
+# the power orbit in one pass
+
+
+def test_power_growth_returns_false_before_a_later_iterate_overflows():
+    # diag(2, 0.5) through a loose gate breaks the bound at n = 2, while its iterate
+    # 2^(n-1) e_0 overflows before n = 1100: the verdict is the first failing bound's
+    T = Dense(ComplexMatrix(np.diag([2.0, 0.5])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not concave_power_growth_check(
+            T, FiniteSupportVector.basis(0, 2), 1100, ToleranceConfig(psd_tol=10.0)
+        )
+
+
+def _apply_ratios(T, x, N):
+    """||T^n x|| / ||x|| for n = 1 .. N, applying T step by step."""
+    ratios, current = [], x
+    for _ in range(N):
+        current = T.apply(current)
+        ratios.append(current.norm() / x.norm())
+    return ratios
+
+
+def test_power_growth_refuses_an_iterate_that_overflows_after_every_bound_held():
+    # T^2 = 1.69 Id, and ||T e_1||^2 = 4e307 makes the bound 1 + n (||T e_1||^2 - 1) infinite
+    # from n = 5: the odd iterates 1.3^(n-1) T e_1 overflow with every bound held before them
+    T = Dense(ComplexMatrix(np.array([[1.3, 6.3e153], [0.0, -1.3]])))
+    loose = ToleranceConfig(psd_tol=4.0)
+    x = FiniteSupportVector(((1, 0.5),), 2)  # a largest part in [1/2, 1) is not rescaled
+    finite, current = 0, x  # the count of iterates that ``apply`` takes before it refuses one
+    while True:
+        try:
+            current = T.apply(current)
+        except NonFinite:
+            break
+        finite += 1
+    assert finite > 1000
+    for op, y in ((T, x), (DirectSum((dirichlet_shift(), T)), FiniteSupportVector(((3, 0.5),)))):
+        assert concave_power_growth_check(op, y, finite, loose)
+        with pytest.raises(NonFinite, match="non-finite T x"):
+            concave_power_growth_check(op, y, finite + 1, loose)
+
+
+def _with_zero_image_entries(rng, n):
+    """A random n x n matrix with a zero row and a zero column: its images hold exact zeros."""
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A[1, :] = 0.0
+    A[:, 0] = 0.0
+    return A
+
+
+def _orbit_cases():
+    rng = np.random.default_rng(35)
+    for trial in range(6):
+        n = int(rng.integers(3, 8))
+        dense = Dense(ComplexMatrix(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))))
+        zeros = Dense(ComplexMatrix(_with_zero_image_entries(rng, n)))
+        head = tuple(rng.uniform(0.5, 1.5, int(rng.integers(0, 5))).tolist())
+        shift = Shift(EventuallyConstantWeights(head, float(rng.uniform(0.9, 1.1))))
+        for T in (
+            shift,
+            dirichlet_shift(),
+            Shift(DirichletWeights(dual=True)),
+            dense,
+            zeros,
+            DirectSum((zeros, dirichlet_shift())),
+            DirectSum((isometric_shift(), dense, shift)),
+            DirectSum((dense, zeros)),
+        ):
+            bound = 3 * n if T.ambient is None else T.ambient
+            support = rng.choice(bound, size=int(rng.integers(1, min(bound, 5) + 1)), replace=False)
+            if isinstance(T, DirectSum) and T.ambient is None:
+                # indices of the round robin inside every finite part
+                parts = len(T.parts)
+                support = np.unique(rng.integers(0, n, support.size) * parts + support % parts)
+            values = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
+            yield T, FiniteSupportVector(tuple(zip(support.tolist(), values.tolist())), T.ambient)
+
+
+def test_orbit_ratios_are_those_of_a_step_by_step_apply_loop():
+    for T, x in _orbit_cases():
+        ratios, finite = classify._norm_ratios(T, x, 40)
+        assert finite == 40
+        assert [r.hex() for r in ratios] == [r.hex() for r in _apply_ratios(T, x, 40)], T
+
+
+# ---------------------------------------------------------------------------
+# stacks: every member's report is that of one call
+
+
+def _criterion_8_population():
+    """The sums and unitaries of criterion 8 (seed 808), as matrices."""
+    rng = np.random.default_rng(808)
+    gaussians, nilpotents = [], []
+    for _ in range(20):
+        n_u, n_n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        gaussians.append(_random_complex(rng, (n_u, n_u)))
+        nilpotents.append(np.triu(_random_complex(rng, (n_n, n_n)), 1))
+    for _ in range(50):
+        n = int(rng.integers(2, 11))
+        gaussians.append(_random_complex(rng, (n, n)))
+    unitaries = _unitaries(gaussians)
+    sums = [block_diag(U, N) for U, N in zip(unitaries, nilpotents)]
+    return sums + unitaries[20:]
+
+
+def _family(n: int, seed: int):
+    """Seeded n x n matrices: a unitary of dimension k beside c J_m, k + m = n, under a unitary
+    or a general similarity (so the range iteration takes m + 1 steps), and random, zero and
+    nilpotent members."""
+    rng = np.random.default_rng(seed)
+    general = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    out = [np.zeros((n, n)), _jordan(n), general]
+    for trial in range(9):
+        m = int(rng.integers(1, n + 1))
+        T = block_diag(_random_unitary(rng, n - m), _jordan(m, 10.0 ** rng.uniform(-1.0, 1.0)))
+        if trial % 2:
+            S = _random_unitary(rng, n)
+            out.append(S @ T @ S.conj().T)
+        else:
+            S = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            out.append(S @ T @ np.linalg.inv(S))
+    return out
+
+
+@pytest.mark.parametrize(
+    "matrices",
+    [
+        pytest.param(_criterion_8_population(), id="criterion-8"),
+        *(pytest.param(_family(n, n), id=f"family-n{n}") for n in (4, 16, 32)),
+    ],
+)
+def test_stacked_reports_equal_one_call_per_matrix(matrices):
+    sizes = {}
+    for A in matrices:
+        sizes.setdefault(len(A), []).append(np.asarray(A, dtype=np.complex128))
+    steps = set()
+    for members in sizes.values():
+        stack = np.stack(members)
+        classified = classify._classify_stack(stack, DEFAULT_TOL)
+        split = shimorin._wold_split(stack, DEFAULT_TOL)
+        for A, rep, wold in zip(members, classified, split):
+            assert rep == classify_operator(Dense(ComplexMatrix(A)))
+            assert wold == wold_decompose(Dense(ComplexMatrix(A)))
+            steps.add(wold.steps_used)
+    assert len(steps) > 2  # the members leave the range iteration at different steps

@@ -576,6 +576,17 @@ def test_overflowing_symbol_series_is_refused_without_warnings(tmp_path, symbol,
     _assert_single_error_line(proc, 3)
 
 
+def test_overflowing_ladder_gram_matrix_is_refused_by_name_without_warnings(tmp_path):
+    # the ladder levels of phi = 1e200 are finite, and their Gram entries 1e400 overflow
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps([[1e200, 0.0]]))
+    argv = ["hardy", "--symbol-file", str(path), "--degree", "1", "--ladder", "1", "--N", "16"]
+    proc = _run_captured(argv)  # a numpy warning fails the test
+    _assert_single_error_line(proc, 3)
+    assert proc.stderr == "error: hardy: non-finite ladder Gram matrix\n"
+    assert proc.stdout == ""
+
+
 # a Blaschke zero of modulus up to 0.99, and a time from 0 to 1e3
 _ZERO = st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 2.0 * math.pi)).map(
     lambda p: complex(p[0] * math.cos(p[1]), p[0] * math.sin(p[1]))
